@@ -14,6 +14,10 @@ import json
 import os
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: where ``mode: "smoke"`` artifacts land (git-ignored): a smoke run --
+#: CI's, or a developer's pre-push check -- must never overwrite the
+#: committed full-mode ``BENCH_*.json`` / ``*.txt`` beside it
+SMOKE_DIR = os.path.join(RESULTS_DIR, "smoke")
 
 #: Version of the shared BENCH_*.json envelope written by
 #: :func:`write_json`.  Every payload carries it as ``schema_version``.
@@ -45,30 +49,36 @@ def host_info() -> dict:
     }
 
 
+def _results_dir(mode: str) -> str:
+    path = SMOKE_DIR if mode == "smoke" else RESULTS_DIR
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
 def write_json(name: str, payload: dict) -> str:
     """Write ``benchmarks/results/BENCH_<name>.json`` (shared envelope).
 
     Stamps ``schema_version`` (:data:`BENCH_SCHEMA_VERSION`) and fills
     in ``host`` when the payload lacks one, so every benchmark's JSON
     carries the same envelope; the payload's own fields are otherwise
-    written as given.  Returns the path.
+    written as given.  A ``mode: "smoke"`` payload goes under
+    :data:`SMOKE_DIR` instead.  Returns the path.
     """
     payload = dict(payload)
     payload.setdefault("schema_version", BENCH_SCHEMA_VERSION)
     payload.setdefault("host", host_info())
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"BENCH_{name}.json")
+    path = os.path.join(_results_dir(payload.get("mode")), f"BENCH_{name}.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return path
 
 
-def report(experiment: str, title: str, lines: list[str]) -> str:
-    """Print and persist one experiment's regenerated rows."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+def report(experiment: str, title: str, lines: list[str], mode: str = "full") -> str:
+    """Print and persist one experiment's regenerated rows (the ``.txt``
+    twin of :func:`write_json`; same ``mode`` routing)."""
     text = "\n".join([f"# {experiment}: {title}"] + lines) + "\n"
-    path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
+    path = os.path.join(_results_dir(mode), f"{experiment}.txt")
     with open(path, "w") as fh:
         fh.write(text)
     print("\n" + text)

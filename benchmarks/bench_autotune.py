@@ -32,15 +32,14 @@ import sys
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 
 import repro
 from repro import Machine, Session
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_autotune.json")
 
 #: mean |predicted - measured| / predicted over the executed frontier.
 #: Host timing on a shared CI runner is noisy, the workloads here are
@@ -186,7 +185,7 @@ def run(smoke=False):
             "smoke-mode wall-clock numbers are honest but tiny."
         ),
     }
-    write_json("autotune", payload)
+    json_path = write_json("autotune", payload)
 
     lines = [
         f"calibration: flop_time={cal.flop_time:.3e}s alpha={cal.alpha:.3e}s "
@@ -208,8 +207,9 @@ def run(smoke=False):
     lines.append("gates: " + ", ".join(
         f"{k}={'PASS' if v else 'FAIL'}" for k, v in gates.items()
     ))
-    lines.append(f"json: {os.path.relpath(JSON_PATH)}")
-    report("AUTOTUNE", "calibrated prune-then-execute layout search", lines)
+    lines.append(f"json: {os.path.relpath(json_path)}")
+    report("AUTOTUNE", "calibrated prune-then-execute layout search", lines,
+           mode=payload["mode"])
 
     ok = all(gates.values())
     if not ok:

@@ -28,15 +28,14 @@ import time
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 
 import repro
 from repro import Machine, ProcessorGrid, Session
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_morph.json")
 
 
 def _trace_sig(trace):
@@ -138,7 +137,7 @@ def run(smoke=False):
             "that second, all-hit cycle."
         ),
     }
-    write_json("morph", payload)
+    json_path = write_json("morph", payload)
 
     lines = [
         f"n={n}, sweeps warm/mid/tail = {warm}/{mid}/{tail}, "
@@ -154,9 +153,10 @@ def run(smoke=False):
         "gates: " + ", ".join(
             f"{k}={'PASS' if v else 'FAIL'}" for k, v in gates.items()
         ),
-        f"json: {os.path.relpath(JSON_PATH)}",
+        f"json: {os.path.relpath(json_path)}",
     ]
-    report("MORPH", "elastic morph drill: timing and bit-identity", lines)
+    report("MORPH", "elastic morph drill: timing and bit-identity", lines,
+           mode=payload["mode"])
 
     ok = all(gates.values())
     if not ok:

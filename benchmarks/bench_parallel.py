@@ -43,10 +43,10 @@ import time
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, host_info, report, write_json
+    from benchmarks._report import host_info, report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, host_info, report, write_json
+    from benchmarks._report import host_info, report, write_json
 
 import repro
 from repro import Machine, ProcessorGrid, Session
@@ -54,7 +54,6 @@ from repro.baselines.sequential import jacobi_sequential
 from repro.lang import DistArray
 from repro.tensor.jacobi import build_jacobi_loop
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_parallel.json")
 
 SPEEDUP_TARGET = 2.0
 GATE_WORKERS = 4
@@ -195,7 +194,7 @@ def run(smoke=False):
             "speedup is not expected there."
         ),
     }
-    write_json("parallel", payload)
+    json_path = write_json("parallel", payload)
 
     lines = [
         f"host: {cpus} usable CPU(s); sequential baseline "
@@ -218,8 +217,9 @@ def run(smoke=False):
            "FAIL" if gate_passed is False else
            f"not enforced -- {payload['gate']['reason']}")
     )
-    lines.append(f"json: {os.path.relpath(JSON_PATH)}")
-    report("PARALLEL", "real parallel speedup, multiprocessing backend", lines)
+    lines.append(f"json: {os.path.relpath(json_path)}")
+    report("PARALLEL", "real parallel speedup, multiprocessing backend", lines,
+           mode=payload["mode"])
 
     ok = all_identical
     if not ok:

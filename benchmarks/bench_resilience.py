@@ -30,16 +30,15 @@ import time
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 
 import repro
 from repro import Machine, MachineError, Session, Supervisor, SupervisorPolicy, faults
 from repro.machine.backend import Backend
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_resilience.json")
 
 #: a supervised fault-free run may cost at most this many times the
 #: plain uninterrupted run (mid-run checkpoints are per-array diffs +
@@ -200,7 +199,7 @@ def run(smoke=False):
             "run costs at most OVERHEAD_BOUND x the plain run."
         ),
     }
-    write_json("resilience", payload)
+    json_path = write_json("resilience", payload)
 
     lines = [
         f"n={n}, iters={iters}, checkpoint_every={every}, "
@@ -216,10 +215,10 @@ def run(smoke=False):
         "gates: " + ", ".join(
             f"{k}={'PASS' if v else 'FAIL'}" for k, v in gates.items()
         ),
-        f"json: {os.path.relpath(JSON_PATH)}",
+        f"json: {os.path.relpath(json_path)}",
     ]
     report("RESILIENCE", "self-healing drill: supervised recovery gates",
-           lines)
+           lines, mode=payload["mode"])
 
     ok = all(gates.values())
     if not ok:

@@ -39,10 +39,10 @@ import time
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, host_info, report, write_json
+    from benchmarks._report import host_info, report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, host_info, report, write_json
+    from benchmarks._report import host_info, report, write_json
 
 import repro
 from repro import Machine, ProcessorGrid, Session
@@ -50,7 +50,6 @@ from repro.lang import DistArray
 from repro.serve import Server
 from repro.tensor.jacobi import build_jacobi_loop
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_serve.json")
 
 BATCH_SPEEDUP_TARGET = 3.0
 BATCH_SIZE = 8
@@ -263,7 +262,7 @@ def run(smoke=False):
             "shared plan cache's replay rate under that churn."
         ),
     }
-    write_json("serve", payload)
+    json_path = write_json("serve", payload)
 
     lines = [
         f"host: {cpus} usable CPU(s); jacobi n={n}, iters={iters}",
@@ -290,8 +289,9 @@ def run(smoke=False):
            "FAIL" if thr_passed is False else
            f"not enforced -- {payload['gates']['throughput']['reason']}")
     )
-    lines.append(f"json: {os.path.relpath(JSON_PATH)}")
-    report("SERVE", "batched ensembles + concurrent serving", lines)
+    lines.append(f"json: {os.path.relpath(json_path)}")
+    report("SERVE", "batched ensembles + concurrent serving", lines,
+           mode=payload["mode"])
 
     ok = True
     if not correct:

@@ -43,10 +43,10 @@ import time
 import numpy as np
 
 try:
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 except ModuleNotFoundError:  # invoked as a script: python benchmarks/bench_...
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from benchmarks._report import RESULTS_DIR, report, write_json
+    from benchmarks._report import report, write_json
 
 import repro
 from repro import Machine, ProcessorGrid, Session
@@ -56,7 +56,6 @@ from repro.tensor.jacobi import build_jacobi_loop
 from repro.tensor.multigrid2d import MG2
 from repro.tensor.poisson import Coeffs2D
 
-JSON_PATH = os.path.join(RESULTS_DIR, "BENCH_wallclock.json")
 
 
 def _trace_sig(trace):
@@ -287,7 +286,7 @@ def run(smoke=False):
             "execution under plan rebuild, not pure replay."
         ),
     }
-    write_json("wallclock", payload)
+    json_path = write_json("wallclock", payload)
 
     lines = [
         f"{'scenario':<13} {'interp ms':>10} {'compiled ms':>12} "
@@ -303,8 +302,9 @@ def run(smoke=False):
         f"steady-state replay speedup (geomean jacobi/adi/multigrid): "
         f"{headline:.2f}x"
     )
-    lines.append(f"json: {os.path.relpath(JSON_PATH)}")
-    report("WALL", "wall-clock per replayed run, compiled vs interpreted", lines)
+    lines.append(f"json: {os.path.relpath(json_path)}")
+    report("WALL", "wall-clock per replayed run, compiled vs interpreted", lines,
+           mode=payload["mode"])
 
     ok = payload["all_identical"]
     if smoke:

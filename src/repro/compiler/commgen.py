@@ -19,12 +19,12 @@ exchange into a gather-direction schedule (open-mesh local-block
 coordinates out, workspace scatter positions in), and the write
 analysis compiles each statement's remote-write sets into a
 scatter-direction schedule (value-vector selections out, local-block
-coordinates in).  The executor in :mod:`repro.compiler.schedule`
-replays both through
-:func:`~repro.compiler.commsched.execute_transfer`'s wire halves on
-every sweep, so repeated doall executions (the common case) pay for
-communication-set derivation exactly once and every direction data
-moves shares one executor and one trace vocabulary.
+coordinates in).  The executors in :mod:`repro.compiler.schedule`
+replay both on every sweep -- sends, local move, receives, the order
+:func:`~repro.compiler.commsched.execute_transfer` defines -- so
+repeated doall executions (the common case) pay for communication-set
+derivation exactly once and every direction data moves shares one
+schedule form and one trace vocabulary.
 
 The analysis also derives the *interior* iteration count per rank: the
 points whose reads are all locally owned and can therefore be computed
@@ -414,6 +414,8 @@ class StepPlan:
     __slots__ = (
         "rank",
         "nbatch",
+        "lead",
+        "flat",
         "analysis",
         "shape",
         "n_points",
@@ -448,6 +450,11 @@ class StepPlan:
         # neither, keeping their recipes byte-identical to before
         lead_shape = () if nbatch is None else (nbatch,)
         lead_sel = () if nbatch is None else (slice(None),)
+        #: what the replay walk prefixes the (unbatched, shared)
+        #: schedule selections with, and the shape of a statement's flat
+        #: value vector -- frozen here, next to the pre-prefixed recipes
+        self.lead = lead_sel
+        self.flat = (-1,) if nbatch is None else (nbatch, -1)
 
         # ---- read side: persistent workspaces + send/recv recipes ------
         #: (wire kind, array, gather schedule | None, workspace | None)
@@ -499,7 +506,8 @@ class StepPlan:
 
         # ---- statement store recipes -----------------------------------
         #: per-statement: ("box", array, locs, perm, shape) |
-        #: ("flat", array, locs) | ("transfer", sched, kind) | None
+        #: ("flat", array, locs) | ("transfer", array, scatter schedule,
+        #: wire kind) | None
         self.stores: list[tuple | None] = []
         for stmt_idx, sa in enumerate(analysis.stmts):
             wplan = analysis.write_plans[stmt_idx][rank]

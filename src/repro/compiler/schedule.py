@@ -29,8 +29,7 @@ changes when time is charged, never what is sent.
 Analyses are cached by structural loop key, so loops re-executed every
 iteration (the common case) compile once; the read-side gather
 schedules and the write-side scatter schedules both replay from the
-cached analysis through the shared transfer executor without
-re-deriving any index list.
+cached analysis without re-deriving any index list.
 
 Two executors drive the phases.  The default compiled path
 (``compiled=True``) replays the rank's frozen
@@ -39,10 +38,18 @@ lowered once into closures over pre-bound numpy ufuncs, array
 references pre-resolved to workspace positions (slice views for box
 patterns), store coordinates frozen, workspaces persistent -- the
 steady-state sweep never walks an expression AST or evaluates an
-affine index.  The interpreted path (``compiled=False``) re-derives
-all of that per sweep and is kept as the reference semantics; both
-produce bit-identical results, traces, and cache accounting (see
-docs/performance.md).
+affine index.  That replay exists once: :func:`_replay` is the only
+walk of a StepPlan, and :func:`replay_analysis` (a single run),
+:func:`replay_batch_analysis` (``Program.run_batch``: B bindings behind
+a leading batch axis) and :func:`shadow_replay_analysis` (the
+multiprocessing backend's data-free trace oracle) are thin entry points
+that differ only in where they say the rank's blocks live.  Around it,
+:func:`replay_sweeps` is the one sweep driver -- resolve each loop's
+analysis at its first execution of a run, count later sweeps as
+replays -- that every run loop iterates.  The interpreted path
+(``compiled=False``) re-derives positions and walks the ASTs per sweep
+and is kept as the reference semantics; both produce bit-identical
+results, traces, and cache accounting (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from operator import methodcaller
 from typing import Any, Callable
 
 import numpy as np
@@ -58,6 +66,7 @@ from repro.compiler import access as acc
 from repro.compiler.commgen import LoopAnalysis
 from repro.compiler.commsched import (
     execute_transfer,
+    freeze_payload,
     transfer_local_move,
     transfer_recvs,
     transfer_sends,
@@ -353,6 +362,32 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False, compiled: bool | None
     )
 
 
+def replay_sweeps(plans: PlanCache, loops, iters: int):
+    """Yield ``(analysis, reused)`` per loop execution of ``iters`` sweeps.
+
+    The steady-state discipline every compiled run loop shares
+    (``Program.run``, ``Program.run_batch``, the multiprocessing
+    backend's accounting and its oracle stream): each loop's analysis is
+    resolved at its first execution -- one cache probe per loop per rank
+    per *run*, whose outcome is the ``reused`` of the first sweep -- and
+    later sweeps replay the pinned analysis, skipping the structural-key
+    walk and counting as-if hits (:meth:`PlanCache.count_replay`) so the
+    accounting matches the interpreted path's per-sweep probes.  Loop
+    programs contain no redistribution, so a pinned analysis cannot go
+    stale within a run; between runs the probe picks up any layout
+    change.
+    """
+    resolved = []
+    for loop in loops:
+        analysis, reused = plans.analysis(loop)
+        resolved.append(analysis)
+        yield analysis, reused
+    for _ in range(iters - 1):
+        for analysis in resolved:
+            plans.count_replay("doall")
+            yield analysis, True
+
+
 def replay_analysis(
     ctx, analysis: LoopAnalysis, overlap: bool = False,
     compiled: bool | None = None, reused: bool = True,
@@ -360,20 +395,21 @@ def replay_analysis(
     """Drive one rank's share of an already-resolved doall analysis.
 
     The replay half of :func:`execute_doall`, split out so a caller
-    holding the analysis (``Program.run``'s steady-state loop resolves
-    each loop's plan once per run) can skip the per-sweep cache probe --
-    the structural key walk -- entirely.  ``reused`` feeds the
+    holding the analysis (:func:`replay_sweeps` resolves each loop's
+    plan once per run) can skip the per-sweep cache probe -- the
+    structural key walk -- entirely.  ``reused`` feeds the
     ``commsched/hit`` vs ``commsched/build`` mark, mirroring what a
     probe would have reported.
     """
-    me = ctx.rank
     if compiled is None:
         compiled = getattr(ctx, "compiled", True)
-    tag = ctx.next_tag(analysis.loop.grid)
-    yield from announce_replay(ctx, analysis, reused)
     if compiled:
-        yield from _replay_step_plan(ctx, analysis.step_plan(me), overlap, tag)
+        yield from _replay(
+            ctx, analysis, overlap, reused, methodcaller("local", ctx.rank)
+        )
     else:
+        tag = ctx.next_tag(analysis.loop.grid)
+        yield from announce_replay(ctx, analysis, reused)
         yield from _interpret_doall(ctx, analysis, overlap, tag)
 
 
@@ -383,59 +419,102 @@ def replay_batch_analysis(
 ):
     """Drive one rank's share of a doall over ``nbatch`` bindings at once.
 
-    The batched twin of :func:`replay_analysis` behind
-    ``Program.run_batch``: the same frozen schedules replay once per
-    sweep, but every fetch, closure, and store carries a leading batch
-    axis, so one pass advances all ensemble members together.  ``blocks``
-    maps ``array.uid`` to this rank's batched local block -- shape
-    ``(nbatch,) + local shape`` -- which the driver reads ghosts from
-    and stores results into (the live arrays are never touched; the
-    caller owns the batched copies and the write-back).
+    The batched entry point behind ``Program.run_batch``: the same
+    frozen schedules replay once per sweep, but every fetch, closure,
+    and store carries a leading batch axis, so one pass advances all
+    ensemble members together.  ``blocks`` maps ``array.uid`` to this
+    rank's batched local block -- shape ``(nbatch,) + local shape`` --
+    which the walk reads ghosts from and stores results into (the live
+    arrays are never touched; the caller owns the batched copies and the
+    write-back).
 
     Wire discipline: message *counts* and tags are identical to one
     single-binding sweep -- each payload slot just widens by the batch
     factor.  Compute charges scale by ``nbatch`` (the ensemble honestly
     does that many members' flops).
     """
-    me = ctx.rank
-    tag = ctx.next_tag(analysis.loop.grid)
-    yield from announce_replay(ctx, analysis, reused)
-    yield from _replay_batch_plan(
-        ctx, analysis.step_plan(me, nbatch=nbatch), tag, blocks, overlap
+    return _replay(
+        ctx, analysis, overlap, reused, lambda array: blocks[array.uid], nbatch
     )
 
 
-def _replay_batch_plan(ctx, plan, tag, blocks: dict, overlap: bool):
-    """Replay a batched :class:`~repro.compiler.commgen.StepPlan`.
+def shadow_replay_analysis(
+    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
+):
+    """The compiled replay's op stream with no data moved.
 
-    Mirrors :func:`_replay_step_plan` exactly, with two substitutions:
-    reads and stores go through the caller's batched shadow blocks
-    instead of ``array.local(rank)``, and the transfer ``read``/``write``
-    callables prefix every frozen selection with ``slice(None)`` on the
-    batch axis (the plan's own recipes are pre-prefixed at build time).
+    Yields the *exact* op stream a compiled replay of ``analysis``
+    produces -- same Marks, same Compute flops and labels, same Sends
+    (tag and byte count) and Recvs in the same order -- but sends carry
+    ``data=None`` with the frozen payload's byte count, receives
+    discard, and neither closures nor stores run.  This is how the
+    multiprocessing backend derives its cost-model-stamped trace: the
+    floats are computed by real parallel workers, while the inner
+    simulator runs this stream to produce a trace bit-identical to what
+    the simulator backend would have recorded.
+
+    Deliberately takes the analysis (never probing the plan cache):
+    cache accounting for a shadowed run is done once by the parent, not
+    once per shadow rank.
     """
-    readers: list[tuple] = []
-    for wire_kind, array, sched, buf in plan.reads:
+    return _replay(ctx, analysis, overlap, reused, None)
+
+
+def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
+            block_of, nbatch: int | None = None):
+    """The one compiled walk of a frozen :class:`~repro.compiler.commgen.StepPlan`.
+
+    Every index array, closure, label, and flop charge was frozen at
+    plan-build time; a sweep is, in this fixed order: gather sends +
+    local moves, [interior Compute], gather receives, Compute, rhs
+    closures, box/flat stores, scatter sends / self move / receives.
+    The op stream is bit-identical to :func:`_interpret_doall`.
+
+    The three entry points above differ only in ``block_of``, *where
+    this rank's blocks live*: ``array -> block`` for the live arrays
+    (``array.local(rank)``) or the batch driver's shadow blocks, or
+    ``None`` to move no data at all.  Blocks are resolved through it at
+    the moment of each read or store, never captured: a block swapped
+    by redistribution must not be written through a stale buffer, and a
+    rank that only *sends* a scatter owns no lhs block to ask for.
+    Payloads go through :func:`freeze_payload` (copy-in, by value, no
+    simulator-side snapshot copy).
+    """
+    me = ctx.rank
+    tag = ctx.next_tag(analysis.loop.grid)
+    yield from announce_replay(ctx, analysis, reused)
+    plan = analysis.step_plan(me, nbatch=nbatch)
+    lead = plan.lead
+    live = block_of is not None
+
+    # Sends for *all* read arrays go out before any receive, so they are
+    # in flight together.
+    pending: list[tuple] = []
+    for wire, array, sched, buf in plan.reads:
         if sched is None:
             continue
-        if sched.sends or sched.self_src is not None:
-            read = _batch_get(blocks[array.uid])
-        else:
-            read = None
-        yield from transfer_sends(ctx, sched, read, tag=tag, kind=wire_kind)
-        if buf is not None:
-            transfer_local_move(sched, read, _batch_put(buf))
+        if not live:
+            itemsize = array.dtype.itemsize
+            for dst, idx in sched.sends:
+                yield Send(dst, None, (tag, wire, me), _index_nbytes(idx, itemsize))
+        elif sched.sends or sched.self_src is not None:
+            block = block_of(array)
+            for dst, idx in sched.sends:
+                yield Send(dst, freeze_payload(block[lead + idx]), (tag, wire, me))
+            if buf is not None and sched.self_src is not None:
+                buf[lead + sched.self_dst] = block[lead + sched.self_src]
         if sched.recvs:
-            readers.append((sched, buf, wire_kind))
+            pending.append((wire, sched.recvs, buf))
 
     interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
     if interior:
         yield Compute(flops=interior_flops, label=plan.label_interior)
 
-    for sched, buf, wire_kind in readers:
-        yield from transfer_recvs(
-            ctx, sched, _batch_put(buf), tag=tag, kind=wire_kind
-        )
+    for wire, recvs, buf in pending:
+        for src, idx in recvs:
+            values = yield Recv(src, (tag, wire, src))
+            if live:
+                buf[lead + idx] = values
 
     if remaining:
         yield Compute(
@@ -443,31 +522,36 @@ def _replay_batch_plan(ctx, plan, tag, blocks: dict, overlap: bool):
             label=plan.label_boundary if interior else plan.label,
         )
 
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
+    stmt_vals = [None if fn is None or not live else fn() for fn in plan.evals]
 
-    nb = plan.nbatch
     for values, store in zip(stmt_vals, plan.stores):
         if store is None:
             continue
-        op = store[0]
-        if op == "box":
-            _, array, locs, perm, boxshape = store
-            blocks[array.uid][locs] = values.transpose(perm).reshape(boxshape)
-        elif op == "flat":
-            _, array, locs = store
-            blocks[array.uid][locs] = values.reshape(nb, -1)
-        else:  # "transfer": remote-write scatter replay
-            _, array, sched, wire_kind = store
-            yield from execute_transfer(
-                ctx,
-                sched,
-                read=_batch_reader(
-                    None if values is None else values.reshape(nb, -1)
-                ),
-                write=_batch_writer(blocks, array.uid),
-                tag=tag,
-                kind=wire_kind,
-            )
+        op, array = store[0], store[1]
+        if op == "transfer":  # remote-write scatter replay
+            sched, wire = store[2], store[3]
+            flat = None if values is None else values.reshape(plan.flat)
+            if live:
+                for dst, sel in sched.sends:
+                    yield Send(dst, freeze_payload(flat[lead + (sel,)]), (tag, wire, me))
+                if sched.self_src is not None:
+                    block_of(array)[lead + sched.self_dst] = \
+                        flat[lead + (sched.self_src,)]
+            else:
+                itemsize = array.dtype.itemsize
+                for dst, sel in sched.sends:
+                    yield Send(dst, None, (tag, wire, me), _index_nbytes(sel, itemsize))
+            for src, piece in sched.recvs:
+                incoming = yield Recv(src, (tag, wire, src))
+                if live:
+                    block_of(array)[lead + piece] = incoming
+        elif not live:
+            continue
+        elif op == "box":
+            _, _, locs, perm, boxshape = store
+            block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
+        else:  # "flat"
+            block_of(array)[store[2]] = values.reshape(plan.flat)
 
 
 def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
@@ -498,66 +582,6 @@ def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
     if analysis.has_remote_writes:
         # likewise for the write-side scatter schedules
         yield Mark(kind, payload=("scatter", analysis.scatter_names))
-
-
-def _replay_step_plan(ctx, plan, overlap: bool, tag):
-    """Replay a frozen :class:`~repro.compiler.commgen.StepPlan`.
-
-    The compiled hot loop: every index array, closure, label, and flop
-    charge was frozen at plan-build time; each sweep is sends, local
-    moves, receives, prebound rhs closures, and prebound stores.  The
-    yielded op stream is bit-identical to :func:`_interpret_doall`.
-    """
-    me = ctx.rank
-    readers: list[tuple] = []
-    for wire_kind, array, sched, buf in plan.reads:
-        if sched is None:
-            continue
-        if sched.sends or sched.self_src is not None:
-            read = array.local(me).__getitem__
-        else:
-            read = None
-        yield from transfer_sends(ctx, sched, read, tag=tag, kind=wire_kind)
-        if buf is not None:
-            transfer_local_move(sched, read, buf.__setitem__)
-        if sched.recvs:
-            readers.append((sched, buf, wire_kind))
-
-    interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
-    if interior:
-        yield Compute(flops=interior_flops, label=plan.label_interior)
-
-    for sched, buf, wire_kind in readers:
-        yield from transfer_recvs(ctx, sched, buf.__setitem__, tag=tag, kind=wire_kind)
-
-    if remaining:
-        yield Compute(
-            flops=remaining_flops,
-            label=plan.label_boundary if interior else plan.label,
-        )
-
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
-
-    for values, store in zip(stmt_vals, plan.stores):
-        if store is None:
-            continue
-        op = store[0]
-        if op == "box":
-            _, array, locs, perm, boxshape = store
-            array.local(me)[locs] = values.transpose(perm).reshape(boxshape)
-        elif op == "flat":
-            _, array, locs = store
-            array.local(me)[locs] = values.reshape(-1)
-        else:  # "transfer": remote-write scatter replay
-            _, array, sched, wire_kind = store
-            yield from execute_transfer(
-                ctx,
-                sched,
-                read=_reader(None if values is None else values.reshape(-1)),
-                write=_writer(array, me),
-                tag=tag,
-                kind=wire_kind,
-            )
 
 
 def _interpret_doall(ctx, analysis: LoopAnalysis, overlap: bool, tag):
@@ -682,75 +706,6 @@ def _flat_local_store(sa, iters, rank: int, values: np.ndarray) -> None:
     array.local(rank)[locs] = values.reshape(-1)
 
 
-def shadow_replay_analysis(
-    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
-):
-    """Data-free mirror of :func:`replay_analysis` (compiled path).
-
-    Yields the *exact* op stream a compiled replay of ``analysis``
-    produces -- same Marks, same Compute flops and labels, same Sends
-    (tag and byte count) and Recvs in the same order -- but moves no
-    array data: sends carry ``data=None`` with the frozen payload's
-    byte count, receives discard, and no store runs.  This is how the
-    multiprocessing backend derives its cost-model-stamped trace: the
-    floats are computed by real parallel workers, while the inner
-    simulator runs this shadow stream to produce a trace bit-identical
-    to what the simulator backend would have recorded.
-
-    Deliberately takes the analysis (never probing the plan cache):
-    cache accounting for a shadowed run is done once by the parent, not
-    once per shadow rank.
-    """
-    me = ctx.rank
-    tag = ctx.next_tag(analysis.loop.grid)
-    yield from announce_replay(ctx, analysis, reused)
-    yield from _shadow_step_plan(ctx, analysis.step_plan(me), overlap, tag)
-
-
-def _shadow_step_plan(ctx, plan, overlap: bool, tag):
-    """Data-free mirror of :func:`_replay_step_plan` -- ops only."""
-    me = ctx.rank
-    readers: list[tuple] = []
-    for wire_kind, array, sched, _buf in plan.reads:
-        if sched is None:
-            continue
-        itemsize = array.dtype.itemsize
-        for dst, src_idx in sched.sends:
-            yield Send(
-                dst, None, tag=(tag, wire_kind, me),
-                nbytes=_index_nbytes(src_idx, itemsize),
-            )
-        if sched.recvs:
-            readers.append((sched, wire_kind))
-
-    interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
-    if interior:
-        yield Compute(flops=interior_flops, label=plan.label_interior)
-
-    for sched, wire_kind in readers:
-        for src, _dst_idx in sched.recvs:
-            yield Recv(src=src, tag=(tag, wire_kind, src))
-
-    if remaining:
-        yield Compute(
-            flops=remaining_flops,
-            label=plan.label_boundary if interior else plan.label,
-        )
-
-    for store in plan.stores:
-        if store is None or store[0] != "transfer":
-            continue
-        _, array, sched, wire_kind = store
-        itemsize = array.dtype.itemsize
-        for dst, sel in sched.sends:
-            yield Send(
-                dst, None, tag=(tag, wire_kind, me),
-                nbytes=_index_nbytes(sel, itemsize),
-            )
-        for src, _dst_idx in sched.recvs:
-            yield Recv(src=src, tag=(tag, wire_kind, src))
-
-
 def _index_nbytes(idx, itemsize: int) -> int:
     """Byte count of the payload a source-side index selection reads.
 
@@ -780,57 +735,4 @@ def _writer(array, rank: int):
     """Stores through frozen local-block coordinates."""
     def write(locs, values):
         array.local(rank)[locs] = values
-    return write
-
-
-def _lead(idx) -> tuple:
-    """Prefix a frozen schedule selection with the batch axis.
-
-    Schedules freeze two selection forms: open-mesh tuples (gather
-    send/recv sides, local boxes) and flat coordinate arrays (scatter
-    selections).  Either way the batched form is the same selection on
-    every ensemble member at once.
-    """
-    if not isinstance(idx, tuple):
-        idx = (idx,)
-    return (slice(None),) + idx
-
-
-def _batch_get(block: np.ndarray):
-    """Batched source reads: the frozen selection, on every member."""
-    def read(idx):
-        return block[_lead(idx)]
-    return read
-
-
-def _batch_put(buf: np.ndarray):
-    """Batched workspace stores (local moves and ghost receives)."""
-    def write(idx, values):
-        buf[_lead(idx)] = values
-    return write
-
-
-def _batch_reader(flat: np.ndarray | None):
-    """Selection reads from one statement's batched value matrix.
-
-    ``flat`` is the ``(nbatch, points)`` reshape of the statement's
-    value box; a scatter selection picks the same columns for every
-    member.  The fancy read owns its data, so
-    :func:`~repro.compiler.commsched.freeze_payload` ships it copy-free.
-    """
-    def read(sel):
-        assert flat is not None, "schedule sends values on an empty rank"
-        return flat[:, sel]
-    return read
-
-
-def _batch_writer(blocks: dict, uid):
-    """Stores through frozen local-block coordinates, batched.
-
-    Looks the block up lazily: a rank can be a pure *sender* for a
-    scatter (it owns none of the lhs), in which case its write side
-    never runs and no batched block need exist.
-    """
-    def write(locs, values):
-        blocks[uid][_lead(locs)] = values
     return write

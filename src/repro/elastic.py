@@ -43,6 +43,7 @@ from contextlib import ExitStack
 
 import numpy as np
 
+from repro.lang.array import storage_of
 from repro.lang.doall import Doall, OnProc
 from repro.lang.procs import ProcessorGrid
 from repro.util.errors import ValidationError
@@ -238,13 +239,6 @@ def _kind_of(ckpt) -> str:
     return getattr(ckpt, "kind", "full")
 
 
-def _storage_of(array):
-    """The block-owning array beneath ``array`` (sections peel off)."""
-    while not hasattr(array, "_blocks"):
-        array = array.base
-    return array
-
-
 def _loop_programs(session) -> list:
     """The session's live programs, compile order; all must be loop
     programs (parsub routines are opaque: no static arrays to capture,
@@ -271,7 +265,7 @@ def _storage_arrays(program) -> list:
     out, seen = [], set()
     for loop in program.loops:
         for arr in loop.arrays():
-            storage = _storage_of(arr)
+            storage = storage_of(arr)
             if storage.uid not in seen:
                 seen.add(storage.uid)
                 out.append(storage)

@@ -460,3 +460,10 @@ class Section(BaseDistArray):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Section({self.base!r}, fixed={self.fixed})"
+
+
+def storage_of(array: BaseDistArray) -> DistArray:
+    """The block-owning array beneath ``array`` (sections peel off)."""
+    while not hasattr(array, "_blocks"):
+        array = array.base
+    return array

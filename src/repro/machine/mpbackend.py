@@ -12,8 +12,11 @@ lowers exactly the frozen artifacts the compiler already produces:
   store coordinates) and :class:`~repro.compiler.commsched.TransferSchedule`
   index arrays are materialized in the parent and inherited by the
   workers at ``fork`` time -- shipped once per plan freeze, never per
-  sweep.  Fork is mandatory: plans contain compiled closures that
-  cannot (and should never need to) be pickled.
+  sweep.  Slots and scripts are both bound by iterating the plan's
+  ``reads``/``stores`` records, so wire names, message order and store
+  layout are whatever the StepPlan says.  Fork is mandatory: plans
+  contain compiled closures that cannot (and should never need to) be
+  pickled.
 * **shared-memory array storage**: every distributed array block the
   program touches is *adopted* into a
   :mod:`multiprocessing.shared_memory` segment before the workers fork,
@@ -30,11 +33,14 @@ lowers exactly the frozen artifacts the compiler already produces:
   are bit-identical.
 * **the simulator as trace oracle**: trace *timings* are statements of
   the cost model, not of the host machine, so the backend derives its
-  trace by running the inner reference :class:`Machine` over data-free
-  shadow op streams (:func:`repro.compiler.schedule.shadow_replay_analysis`)
-  that mirror the replay exactly -- same marks, flops, tags, and byte
-  counts.  Shadow traces are cached per (plans, iters, mode), so
-  repeated runs of one program pay for the oracle once.
+  trace by running the inner reference :class:`Machine` over the
+  compiled replay walk itself with no data attached
+  (:func:`repro.compiler.schedule.shadow_replay_analysis`) -- same
+  marks, flops, tags, and byte counts by construction.  Oracle traces
+  are cached per (plans, iters, mode), so repeated runs of one program
+  pay for the simulation once.  Cache accounting and the oracle's
+  per-rank op sequence both come from the one sweep driver
+  (:func:`repro.compiler.schedule.replay_sweeps`).
 
 Generic (non-loop) node programs -- parsub routines, hand-written
 message passing -- are delegated to the inner simulator unchanged:
@@ -56,6 +62,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.lang.array import storage_of
 from repro.machine.backend import Backend, NodeProgram
 from repro.machine.costmodel import CostModel
 from repro.machine.simulator import Machine
@@ -206,42 +213,29 @@ class MultiprocessingBackend(Backend):
     ) -> Trace:
         """Replay a frozen loop program with real parallel workers.
 
-        Mirrors ``Program.run``'s compiled driver exactly: resolve each
-        loop's analysis once per rank per run (cache accounting
-        identical to the simulator path), execute ``iters`` sweeps on
-        the worker pool, and return the oracle trace.  The caller
+        Cache accounting is the compiled driver's own
+        (:func:`~repro.compiler.schedule.replay_sweeps`, drained once
+        per rank -- identical to the simulator path); the worker pool
+        executes ``iters`` sweeps, and the oracle trace replays the same
+        per-rank ``(analysis, reused)`` sequences data-free.  The caller
         (``Program.run``) records the trace in the session history.
         """
-        ranks = list(grid.linear)
+        from repro.compiler.schedule import replay_sweeps
+
         if grid.size > self.n_procs:
             raise ValidationError(
                 f"grid of {grid.size} procs exceeds machine size {self.n_procs}"
             )
-        plans = session.plans
-        analyses: list = []
-        reused_by_rank: list[dict[int, bool]] = []
-        for loop in loops:
-            per_rank: dict[int, bool] = {}
-            analysis = None
-            for rank in ranks:
-                analysis, reused = plans.analysis(loop)
-                per_rank[rank] = reused
-            analyses.append(analysis)
-            reused_by_rank.append(per_rank)
-        # later sweeps replay the resolved analyses without re-probing,
-        # and count as as-if hits -- the same accounting contract as the
-        # simulator path's compiled driver
-        for _ in range(iters - 1):
-            for _loop in loops:
-                for _rank in ranks:
-                    plans.count_replay("doall")
+        steps = {
+            rank: list(replay_sweeps(session.plans, loops, iters))
+            for rank in grid.linear
+        }
+        analyses = [analysis for analysis, _ in steps[grid.linear[0]][:len(loops)]]
 
         pool = self._ensure_pool(analyses, grid)
         pool.run_sweeps(iters)
 
-        return self._oracle_trace(
-            session, analyses, grid, iters, overlap, marks, reused_by_rank
-        )
+        return self._oracle_trace(session, analyses, grid, steps, overlap, marks)
 
     # -- worker pool management --------------------------------------------
 
@@ -277,24 +271,24 @@ class MultiprocessingBackend(Backend):
 
     # -- the trace oracle --------------------------------------------------
 
-    def _oracle_trace(
-        self, session, analyses, grid, iters, overlap, marks, reused_by_rank
-    ) -> Trace:
+    def _oracle_trace(self, session, analyses, grid, steps, overlap, marks) -> Trace:
         marks_mode = marks if marks is not None else getattr(session, "marks", "full")
         key = (
             tuple(id(a) for a in analyses),
             grid.key(),
             id(self.machine),
-            iters,
+            len(steps[grid.linear[0]]),
             overlap,
             marks_mode,
-            tuple(tuple(sorted(d.items())) for d in reused_by_rank),
+            # only a loop's first execution can be a build
+            tuple(
+                tuple(reused for _, reused in steps[rank][:len(analyses)])
+                for rank in grid.linear
+            ),
         )
         entry = self._oracle.get(key)
         if entry is None:
-            template = self._shadow_run(
-                session, analyses, grid, iters, overlap, marks_mode, reused_by_rank
-            )
+            template = self._shadow_run(session, grid, steps, overlap, marks_mode)
             self._oracle[key] = entry = (tuple(analyses), template)
             while len(self._oracle) > 32:
                 self._oracle.popitem(last=False)
@@ -314,9 +308,7 @@ class MultiprocessingBackend(Backend):
             mark_counts=dict(template.mark_counts),
         )
 
-    def _shadow_run(
-        self, session, analyses, grid, iters, overlap, marks_mode, reused_by_rank
-    ) -> Trace:
+    def _shadow_run(self, session, grid, steps, overlap, marks_mode) -> Trace:
         from repro.compiler.schedule import shadow_replay_analysis
         from repro.lang.context import KaliCtx, next_run_id
         from repro.session import Session
@@ -331,14 +323,10 @@ class MultiprocessingBackend(Backend):
         }
 
         def shadow(ctx):
-            first = True
-            for _ in range(iters):
-                for n, analysis in enumerate(analyses):
-                    reused = reused_by_rank[n][ctx.rank] if first else True
-                    yield from shadow_replay_analysis(
-                        ctx, analysis, overlap=overlap, reused=reused
-                    )
-                first = False
+            for analysis, reused in steps[ctx.rank]:
+                yield from shadow_replay_analysis(
+                    ctx, analysis, overlap=overlap, reused=reused
+                )
 
         programs = {rank: shadow(ctxs[rank]) for rank in grid.linear}
         trace = self.machine.run(programs)
@@ -357,13 +345,6 @@ class MultiprocessingBackend(Backend):
 # ----------------------------------------------------------------------
 
 
-def _storage_of(array):
-    """The block-owning array beneath ``array`` (sections peel off)."""
-    while not hasattr(array, "_blocks"):
-        array = array.base
-    return array
-
-
 def _pool_key(analyses, grid) -> tuple:
     """Identity of the frozen state a pool was built against.
 
@@ -376,7 +357,7 @@ def _pool_key(analyses, grid) -> tuple:
     seen: set[int] = set()
     for analysis in analyses:
         for arr in analysis.loop.arrays():
-            base = _storage_of(arr)
+            base = storage_of(arr)
             if id(base) not in seen:
                 seen.add(id(base))
                 arrays.append(base)
@@ -561,7 +542,7 @@ class _WorkerPool:
         _ALL_POOLS.add(self)
         try:
             self._adopt_arrays(analyses)
-            self._build_slots(analyses, grid)
+            self._build_slots(analyses)
             # materialize every rank's script *before* the first fork so
             # all workers inherit identical frozen state
             scripts = {
@@ -604,7 +585,7 @@ class _WorkerPool:
         seen: set[int] = set()
         for analysis in analyses:
             for arr in analysis.loop.arrays():
-                storage = _storage_of(arr)
+                storage = storage_of(arr)
                 if id(storage) in seen:
                     continue
                 seen.add(id(storage))
@@ -614,39 +595,38 @@ class _WorkerPool:
                     storage._blocks[rank] = view
                     self._adopted.append((storage, rank, view, block))
 
-    def _build_slots(self, analyses, grid) -> None:
+    def _build_slots(self, analyses) -> None:
         """One shared slot per frozen message: the wire, minus the wire.
 
-        Keyed ``(loop_idx, wire_kind, src, dst)``; each schedule sends
-        at most one message per (destination, wire) per sweep, so a
-        slot is written exactly once between barriers.  Gather slots
-        take the sender's open-mesh payload shape (identical to the
-        receiver's workspace positions shape -- both sides froze the
-        same per-dimension global index lists); scatter slots are flat
-        value runs.
+        Keyed ``(loop_idx, wire_kind, src, dst)`` straight off the
+        sender's :class:`~repro.compiler.commgen.StepPlan` records --
+        the same records :func:`_build_script` binds, so wire names are
+        defined once, by the plan.  Each schedule sends at most one
+        message per (destination, wire) per sweep, so a slot is written
+        exactly once between barriers.  Gather slots take the sender's
+        open-mesh payload shape (identical to the receiver's workspace
+        positions shape -- both sides froze the same per-dimension
+        global index lists); scatter slots are flat value runs.
         """
         for n, analysis in enumerate(analyses):
-            for arr_idx, plans in enumerate(analysis.read_plans):
-                for rank in self.ranks:
-                    plan = plans[rank]
-                    sched = plan.transfer
+            for rank in self.ranks:
+                plan = analysis.step_plan(rank)
+                for wire, array, sched, _buf in plan.reads:
                     if sched is None:
                         continue
                     for dst, src_idx in sched.sends:
                         shape = tuple(int(np.asarray(a).size) for a in src_idx)
-                        self._slots[(n, f"gh{arr_idx}", rank, dst)] = (
-                            self._shm_ndarray(shape, plan.array.dtype)
+                        self._slots[(n, wire, rank, dst)] = (
+                            self._shm_ndarray(shape, array.dtype)
                         )
-            for stmt_idx, wplans in enumerate(analysis.write_plans):
-                dtype = analysis.stmts[stmt_idx].lhs_array.dtype
-                for rank in self.ranks:
-                    sched = wplans[rank].transfer
-                    if sched is None:
+                for store in plan.stores:
+                    if store is None or store[0] != "transfer":
                         continue
+                    _, array, sched, wire = store
                     for dst, sel in sched.sends:
                         shape = (int(np.asarray(sel).size),)
-                        self._slots[(n, f"wr{stmt_idx}", rank, dst)] = (
-                            self._shm_ndarray(shape, dtype)
+                        self._slots[(n, wire, rank, dst)] = (
+                            self._shm_ndarray(shape, array.dtype)
                         )
 
     # -- driving ----------------------------------------------------------

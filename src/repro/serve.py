@@ -61,7 +61,7 @@ from repro.compiler.schedule import PlanCache
 from repro.lang.procs import ProcessorGrid
 from repro.machine.simulator import Machine
 from repro.machine.trace import Trace
-from repro.session import BatchResult, Program, Session
+from repro.session import BatchResult, Program, Session, _cache_stats, _hit_rates
 from repro.session import compile as _compile
 from repro.util.errors import MachineError, ServerOverloadError, ValidationError
 
@@ -187,19 +187,12 @@ class SessionPool:
         return {
             "size": self.size,
             "runs": sum(s.runs for s in self.sessions),
-            "schedules": self.cache.stats(),
-            "directions": self.cache.direction_stats(),
-            "plans": self.plans.kind_stats(),
+            **_cache_stats(self.cache, self.plans),
         }
 
     def hit_rates(self) -> dict[str, float]:
         """Replay rates per direction/kind over the shared caches."""
-        out: dict[str, float] = {}
-        for source in (self.cache.by_direction, self.plans.by_kind):
-            for name, v in source.items():
-                total = v["hits"] + v["misses"]
-                out[name] = v["hits"] / total if total else 0.0
-        return out
+        return _hit_rates(self.cache, self.plans)
 
 
 #: retain at most this many per-request latencies for the percentiles

@@ -71,7 +71,7 @@ from repro.machine.backend import Backend
 from repro.machine.costmodel import CostModel
 from repro.machine.simulator import Machine
 from repro.machine.trace import Trace
-from repro.util.errors import ValidationError
+from repro.util.errors import MachineError, ValidationError
 
 
 def _check_backend(backend) -> None:
@@ -83,6 +83,26 @@ def _check_backend(backend) -> None:
         f"unknown backend {backend!r}: expected 'simulator', "
         "'multiprocessing', or a Backend instance"
     )
+
+
+def _cache_stats(cache: ScheduleCache, plans: PlanCache) -> dict:
+    """The cache-accounting part of ``stats()``, for one (schedule
+    cache, plan cache) pair -- a Session's own, or a pool's shared one."""
+    return {
+        "schedules": cache.stats(),
+        "directions": cache.direction_stats(),
+        "plans": plans.kind_stats(),
+    }
+
+
+def _hit_rates(cache: ScheduleCache, plans: PlanCache) -> dict[str, float]:
+    """hits / (hits + misses) per schedule direction and plan kind."""
+    out: dict[str, float] = {}
+    for source in (cache.by_direction, plans.by_kind):
+        for name, v in source.items():
+            total = v["hits"] + v["misses"]
+            out[name] = v["hits"] / total if total else 0.0
+    return out
 
 
 class Session:
@@ -449,9 +469,7 @@ class Session:
         -- its :class:`~repro.supervise.RecoveryLog` summary."""
         return {
             "runs": self.runs,
-            "schedules": self.cache.stats(),
-            "directions": self.cache.direction_stats(),
-            "plans": self.plans.kind_stats(),
+            **_cache_stats(self.cache, self.plans),
             "recovery": None if self.recovery is None else self.recovery.summary(),
         }
 
@@ -465,12 +483,7 @@ class Session:
         ratio here, e.g. ``{"doall": 0.99}``.  The direction and kind
         namespaces are disjoint.
         """
-        out: dict[str, float] = {}
-        for source in (self.cache.by_direction, self.plans.by_kind):
-            for name, v in source.items():
-                total = v["hits"] + v["misses"]
-                out[name] = v["hits"] / total if total else 0.0
-        return out
+        return _hit_rates(self.cache, self.plans)
 
     def clear(self) -> None:
         """Drop every cached schedule and plan (the traces stay)."""
@@ -673,31 +686,19 @@ class Program:
                 return sess._record(trace)
 
         if compiled:
-            # The steady-state fast path: resolve each loop's analysis
-            # at its first execution (one cache probe per loop per rank
-            # per *run*), then replay the frozen StepPlans directly --
-            # later sweeps skip the structural-key walk and count as-if
-            # hits so the accounting matches the interpreted path's
-            # per-sweep probes.  Loop programs contain no redistribution,
-            # so a pinned analysis cannot go stale within a run; between
-            # runs the probe picks up any layout change.
-            from repro.compiler.schedule import replay_analysis
+            # The steady-state fast path: one cache probe per loop per
+            # rank per *run*, then the frozen StepPlans replay directly
+            # (see replay_sweeps).
+            from repro.compiler.schedule import replay_analysis, replay_sweeps
 
             def _program(ctx):
-                plans = ctx.session.plans
-                resolved: list = [None] * len(loops)
-                for _ in range(niters):
-                    for n, loop in enumerate(loops):
-                        if resolved[n] is None:
-                            analysis, reused = plans.analysis(loop)
-                            resolved[n] = analysis
-                        else:
-                            analysis, reused = resolved[n], True
-                            plans.count_replay("doall")
-                        yield from replay_analysis(
-                            ctx, analysis, overlap=overlap,
-                            compiled=True, reused=reused,
-                        )
+                for analysis, reused in replay_sweeps(
+                    ctx.session.plans, loops, niters
+                ):
+                    yield from replay_analysis(
+                        ctx, analysis, overlap=overlap,
+                        compiled=True, reused=reused,
+                    )
         else:
             def _program(ctx):
                 for _ in range(niters):
@@ -709,9 +710,9 @@ class Program:
             backend=backend, compiled=compiled, marks=marks,
         )
 
-    def _apply_bindings(self, merged: dict) -> None:
-        """Load ``{name: global array}`` bindings into the live arrays."""
-        for name, value in merged.items():
+    def _check_bindings(self, names) -> None:
+        """Reject binding names this program cannot load by name."""
+        for name in names:
             if name in self.ambiguous_names:
                 raise ValidationError(
                     f"binding {name!r} is ambiguous: several distinct "
@@ -722,19 +723,33 @@ class Program:
                     f"unknown binding {name!r}: this program's arrays are "
                     f"{sorted(self.arrays)}"
                 )
+
+    def _apply_bindings(self, merged: dict) -> None:
+        """Load ``{name: global array}`` bindings into the live arrays."""
+        self._check_bindings(merged)
+        for name, value in merged.items():
             self.arrays[name].from_global(np.asarray(value))
 
     def _run_checkpointed(
         self, args, kwargs, *, checkpoint_every, iters, overlap,
-        compiled, marks, machine, backend, bindings, session,
+        compiled, marks, machine, backend, bindings, session, recover=None,
     ) -> Trace:
-        """Chunked-leg driver behind ``run(checkpoint_every=k)``.
+        """The one checkpointed-leg loop: ``run(checkpoint_every=k)`` and
+        :meth:`repro.supervise.Supervisor.run` both drive it.
 
         Relies on the split-iters invariant -- ``run(iters=a)`` then
         ``run(iters=b)`` leaves the same state as ``run(iters=a+b)`` --
         so sweeping in legs with a snapshot between them changes no
         result.  Bindings apply once, before the sweep-0 base snapshot,
         so a restore of *any* checkpoint of this run already has them.
+
+        ``recover`` is the Supervisor's failure handling: a leg's
+        ``MachineError`` goes to ``recover(exc, resume, done, backend)``
+        -- ``resume`` being *this call's* hydrated latest snapshot,
+        threaded explicitly, never :meth:`latest_checkpoint` (an earlier
+        checkpointed run may have left that stale) -- which restores it
+        and returns the backend to retry the leg on, or re-raises.
+        Without one the error propagates.
         """
         from repro.elastic import checkpoint as _checkpoint
 
@@ -754,25 +769,29 @@ class Program:
         merged = dict(bindings or {})
         merged.update(kwargs)
         self._apply_bindings(merged)
-        base = _checkpoint(sess, sweep=0, programs=[self])
-        self.ckpt_base = base
-        self.ckpt_latest = base
-        prev = base   # each boundary's delta diffs against the previous one
+        # the hydrated latest snapshot: what a recovery restores and what
+        # the next boundary's delta diffs against (chained, so an array
+        # that stops changing elides again)
+        resume = _checkpoint(sess, sweep=0, programs=[self])
+        self.ckpt_base = self.ckpt_latest = resume
         trace, done = None, 0
         while done < iters:
             leg = min(checkpoint_every, iters - done)
-            trace = self._run(
-                (), {}, iters=leg, overlap=overlap, compiled=compiled,
-                marks=marks, machine=machine, backend=backend,
-                bindings=None, session=session,
-            )
+            try:
+                trace = self._run(
+                    (), {}, iters=leg, overlap=overlap, compiled=compiled,
+                    marks=marks, machine=machine, backend=backend,
+                    bindings=None, session=session,
+                )
+            except MachineError as exc:
+                if recover is None:
+                    raise
+                backend = recover(exc, resume, done, backend)
+                continue
             done += leg
-            inc = _checkpoint(
-                sess, sweep=done, base=prev, programs=[self]
-            )
-            self.ckpt_base = prev
-            self.ckpt_latest = inc
-            prev = inc.merged(prev)
+            inc = _checkpoint(sess, sweep=done, base=resume, programs=[self])
+            self.ckpt_base, self.ckpt_latest = resume, inc
+            resume = inc.merged(resume)
         return trace
 
     def latest_checkpoint(self):
@@ -872,17 +891,7 @@ class Program:
         if iters < 1:
             raise ValidationError(f"iters must be >= 1, got {iters}")
         for b in bindings:
-            for name in b:
-                if name in self.ambiguous_names:
-                    raise ValidationError(
-                        f"binding {name!r} is ambiguous: several distinct "
-                        "arrays share that name; give them unique names"
-                    )
-                if name not in self.arrays:
-                    raise ValidationError(
-                        f"unknown binding {name!r}: this program's arrays "
-                        f"are {sorted(self.arrays)}"
-                    )
+            self._check_bindings(b)
         nbatch = len(bindings)
         loops, niters = self.loops, iters
         grid = self.grid
@@ -918,30 +927,20 @@ class Program:
             for (uid, r), batched in blocks.items():
                 batched[b] = arrays[uid].local(r)
 
-        from repro.compiler.schedule import replay_batch_analysis
+        from repro.compiler.schedule import replay_batch_analysis, replay_sweeps
 
-        # Same resolve-once steady-state discipline as the compiled
-        # path in _run: one cache probe per loop per rank per run,
-        # replays counted as-if hits.
         def _program(ctx):
             me = ctx.rank
             myblocks = {
                 uid: batched for (uid, r), batched in blocks.items() if r == me
             }
-            plans = ctx.session.plans
-            resolved: list = [None] * len(loops)
-            for _ in range(niters):
-                for n, loop in enumerate(loops):
-                    if resolved[n] is None:
-                        analysis, reused = plans.analysis(loop)
-                        resolved[n] = analysis
-                    else:
-                        analysis, reused = resolved[n], True
-                        plans.count_replay("doall")
-                    yield from replay_batch_analysis(
-                        ctx, analysis, myblocks, nbatch,
-                        overlap=overlap, reused=reused,
-                    )
+            for analysis, reused in replay_sweeps(
+                ctx.session.plans, loops, niters
+            ):
+                yield from replay_batch_analysis(
+                    ctx, analysis, myblocks, nbatch,
+                    overlap=overlap, reused=reused,
+                )
 
         trace = sess.run(
             _program, machine=machine, grid=grid, marks=marks,

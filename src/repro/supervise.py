@@ -266,50 +266,16 @@ class Supervisor:
         Returns the final leg's trace.
         """
         program._require_loops("Supervisor.run()")
-        policy = self.policy
-        k = checkpoint_every if checkpoint_every is not None else policy.checkpoint_every
-        if k < 1:
-            raise ValidationError(f"checkpoint_every must be >= 1, got {k}")
-        if iters < 1:
-            raise ValidationError(f"iters must be >= 1, got {iters}")
-        sess = self.session
-        eff_backend = "simulator" if self._degraded else backend
-
-        merged = dict(bindings or {})
-        merged.update(kw_bindings)
+        if checkpoint_every is None:
+            checkpoint_every = self.policy.checkpoint_every
         with program.lock:
-            program._apply_bindings(merged)
-            base = _checkpoint(sess, sweep=0, programs=[program])
-            program.ckpt_base = base
-            program.ckpt_latest = base
-            # the hydrated latest snapshot: what a recovery restores and
-            # what the next boundary's delta diffs against (chained, so
-            # an array that stops changing elides again)
-            resume = base
-            trace, done = None, 0
-            retries = consecutive = 0
-            while done < iters:
-                leg = min(k, iters - done)
-                try:
-                    trace = program.run(
-                        iters=leg, overlap=overlap, marks=marks,
-                        backend=eff_backend,
-                    )
-                except MachineError as exc:
-                    eff_backend, retries, consecutive = self._recover(
-                        exc, program, resume, sweep=done, retries=retries,
-                        consecutive=consecutive, backend=eff_backend,
-                    )
-                    continue
-                consecutive = 0
-                done += leg
-                inc = _checkpoint(
-                    sess, sweep=done, base=resume, programs=[program]
-                )
-                program.ckpt_base = resume
-                program.ckpt_latest = inc
-                resume = inc.merged(resume)
-            return trace
+            return program._run_checkpointed(
+                (), kw_bindings, checkpoint_every=checkpoint_every, iters=iters,
+                overlap=overlap, compiled=None, marks=marks, machine=None,
+                backend="simulator" if self._degraded else backend,
+                bindings=bindings, session=self.session,
+                recover=self._recovery(program),
+            )
 
     def run_batch(self, program, bindings, **kwargs):
         """Supervised :meth:`repro.session.Program.run_batch`.
@@ -321,74 +287,79 @@ class Supervisor:
         whole batch under the same retry budget.
         """
         program._require_loops("Supervisor.run_batch()")
-        sess = self.session
         with program.lock:
-            base = _checkpoint(sess, sweep=0, programs=[program])
-            retries = consecutive = 0
+            base = _checkpoint(self.session, sweep=0, programs=[program])
+            recover = self._recovery(program, can_degrade=False)
             while True:
                 try:
                     return program.run_batch(bindings, **kwargs)
                 except MachineError as exc:
-                    _, retries, consecutive = self._recover(
-                        exc, program, base, sweep=0, retries=retries,
-                        consecutive=consecutive, backend="simulator",
-                        can_degrade=False,
-                    )
+                    recover(exc, base, 0, "simulator")
 
     # -- the recovery step --------------------------------------------------
 
-    def _recover(
-        self, exc, program, resume, *, sweep, retries, consecutive, backend,
-        can_degrade=True,
-    ):
-        """Handle one ``MachineError``: restore, back off, maybe degrade.
+    def _recovery(self, program, can_degrade=True):
+        """The failure handler of one supervised call.
 
+        Returns ``recover(exc, resume, sweep, backend)``, which handles
+        one ``MachineError``: restore, back off, maybe degrade.
         ``resume`` is the checkpoint the caller intends the retry to
         resume from -- the supervised call's own latest (hydrated)
         snapshot, passed explicitly so recovery can never pick up a
         stale ``program.latest_checkpoint()`` left behind by an earlier
-        checkpointed run.  Returns ``(backend, retries, consecutive)``
-        for the next attempt, or re-raises ``exc`` once the retry
-        budget is spent.
+        checkpointed run -- and ``sweep`` its cursor.  It returns the
+        backend for the next attempt, or re-raises ``exc`` once the
+        call's retry budget is spent.
         """
         policy = self.policy
         sess = self.session
-        retries += 1
-        consecutive += 1
-        cause = _cause_of(exc)
-        ranks = tuple(getattr(exc, "failed_ranks", ()))
-        # quiesce: the failed pool already closed itself; this closes
-        # sibling pools and un-adopts shared memory so the restore
-        # writes land in private storage
-        sess.close_backend()
-        _restore(sess, resume, programs=[program], counters=False)
-        if retries > policy.max_retries:
+        retries = consecutive = 0
+        failed_at = None
+
+        def recover(exc, resume, sweep, backend):
+            nonlocal retries, consecutive, failed_at
+            if sweep != failed_at:
+                # the cursor moved: a leg completed since the last failure
+                consecutive = 0
+            failed_at = sweep
+            retries += 1
+            consecutive += 1
+            cause = _cause_of(exc)
+            ranks = tuple(getattr(exc, "failed_ranks", ()))
+            # quiesce: the failed pool already closed itself; this closes
+            # sibling pools and un-adopts shared memory so the restore
+            # writes land in private storage
+            sess.close_backend()
+            _restore(sess, resume, programs=[program], counters=False)
+            if retries > policy.max_retries:
+                self.log.record(RecoveryEvent(
+                    cause=cause, ranks=ranks, sweep=sweep, backoff_s=0.0,
+                    attempt=retries, action="gave-up", backend=str(backend),
+                ))
+                raise exc
+            action = "retry"
+            if can_degrade and consecutive >= policy.degrade_after \
+                    and backend != "simulator":
+                backend = "simulator"
+                self._degraded = True
+                action = "degrade"
+                warnings.warn(
+                    f"Supervisor: {consecutive} consecutive backend failures "
+                    f"(last: {cause}); degrading the remaining sweeps to the "
+                    "simulator backend -- results stay correct, wall-clock "
+                    "parallelism is lost. Investigate the worker pool.",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            backoff_s = policy.backoff(consecutive)
             self.log.record(RecoveryEvent(
-                cause=cause, ranks=ranks, sweep=sweep, backoff_s=0.0,
-                attempt=retries, action="gave-up", backend=str(backend),
+                cause=cause, ranks=ranks, sweep=sweep, backoff_s=backoff_s,
+                attempt=retries, action=action, backend=str(backend),
             ))
-            raise exc
-        action = "retry"
-        if can_degrade and consecutive >= policy.degrade_after \
-                and backend != "simulator":
-            backend = "simulator"
-            self._degraded = True
-            action = "degrade"
-            warnings.warn(
-                f"Supervisor: {consecutive} consecutive backend failures "
-                f"(last: {cause}); degrading the remaining sweeps to the "
-                "simulator backend -- results stay correct, wall-clock "
-                "parallelism is lost. Investigate the worker pool.",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        backoff_s = policy.backoff(consecutive)
-        self.log.record(RecoveryEvent(
-            cause=cause, ranks=ranks, sweep=sweep, backoff_s=backoff_s,
-            attempt=retries, action=action, backend=str(backend),
-        ))
-        policy.sleep(backoff_s)
-        return backend, retries, consecutive
+            policy.sleep(backoff_s)
+            return backend
+
+        return recover
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -296,7 +296,7 @@ def _placements(ndim: int, grid_ndim: int, kinds):
             yield tuple(spec)
 
 
-def _lead_ndim(arrays) -> int:
+def _tuned_ndim(arrays) -> int:
     """The tuned rank: the largest non-replicated array rank."""
     dims = [a.ndim for a in arrays if not _replicated(a)]
     return max(dims) if dims else max(a.ndim for a in arrays)
@@ -332,7 +332,7 @@ def enumerate_candidates(program, space: TuneSpace, n_procs: int) -> list:
     duplicates of it later in the enumeration are dropped.
     """
     arrays = _storage_arrays(program)
-    ndim = _lead_ndim(arrays)
+    ndim = _tuned_ndim(arrays)
     seed_grid = program.grid.shape
     seed_dist = None
     for a in arrays:

@@ -102,6 +102,29 @@ def test_run_batch_message_count_equals_single_run():
         assert mb.nbytes == 8 * m1.nbytes
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("dist", ["block", "cyclic"])
+def test_run_batch_of_one_is_a_single_run(dist, overlap):
+    """The B=1 seam: a batch of one binding replays the very op stream
+    ``run`` with that binding does -- same messages (count, tags, bytes,
+    timings), marks, and compute charges -- and leaves the same result."""
+    prog, single = _prog(p=3, n=12, dist=dist), _prog(p=3, n=12, dist=dist)
+    (bind,) = _bindings(1, n=12, seed=7)
+    t1 = single.run(**bind, iters=3, overlap=overlap)
+    res = prog.run_batch([bind], iters=3, overlap=overlap)
+    tb = res.trace
+    assert len(tb.messages) == len(t1.messages) > 0
+    assert [(m.src, m.dst, m.tag, m.nbytes, m.t_send, m.t_arrive, m.t_recv)
+            for m in tb.messages] == \
+        [(m.src, m.dst, m.tag, m.nbytes, m.t_send, m.t_arrive, m.t_recv)
+         for m in t1.messages]
+    assert [(m.proc, m.label, m.payload) for m in tb.marks] == \
+        [(m.proc, m.label, m.payload) for m in t1.marks]
+    assert [(c.proc, c.start, c.end, c.label) for c in tb.computes] == \
+        [(c.proc, c.start, c.end, c.label) for c in t1.computes]
+    np.testing.assert_array_equal(res["y"][0], single.arrays["y"].to_global())
+
+
 def test_run_batch_iters_and_overlap():
     prog, ref_prog = _prog(p=2, n=10), _prog(p=2, n=10)
     binds = _bindings(4, n=10, seed=3)

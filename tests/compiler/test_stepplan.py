@@ -81,10 +81,16 @@ def test_stencil_bit_identical(overlap, backend):
     assert trace_sig(ta) == trace_sig(tb)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_remote_write_bit_identical(backend):
+@pytest.mark.parametrize(
+    "backend,overlap",
+    # ids keep the pre-overlap case names ("None", "multiprocessing")
+    [pytest.param(b, o, id=f"{b}-overlap" if o else str(b))
+     for b in BACKENDS for o in (False, True)],
+)
+def test_remote_write_bit_identical(backend, overlap):
     """Mismatched layouts force scatter schedules; every executor and
-    backend must agree with the interpreted simulator reference."""
+    backend must agree with the interpreted simulator reference, with
+    and without the overlap split."""
     def run(compiled, backend=None):
         g = ProcessorGrid((4,))
         A = DistArray((17,), g, dist=("block",), name="A")
@@ -96,7 +102,7 @@ def test_remote_write_bit_identical(backend):
         sess = Session(Machine(n_procs=4), g, compiled=compiled,
                        backend=backend)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=3)
+        trace = prog.run(iters=3, overlap=overlap)
         close_backend(prog)
         return B.to_global(), trace
 

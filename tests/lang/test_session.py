@@ -391,33 +391,28 @@ def test_sessionless_ctx_doall_shim_bit_identical():
 def test_plan_keys_survive_id_reuse():
     """CPython reuses object addresses after GC: a freed array's plan
     key must never alias a live one's.  Regression for keying Owner/Ref
-    on id(array): allocate a batch of arrays, record their Owner keys by
-    address, free them, allocate a fresh batch -- some land on recycled
-    addresses -- and check that no freed array's key matches a live
-    one's (under id() keys they collide exactly)."""
+    on id(array): free-then-allocate one array at a time, recording each
+    freed array's Owner key by address, until a fresh array lands on a
+    recycled address -- and check that the freed array's key does not
+    match the live one's (under id() keys they collide exactly)."""
     g = ProcessorGrid((2,))
     (i,) = loopvars("i")
 
-    def batch(n):
-        return [DistArray((8,), g, dist=("block",), name="u") for _ in range(n)]
-
-    old = batch(100)
-    old_keys = {id(a): Owner(a, (i,)).key() for a in old}
-    del old
-    gc.collect()
-
-    reused = 0
-    for a in batch(300):
-        stale_key = old_keys.get(id(a))
-        if stale_key is None:
-            continue
-        reused += 1
-        assert Owner(a, (i,)).key() != stale_key, (
-            "id() reuse aliased a freed array's plan key with a live one's"
-        )
-        assert a[i].key() != ("ref",) + stale_key[1:]
-    if reused == 0:
-        pytest.skip("allocator never recycled an address; nothing to check")
+    freed_keys = {}
+    for _ in range(200):
+        a = DistArray((8,), g, dist=("block",), name="u")
+        stale_key = freed_keys.get(id(a))
+        if stale_key is not None:
+            break
+        freed_keys[id(a)] = Owner(a, (i,)).key()
+        del a
+        gc.collect()
+    else:
+        pytest.fail("allocator never recycled an address in 200 rounds")
+    assert Owner(a, (i,)).key() != stale_key, (
+        "id() reuse aliased a freed array's plan key with a live one's"
+    )
+    assert a[i].key() != ("ref",) + stale_key[1:]
 
 
 def test_owner_and_ref_keys_use_uid():

@@ -8,7 +8,6 @@ better speed-ups with the pipelined version of the tridiagonal solver."
 import numpy as np
 
 from benchmarks._report import report
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.adi import adi_reference, adi_solve
@@ -21,7 +20,6 @@ def run(n=32, iters=2, shape=(4, 4)):
     ref = adi_reference(f, iters=iters)
     out = {}
     for pipelined in (False, True):
-        clear_plan_cache()
         machine = Machine(n_procs=int(np.prod(shape)), cost=cost)
         u, trace = adi_solve(
             machine, ProcessorGrid(shape), f, iters=iters, pipelined=pipelined

@@ -12,7 +12,6 @@ import numpy as np
 
 from benchmarks._report import report
 from repro.baselines import jacobi_message_passing, jacobi_sequential
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.jacobi import jacobi_kf1
@@ -27,7 +26,6 @@ def run(n=32, iters=10, p=2):
 
     x_seq = jacobi_sequential(f, iters)
     x_mp, t_mp = jacobi_message_passing(Machine(n_procs=p * p, cost=cost), p, f, iters)
-    clear_plan_cache()
     x_kf1, t_kf1 = jacobi_kf1(
         Machine(n_procs=p * p, cost=cost), ProcessorGrid((p, p)), f, iters
     )

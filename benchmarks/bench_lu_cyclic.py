@@ -12,7 +12,6 @@ window; block must not.
 import numpy as np
 
 from benchmarks._report import report
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.lu import lu_distributed, lu_reference
@@ -29,7 +28,6 @@ def run(n=48, p=4):
         ("fast_network", CostModel.fast_network()),
     ]:
         for dist in ("block", "cyclic"):
-            clear_plan_cache()
             machine = Machine(n_procs=p, cost=cost)
             LU, trace = lu_distributed(machine, ProcessorGrid((p,)), A, dist=dist)
             busy = [trace.busy_time(r) for r in range(p)]

@@ -17,7 +17,6 @@ report the communication tradeoff.
 import numpy as np
 
 from benchmarks._report import report
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.multigrid3d import mg3_reference, mg3_solve
@@ -34,7 +33,6 @@ def run(n=8, cycles=1, p=4):
         (("*", "*", "block"), (4,)),
         (("block", "block", "block"), (2, 2, 1)),
     ]:
-        clear_plan_cache()
         machine = Machine(n_procs=p, cost=cost)
         u, trace = mg3_solve(machine, ProcessorGrid(shape), f, cycles=cycles, dist=dist)
         rows.append(

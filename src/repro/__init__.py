@@ -73,15 +73,11 @@ from repro.lang import (
     Star,
     loopvars,
     parse_program,
-    run_spmd,
 )
 from repro.compiler import (
-    GatherSchedule,
     PlanCache,
     ScheduleCache,
     build_gather_schedule,
-    cached_inspector_gather,
-    clear_schedule_cache,
     estimate_doall,
     execute_gather,
     inspector_gather,
@@ -94,7 +90,6 @@ from repro.session import (
     Program,
     Session,
     compile,
-    default_session,
     run_batch,
 )
 from repro.serve import Server, SessionPool
@@ -105,7 +100,6 @@ from repro.util.errors import (
     DeadlockError,
     DistributionError,
     MachineError,
-    ReproDeprecationWarning,
     ReproError,
     ServerOverloadError,
     ValidationError,
@@ -116,7 +110,7 @@ __version__ = "0.2.0"
 __all__ = [
     "__version__",
     # sessions and programs (the two-phase compile-and-run API)
-    "Session", "Program", "compile", "default_session",
+    "Session", "Program", "compile",
     # serving (pooled sessions, threaded front end, batched ensembles)
     "SessionPool", "Server", "run_batch", "BatchResult",
     # elasticity (grid morphing, durable session state)
@@ -137,12 +131,9 @@ __all__ = [
     "KaliCtx", "KF1Program", "parse_program",
     # compiler
     "estimate_doall", "inspector_gather",
-    "GatherSchedule", "ScheduleCache", "PlanCache", "build_gather_schedule",
-    "execute_gather", "cached_inspector_gather", "clear_schedule_cache",
-    # deprecated shims
-    "run_spmd",
+    "ScheduleCache", "PlanCache", "build_gather_schedule", "execute_gather",
     # errors
     "ReproError", "MachineError", "DeadlockError",
     "DistributionError", "CompileError", "ValidationError",
-    "ServerOverloadError", "ReproDeprecationWarning",
+    "ServerOverloadError",
 ]

@@ -44,25 +44,17 @@ structurally-keyed doall plan cache.
 """
 
 from repro.compiler.schedule import (
-    DEFAULT_PLANS,
     PlanCache,
-    clear_plan_cache,
     drop_plan,
     execute_doall,
-    plans_of,
 )
 from repro.compiler.estimate import estimate_doall, LoopEstimate
 from repro.compiler.inspector import inspector_gather
 from repro.compiler.commsched import (
-    DEFAULT_CACHE,
-    GatherSchedule,
     ScheduleCache,
     TransferSchedule,
     build_gather_schedule,
     build_repartition_schedule,
-    cached_inspector_gather,
-    cached_repartition,
-    clear_schedule_cache,
     execute_gather,
     execute_repartition,
     execute_transfer,
@@ -75,28 +67,20 @@ from repro.compiler.commsched import (
 __all__ = [
     "execute_doall",
     "PlanCache",
-    "DEFAULT_PLANS",
-    "plans_of",
-    "clear_plan_cache",
     "drop_plan",
     "estimate_doall",
     "LoopEstimate",
     "inspector_gather",
     # the bidirectional TransferSchedule subsystem
     "TransferSchedule",
-    "GatherSchedule",
     "ScheduleCache",
-    "DEFAULT_CACHE",
     "execute_transfer",
     "build_gather_schedule",
     "execute_gather",
     "build_repartition_schedule",
     "execute_repartition",
-    "cached_repartition",
     "repartition_key",
     "repartition_pieces",
-    "cached_inspector_gather",
-    "clear_schedule_cache",
     "index_fingerprint",
     "schedule_key",
 ]

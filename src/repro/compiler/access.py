@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
+# np.unique (numpy >= 2) imports numpy.ma lazily on its first call, i.e.
+# inside the first compile of a process: a 20k-object import, and the
+# cyclic garbage it leaves, in the middle of a run.  Load it with the
+# compile layer instead, so the first compile allocates like every later one.
+import numpy.ma  # noqa: F401
+
 from repro.compiler.stripmine import IterSet
 from repro.lang.array import BaseDistArray
 from repro.lang.doall import Doall

@@ -290,11 +290,6 @@ class TransferSchedule:
         )
 
 
-#: Backwards-compatible name: PR 1's gather schedule is a
-#: direction="gather" TransferSchedule.
-GatherSchedule = TransferSchedule
-
-
 def freeze_payload(values) -> np.ndarray:
     """Make a message payload by-value without a simulator-side copy.
 
@@ -978,7 +973,12 @@ class ScheduleCache:
         on a hit the schedule is replayed.  Either way the gathered
         values are returned and a ``commsched/hit``/``commsched/miss``
         Mark is recorded for reuse reporting.  The verdict is collective:
-        all ranks of one call replay, or all rebuild.
+        all ranks of one call replay, or all rebuild -- so, stricter
+        than the uncached ``inspector_gather``, all ranks must keep or
+        change their index patterns *together*.  A workload where one
+        rank's requests vary per sweep while others' stay fixed (e.g.
+        adaptive refinement) raises a ``divergent index pattern`` error
+        here; keep such gathers uncached.
         """
         indices = normalize_indices(array, indices)
         me = ctx.rank
@@ -1095,58 +1095,17 @@ class ScheduleCache:
         # this cache just watched the layout change: purge its own
         # orphaned layout-dependent schedules (their keys embed the old
         # epoch, so they could never hit again -- this stops the leak).
-        # The commit already purged the default cache and doall plans,
-        # and the scan runs once per collective, not once per rank.
-        if self is not DEFAULT_CACHE:
-            epoch = array.comm_epoch  # post-commit epoch
-            with self._lock:
-                purge = self._purged_epochs.get(array.uid) != epoch
-                if purge:
-                    self._purged_epochs[array.uid] = epoch
+        # The commit already purged the doall plans, and the scan runs
+        # once per collective, not once per rank.
+        epoch = array.comm_epoch  # post-commit epoch
+        with self._lock:
+            purge = self._purged_epochs.get(array.uid) != epoch
             if purge:
-                self.invalidate_array(array)
+                self._purged_epochs[array.uid] = epoch
+        if purge:
+            self.invalidate_array(array)
 
 
 def sched_group_specs(array, new_dist) -> tuple:
     """Group-identity component for a repartition collective."""
     return (array.dist.spec_key(), new_dist.spec_key())
-
-
-#: Default process-wide cache used by :func:`cached_inspector_gather`.
-DEFAULT_CACHE = ScheduleCache()
-
-
-def cached_inspector_gather(ctx, grid, array, indices, cache: ScheduleCache | None = None):
-    """Cached variant of ``inspector_gather`` for loop-invariant patterns.
-
-    First call with a given (array layout, index pattern) runs the full
-    two-round inspection and caches the schedule; subsequent calls
-    replay it with one round of coalesced value messages.  Collective:
-    every rank of ``grid`` must call this with a consistent cache, and
-    -- stricter than the uncached gather -- all ranks must keep or
-    change their index patterns *together*.  A workload where one
-    rank's requests vary per sweep while others' stay fixed (e.g.
-    adaptive refinement) is legal for ``inspector_gather`` but raises a
-    ``divergent index pattern`` error here; keep such gathers uncached.
-    """
-    return (cache if cache is not None else DEFAULT_CACHE).gather(
-        ctx, grid, array, indices
-    )
-
-
-def cached_repartition(ctx, array, dist, cache: ScheduleCache | None = None,
-                       new_grid=None):
-    """Cached collective repartition through the default cache.
-
-    See :meth:`ScheduleCache.repartition`.  Generator; ``yield from`` it
-    on every rank of ``array.grid`` (with ``new_grid``: every rank of
-    the union of the two grids).
-    """
-    return (cache if cache is not None else DEFAULT_CACHE).repartition(
-        ctx, array, dist, new_grid=new_grid
-    )
-
-
-def clear_schedule_cache() -> None:
-    """Reset the default transfer-schedule cache (mostly for tests)."""
-    DEFAULT_CACHE.clear()

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from repro.compiler.schedule import DEFAULT_PLANS, PlanCache
+from repro.compiler.commgen import LoopAnalysis
+from repro.compiler.schedule import PlanCache
 from repro.lang.doall import Doall
 from repro.machine.costmodel import CostModel
 
@@ -187,14 +188,15 @@ def estimate_doall(
     """Predict the communication and computation of one doall loop.
 
     ``plans`` selects the plan cache the analysis is compiled into (a
-    Session's, via ``Program.estimate``); the default plan cache is used
-    when omitted, so estimating and then executing the same loop shares
-    one compile.  ``count=False`` keeps a cached lookup out of the hit
-    statistics (a static estimate is not a replay).
+    Session's, via ``Program.estimate``), so estimating and then
+    executing the same loop shares one compile; without it the loop is
+    analysed on the spot and nothing is cached.  ``count=False`` keeps a
+    cached lookup out of the hit statistics (a static estimate is not a
+    replay).
     """
-    analysis, _ = (plans if plans is not None else DEFAULT_PLANS).analysis(
-        loop, count=count
-    )
+    if plans is None:
+        return estimate_from_analysis(LoopAnalysis(loop))
+    analysis, _ = plans.analysis(loop, count=count)
     return estimate_from_analysis(analysis)
 
 

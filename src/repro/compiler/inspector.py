@@ -115,8 +115,3 @@ def inspector_gather(
 
     _sched, out = yield from build_gather_schedule(ctx, grid, array, indices, tag=tag)
     return out
-
-
-def _read_local(array: BaseDistArray, rank: int, idx: np.ndarray) -> np.ndarray:
-    """Backwards-compatible alias of :func:`read_local`."""
-    return read_local(array, rank, idx)

@@ -216,14 +216,6 @@ class PlanCache:
         with self._lock:
             self._count(kind, "hits")
 
-    def clear_kind(self, kind: str) -> int:
-        """Drop every plan of one kind; returns the count removed."""
-        with self._lock:
-            doomed = [k for k in self._entries if k[0] == kind]
-            for k in doomed:
-                del self._entries[k]
-            return len(doomed)
-
     def drop(self, kind: str, key) -> None:
         with self._lock:
             self._entries.pop((kind, key), None)
@@ -262,25 +254,6 @@ class PlanCache:
             return {k: dict(v) for k, v in self.by_kind.items()}
 
 
-#: Plan cache behind the implicit default Session (the deprecated
-#: ``run_spmd`` / hand-wired ``KaliCtx`` path).  Sessions own their own
-#: PlanCache; see :mod:`repro.session`.
-DEFAULT_PLANS = PlanCache()
-
-
-def plans_of(ctx) -> PlanCache:
-    """The plan cache governing ``ctx``: its Session's, else the default."""
-    session = getattr(ctx, "session", None)
-    return DEFAULT_PLANS if session is None else session.plans
-
-
-def clear_plan_cache() -> None:
-    """Reset the default plan cache -- doall analyses *and* every other
-    plan kind riding in it, e.g. the ADI line plans (mostly for tests).
-    Session-owned caches are unaffected; clear those per session."""
-    DEFAULT_PLANS.clear()
-
-
 def drop_plan(loop: Doall) -> None:
     """Forget one loop's cached analysis in *every* live plan cache
     (``Doall.invalidate_plan`` hook)."""
@@ -291,11 +264,6 @@ def drop_plan(loop: Doall) -> None:
 def drop_plans_for_array(array) -> int:
     """Purge plans referencing ``array`` from every live plan cache."""
     return sum(cache.drop_for_array(array) for cache in list(_ALL_PLAN_CACHES))
-
-
-def get_analysis(loop: Doall) -> tuple[LoopAnalysis, bool]:
-    """Cached analysis of ``loop`` in the default plan cache."""
-    return DEFAULT_PLANS.analysis(loop)
 
 
 class _Workspace:
@@ -356,7 +324,7 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False, compiled: bool | None
     me = ctx.rank
     if not loop.grid.contains(me):
         raise CompileError(f"rank {me} executing doall outside its grid")
-    analysis, reused = plans_of(ctx).analysis(loop)
+    analysis, reused = ctx.session.plans.analysis(loop)
     yield from replay_analysis(
         ctx, analysis, overlap=overlap, compiled=compiled, reused=reused
     )

@@ -52,7 +52,7 @@ from repro.util.errors import ValidationError
 CHECKPOINT_VERSION = 1
 
 #: ``to_bytes`` envelope: magic + crc32 + payload length, then pickle.
-#: Bytes without the magic are read as a legacy un-enveloped pickle.
+#: Bytes without the magic are rejected unread.
 _MAGIC = b"RPCKPT1\x00"
 _HEADER = struct.Struct("<IQ")
 
@@ -125,29 +125,31 @@ class Checkpoint:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Checkpoint":
         data = bytes(data)
-        if data[:len(_MAGIC)] == _MAGIC:
-            head_end = len(_MAGIC) + _HEADER.size
-            if len(data) < head_end:
-                raise ValidationError(
-                    f"truncated checkpoint: {len(data)} bytes is shorter "
-                    "than the envelope header"
-                )
-            crc, n = _HEADER.unpack(data[len(_MAGIC):head_end])
-            payload = data[head_end:]
-            if len(payload) != n:
-                raise ValidationError(
-                    f"truncated checkpoint: envelope declares {n} payload "
-                    f"bytes but {len(payload)} are present"
-                )
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                raise ValidationError(
-                    "corrupted checkpoint: CRC-32 mismatch (bytes were "
-                    "altered after to_bytes(); refusing to load state "
-                    "that could be silently wrong)"
-                )
-        else:
-            # legacy un-enveloped pickle (written before the checksum)
-            payload = data
+        if data[:len(_MAGIC)] != _MAGIC:
+            raise ValidationError(
+                "not a checkpoint: bytes do not start with the to_bytes() "
+                "envelope magic (foreign data, or damage to the first "
+                f"{len(_MAGIC)} bytes); refusing to unpickle unchecked bytes"
+            )
+        head_end = len(_MAGIC) + _HEADER.size
+        if len(data) < head_end:
+            raise ValidationError(
+                f"truncated checkpoint: {len(data)} bytes is shorter "
+                "than the envelope header"
+            )
+        crc, n = _HEADER.unpack(data[len(_MAGIC):head_end])
+        payload = data[head_end:]
+        if len(payload) != n:
+            raise ValidationError(
+                f"truncated checkpoint: envelope declares {n} payload "
+                f"bytes but {len(payload)} are present"
+            )
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            raise ValidationError(
+                "corrupted checkpoint: CRC-32 mismatch (bytes were "
+                "altered after to_bytes(); refusing to load state "
+                "that could be silently wrong)"
+            )
         try:
             ckpt = pickle.loads(payload)
         except ValidationError:

@@ -21,7 +21,7 @@ from repro.lang.expr import (
     Assign,
 )
 from repro.lang.doall import Doall, Owner, OnProc
-from repro.lang.context import KaliCtx, run_spmd
+from repro.lang.context import KaliCtx
 from repro.lang.kf1 import KF1Program, parse_program
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "Owner",
     "OnProc",
     "KaliCtx",
-    "run_spmd",
     "KF1Program",
     "parse_program",
 ]

@@ -65,18 +65,17 @@ class BaseDistArray:
         any out-of-band change to the array's layout.  Cached gather
         schedules and compiled doall plans key on ``comm_epoch``, so
         bumping it makes them unreachable (they are rebuilt on next
-        use); the orphaned doall plans and default-cache gather
-        schedules are purged eagerly so they do not accumulate across
-        repeated redistributions.  User-owned
-        :class:`~repro.compiler.commsched.ScheduleCache` instances
-        should be purged explicitly via ``cache.invalidate_array(arr)``.
+        use); the orphaned doall plans are purged eagerly from every
+        live plan cache so they do not accumulate across repeated
+        redistributions.  A
+        :class:`~repro.compiler.commsched.ScheduleCache` purges its own
+        orphans when it runs the repartition; after a manual bump call
+        ``cache.invalidate_array(arr)``.
         """
         self._comm_epoch = self.comm_epoch + 1
-        from repro.compiler.commsched import DEFAULT_CACHE
         from repro.compiler.schedule import drop_plans_for_array
 
         drop_plans_for_array(self)
-        DEFAULT_CACHE.invalidate_array(self)
 
     def dim(self, k: int) -> BoundDim:
         """Bound distribution of array dimension ``k``."""

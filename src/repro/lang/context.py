@@ -1,4 +1,4 @@
-"""SPMD execution context and the legacy launch shim.
+"""SPMD execution context.
 
 A parallel subroutine (the paper's ``parsub``) is a Python generator
 function ``def routine(ctx, ...)`` executed by every rank of a processor
@@ -9,11 +9,11 @@ compiler-assigned channel identities of real KF1.
 
 Every context belongs to a :class:`~repro.session.Session`, which owns
 the caches its collective operations consult (compiled doall plans,
-transfer schedules, run identities).  A context built *without* a
-session -- the legacy hand-wired path, and the deprecated
-:func:`run_spmd` launcher -- falls back to the implicit default Session
-backed by the historical process-global caches, so old code keeps its
-exact behavior while new code gets isolation by construction.
+transfer schedules, run identities); :meth:`Session.run` builds one
+per rank.  A context built *without* a session can still allocate tags
+and run the grid collectives, which need no cache; ``doall``, and
+``cached_gather`` / ``redistribute`` without an explicit ``cache=``,
+are rejected -- there is no process-global cache to fall back to.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-import warnings
 from typing import Any, Callable
 
 from repro.lang.procs import ProcessorGrid
 from repro.machine import collectives
-from repro.machine.simulator import Machine
-from repro.machine.trace import Trace
-from repro.util.errors import ReproDeprecationWarning, ValidationError
+from repro.util.errors import ValidationError
 
 #: Launch-identity counter behind :func:`next_run_id`; all ranks of one
 #: launch share one id, which scopes collective cache decisions to that
@@ -62,9 +59,9 @@ class KaliCtx:
     ``session`` is the :class:`~repro.session.Session` whose caches the
     context's collective operations (``doall``, ``cached_gather``,
     ``redistribute``) consult; :meth:`Session.run` wires it
-    automatically.  A session-less context falls back to the
-    process-global default caches (deprecated; kept for the legacy
-    hand-wired path).
+    automatically.  A session-less context serves only what needs no
+    cache: tags, the grid collectives, and ``cached_gather`` /
+    ``redistribute`` given an explicit ``cache=``.
     """
 
     def __init__(
@@ -135,27 +132,18 @@ class KaliCtx:
 
     # -- session plumbing --------------------------------------------------
 
-    def _schedule_cache(self, override=None, op: str = "collective"):
-        """Transfer-schedule cache for this context's collectives.
-
-        An explicit ``override`` always wins; a Session-bound context
-        uses its Session's cache.  A session-less context with no
-        override is the deprecated path: it warns and falls back to the
-        process-global default (commsched resolves ``None``), the same
-        shim contract as :meth:`doall`.
-        """
+    def _schedule_cache(self, override, op: str):
+        """Transfer-schedule cache for one collective: an explicit
+        ``override`` wins, else the Session's; neither is an error."""
         if override is not None:
             return override
-        if self.session is not None:
-            return self.session.cache
-        warnings.warn(
-            f"KaliCtx.{op} without a Session or explicit cache uses the "
-            "deprecated process-global schedule cache; launch via "
-            "repro.Session(...).run(...) or pass cache=",
-            ReproDeprecationWarning,
-            stacklevel=3,
-        )
-        return None  # commsched falls back to the process-global default
+        if self.session is None:
+            raise ValidationError(
+                f"KaliCtx.{op} needs a Session or an explicit cache=: "
+                "launch via repro.Session(...).run(...) or "
+                "repro.compile(...).run()"
+            )
+        return self.session.cache
 
     # -- compiled loops ---------------------------------------------------
 
@@ -177,19 +165,16 @@ class KaliCtx:
 
         The loop's compiled plan (and its frozen TransferSchedules)
         lives in this context's Session plan cache; compile loops ahead
-        of time with :func:`repro.compile` to warm it explicitly.  On a
-        session-less context this is a deprecated shim over the
-        process-global default plan cache.
+        of time with :func:`repro.compile` to warm it explicitly.  A
+        session-less context has no plan cache and raises
+        ``ValidationError`` here, before any op is yielded.
         """
         from repro.compiler.schedule import execute_doall
 
         if self.session is None:
-            warnings.warn(
-                "KaliCtx.doall without a Session uses the deprecated "
-                "process-global plan cache; launch via "
-                "repro.Session(...).run(...) or repro.compile(...).run()",
-                ReproDeprecationWarning,
-                stacklevel=2,
+            raise ValidationError(
+                "KaliCtx.doall needs a Session: launch via "
+                "repro.Session(...).run(...) or repro.compile(...).run()"
             )
         return execute_doall(self, loop, overlap=overlap, compiled=compiled)
 
@@ -201,15 +186,13 @@ class KaliCtx:
         First call with a given index pattern runs the full two-round
         inspection; repeats replay the cached schedule with one round of
         coalesced value messages.  ``cache`` defaults to this context's
-        Session cache (for a session-less context, the process-wide
-        :data:`repro.compiler.commsched.DEFAULT_CACHE`).  Yields machine
-        ops (use ``yield from``); evaluates to the gathered values.
+        Session cache (a session-less context must pass one).  Yields
+        machine ops (use ``yield from``); evaluates to the gathered
+        values.  See :meth:`ScheduleCache.gather
+        <repro.compiler.commsched.ScheduleCache.gather>`.
         """
-        from repro.compiler.commsched import cached_inspector_gather
-
-        return cached_inspector_gather(
-            self, grid, array, indices,
-            cache=self._schedule_cache(cache, op="cached_gather"),
+        return self._schedule_cache(cache, "cached_gather").gather(
+            self, grid, array, indices
         )
 
     # -- redistribution ----------------------------------------------------
@@ -223,9 +206,8 @@ class KaliCtx:
         and the repartition schedule is cached (keyed on the layout
         pair, not the comm epoch), so repeated flips between two layouts
         replay without re-deriving the moves.  ``cache`` defaults to
-        this context's Session cache (for a session-less context, the
-        process-wide :data:`repro.compiler.commsched.DEFAULT_CACHE`).
-        Yields machine ops (use ``yield from``).
+        this context's Session cache (a session-less context must pass
+        one).  Yields machine ops (use ``yield from``).
 
         ``grid`` additionally moves the array to a *different*
         processor grid (grow or shrink the rank set -- the elastic
@@ -250,12 +232,8 @@ class KaliCtx:
         >>> sorted(trace.schedule_directions())
         ['repartition']
         """
-        from repro.compiler.commsched import cached_repartition
-
-        return cached_repartition(
-            self, array, dist,
-            cache=self._schedule_cache(cache, op="redistribute"),
-            new_grid=grid,
+        return self._schedule_cache(cache, "redistribute").repartition(
+            self, array, dist, new_grid=grid
         )
 
     # -- collectives over grids -------------------------------------------
@@ -271,34 +249,3 @@ class KaliCtx:
     def gather(self, grid: ProcessorGrid, value: Any, *, root: int):
         tag = self.next_tag(grid)
         return collectives.gather(self.rank, grid.linear, value, root=root, tag=tag)
-
-
-def run_spmd(
-    machine: Machine,
-    grid: ProcessorGrid,
-    routine: Callable,
-    *args: Any,
-    **kwargs: Any,
-) -> Trace:
-    """Deprecated launcher: run ``routine`` on every rank of ``grid``.
-
-    This was the launch of the paper's main program before compile and
-    run became first-class: it routes through the implicit default
-    :class:`~repro.session.Session` (whose caches are the historical
-    process-global ones), so its traces are bit-identical to the
-    pre-Session behavior.  New code should hold an explicit Session --
-    ``Session(machine, grid).run(routine, ...)`` -- or compile a Program
-    via :func:`repro.compile`; see ``docs/api.md`` for the migration
-    table.
-    """
-    warnings.warn(
-        "run_spmd is deprecated: use repro.Session(machine, grid).run(...) "
-        "or repro.compile(...).run() (see docs/api.md)",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import default_session
-
-    # _launch_routine, not run: the legacy signature forwards *all*
-    # kwargs to the routine, including ones named machine or grid.
-    return default_session()._launch_routine(machine, grid, routine, args, kwargs)

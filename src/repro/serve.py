@@ -9,8 +9,7 @@ them.  This module supplies that serving layer:
 * :class:`SessionPool` -- N :class:`~repro.session.Session` workers
   sharing **one** thread-safe
   :class:`~repro.compiler.commsched.ScheduleCache` and one
-  :class:`~repro.compiler.schedule.PlanCache` (the same rewiring
-  :func:`~repro.session.default_session` does), so a schedule compiled
+  :class:`~repro.compiler.schedule.PlanCache`, so a schedule compiled
   by any request replays for every later request on any session.
   Sessions hand out per-run state (run ids, trace history, mark
   folding); the shared caches hand out the frozen artifacts.
@@ -122,8 +121,7 @@ class SessionPool:
                 factory() if factory is not None
                 else Session(machine, grid, backend=backend, marks=marks)
             )
-            # the default_session() rewiring: replace the session's
-            # private caches with the pool-shared ones
+            # swap the session's private caches for the pool-shared ones
             s.cache = self.cache
             s.plans = self.plans
             self.sessions.append(s)

@@ -22,11 +22,10 @@ lifecycle explicit:
   schedules and per-direction reuse rates, and ``Program.explain``
   renders the message pattern the compiler derived.
 
-The deprecated shims (:func:`repro.lang.context.run_spmd`, session-less
-``KaliCtx``) route through the *implicit default Session* returned by
-:func:`default_session`, which wraps the historical process-global
-caches -- so legacy code behaves bit-identically while migrated code
-gets owned state.
+A Session is the *only* home of that state: there is no implicit
+default Session and no module-level cache, so nothing compiles or
+replays a doall without one (``KaliCtx.doall`` on a session-less context
+raises ``ValidationError``).
 
 >>> import numpy as np
 >>> from repro import Machine, ProcessorGrid, Session
@@ -276,22 +275,8 @@ class Session:
         ``machine``/``grid`` override the Session defaults, and
         ``compiled``/``marks`` override its executor and mark modes for
         this launch; a routine parameter with any of these names must be
-        bound via ``functools.partial`` (or the :func:`run_spmd` shim,
-        which forwards kwargs verbatim).
+        bound via ``functools.partial``.
         """
-        return self._launch_routine(
-            machine, grid, routine, args, kwargs,
-            compiled=compiled, marks=marks, backend=backend,
-        )
-
-    def _launch_routine(
-        self, machine, grid, routine, args, kwargs,
-        compiled: bool | None = None, marks: str | None = None,
-        backend=None,
-    ) -> Trace:
-        """Launch core with no keyword capture: ``kwargs`` go to the
-        routine untouched (the run_spmd shim relies on this to keep the
-        legacy signature, where ``machine``/``grid`` were positional)."""
         if machine is None and self.machine is None:
             # a Backend instance can stand in for the machine it wraps
             resolved = backend if backend is not None else self.backend
@@ -1277,31 +1262,3 @@ def _loop_arrays(loops: Sequence[Doall]) -> tuple[dict[str, Any], set[str]]:
     for name in ambiguous:
         del out[name]
     return out, ambiguous
-
-
-# ----------------------------------------------------------------------
-# The implicit default Session behind the deprecated shims
-# ----------------------------------------------------------------------
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The implicit Session the deprecated shims route through.
-
-    Wraps the historical process-global caches
-    (:data:`repro.compiler.commsched.DEFAULT_CACHE`, the default plan
-    cache, the process-wide run-id counter), so legacy ``run_spmd``
-    code produces bit-identical traces to the pre-Session library.
-    Everything except those shims should hold an explicit Session.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        from repro.compiler import commsched
-        from repro.compiler import schedule as _schedule
-
-        s = Session()
-        s.cache = commsched.DEFAULT_CACHE
-        s.plans = _schedule.DEFAULT_PLANS
-        _DEFAULT_SESSION = s
-    return _DEFAULT_SESSION

@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler.commsched import uid_chain
-from repro.compiler.schedule import DEFAULT_PLANS, plans_of
 from repro.kernels.pipelined import pipelined_node_program
 from repro.kernels.substructured import ContiguousMapping, ShuffleMapping, tri_node_program
 from repro.kernels.thomas import thomas_solve_many
@@ -162,30 +161,19 @@ def _line_plan(ctx, grid, rhs_arr, axis, me) -> tuple[_LinePlan, bool]:
     """Cached :class:`_LinePlan` under the ``"adi-line"`` plan kind.
 
     Line plans ride in the Session-owned
-    :class:`~repro.compiler.schedule.PlanCache` (the default plan cache
-    on the legacy session-less path), so ``Session.stats()`` sees
-    line-solver reuse next to doall plans and ``clear_plan_cache()`` /
+    :class:`~repro.compiler.schedule.PlanCache`, so ``Session.stats()``
+    sees line-solver reuse next to doall plans and ``session.clear()`` /
     redistribution purges cover them in one story.  Partial eviction is
     harmless here (a plan rebuild is purely local and deterministic --
     no protocol divergence), so the cache's plain LRU cap suffices.
     """
     key = (grid.key(), rhs_arr.uid, rhs_arr.comm_epoch, axis, me)
-    return plans_of(ctx).get(
+    return ctx.session.plans.get(
         "adi-line",
         key,
         lambda: _LinePlan(grid, rhs_arr, axis, me),
         uids=uid_chain(rhs_arr),
     )
-
-
-def clear_line_plan_cache() -> None:
-    """Drop the ADI line plans from the *default* plan cache.
-
-    Line plans live in the Session-owned plan cache now (pass
-    ``session=`` to ``adi_solve`` and clear/drop that Session instead);
-    this reaches only plans compiled on the legacy session-less path.
-    """
-    DEFAULT_PLANS.clear_kind("adi-line")
 
 
 def _solve_lines(ctx, grid, rhs_arr, out_arr, diags, axis, pipelined, phase):

@@ -73,15 +73,3 @@ class ServerOverloadError(ReproError):
         #: seconds the caller should wait before retrying (best effort)
         self.retry_after = float(retry_after)
         super().__init__(f"{message} (retry after ~{self.retry_after:.2f}s)")
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """A deprecated repro entry point was used.
-
-    Raised-as-warning by the legacy shims (``run_spmd``, session-less
-    ``KaliCtx.doall``) that route through the implicit default
-    :class:`~repro.session.Session`.  The tier-1 test configuration
-    turns this warning into an error inside ``tests/`` so migrated code
-    cannot silently regress onto the process-global path; user code
-    merely sees a ``DeprecationWarning``.
-    """

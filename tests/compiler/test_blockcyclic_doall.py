@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import clear_plan_cache
 from repro.lang import (
     Assign,
     BlockCyclic,
@@ -17,13 +16,6 @@ from repro.lang import (
 )
 from repro.machine import Machine
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def run_loop(m, grid, loop):
@@ -80,7 +72,6 @@ def test_blockcyclic_2d_mixed_with_block():
     seed=st.integers(0, 2**31),
 )
 def test_property_blockcyclic_shift(n, p, block, off, seed):
-    clear_plan_cache()
     rng = np.random.default_rng(seed)
     a0 = rng.standard_normal(n)
     lo, hi = max(0, -off), min(n - 1, n - 1 - off)

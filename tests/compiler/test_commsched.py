@@ -15,7 +15,6 @@ from repro.compiler import (
     inspector_gather,
     schedule_key,
 )
-from repro.compiler.commsched import DEFAULT_CACHE, clear_schedule_cache
 from repro.lang import BlockCyclic, DistArray, ProcessorGrid
 from repro.machine import Machine
 from repro.session import Session
@@ -292,26 +291,6 @@ def test_2d_gather_replay():
         np.testing.assert_array_equal(vals, [ref[0, 0], ref[3, 5], ref[2, 2]])
     for vals in results[1]:
         np.testing.assert_array_equal(vals, [ref[1, 4]])
-
-
-def test_default_cache_and_clear():
-    clear_schedule_cache()
-    n, p = 12, 2
-    m = Machine(n_procs=p)
-    g = ProcessorGrid((p,))
-    A = DistArray((n,), g, dist=("block",), name="A")
-    A.from_global(np.arange(float(n)))
-
-    def prog(ctx):
-        yield from ctx.cached_gather(g, A, np.array([[n - 1 - ctx.rank]]),
-                                     cache=DEFAULT_CACHE)
-        yield from ctx.cached_gather(g, A, np.array([[n - 1 - ctx.rank]]),
-                                     cache=DEFAULT_CACHE)
-
-    Session(m, g).run(prog)
-    assert DEFAULT_CACHE.hits == p and DEFAULT_CACHE.misses == p
-    clear_schedule_cache()
-    assert len(DEFAULT_CACHE) == 0 and DEFAULT_CACHE.hits == 0
 
 
 def test_cache_eviction_bound():

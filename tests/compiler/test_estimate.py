@@ -1,17 +1,8 @@
 """Dedicated tests for the static performance estimator."""
 
-import pytest
-
-from repro.compiler import clear_plan_cache, estimate_doall
+from repro.compiler import estimate_doall
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, Ref, loopvars
 from repro.machine import CostModel
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def stencil_loop(n, p, dist):
@@ -69,7 +60,6 @@ def test_imbalance_detects_triangular_iteration():
     n, p = 32, 4
     imb = {}
     for dist in ("block", "cyclic"):
-        clear_plan_cache()
         g = ProcessorGrid((p,))
         A = DistArray((n, n), g, dist=(dist, "*"), name="A")
         i, j = loopvars("i j")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache, estimate_doall
+from repro.compiler import estimate_doall
 from repro.lang import (
     Assign,
     DistArray,
@@ -15,13 +15,6 @@ from repro.lang import (
 from repro.machine import CostModel, Machine
 from repro.util.errors import CompileError
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def machine(n):
@@ -131,7 +124,6 @@ def test_cyclic_distribution_same_numerics():
     n = 12
     results = {}
     for dist in ["block", "cyclic"]:
-        clear_plan_cache()
         m = machine(3)
         g = ProcessorGrid((3,))
         A = DistArray((n,), g, dist=(dist,), name="A")

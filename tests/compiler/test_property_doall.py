@@ -9,11 +9,9 @@ copy-in/copy-out == sequential semantics, for every distribution.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import clear_plan_cache
 from repro.lang import (
     Assign,
     DistArray,
@@ -25,13 +23,6 @@ from repro.lang import (
 )
 from repro.machine import Machine
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def run_loop(machine, grid, loop):

@@ -20,7 +20,7 @@ import pytest
 from repro.compiler.commgen import LoopAnalysis, ReadPlan
 from repro.compiler.commsched import TransferSchedule
 from repro.compiler.estimate import estimate_doall
-from repro.compiler.schedule import clear_plan_cache, get_analysis
+from repro.compiler.schedule import PlanCache
 from repro.lang import (
     Assign,
     DistArray,
@@ -52,7 +52,6 @@ def _stencil_loop(n, p):
 
 
 def _run_jacobi(n, p, iters, overlap, cost=None):
-    clear_plan_cache()
     rng = np.random.default_rng(7)
     f = 1e-3 * rng.standard_normal((n, n))
     grid = ProcessorGrid((p, p))
@@ -78,7 +77,6 @@ def _run_jacobi(n, p, iters, overlap, cost=None):
 
 
 def test_readplan_freezes_into_gather_transfer():
-    clear_plan_cache()
     _, u, _, loop = _stencil_loop(12, 3)
     analysis = LoopAnalysis(loop)
     for plans in analysis.read_plans:
@@ -123,7 +121,6 @@ def test_overlap_mode_bit_identical_and_same_wire():
 
 
 def test_golden_reads_emit_gather_direction_marks():
-    clear_plan_cache()
     n, p, sweeps = 12, 3, 2
     g, u, v, loop = _stencil_loop(n, p)
 
@@ -179,9 +176,8 @@ def test_overlap_never_slower_across_cost_models():
 
 
 def test_interior_counts_derived_from_analysis():
-    clear_plan_cache()
     _, _, _, loop = _stencil_loop(12, 3)
-    analysis, _ = get_analysis(loop)
+    analysis, _ = PlanCache().analysis(loop)
     # 10 iteration points on p=3 blocks of 4: every rank's interior is
     # its block minus the points reading a neighbor's ghost value
     assert sum(analysis.interior_count(r) for r in analysis.ranks) > 0
@@ -195,7 +191,6 @@ def test_interior_counts_derived_from_analysis():
 
 
 def test_estimate_predicts_overlapped_time():
-    clear_plan_cache()
     n, p, iters = 33, 2, 6
     cost = CostModel.hypercube_1989()
     _, t_ovl, loop, _ = _run_jacobi(n, p, iters, overlap=True, cost=cost)
@@ -224,7 +219,6 @@ def test_estimate_overlap_stable_across_redistribution():
     frozen under one layout keeps predicting that layout even if the
     arrays are redistributed before the overlapped prediction is asked
     for."""
-    clear_plan_cache()
     n, p = 25, 2
     cost = CostModel.hypercube_1989()
     grid = ProcessorGrid((p, p))
@@ -235,7 +229,6 @@ def test_estimate_overlap_stable_across_redistribution():
     est_eager = estimate_doall(loop)
     expected = est_eager.predicted_time(cost, overlap=True)  # resolves now
 
-    clear_plan_cache()
     est_lazy = estimate_doall(loop)  # interior still unresolved ...
     X.redistribute(("cyclic", "cyclic"))
     F.redistribute(("cyclic", "cyclic"))
@@ -247,7 +240,6 @@ def test_overlap_with_remote_writes():
     cannot hide interior compute: the overlapped prediction must charge
     them as a serialized tail, and the overlap-mode executor must stay
     bit-identical with remote writes in play."""
-    clear_plan_cache()
     n, p = 16, 4
     cost = CostModel.hypercube_1989()
 
@@ -269,7 +261,6 @@ def test_overlap_with_remote_writes():
 
     results = {}
     for overlap in (False, True):
-        clear_plan_cache()
         g, c, loop = build()
 
         def prog(ctx, loop=loop, overlap=overlap):
@@ -279,7 +270,6 @@ def test_overlap_with_remote_writes():
         results[overlap] = c.to_global()
     assert np.array_equal(results[False], results[True])
 
-    clear_plan_cache()
     _, _, loop = build()
     est = estimate_doall(loop)
     # the loop really has scatter-direction inbound messages
@@ -295,7 +285,6 @@ def test_overlap_with_remote_writes():
 def test_estimate_read_volumes_exact():
     """Read-side message/byte predictions come off the frozen gather
     schedules and must match the executed trace exactly."""
-    clear_plan_cache()
     n, p, iters = 17, 2, 3
     _, trace, loop, _ = _run_jacobi(n, p, iters, overlap=False)
     est = estimate_doall(loop)

@@ -14,10 +14,9 @@ import pytest
 from repro.compiler import (
     ScheduleCache,
     TransferSchedule,
-    clear_plan_cache,
     estimate_doall,
 )
-from repro.compiler.schedule import get_analysis
+from repro.compiler.schedule import PlanCache
 from repro.lang import (
     Assign,
     DistArray,
@@ -29,13 +28,6 @@ from repro.lang import (
 from repro.machine import Machine
 from repro.util.errors import ValidationError
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def _reversal_loop(g, n=8):
@@ -58,7 +50,7 @@ def test_unknown_direction_rejected():
 def test_write_plans_are_frozen_scatter_schedules():
     g = ProcessorGrid((4,))
     _A, B, loop = _reversal_loop(g)
-    analysis, _ = get_analysis(loop)
+    analysis, _ = PlanCache().analysis(loop)
     assert analysis.has_remote_writes
     for rank in g.linear:
         ts = analysis.write_plans[0][rank].transfer
@@ -78,7 +70,6 @@ def test_scatter_replay_bit_identical_to_rebuild():
     n, p, sweeps = 8, 4, 3
 
     def run(n_sweeps):
-        clear_plan_cache()
         g = ProcessorGrid((p,))
         A, B, loop = _reversal_loop(g, n)
 
@@ -192,7 +183,7 @@ def test_local_box_store_is_open_mesh_not_per_point():
         (i, j), [(1, n - 2), (1, n - 2)], Owner(X, (i, j)),
         [Assign(X[i, j], X[i, j] * 2.0)], g,
     )
-    analysis, _ = get_analysis(loop)
+    analysis, _ = PlanCache().analysis(loop)
     for rank in g.linear:
         wplan = analysis.write_plans[0][rank]
         assert wplan.transfer is None  # no messages on the write side
@@ -241,7 +232,7 @@ def test_non_box_lhs_falls_back_to_flat_store():
         (i, j), [(0, n - 1), (0, 2)], Owner(A, (i,)),
         [Assign(A[i], B[i] + 1.0)], g,
     )
-    analysis, _ = get_analysis(loop)
+    analysis, _ = PlanCache().analysis(loop)
     for rank in g.linear:
         if not analysis.iters[rank].empty:
             assert analysis.write_plans[0][rank].local_box is None

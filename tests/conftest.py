@@ -1,25 +1,30 @@
-"""Shared test harness: a hang guard for the concurrency-heavy suites.
+"""Shared test harness: a hang guard and a leak audit for the
+concurrency-heavy suites.
 
-The elastic / serve / supervise suites exercise forked worker pools,
-barriers, and thread pools -- the failure mode of a bug there is a
-*hang*, not a traceback.  ``pytest-timeout`` is not in the toolchain,
-so this conftest arms :func:`faulthandler.dump_traceback_later` around
-each test in those directories: a test exceeding the budget dumps every
-thread's stack to stderr and hard-exits the process instead of wedging
-CI until the job-level timeout.
+The machine / elastic / serve / supervise suites exercise forked worker
+pools, shared-memory segments, barriers, and thread pools -- the failure
+modes of a bug there are a *hang* and a *silent leak*, not a traceback.
+``pytest-timeout`` is not in the toolchain, so this conftest arms
+:func:`faulthandler.dump_traceback_later` around each test in those
+directories: a test exceeding the budget dumps every thread's stack to
+stderr and hard-exits the process instead of wedging CI until the
+job-level timeout.  Around the same tests it checks that the set of
+``/dev/shm/psm_*`` segments and of live child processes is the same
+after the test as before, so a leak names the test that caused it.
 
 ``REPRO_TEST_TIMEOUT`` overrides the per-test budget in seconds
-(``0`` disables the guard entirely).
+(``0`` disables the watchdog; the leak audit always runs).
 """
 
 import faulthandler
+import multiprocessing
 import os
 
 import pytest
 
 #: directories whose tests get the guard (hang-prone suites only --
 #: arming faulthandler around every fast unit test is pointless churn)
-_GUARDED = ("elastic", "serve", "supervise")
+_GUARDED = ("elastic", "serve", "supervise", "machine")
 
 _DEFAULT_TIMEOUT = 180.0
 
@@ -34,17 +39,39 @@ def _budget() -> float:
         return _DEFAULT_TIMEOUT
 
 
+def _live_resources() -> tuple[set, set]:
+    """What a test can leak silently: the ``multiprocessing.shared_memory``
+    segments on the host and this process's live children
+    (``active_children`` reaps finished ones and never lists the stdlib
+    resource tracker, which is not a ``multiprocessing.Process``)."""
+    try:
+        segments = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except OSError:  # platform without /dev/shm
+        segments = set()
+    return segments, {p.pid for p in multiprocessing.active_children()}
+
+
 @pytest.fixture(autouse=True)
 def hang_guard(request):
-    """Per-test watchdog: dump all stacks and exit on a hang."""
-    timeout = _budget()
+    """Per-test watchdog (dump all stacks and exit on a hang) plus the
+    silent-failure audit: no shm segment or child process outlives the
+    test that created it."""
     path = getattr(request.node, "path", None)
-    guarded = path is not None and path.parent.name in _GUARDED
-    if timeout <= 0 or not guarded:
+    if path is None or path.parent.name not in _GUARDED:
         yield
         return
-    faulthandler.dump_traceback_later(timeout, exit=True)
+    segments, children = _live_resources()
+    timeout = _budget()
+    if timeout > 0:
+        faulthandler.dump_traceback_later(timeout, exit=True)
     try:
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+    segments_after, children_after = _live_resources()
+    leaked = sorted(segments_after - segments)
+    zombies = sorted(children_after - children)
+    assert not leaked and not zombies, (
+        f"{request.node.nodeid} leaked shm segments {leaked} "
+        f"and child pids {zombies}"
+    )

@@ -179,7 +179,7 @@ def test_restore_rejects_non_checkpoint_and_bad_bytes():
         sess.restore({"not": "a checkpoint"})
     import pickle
 
-    with pytest.raises(ValidationError, match="not a Checkpoint"):
+    with pytest.raises(ValidationError, match="not a checkpoint.*envelope"):
         Checkpoint.from_bytes(pickle.dumps([1, 2, 3]))
 
 

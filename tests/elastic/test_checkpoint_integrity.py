@@ -84,9 +84,11 @@ def test_envelope_roundtrip_and_legacy_pickle_still_rejected():
     blob = _blob()
     ck = Checkpoint.from_bytes(blob)
     assert ck.to_bytes() == blob           # stable re-serialization
-    # pre-envelope consumers: raw pickles still classify correctly
-    with pytest.raises(ValidationError, match="not a Checkpoint"):
-        Checkpoint.from_bytes(pickle.dumps([1, 2, 3]))
+    # bytes without the envelope never reach pickle.loads -- not even a
+    # well-formed Checkpoint pickle, which would skip the checksum
+    for raw in (pickle.dumps([1, 2, 3]), pickle.dumps(ck)):
+        with pytest.raises(ValidationError, match="not a checkpoint.*envelope"):
+            Checkpoint.from_bytes(raw)
 
 
 def test_corrupt_helper_validates_its_arguments():

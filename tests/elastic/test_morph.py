@@ -6,8 +6,8 @@ checkpoint, the session *shrinks* onto the surviving ranks, continues,
 later *re-grows* onto the full rank set -- and the final results and
 the final-grid run trace are bit-identical to a run that was never
 interrupted.  Exercised on the simulator and the multiprocessing
-backend (whose worker pool must die and respawn across the morphs), on
-the serving layer, and through the deprecated ``run_spmd`` shim.
+backend (whose worker pool must die and respawn across the morphs), and
+on the serving layer.
 """
 
 import numpy as np
@@ -17,11 +17,7 @@ import repro
 from repro import Machine, ProcessorGrid, Session
 from repro.machine import mpbackend
 from repro.serve import Server
-from repro.util.errors import (
-    MachineError,
-    ReproDeprecationWarning,
-    ValidationError,
-)
+from repro.util.errors import MachineError, ValidationError
 
 N = 18
 SRC = f"""
@@ -224,44 +220,3 @@ def test_server_pool_survives_morph():
         np.testing.assert_array_equal(
             srv.fetch(prog, "X")["X"], ref.arrays["X"].to_global()
         )
-
-
-# ----------------------------------------------------------------------
-# The deprecated run_spmd shim drives morphed programs bit-identically
-# ----------------------------------------------------------------------
-
-
-def test_run_spmd_shim_post_morph_bit_identity():
-    g4 = ProcessorGrid((4,))
-    # reference: Program.run on a morphed session
-    sess, prog = fresh()
-    prog.run(X=np.zeros((N, N)), F=forcing(), iters=1)
-    sess.morph(g4)
-    prog.run()
-    want = prog.arrays["X"].to_global().copy()
-
-    # twin with identical history, morphed the same way, but its
-    # post-morph sweeps go through the deprecated launcher
-    sess2, prog2 = fresh()
-    prog2.run(X=np.zeros((N, N)), F=forcing(), iters=1)
-    sess2.morph(g4)
-    loops = list(prog2.loops)
-
-    def legacy(ctx):
-        for lp in loops:
-            yield from ctx.doall(lp)
-
-    machine = Machine(n_procs=4)
-    with pytest.warns(ReproDeprecationWarning):
-        repro.run_spmd(machine, g4, legacy)
-    np.testing.assert_array_equal(prog2.arrays["X"].to_global(), want)
-
-    # steady state: second shim sweep vs second Program sweep, message
-    # for message and mark for mark
-    with pytest.warns(ReproDeprecationWarning):
-        t_shim = repro.run_spmd(machine, g4, legacy)
-    t_ref = prog.run()
-    np.testing.assert_array_equal(
-        prog2.arrays["X"].to_global(), prog.arrays["X"].to_global()
-    )
-    assert trace_sig(t_shim) == trace_sig(t_ref)

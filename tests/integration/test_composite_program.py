@@ -8,22 +8,13 @@ matched and the numerics equal the sequential composition.
 """
 
 import numpy as np
-import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine import CostModel, Machine
 from repro.tensor.jacobi import build_jacobi_loop, jacobi_reference
 from repro.tensor.multigrid2d import MG2, mg2_reference
 from repro.tensor.poisson import manufactured_2d
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def test_jacobi_then_multigrid_same_machine():

@@ -1,12 +1,13 @@
 """Tests for the SPMD context: tags, collectives, Session.run."""
 
 
+import numpy as np
 import pytest
 
-from repro import Session
-from repro.lang import KaliCtx, ProcessorGrid, run_spmd
+from repro import ScheduleCache, Session
+from repro.lang import Assign, DistArray, Doall, KaliCtx, Owner, ProcessorGrid, loopvars
 from repro.machine import Compute, Machine
-from repro.util.errors import ReproDeprecationWarning, ValidationError
+from repro.util.errors import ValidationError
 
 
 def test_ctx_requires_membership():
@@ -102,19 +103,45 @@ def test_session_run_returns_trace_and_records_history():
     assert s.history == [trace]
 
 
-def test_run_spmd_shim_warns_and_runs():
-    m = Machine(n_procs=2)
+def _sessionless_case():
     g = ProcessorGrid((2,))
+    A = DistArray((8,), g, dist=("block",), name="A")
+    A.from_global(np.arange(8.0))
+    (i,) = loopvars("i")
+    loop = Doall((i,), [(0, 7)], Owner(A, (i,)), [Assign(A[i], A[i] + 1.0)], g)
+    return g, A, loop
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, g, A, loop: ctx.doall(loop),
+    lambda ctx, g, A, loop: ctx.cached_gather(g, A, np.array([[0]])),
+    lambda ctx, g, A, loop: ctx.redistribute(A, ("cyclic",)),
+], ids=["doall", "cached_gather", "redistribute"])
+def test_sessionless_ctx_rejects_cached_collectives_at_call_time(call):
+    """No Session, no cache: the call itself raises (nothing was
+    iterated, so no op was yielded) and names the way out."""
+    g, A, loop = _sessionless_case()
+    with pytest.raises(ValidationError, match=r"Session\(\.\.\.\)\.run.*repro\.compile"):
+        call(KaliCtx(0, g), g, A, loop)
+    assert A.dist.spec_key() == (("block",),)
+    np.testing.assert_array_equal(A.to_global(), np.arange(8.0))
+
+
+def test_sessionless_ctx_still_serves_explicit_cache_and_collectives():
+    g, A, _ = _sessionless_case()
+    cache = ScheduleCache()
+    results = {}
 
     def prog(ctx):
-        yield Compute(seconds=2.0)
+        got = yield from ctx.cached_gather(
+            g, A, np.array([[7 - ctx.rank]]), cache=cache
+        )
+        total = yield from ctx.allreduce(g, ctx.rank + 1)
+        results[ctx.rank] = (float(got[0]), total)
 
-    with pytest.warns(ReproDeprecationWarning):
-        trace = run_spmd(m, g, prog)
-    assert trace.makespan() == 2.0
-    with pytest.warns(ReproDeprecationWarning):
-        with pytest.raises(ValidationError):
-            run_spmd(Machine(n_procs=2), ProcessorGrid((4,)), lambda ctx: iter(()))
+    Machine(n_procs=2).run({r: prog(KaliCtx(r, g)) for r in g.linear})
+    assert results == {0: (7.0, 3), 1: (6.0, 3)}
+    assert cache.misses == 2 and len(cache) == 2
 
 
 # ----------------------------------------------------------------------

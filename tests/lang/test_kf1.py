@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang.kf1 import parse_program
 from repro.machine import Machine
 from repro.tensor.jacobi import jacobi_reference
@@ -19,13 +18,6 @@ doall (i, j) = [1, 11] * [1, 11] on owner(X(i, j))
   X(i, j) = 0.25*(X(i+1, j) + X(i-1, j) + X(i, j+1) + X(i, j-1)) - f(i, j)
 end doall
 """
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def test_parse_jacobi_listing():

@@ -7,25 +7,25 @@ Covers the compile-and-run contract:
 * ``Program.run()`` twice on one Session replays (gather hit rate > 0
   on the second run) with bit-identical results, while a fresh Session
   starts at zero hits;
-* the deprecated ``run_spmd`` / session-less ``KaliCtx.doall`` shims
-  produce bit-identical traces and hit rates to the Session path on the
-  Jacobi golden stencil;
+* importing the package creates no cache: a Session is the only owner
+  of compile-and-run state;
 * plan-cache keys are immune to CPython id() reuse (regression for the
   ``id(array)`` aliasing bug).
 """
 
 import gc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import repro
 from repro import Machine, ProcessorGrid, Session
-from repro.compiler.commsched import clear_schedule_cache
-from repro.compiler.schedule import clear_plan_cache
-from repro.lang import Assign, DistArray, Doall, KaliCtx, Owner, loopvars, run_spmd
+from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.tensor.jacobi import build_jacobi_loop, jacobi_reference
-from repro.util.errors import ReproDeprecationWarning, ValidationError
+from repro.util.errors import ValidationError
 
 
 def _stencil_loop(g, n=12, name_prefix=""):
@@ -267,21 +267,6 @@ def test_history_bounded_but_runs_counted():
     assert s.runs == 5 and s.stats()["runs"] == 5
 
 
-def test_run_spmd_shim_forwards_routine_args_verbatim():
-    """The legacy signature passes positional and keyword args straight
-    to the routine (the shim must not let Session.run capture them)."""
-    g = ProcessorGrid((2,))
-    seen = []
-
-    def routine(ctx, scale, offset=0):
-        seen.append((ctx.rank, scale, offset))
-        yield from ()
-
-    with pytest.warns(ReproDeprecationWarning):
-        run_spmd(Machine(n_procs=2), g, routine, 2, offset=7)
-    assert seen == [(0, 2, 7), (1, 2, 7)]
-
-
 def test_adi_line_plans_visible_in_session_stats():
     """The ADI line-solver plans ride in the session's PlanCache."""
     from repro.tensor.adi import adi_solve
@@ -302,85 +287,23 @@ def test_adi_line_plans_visible_in_session_stats():
 
 
 # ----------------------------------------------------------------------
-# Shim fidelity
+# No process-global twin
 # ----------------------------------------------------------------------
 
 
-def _jacobi_session_trace(n, p, iters, f):
-    grid = ProcessorGrid((p, p))
-    X = DistArray((n, n), grid, dist=("block", "block"), name="X")
-    F = DistArray((n, n), grid, dist=("block", "block"), name="F")
-    F.from_global(f)
-    loop = build_jacobi_loop(X, F, n - 1, grid)
-
-    def prog(ctx):
-        for _ in range(iters):
-            yield from ctx.doall(loop)
-
-    trace = Session(Machine(n_procs=p * p), grid).run(prog)
-    return X.to_global(), trace
-
-
-def test_run_spmd_shim_bit_identical_to_session_path():
-    """The deprecated launcher must match the Session path exactly:
-    same trace events, same schedule hit rates, same results."""
-    n, p, iters = 17, 2, 3
-    rng = np.random.default_rng(11)
-    f = 1e-3 * rng.standard_normal((n, n))
-
-    x_new, t_new = _jacobi_session_trace(n, p, iters, f)
-
-    clear_plan_cache()
-    clear_schedule_cache()
-    grid = ProcessorGrid((p, p))
-    X = DistArray((n, n), grid, dist=("block", "block"), name="X")
-    F = DistArray((n, n), grid, dist=("block", "block"), name="F")
-    F.from_global(f)
-    loop = build_jacobi_loop(X, F, n - 1, grid)
-
-    def prog(ctx):
-        for _ in range(iters):
-            yield from ctx.doall(loop)
-
-    with pytest.warns(ReproDeprecationWarning):
-        t_old = run_spmd(Machine(n_procs=p * p), grid, prog)
-    clear_plan_cache()
-
-    np.testing.assert_array_equal(X.to_global(), x_new)
-    assert _trace_fingerprint(t_old) == _trace_fingerprint(t_new)
-    assert t_old.schedule_hit_rate("gather") == t_new.schedule_hit_rate("gather")
-    assert t_old.schedule_counts() == t_new.schedule_counts()
-
-
-def test_sessionless_ctx_doall_shim_bit_identical():
-    """Hand-wired KaliCtx programs (no Session) still execute through
-    the default caches, warn, and match the Session path exactly."""
-    n, p, iters = 17, 2, 2
-    rng = np.random.default_rng(13)
-    f = 1e-3 * rng.standard_normal((n, n))
-
-    x_new, t_new = _jacobi_session_trace(n, p, iters, f)
-
-    clear_plan_cache()
-    clear_schedule_cache()
-    grid = ProcessorGrid((p, p))
-    X = DistArray((n, n), grid, dist=("block", "block"), name="X")
-    F = DistArray((n, n), grid, dist=("block", "block"), name="F")
-    F.from_global(f)
-    loop = build_jacobi_loop(X, F, n - 1, grid)
-
-    def prog(ctx):
-        for _ in range(iters):
-            yield from ctx.doall(loop)
-
-    machine = Machine(n_procs=p * p)
-    programs = {r: prog(KaliCtx(r, grid, run_id=None)) for r in grid.linear}
-    with pytest.warns(ReproDeprecationWarning):
-        t_old = machine.run(programs)
-    clear_plan_cache()
-
-    np.testing.assert_array_equal(X.to_global(), x_new)
-    assert _trace_fingerprint(t_old) == _trace_fingerprint(t_new)
+def test_importing_repro_creates_no_cache():
+    """A Session is the only home of cache state: importing the package
+    must not instantiate a PlanCache (fresh interpreter, so no other
+    test's Sessions are in the weak registry)."""
+    code = (
+        "import repro\n"
+        "from repro.compiler import schedule\n"
+        "assert len(schedule._ALL_PLAN_CACHES) == 0, list(schedule._ALL_PLAN_CACHES)\n"
+        "session = repro.Session()\n"
+        "assert len(schedule._ALL_PLAN_CACHES) == 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.compiler import ScheduleCache, clear_plan_cache
+from repro.compiler import ScheduleCache
 from repro.kernels.substructured import (
     ShuffleMapping,
     clear_routing_cache,
@@ -62,7 +62,6 @@ def test_golden_substructured_tri_solve():
 
 def test_golden_doall_stencil_sweeps():
     """3 sweeps of a 3-point stencil on p=3: 12 messages of 8 bytes."""
-    clear_plan_cache()
     n, p, sweeps = 12, 3, 3
     g = ProcessorGrid((p,))
     u = DistArray((n,), g, dist=("block",), name="u")

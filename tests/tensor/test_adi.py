@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.adi import adi_reference, adi_solve, default_tau
 from repro.tensor.poisson import Coeffs2D, manufactured_2d, residual_norm_2d
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def test_reference_converges_to_manufactured():
@@ -70,7 +62,6 @@ def test_pipelined_adi_is_faster():
     cost = CostModel.balanced()
     m1 = Machine(n_procs=16, cost=cost)
     _, t_plain = adi_solve(m1, ProcessorGrid((4, 4)), f, iters=2, pipelined=False)
-    clear_plan_cache()
     m2 = Machine(n_procs=16, cost=cost)
     _, t_pipe = adi_solve(m2, ProcessorGrid((4, 4)), f, iters=2, pipelined=True)
     assert t_pipe.makespan() < t_plain.makespan()

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import Machine
 from repro.tensor.adi_varcoef import (
@@ -13,13 +12,6 @@ from repro.tensor.adi_varcoef import (
     _apply_L,
 )
 from repro.util.errors import ValidationError
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def problem(n, seed=0):

@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import CostModel, Machine
 from repro.tensor.jacobi import jacobi_kf1, jacobi_reference
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def poisson_f(n, scale=0.001, seed=0):
@@ -43,7 +35,6 @@ def test_distribution_change_is_one_line(capsys=None):
     f = poisson_f(12, seed=1)
     results = {}
     for dist in [("block", "block"), ("cyclic", "cyclic"), ("block", "cyclic")]:
-        clear_plan_cache()
         m = Machine(n_procs=4)
         g = ProcessorGrid((2, 2))
         X, _ = jacobi_kf1(m, g, f, iters=4, dist=dist)
@@ -72,10 +63,8 @@ def test_block_jacobi_message_pattern_is_ghost_exchange():
 def test_cyclic_jacobi_communicates_more():
     """The estimator's lesson: cyclic is terrible for stencils."""
     f = poisson_f(12, seed=3)
-    clear_plan_cache()
     m1 = Machine(n_procs=4)
     _, t_block = jacobi_kf1(m1, ProcessorGrid((2, 2)), f, 1, dist=("block", "block"))
-    clear_plan_cache()
     m2 = Machine(n_procs=4)
     _, t_cyc = jacobi_kf1(m2, ProcessorGrid((2, 2)), f, 1, dist=("cyclic", "cyclic"))
     assert t_cyc.total_bytes() > 4 * t_block.total_bytes()

@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import Machine
 from repro.tensor.lu import lu_distributed, lu_reference, lu_unpack
 from repro.util.errors import ValidationError
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def dominant_matrix(n, seed=0):
@@ -51,10 +43,8 @@ def test_distributed_matches_reference(p, dist):
 def test_cyclic_balances_load():
     """The paper's point: cyclic keeps processors busy through elimination."""
     A = dominant_matrix(24, seed=9)
-    clear_plan_cache()
     m1 = Machine(n_procs=4)
     _, t_blk = lu_distributed(m1, ProcessorGrid((4,)), A, dist="block")
-    clear_plan_cache()
     m2 = Machine(n_procs=4)
     _, t_cyc = lu_distributed(m2, ProcessorGrid((4,)), A, dist="cyclic")
     busy_blk = [t_blk.busy_time(r) for r in range(4)]
@@ -79,7 +69,6 @@ def test_validation():
     seed=st.integers(0, 2**31),
 )
 def test_property_lu_solves_systems(n, p, seed):
-    clear_plan_cache()
     A = dominant_matrix(n, seed=seed)
     rng = np.random.default_rng(seed + 1)
     x_true = rng.standard_normal(n)

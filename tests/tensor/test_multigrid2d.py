@@ -3,19 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import Machine
 from repro.tensor.multigrid2d import mg2_reference, mg2_solve
 from repro.tensor.poisson import Coeffs2D, manufactured_2d, residual_norm_2d
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def test_reference_residual_reduction_per_cycle():
@@ -67,7 +59,6 @@ def test_distributed_communicates_only_for_p_gt_1():
     m1 = Machine(n_procs=1)
     _, t1 = mg2_solve(m1, ProcessorGrid((1,)), f, cycles=1)
     assert t1.message_count() == 0
-    clear_plan_cache()
     m2 = Machine(n_procs=4)
     _, t2 = mg2_solve(m2, ProcessorGrid((4,)), f, cycles=1)
     assert t2.message_count() > 0
@@ -99,7 +90,6 @@ def test_mg2_distributed_x_dimension():
 
     n = 16
     _, f = manufactured_2d(n)
-    clear_plan_cache()
     m = Machine(n_procs=4)
     g = ProcessorGrid((2, 2))
     u = DistArray(f.shape, g, dist=("block", "block"), name="u")

@@ -3,18 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.compiler import clear_plan_cache
 from repro.lang import ProcessorGrid
 from repro.machine import Machine
 from repro.tensor.multigrid3d import mg3_reference, mg3_solve, mg3_vcycle_ref
 from repro.tensor.poisson import Coeffs3D, manufactured_3d, residual_norm_3d
-
-
-@pytest.fixture(autouse=True)
-def _fresh():
-    clear_plan_cache()
-    yield
-    clear_plan_cache()
 
 
 def test_reference_residual_reduction_per_cycle():
@@ -61,11 +53,9 @@ def test_distribution_ablation_same_numerics_different_comm():
     """Section 5: distribution choice changes comm, not results."""
     n = 8
     _, f = manufactured_3d(n)
-    clear_plan_cache()
     m1 = Machine(n_procs=4)
     u1, t1 = mg3_solve(m1, ProcessorGrid((2, 2)), f, cycles=1,
                        dist=("*", "block", "block"))
-    clear_plan_cache()
     m2 = Machine(n_procs=4)
     u2, t2 = mg3_solve(m2, ProcessorGrid((4,)), f, cycles=1,
                        dist=("*", "*", "block"))
@@ -96,7 +86,6 @@ def test_3d_distribution_parallel_line_solves():
     the tridiagonal solves in mg2 would have been parallel.'"""
     n = 8
     _, f = manufactured_3d(n)
-    clear_plan_cache()
     m = Machine(n_procs=8)
     u, trace = mg3_solve(m, ProcessorGrid((2, 2, 2)), f, cycles=1,
                          dist=("block", "block", "block"))

@@ -35,6 +35,7 @@ splits its Compute op on this count; see ``LoopAnalysis.interior_count``.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.lang.array import BaseDistArray
 from repro.lang.doall import Doall
 from repro.lang.expr import compile_expr
 from repro.util.errors import CompileError
+from repro.util.indexing import mesh_shape, open_mesh
 
 
 class ReadPlan:
@@ -83,24 +85,22 @@ class ReadPlan:
         array = self.array
         ts = TransferSchedule("gather", rank=rank, grid=array.grid)
         if self.needed is not None:
+            def workspace_box(lists):
+                return open_mesh(
+                    [acc.positions_in(n, g) for n, g in zip(self.needed, lists)]
+                )
+
             for src in sorted(self.recv_from):
-                lists = self.recv_from[src]
-                pos = np.ix_(
-                    *(acc.positions_in(n, g) for n, g in zip(self.needed, lists))
-                )
-                ts.recvs.append((src, pos))
+                ts.recvs.append((src, workspace_box(self.recv_from[src])))
             if self.own_overlap is not None:
-                ts.self_dst = np.ix_(
-                    *(
-                        acc.positions_in(n, g)
-                        for n, g in zip(self.needed, self.own_overlap)
-                    )
-                )
+                ts.self_dst = workspace_box(self.own_overlap)
         if array.grid.contains(rank):
             if self.own_overlap is not None:
-                ts.self_src = np.ix_(*local_positions(array, self.own_overlap))
+                ts.self_src = open_mesh(local_positions(array, self.own_overlap))
             for dst in sorted(self.send_to):
-                ts.sends.append((dst, np.ix_(*local_positions(array, self.send_to[dst]))))
+                ts.sends.append(
+                    (dst, open_mesh(local_positions(array, self.send_to[dst])))
+                )
         elif self.own_overlap is not None:
             # only reachable for a replicated array on a sub-grid: the
             # rank "overlaps" every element but stores no copy to read
@@ -380,8 +380,8 @@ class StepPlan:
       positions form a contiguous box -- the paper's stencils -- else a
       precomputed fancy gather), so replay never touches the expression
       AST or evaluates an affine index;
-    * per-statement store recipes: the open-mesh box (or its slice
-      form), frozen flat coordinates for non-box-decomposable writes
+    * per-statement store recipes: the open-mesh box, frozen flat
+      coordinates for non-box-decomposable writes
       (which the interpreted path re-derives every sweep), or the
       scatter TransferSchedule for remote writes;
     * the Compute labels and flop charges.
@@ -416,7 +416,7 @@ class StepPlan:
         "nbatch",
         "lead",
         "flat",
-        "analysis",
+        "_analysis",
         "shape",
         "n_points",
         "flops",
@@ -433,7 +433,11 @@ class StepPlan:
                  nbatch: int | None = None):
         self.rank = rank
         self.nbatch = nbatch
-        self.analysis = analysis
+        # weak: the analysis owns this plan (``step_plans``), so a strong
+        # back-reference would make every dropped plan -- and the
+        # workspaces it holds -- cyclic garbage that waits for the
+        # collector instead of dying with its Session
+        self._analysis = weakref.ref(analysis)
         iters = analysis.iters[rank]
         self.shape = iters.shape()
         self.n_points = iters.count()
@@ -516,7 +520,6 @@ class StepPlan:
                     self.stores.append(None)
                 elif wplan.local_box is not None:
                     locs, perm, boxshape = wplan.local_box
-                    box = freeze_positions(locs)
                     if nbatch is not None:
                         # pre-prefix the recipe so the batch driver's
                         # store is the same one-liner as the single one:
@@ -524,9 +527,7 @@ class StepPlan:
                         perm = (0,) + tuple(ax + 1 for ax in perm)
                         boxshape = (nbatch,) + boxshape
                     self.stores.append(
-                        ("box", sa.lhs_array,
-                         lead_sel + (locs if box is None else box),
-                         perm, boxshape)
+                        ("box", sa.lhs_array, lead_sel + locs, perm, boxshape)
                     )
                 else:
                     # non-box-decomposable all-local write: freeze the
@@ -554,8 +555,9 @@ class StepPlan:
         if not overlap:
             return 0, 0.0, self.n_points * scale, self.flops
         if self._split is None:
-            fpp = self.analysis.flops_per_point() * scale
-            interior = self.analysis.interior_count(self.rank)
+            analysis = self._analysis()  # alive: it is being replayed
+            fpp = analysis.flops_per_point() * scale
+            interior = analysis.interior_count(self.rank)
             remaining = self.n_points - interior
             self._split = (
                 interior * scale, interior * fpp,
@@ -568,37 +570,31 @@ def freeze_positions(pos) -> tuple | None:
     """Slice form of a broadcast-ready index tuple, or None.
 
     ``pos`` is a tuple of per-dimension position arrays as the workspace
-    fetch and the box store use them.  When it denotes a box -- each
-    entry varies along its own axis only, its values form a contiguous
-    ascending run, and slice indexing yields the *same result shape* the
-    fancy broadcast would (they differ when the indexed array has more
-    dimensions than the loop nest, e.g. ``A[i, k]`` in a 1-var loop) --
-    the equivalent basic (slice) indexing reads or writes the same
-    elements without the per-call fancy-index gather, returning views on
-    reads.  Anything else (strided runs, diagonal patterns,
-    multi-variable indices) returns None and the caller keeps the
-    precomputed fancy arrays.
+    fetch uses them.  When it denotes a box -- each entry varies along
+    its own axis only, its values form a contiguous ascending run
+    (:func:`~repro.util.indexing.open_mesh` decides), and slice indexing
+    yields the *same result shape* the fancy broadcast would (they
+    differ when the indexed array has more dimensions than the loop
+    nest, e.g. ``A[i, k]`` in a 1-var loop) -- the equivalent basic
+    (slice) indexing reads the same elements without the per-call
+    fancy-index gather, returning a view.  Anything else (diagonal
+    patterns, multi-variable indices, and strided runs, whose fetches
+    stay gathers so the rhs closures see the operands they always did)
+    returns None and the caller keeps the precomputed fancy arrays.
     """
     d = len(pos)
     arrays = [np.asarray(p) for p in pos]
-    fancy_shape = np.broadcast_shapes(*(p.shape for p in arrays))
-    out = []
-    sizes = []
     for k, p in enumerate(arrays):
         if p.ndim not in (0, d):
             return None
         if any(p.shape[ax] > 1 for ax in range(p.ndim) if ax != k):
             return None
-        flat = p.reshape(-1)
-        if flat.size == 0:
-            return None
-        if flat.size > 1 and not np.all(np.diff(flat) == 1):
-            return None
-        sizes.append(int(flat.size))
-        out.append(slice(int(flat[0]), int(flat[-1]) + 1))
-    if tuple(fancy_shape) != tuple(sizes):
+    box = open_mesh([p.reshape(-1) for p in arrays])
+    if not all(isinstance(s, slice) and s.step is None for s in box):
         return None
-    return tuple(out)
+    if np.broadcast_shapes(*(p.shape for p in arrays)) != mesh_shape(box):
+        return None
+    return box
 
 
 def frozen_flat_store(sa, iters: IterSet) -> tuple:
@@ -625,12 +621,14 @@ def freeze_box_store(array: BaseDistArray, idx_arrays, iters_shape: tuple):
     """Freeze an all-local write as an open-mesh box store.
 
     Returns ``(locs, perm, shape)`` -- a precomputed local-coordinate
-    open mesh, the transpose order mapping the iteration box onto
-    array-dimension order, and the target box shape -- or None when the
-    lhs index expressions do not decompose into one independent loop
-    axis per array dimension (e.g. ``A[i, i]``, or a loop variable
-    absent from the lhs so distinct iterations collide); the executor
-    then falls back to per-sweep flat coordinates.  The box costs
+    open mesh (:func:`~repro.util.indexing.open_mesh`: slices when the
+    box is a product of runs), the transpose order mapping the
+    iteration box onto array-dimension order, and the target box shape
+    -- or None when the lhs index expressions do not decompose into one
+    independent loop axis per array dimension (e.g. ``A[i, i]``, or a
+    loop variable absent from the lhs so distinct iterations collide);
+    the executor then falls back to per-sweep flat coordinates.  The
+    box costs
     O(extent-per-dim) memory in the cached analysis, where per-point
     coordinate arrays would cost O(iteration-points) per statement.
     """
@@ -661,7 +659,7 @@ def freeze_box_store(array: BaseDistArray, idx_arrays, iters_shape: tuple):
         return None  # an unconsumed iteration axis would collide writes
     perm = tuple([ax for ax in axes if ax is not None] + leftover)
     dims = local_positions(array, lists)
-    return np.ix_(*dims), perm, tuple(x.size for x in dims)
+    return open_mesh(dims), perm, tuple(x.size for x in dims)
 
 
 def local_positions(dims_owner, lists: list[np.ndarray]) -> list[np.ndarray]:

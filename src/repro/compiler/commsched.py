@@ -81,6 +81,7 @@ from repro.lang.array import BaseDistArray
 from repro.lang.procs import ProcessorGrid
 from repro.machine.ops import Barrier, Mark, Recv, Send, frozen_by_value
 from repro.util.errors import ValidationError
+from repro.util.indexing import open_mesh
 
 #: Transfer directions understood by the subsystem.
 DIRECTIONS = ("gather", "scatter", "repartition")
@@ -580,7 +581,7 @@ def repartition_pieces(array, new_dist, rank: int | None = None, new_grid=None):
         return owned_cache[key]
 
     def locs(dist, lists):
-        return np.ix_(*local_positions(dist, lists))
+        return open_mesh(local_positions(dist, lists))
 
     if old.replicated:
         # every rank of the old grid already stores the full array: a

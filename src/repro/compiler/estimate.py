@@ -18,6 +18,7 @@ overlap-aware executor's split Compute ops).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -26,6 +27,7 @@ from repro.compiler.commgen import LoopAnalysis
 from repro.compiler.schedule import PlanCache
 from repro.lang.doall import Doall
 from repro.machine.costmodel import CostModel
+from repro.util.indexing import mesh_shape
 
 
 @dataclass
@@ -176,10 +178,7 @@ class LoopEstimate:
 
 
 def _lists_nbytes(lists, itemsize: int) -> int:
-    n = 1
-    for x in lists:
-        n *= int(x.size)
-    return n * itemsize
+    return math.prod(mesh_shape(lists)) * itemsize
 
 
 def estimate_doall(

@@ -54,6 +54,7 @@ results, traces, and cache accounting (see docs/performance.md).
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -76,6 +77,7 @@ from repro.lang.doall import Doall
 from repro.lang.expr import BinOp, Const, Ref
 from repro.machine.ops import Compute, Mark, Recv, Send
 from repro.util.errors import CompileError, ValidationError
+from repro.util.indexing import mesh_shape
 
 #: Every live PlanCache (including session-owned ones), so that
 #: layout-invalidation hooks (``drop_plans_for_array``) reach plans no
@@ -678,14 +680,12 @@ def _index_nbytes(idx, itemsize: int) -> int:
     """Byte count of the payload a source-side index selection reads.
 
     Matches ``read(idx).nbytes`` for the two frozen send-index forms: an
-    open-mesh ``np.ix_`` tuple (gather sends; payload size is the
-    product of the per-dimension sizes) and a flat selection array
-    (scatter sends into the value vector).
+    :func:`~repro.util.indexing.open_mesh` box (gather sends; payload
+    size is the product of the per-dimension sizes) and a flat selection
+    array (scatter sends into the value vector).
     """
     if isinstance(idx, tuple):
-        n = 1
-        for a in idx:
-            n *= int(np.asarray(a).size)
+        n = math.prod(mesh_shape(idx))
     else:
         n = int(np.asarray(idx).size)
     return n * int(itemsize)

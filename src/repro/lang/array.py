@@ -20,6 +20,7 @@ from repro.lang.dist import BoundDim, Distribution
 from repro.lang.expr import AffineExpr, LoopVar, Ref
 from repro.lang.procs import ProcessorGrid
 from repro.util.errors import ValidationError
+from repro.util.indexing import open_mesh
 
 
 def _is_index_expr(x) -> bool:
@@ -183,11 +184,22 @@ class BaseDistArray:
             out.append(self.dim(k).owned_indices(coords[g] if g is not None else 0))
         return out
 
+    def _owned_meshes(self) -> list[tuple]:
+        """``(rank, selection of its owned box in the global array)`` per
+        rank, re-derived only when the layout epoch has moved."""
+        cached = getattr(self, "_meshes", None)
+        if cached is None or cached[0] != self.comm_epoch:
+            cached = self._meshes = (
+                self.comm_epoch,
+                [(r, open_mesh(self.owned_lists(r))) for r in self.grid.linear],
+            )
+        return cached[1]
+
     def to_global(self) -> np.ndarray:
         """Assemble the full global array (test/benchmark helper)."""
         out = np.zeros(self.shape, dtype=self.dtype)
-        for rank in self.grid.linear:
-            out[np.ix_(*self.owned_lists(rank))] = self.local(rank)
+        for rank, mesh in self._owned_meshes():
+            out[mesh] = self.local(rank)
         return out
 
     def from_global(self, arr: np.ndarray) -> None:
@@ -195,8 +207,8 @@ class BaseDistArray:
         arr = np.asarray(arr, dtype=self.dtype)
         if arr.shape != self.shape:
             raise ValidationError(f"shape {arr.shape} != array shape {self.shape}")
-        for rank in self.grid.linear:
-            self.local(rank)[...] = arr[np.ix_(*self.owned_lists(rank))]
+        for rank, mesh in self._owned_meshes():
+            self.local(rank)[...] = arr[mesh]
 
 
 class DistArray(BaseDistArray):

@@ -59,8 +59,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from repro.machine.costmodel import CostModel
 from repro.util.errors import ValidationError
 
-#: Calibration wire-format version; bump on incompatible field changes.
-CALIBRATION_VERSION = 1
+#: Calibration version; bump on incompatible field changes *and* when
+#: the measured replay path changes cost (2: box moves replay as strided
+#: copies, roughly halving ``sweep_overhead`` -- fits measured on the
+#: fancy-index replay must be re-measured, not fed to the tuner).
+CALIBRATION_VERSION = 2
 
 #: The compute families measured, in order; each exercises a different
 #: ufunc mix through the compiled StepPlan closures.

@@ -25,9 +25,11 @@ lowers exactly the frozen artifacts the compiler already produces:
   move through preallocated shared slots -- no pickling, no payload
   copies through a queue, per sweep.
 * **steady-state replay as real execution**: a sweep is two (three with
-  remote writes) barrier-separated phases per loop -- fill the gather
-  slots and do local moves; drain slots into workspaces, evaluate the
-  prebound statement closures, store; apply incoming scatter values.
+  remote writes) phases per loop -- fill the gather slots and do local
+  moves; drain slots into workspaces, evaluate the prebound statement
+  closures, store; apply incoming scatter values -- separated by one
+  barrier (three with remote writes); slots are double-buffered on the
+  sweep parity, so no barrier is needed just to reuse them.
   The phase structure realizes the same copy-in/copy-out semantics the
   event-driven simulator enforces through virtual time, so the floats
   are bit-identical.
@@ -69,6 +71,7 @@ from repro.machine.simulator import Machine
 from repro.machine.topology import Topology
 from repro.machine.trace import Trace
 from repro.util.errors import MachineError, ValidationError
+from repro.util.indexing import mesh_shape
 
 #: Live worker pools, closed at interpreter exit as a safety net (the
 #: backend closes its pool deterministically; this catches abandoned
@@ -378,7 +381,7 @@ class _LoopStep:
     """
 
     __slots__ = (
-        "gather_sends",   # (slot, block, src_idx): slot[...] = block[src_idx]
+        "gather_sends",   # (slot, block, src_idx): slot[parity] = block[src_idx]
         "local_moves",    # (buf, dst_idx, block, src_idx)
         "gather_recvs",   # (buf, dst_idx, slot): buf[dst_idx] = slot
         "evals",          # the StepPlan's prebound rhs closures
@@ -448,7 +451,7 @@ def _build_script(analyses, me: int, slots: dict) -> list[_LoopStep]:
     return steps
 
 
-def _run_step(step: _LoopStep, barrier) -> None:
+def _run_step(step: _LoopStep, barrier, parity: int) -> None:
     """One sweep of one loop on one worker.
 
     Phase A fills this rank's outgoing gather slots from its (pre-store)
@@ -457,20 +460,28 @@ def _run_step(step: _LoopStep, barrier) -> None:
     before any rank stores, which is exactly the ordering the simulator
     enforces by sending pre-store payloads.  Phase B drains incoming
     slots into the workspaces, evaluates the prebound closures, and
-    stores (filling scatter slots for remote writes).  Phase C -- only
-    when the loop scatters at all -- applies incoming scatter values
-    after a second barrier.  The trailing barrier protects slot reuse
-    by the next loop/sweep.  Every rank executes the same barrier
-    count per step (the phase structure depends only on loop-level
-    facts), so the pool can never split-brain.
+    stores (filling scatter slots for remote writes).  A loop without
+    remote writes ends there, one barrier per sweep: every slot has two
+    halves and a sweep uses the half of its ``parity`` (the worker's
+    sweep count & 1), so a fast rank filling the next sweep's slots
+    never touches what a slow peer is still draining -- it cannot come
+    back to the same half without first passing the next sweep's
+    barrier, which that peer reaches only after its drain.  Phase C --
+    only when the loop scatters at all -- applies incoming scatter
+    values after a second barrier, and keeps the closing third one it
+    always had (the parity halves would cover it too; scatter steps are
+    on no measured path, so their fence stays conservative).
+    Every rank executes the same barrier count per step (the phase
+    structure depends only on loop-level facts), so the pool can never
+    split-brain.
     """
     for slot, block, src_idx in step.gather_sends:
-        slot[...] = block[src_idx]
+        slot[parity] = block[src_idx]
     for buf, dst_idx, block, src_idx in step.local_moves:
         buf[dst_idx] = block[src_idx]
     barrier.wait()
     for buf, dst_idx, slot in step.gather_recvs:
-        buf[dst_idx] = slot
+        buf[dst_idx] = slot[parity]
     values_by_stmt = [None if fn is None else fn() for fn in step.evals]
     for values, store in zip(values_by_stmt, step.stores):
         if store is None:
@@ -488,12 +499,12 @@ def _run_step(step: _LoopStep, barrier) -> None:
             if self_src is not None:
                 block[self_dst] = flat[self_src]
             for slot, sel in sends:
-                slot[...] = flat[sel]
+                slot[parity] = flat[sel]
     if step.has_remote:
         barrier.wait()
         for block, piece, slot in step.scatter_recvs:
-            block[piece] = slot
-    barrier.wait()
+            block[piece] = slot[parity]
+        barrier.wait()
 
 
 def _worker_main(rank: int, conn, barrier, steps: list[_LoopStep]) -> None:
@@ -513,7 +524,7 @@ def _worker_main(rank: int, conn, barrier, steps: list[_LoopStep]) -> None:
             for _ in range(msg[1]):
                 _maybe_inject_fault(rank, sweeps_done)
                 for step in steps:
-                    _run_step(step, barrier)
+                    _run_step(step, barrier, sweeps_done & 1)
                 sweeps_done += 1
             conn.send(("ok", rank))
         except Exception:
@@ -602,11 +613,13 @@ class _WorkerPool:
         sender's :class:`~repro.compiler.commgen.StepPlan` records --
         the same records :func:`_build_script` binds, so wire names are
         defined once, by the plan.  Each schedule sends at most one
-        message per (destination, wire) per sweep, so a slot is written
-        exactly once between barriers.  Gather slots take the sender's
-        open-mesh payload shape (identical to the receiver's workspace
-        positions shape -- both sides froze the same per-dimension
-        global index lists); scatter slots are flat value runs.
+        message per (destination, wire) per sweep, so a slot half is
+        written exactly once between barriers.  The leading axis of
+        extent 2 is the sweep parity :func:`_run_step` alternates
+        between.  Gather slots take the sender's open-mesh payload shape
+        (identical to the receiver's workspace positions shape -- both
+        sides froze the same per-dimension global index lists); scatter
+        slots are flat value runs.
         """
         for n, analysis in enumerate(analyses):
             for rank in self.ranks:
@@ -615,18 +628,16 @@ class _WorkerPool:
                     if sched is None:
                         continue
                     for dst, src_idx in sched.sends:
-                        shape = tuple(int(np.asarray(a).size) for a in src_idx)
-                        self._slots[(n, wire, rank, dst)] = (
-                            self._shm_ndarray(shape, array.dtype)
+                        self._slots[(n, wire, rank, dst)] = self._shm_ndarray(
+                            (2,) + mesh_shape(src_idx), array.dtype
                         )
                 for store in plan.stores:
                     if store is None or store[0] != "transfer":
                         continue
                     _, array, sched, wire = store
                     for dst, sel in sched.sends:
-                        shape = (int(np.asarray(sel).size),)
-                        self._slots[(n, wire, rank, dst)] = (
-                            self._shm_ndarray(shape, array.dtype)
+                        self._slots[(n, wire, rank, dst)] = self._shm_ndarray(
+                            (2, int(np.asarray(sel).size)), array.dtype
                         )
 
     # -- driving ----------------------------------------------------------

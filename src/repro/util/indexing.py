@@ -7,6 +7,8 @@ the language layer converts at its boundary.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.util.errors import ValidationError
 
 
@@ -70,3 +72,56 @@ def range_length(lo: int, hi: int, step: int = 1) -> int:
 def intersect_ranges(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """Intersection of two half-open ranges; empty results have hi <= lo."""
     return max(a[0], b[0]), min(a[1], b[1])
+
+
+def open_mesh(lists) -> tuple:
+    """Numpy selection of the box ``lists[0] x lists[1] x ...``.
+
+    The one place a per-dimension index-list box becomes something to
+    subscript an array with.  When every list is a non-empty ascending
+    arithmetic run of non-negative integers the box is a tuple of basic
+    slices -- ``slice(a, b)``, or ``slice(a, b, step)`` for a constant
+    stride > 1 (a cyclic section) -- which numpy executes as a strided
+    copy and reads as a view; anything else (irregular, descending,
+    duplicated, empty) is the ``np.ix_`` open mesh, a per-element
+    gather.  Both forms select the same elements in the same order.
+
+    >>> open_mesh([np.arange(2, 5), np.array([0, 3, 6])])
+    (slice(2, 5, None), slice(0, 7, 3))
+    >>> open_mesh([np.array([0, 1, 3]), np.arange(2)])
+    (array([[0],
+           [1],
+           [3]]), array([[0, 1]]))
+    """
+    out = []
+    for x in lists:
+        x = np.asarray(x)
+        if x.ndim != 1 or x.size == 0 or x.dtype.kind not in "iu":
+            return np.ix_(*lists)
+        first, last = int(x[0]), int(x[-1])
+        step, rem = divmod(last - first, x.size - 1) if x.size > 1 else (1, 0)
+        # the endpoints fix the only run the list could be; one byte
+        # compare against it keeps the whole call at about the cost of
+        # the np.ix_ it replaces (this sits on the compile path)
+        if first < 0 or step < 1 or rem or x.tobytes() != np.arange(
+            first, last + 1, step, dtype=x.dtype
+        ).tobytes():
+            return np.ix_(*lists)
+        out.append(slice(first, last + 1) if step == 1
+                   else slice(first, last + 1, step))
+    return tuple(out)
+
+
+def mesh_shape(idx) -> tuple[int, ...]:
+    """Shape of what an :func:`open_mesh` selection reads or writes.
+
+    >>> mesh_shape(open_mesh([np.arange(2, 5), np.array([0, 3, 6, 9])]))
+    (3, 4)
+    >>> mesh_shape(open_mesh([np.array([0, 1, 3]), np.arange(2)]))
+    (3, 2)
+    """
+    return tuple(
+        len(range(s.start, s.stop, s.step or 1)) if isinstance(s, slice)
+        else int(s.size)
+        for s in idx
+    )

@@ -406,6 +406,29 @@ def test_step_plan_is_memoized_per_rank():
     assert set(analysis.step_plans) == {0, 1, 2, 3}
 
 
+def test_dropped_session_frees_its_plans_without_the_collector():
+    """analysis -> step_plans -> StepPlan must not point back strongly:
+    a dropped Session's plans (and the workspaces they own) die by
+    refcount, not whenever the cycle collector next happens to run."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        prog, X = stencil_program(12, 2, compiled=True)
+        prog.run(iters=2, overlap=True)  # overlap: charges() walks the back-ref
+        (analysis,) = [v for (kind, _), (v, _) in
+                       prog.session.plans._entries.items() if kind == "doall"]
+        ref = weakref.ref(analysis)
+        plan_ref = weakref.ref(analysis.step_plan(0).evals[0])
+        del analysis, prog, X
+        assert ref() is None, "LoopAnalysis survived its Session"
+        assert plan_ref() is None, "StepPlan closures survived their analysis"
+    finally:
+        gc.enable()
+
+
 # ----------------------------------------------------------------------
 # Cheap-marks mode
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import repro
 from repro import DistArray, Machine, ProcessorGrid, Session
 from repro.compiler.commsched import repartition_pieces
 from repro.util.errors import ValidationError
+from repro.util.indexing import mesh_shape
 
 
 def make_array(shape, grid, dist, seed=3):
@@ -86,11 +87,10 @@ def test_pieces_cover_destination_exactly():
     counts = np.zeros(13, dtype=int)
     for src, dst, src_locs, dst_locs in repartition_pieces(A, new, new_grid=g_dst):
         assert src in g_src.linear and dst in g_dst.linear
-        n = np.asarray(src_locs[0]).size
-        assert n == np.asarray(dst_locs[0]).size
+        assert mesh_shape(src_locs) == mesh_shape(dst_locs)
         # count coverage through the destination's owned positions
         owned = new.owned_lists(g_dst.coords_of(dst))[0]
-        counts[np.asarray(owned)[np.asarray(dst_locs[0])]] += 1
+        counts[np.asarray(owned)[dst_locs[0]]] += 1
     np.testing.assert_array_equal(counts, np.ones(13, dtype=int))
 
 

@@ -227,6 +227,99 @@ def test_fault_hook_inert_when_disarmed():
 
 
 # ----------------------------------------------------------------------
+# One barrier per sweep: parity slots instead of a slot-reuse fence
+# ----------------------------------------------------------------------
+
+
+def trace_sig(trace):
+    return (
+        [(m.src, m.dst, m.tag, m.nbytes, m.t_send, m.t_arrive, m.t_recv)
+         for m in trace.messages],
+        [(m.proc, m.label, m.payload) for m in trace.marks],
+        [(c.proc, c.start, c.end, c.label) for c in trace.computes],
+    )
+
+
+def test_single_barrier_survives_rank_skew():
+    """One rank dawdles in its eval on alternating sweeps, so its peer
+    is a whole fill ahead of it half the time: with one barrier per
+    sweep the peer's next fill must land in the other slot half, never
+    in the one the slow rank has yet to drain."""
+    import time
+
+    ref, Xr = jacobi_program(12, 2, backend=None)
+    prog, X = jacobi_program(12, 2, backend="multiprocessing")
+    analysis, _ = prog.session.plans.analysis(prog.loops[0], count=False)
+    evals = analysis.step_plan(1).evals  # inherited by rank 1's worker at fork
+    fn, calls = evals[0], [0]
+
+    def slow_every_other_sweep():
+        calls[0] += 1
+        if calls[0] % 2:
+            time.sleep(0.002)
+        return fn()
+
+    evals[0] = slow_every_other_sweep
+    want, got = ref.run(iters=60), prog.run(iters=60)
+    prog.session._mp_backend.close()
+    np.testing.assert_array_equal(X.to_global(), Xr.to_global())
+    assert trace_sig(got) == trace_sig(want)
+
+
+@pytest.mark.parametrize("remote,per_sweep", [(False, 1), (True, 3)])
+def test_run_step_barrier_count(remote, per_sweep):
+    """_run_step waits once per sweep for a loop without remote writes
+    and three times with: counted on the real scripts, one thread per
+    rank, against the simulator's result."""
+    import threading
+
+    from repro.machine.mpbackend import _build_script, _run_step, _WorkerPool
+
+    def program():
+        g = ProcessorGrid((4,))
+        A = DistArray((17,), g, dist=("block",), name="A")
+        B = DistArray((17,), g, dist=("cyclic" if remote else "block",), name="B")
+        A.from_global(np.arange(17.0))
+        (i,) = loopvars("i")
+        loop = Doall(vars=(i,), ranges=[(1, 15)], on=Owner(A, (i,)),
+                     body=[Assign(B[i], A[i - 1] + 2.0 * A[i + 1])], grid=g)
+        sess = Session(Machine(n_procs=4), g)
+        return repro.compile(loop, session=sess), B, g
+
+    (prog, B, g), (ref, Br, _) = program(), program()
+    ref.run(iters=3)
+
+    analysis, _ = prog.session.plans.analysis(prog.loops[0], count=False)
+    assert analysis.has_remote_writes == remote
+    pool = object.__new__(_WorkerPool)  # the slot table, minus shm and forks
+    pool.ranks, pool._slots = list(g.linear), {}
+    pool._shm_ndarray = lambda shape, dtype: np.zeros(shape, dtype)
+    pool._build_slots([analysis])
+
+    waits = {r: 0 for r in g.linear}
+    barrier = threading.Barrier(g.size)
+
+    def worker(rank):
+        class Counted:
+            def wait(self):
+                waits[rank] += 1
+                barrier.wait(timeout=30)
+
+        (step,) = _build_script([analysis], rank, pool._slots)
+        for sweep in range(3):
+            _run_step(step, Counted(), sweep & 1)
+
+    threads = [threading.Thread(target=worker, args=(r,)) for r in g.linear]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert waits == {r: 3 * per_sweep for r in g.linear}
+    np.testing.assert_array_equal(B.to_global(), Br.to_global())
+
+
+# ----------------------------------------------------------------------
 # Run ids: unique across processes (forked workers inherit the counter)
 # ----------------------------------------------------------------------
 

@@ -30,6 +30,7 @@ DEFAULT_MODULES = [
     "repro.serve",
     "repro.session",
     "repro.supervise",
+    "repro.util.indexing",
 ]
 
 

@@ -32,24 +32,32 @@ schedules and the write-side scatter schedules both replay from the
 cached analysis without re-deriving any index list.
 
 Two executors drive the phases.  The default compiled path
-(``compiled=True``) replays the rank's frozen
+(``Session(compiled=True)``) replays the rank's frozen
 :class:`~repro.compiler.commgen.StepPlan`: statement right-hand sides
 lowered once into closures over pre-bound numpy ufuncs, array
 references pre-resolved to workspace positions (slice views for box
 patterns), store coordinates frozen, workspaces persistent -- the
 steady-state sweep never walks an expression AST or evaluates an
-affine index.  That replay exists once: :func:`_replay` is the only
-walk of a StepPlan, and :func:`replay_analysis` (a single run),
+affine index.  The StepPlan record layout and the phase order of a sweep
+are known to this module only, in two walks kept apart on purpose.
+:func:`_replay` is the generator the simulator drives (ops out, trace
+recorded), and :func:`replay_analysis` (a single run),
 :func:`replay_batch_analysis` (``Program.run_batch``: B bindings behind
 a leading batch axis) and :func:`shadow_replay_analysis` (the
 multiprocessing backend's data-free trace oracle) are thin entry points
-that differ only in where they say the rank's blocks live.  Around it,
+that differ only in where they say the rank's blocks live.
+:func:`replay_direct` is the same sweep for a forked multiprocessing
+worker -- plain calls, preallocated slots for the wire, a fence between
+phases -- with :func:`outgoing` telling the pool which slots that takes;
+a worker must not pay for a generator and the simulator needs one, so
+neither walk branches on its caller.  Around them,
 :func:`replay_sweeps` is the one sweep driver -- resolve each loop's
 analysis at its first execution of a run, count later sweeps as
 replays -- that every run loop iterates.  The interpreted path
-(``compiled=False``) re-derives positions and walks the ASTs per sweep
-and is kept as the reference semantics; both produce bit-identical
-results, traces, and cache accounting (see docs/performance.md).
+(``Session(compiled=False)``) re-derives positions and walks the ASTs
+per sweep and is kept as the reference semantics; both produce
+bit-identical results, traces, and cache accounting (see
+docs/performance.md).
 """
 
 from __future__ import annotations
@@ -308,7 +316,7 @@ def _eval_expr(expr, workspaces: dict[int, _Workspace], iters) -> np.ndarray | f
     raise CompileError(f"cannot evaluate expression {expr!r}")
 
 
-def execute_doall(ctx, loop: Doall, overlap: bool = False, compiled: bool | None = None):
+def execute_doall(ctx, loop: Doall, overlap: bool = False):
     """Yield the machine ops realizing this rank's share of ``loop``.
 
     With ``overlap=True`` the interior iteration points (reads all
@@ -316,20 +324,18 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False, compiled: bool | None
     computation proceeding while remote values are in flight; the wire
     content is unchanged.
 
-    ``compiled`` selects the executor: True (the default, inherited from
-    the context / its Session) replays the rank's frozen
-    :class:`~repro.compiler.commgen.StepPlan` -- prebound numpy calls,
-    no per-sweep expression interpretation; False runs the interpreted
-    reference path.  Both produce bit-identical results, traces, and
-    cache accounting.
+    The context's Session selects the executor (``Session(compiled=)``):
+    by default the rank's frozen
+    :class:`~repro.compiler.commgen.StepPlan` replays -- prebound numpy
+    calls, no per-sweep expression interpretation; ``compiled=False``
+    Sessions run the interpreted reference path.  Both produce
+    bit-identical results, traces, and cache accounting.
     """
     me = ctx.rank
     if not loop.grid.contains(me):
         raise CompileError(f"rank {me} executing doall outside its grid")
     analysis, reused = ctx.session.plans.analysis(loop)
-    yield from replay_analysis(
-        ctx, analysis, overlap=overlap, compiled=compiled, reused=reused
-    )
+    yield from replay_analysis(ctx, analysis, overlap=overlap, reused=reused)
 
 
 def replay_sweeps(plans: PlanCache, loops, iters: int):
@@ -359,8 +365,7 @@ def replay_sweeps(plans: PlanCache, loops, iters: int):
 
 
 def replay_analysis(
-    ctx, analysis: LoopAnalysis, overlap: bool = False,
-    compiled: bool | None = None, reused: bool = True,
+    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
 ):
     """Drive one rank's share of an already-resolved doall analysis.
 
@@ -371,9 +376,7 @@ def replay_analysis(
     ``commsched/hit`` vs ``commsched/build`` mark, mirroring what a
     probe would have reported.
     """
-    if compiled is None:
-        compiled = getattr(ctx, "compiled", True)
-    if compiled:
+    if ctx.session.compiled:
         yield from _replay(
             ctx, analysis, overlap, reused, methodcaller("local", ctx.rank)
         )
@@ -522,6 +525,101 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
         else:  # "flat"
             block_of(array)[store[2]] = values.reshape(plan.flat)
+
+
+def outgoing(plan):
+    """Yield ``(wire, dst, payload shape, dtype)`` per message the
+    plan's rank sends in one sweep -- gather sends first, then scatter
+    sends: what a transport must provision for :func:`replay_direct`.
+    A gather payload keeps the sender's open-mesh shape (the receiver
+    froze the same per-dimension global index lists, so its workspace
+    positions have that shape too); a scatter payload is a flat value run.
+    """
+    for wire, array, sched, _buf in plan.reads:
+        if sched is not None:
+            for dst, idx in sched.sends:
+                yield wire, dst, _payload_shape(idx), array.dtype
+    for store in plan.stores:
+        if store is not None and store[0] == "transfer":
+            _, array, sched, wire = store
+            for dst, sel in sched.sends:
+                yield wire, dst, _payload_shape(sel), array.dtype
+
+
+def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> None:
+    """One sweep of a single-run StepPlan with preallocated slots as the wire.
+
+    The multiprocessing workers' walk: the records and the phase order
+    of :func:`_replay`, with no generator, no ops and no trace (the
+    oracle stream accounts for the sweep).  ``slots`` maps
+    ``(wire, src, dst)`` to a buffer shaped ``(2,) +`` the payload shape
+    :func:`outgoing` reports, visible to both ranks; ``fence()`` returns
+    once every rank of the loop has called it.
+
+    Phase A fills this rank's outgoing gather slots from its (pre-store)
+    blocks and copies owned data into the plan workspaces -- the fence
+    then guarantees every rank's copy-in snapshot is complete before any
+    rank stores, which is exactly the ordering the simulator enforces by
+    sending pre-store payloads.  Phase B drains incoming slots into the
+    workspaces, evaluates the prebound closures, and stores (filling
+    scatter slots for remote writes).  A loop without remote writes ends
+    there, one fence per sweep: every slot has two halves and a sweep
+    uses the half of its ``parity`` (the rank's sweep count & 1), so a
+    fast rank filling the next sweep's slots never touches what a slow
+    peer is still draining -- it cannot come back to the same half
+    without first passing the next sweep's fence, which that peer
+    reaches only after its drain.  Phase C -- only when the loop
+    scatters at all (``has_remote``) -- applies incoming scatter values
+    after a second fence, and keeps a closing third one (the parity
+    halves would cover it too; scatter steps are on no measured path, so
+    their fence stays conservative).  Every rank executes the same fence
+    count per sweep (the phase structure depends only on loop-level
+    facts), so the ranks can never split-brain.
+
+    Blocks are resolved through ``array.local(rank)`` per sweep, never
+    captured, for the reason :func:`_replay` gives.
+    """
+    me = plan.rank
+    for wire, array, sched, buf in plan.reads:
+        if sched is None or not (sched.sends or sched.self_src is not None):
+            continue
+        block = array.local(me)
+        for dst, idx in sched.sends:
+            slots[wire, me, dst][parity] = block[idx]
+        if buf is not None and sched.self_src is not None:
+            buf[sched.self_dst] = block[sched.self_src]
+    fence()
+    for wire, _array, sched, buf in plan.reads:
+        if sched is not None:
+            for src, idx in sched.recvs:
+                buf[idx] = slots[wire, src, me][parity]
+
+    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
+
+    for values, store in zip(stmt_vals, plan.stores):
+        if store is None:
+            continue
+        op, array = store[0], store[1]
+        if op == "transfer":
+            sched, wire = store[2], store[3]
+            flat = None if values is None else values.reshape(-1)
+            for dst, sel in sched.sends:
+                slots[wire, me, dst][parity] = flat[sel]
+            if sched.self_src is not None:
+                array.local(me)[sched.self_dst] = flat[sched.self_src]
+        elif op == "box":
+            _, _, locs, perm, boxshape = store
+            array.local(me)[locs] = values.transpose(perm).reshape(boxshape)
+        else:  # "flat"
+            array.local(me)[store[2]] = values.reshape(-1)
+    if has_remote:
+        fence()
+        for store in plan.stores:
+            if store is not None and store[0] == "transfer":
+                _, array, sched, wire = store
+                for src, piece in sched.recvs:
+                    array.local(me)[piece] = slots[wire, src, me][parity]
+        fence()
 
 
 def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
@@ -676,19 +774,21 @@ def _flat_local_store(sa, iters, rank: int, values: np.ndarray) -> None:
     array.local(rank)[locs] = values.reshape(-1)
 
 
-def _index_nbytes(idx, itemsize: int) -> int:
-    """Byte count of the payload a source-side index selection reads.
+def _payload_shape(idx) -> tuple:
+    """Shape of the payload a source-side index selection reads.
 
-    Matches ``read(idx).nbytes`` for the two frozen send-index forms: an
-    :func:`~repro.util.indexing.open_mesh` box (gather sends; payload
-    size is the product of the per-dimension sizes) and a flat selection
-    array (scatter sends into the value vector).
+    Covers the two frozen send-index forms: an
+    :func:`~repro.util.indexing.open_mesh` box (gather sends) and a flat
+    selection array (scatter sends into the value vector).
     """
     if isinstance(idx, tuple):
-        n = math.prod(mesh_shape(idx))
-    else:
-        n = int(np.asarray(idx).size)
-    return n * int(itemsize)
+        return mesh_shape(idx)
+    return (int(np.asarray(idx).size),)
+
+
+def _index_nbytes(idx, itemsize: int) -> int:
+    """Byte count of that payload: matches ``read(idx).nbytes``."""
+    return math.prod(_payload_shape(idx)) * int(itemsize)
 
 
 def _reader(flat: np.ndarray | None):

@@ -97,8 +97,6 @@ class Checkpoint:
         #: (:class:`~repro.machine.calibrate.CalibratedCostModel`) at
         #: capture time, or None -- restoring carries it over, so a
         #: restored session keeps autotuning without re-profiling.
-        #: Read with ``getattr(ckpt, "calibration", None)`` so pickles
-        #: written before this field existed still load.
         self.calibration = calibration
         #: sweep cursor: sweeps completed (within the checkpointed run
         #: span) when this snapshot was taken -- recovery resumes here
@@ -178,16 +176,16 @@ class Checkpoint:
         from the delta, which always captures it.  Raises unless
         ``base`` is the full snapshot this delta was diffed against.
         """
-        if _kind_of(self) != "incremental":
+        if self.kind != "incremental":
             raise ValidationError(
-                f"merged() applies to incremental checkpoints, not {_kind_of(self)!r}"
+                f"merged() applies to incremental checkpoints, not {self.kind!r}"
             )
-        if _kind_of(base) != "full":
+        if base.kind != "full":
             raise ValidationError("merge base must be a full checkpoint")
-        if getattr(base, "ckpt_id", None) != self.base_id:
+        if base.ckpt_id != self.base_id:
             raise ValidationError(
                 f"incremental checkpoint was diffed against base "
-                f"{self.base_id!r}, not {getattr(base, 'ckpt_id', None)!r} "
+                f"{self.base_id!r}, not {base.ckpt_id!r} "
                 "-- merging against the wrong base would mix states"
             )
         states = []
@@ -200,7 +198,7 @@ class Checkpoint:
             states.append(dict(state, arrays=snaps))
         return Checkpoint(
             runs=self.runs, history=self.history, programs=states,
-            calibration=getattr(self, "calibration", None),
+            calibration=self.calibration,
             sweep=self.sweep, kind="full",
         )
 
@@ -218,9 +216,9 @@ class Checkpoint:
             "arrays": sum(len(s["arrays"]) for s in self.programs),
             "grids": [s["grid_shape"] for s in self.programs],
             "nbytes": nbytes,
-            "kind": _kind_of(self),
-            "sweep": getattr(self, "sweep", 0),
-            "calibrated": getattr(self, "calibration", None) is not None,
+            "kind": self.kind,
+            "sweep": self.sweep,
+            "calibrated": self.calibration is not None,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -234,11 +232,6 @@ class Checkpoint:
 # ----------------------------------------------------------------------
 # Shared helpers
 # ----------------------------------------------------------------------
-
-
-def _kind_of(ckpt) -> str:
-    """``ckpt.kind``, tolerating pickles written before the field."""
-    return getattr(ckpt, "kind", "full")
 
 
 def _loop_programs(session) -> list:
@@ -383,7 +376,7 @@ def checkpoint(session, *, sweep: int = 0, base: Checkpoint | None = None,
     """
     if programs is None:
         programs = _loop_programs(session)
-    if base is not None and _kind_of(base) != "full":
+    if base is not None and base.kind != "full":
         raise ValidationError(
             "incremental checkpoints diff against a *full* base snapshot"
         )
@@ -426,7 +419,7 @@ def checkpoint(session, *, sweep: int = 0, base: Checkpoint | None = None,
                 ]
         return Checkpoint(
             runs=session.runs, history=list(session.history), programs=states,
-            calibration=getattr(session, "calibration", None),
+            calibration=session.calibration,
             sweep=sweep,
             kind="full" if base is None else "incremental",
             base_id=None if base is None else base.ckpt_id,
@@ -457,7 +450,7 @@ def restore(session, ckpt: Checkpoint, *, base: Checkpoint | None = None,
     """
     if not isinstance(ckpt, Checkpoint):
         raise ValidationError(f"restore() needs a Checkpoint, got {type(ckpt).__name__}")
-    if _kind_of(ckpt) == "incremental":
+    if ckpt.kind == "incremental":
         if base is None:
             raise ValidationError(
                 "restoring an incremental checkpoint needs base= (the full "
@@ -503,11 +496,10 @@ def restore(session, ckpt: Checkpoint, *, base: Checkpoint | None = None,
             with session._lock:
                 session.runs = ckpt.runs
                 session.history = list(ckpt.history)[-session.max_history:]
-                # older pickles predate the field: leave the session's
-                # own calibration alone rather than clearing it
-                cal = getattr(ckpt, "calibration", None)
-                if cal is not None:
-                    session.calibration = cal
+                # an uncalibrated checkpoint leaves the session's own
+                # calibration alone rather than clearing it
+                if ckpt.calibration is not None:
+                    session.calibration = ckpt.calibration
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,6 @@ class KaliCtx:
         grid: ProcessorGrid,
         run_id: int | None = None,
         session=None,
-        compiled: bool | None = None,
         marks: str | None = None,
     ):
         if not grid.contains(rank):
@@ -79,13 +78,6 @@ class KaliCtx:
         self.grid = grid
         self.run_id = run_id
         self.session = session
-        #: executor mode for doall loops: True replays compiled
-        #: StepPlans, False runs the interpreted reference path.
-        #: Defaults to the Session's setting (True without one).
-        self.compiled = (
-            compiled if compiled is not None
-            else getattr(session, "compiled", True)
-        )
         #: "full" records every schedule Mark; "cheap" aggregates them
         #: into :attr:`mark_counts` (no per-op mark objects on the hot
         #: path; the Session folds the counts into the trace).
@@ -147,7 +139,7 @@ class KaliCtx:
 
     # -- compiled loops ---------------------------------------------------
 
-    def doall(self, loop, overlap: bool = False, compiled: bool | None = None):
+    def doall(self, loop, overlap: bool = False):
         """Execute a doall loop; yields machine ops (use ``yield from``).
 
         With ``overlap=True`` the executor charges the loop's interior
@@ -156,12 +148,6 @@ class KaliCtx:
         with in-flight communication; the messages themselves are
         byte-identical to the serialized mode.  See
         :func:`repro.compiler.schedule.execute_doall`.
-
-        ``compiled`` overrides this context's executor mode for one
-        call: True replays the loop's frozen
-        :class:`~repro.compiler.commgen.StepPlan` (the default), False
-        runs the interpreted reference executor -- same results, same
-        trace, the fast path just skips the per-sweep AST walk.
 
         The loop's compiled plan (and its frozen TransferSchedules)
         lives in this context's Session plan cache; compile loops ahead
@@ -176,7 +162,7 @@ class KaliCtx:
                 "KaliCtx.doall needs a Session: launch via "
                 "repro.Session(...).run(...) or repro.compile(...).run()"
             )
-        return execute_doall(self, loop, overlap=overlap, compiled=compiled)
+        return execute_doall(self, loop, overlap=overlap)
 
     # -- irregular gathers ------------------------------------------------
 

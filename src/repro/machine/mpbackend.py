@@ -4,19 +4,23 @@ compiled loop programs.
 The simulator executes N ranks inside one Python process; this backend
 executes them as N *real* forked worker processes, one per grid rank,
 and keeps everything else -- results, schedule accounting, and the
-cost-model-stamped trace -- bit-identical to the simulator.  The design
-lowers exactly the frozen artifacts the compiler already produces:
+cost-model-stamped trace -- bit-identical to the simulator.  This
+module owns the worker pool, the shared memory and the oracle-trace
+cache; it never looks inside a plan.  The design executes exactly the
+frozen artifacts the compiler already produces:
 
 * **plan shipping**: each rank's frozen
   :class:`~repro.compiler.commgen.StepPlan` (closures, workspaces,
-  store coordinates) and :class:`~repro.compiler.commsched.TransferSchedule`
-  index arrays are materialized in the parent and inherited by the
-  workers at ``fork`` time -- shipped once per plan freeze, never per
-  sweep.  Slots and scripts are both bound by iterating the plan's
-  ``reads``/``stores`` records, so wire names, message order and store
-  layout are whatever the StepPlan says.  Fork is mandatory: plans
-  contain compiled closures that cannot (and should never need to) be
-  pickled.
+  store coordinates, schedule index arrays) is materialized in the
+  parent and inherited by the workers at ``fork`` time -- shipped once
+  per plan freeze, never per sweep, and not re-lowered: a worker's
+  script is its StepPlans plus the slot table.  The record layout is
+  read in one module, :mod:`repro.compiler.schedule`:
+  :func:`~repro.compiler.schedule.outgoing` tells the pool which slots
+  to allocate and :func:`~repro.compiler.schedule.replay_direct` is the
+  sweep the workers run, so wire names, message order and store layout
+  are whatever the StepPlan says.  Fork is mandatory: plans contain
+  compiled closures that cannot (and should never need to) be pickled.
 * **shared-memory array storage**: every distributed array block the
   program touches is *adopted* into a
   :mod:`multiprocessing.shared_memory` segment before the workers fork,
@@ -24,7 +28,8 @@ lowers exactly the frozen artifacts the compiler already produces:
   and bindings keep working unchanged) and gather/scatter value vectors
   move through preallocated shared slots -- no pickling, no payload
   copies through a queue, per sweep.
-* **steady-state replay as real execution**: a sweep is two (three with
+* **steady-state replay as real execution**: a sweep
+  (``replay_direct``, fenced by the pool's barrier) is two (three with
   remote writes) phases per loop -- fill the gather slots and do local
   moves; drain slots into workspaces, evaluate the prebound statement
   closures, store; apply incoming scatter values -- separated by one
@@ -64,6 +69,12 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.compiler.schedule import (
+    outgoing,
+    replay_direct,
+    replay_sweeps,
+    shadow_replay_analysis,
+)
 from repro.lang.array import storage_of
 from repro.machine.backend import Backend, NodeProgram
 from repro.machine.costmodel import CostModel
@@ -71,7 +82,6 @@ from repro.machine.simulator import Machine
 from repro.machine.topology import Topology
 from repro.machine.trace import Trace
 from repro.util.errors import MachineError, ValidationError
-from repro.util.indexing import mesh_shape
 
 #: Live worker pools, closed at interpreter exit as a safety net (the
 #: backend closes its pool deterministically; this catches abandoned
@@ -223,8 +233,6 @@ class MultiprocessingBackend(Backend):
         per-rank ``(analysis, reused)`` sequences data-free.  The caller
         (``Program.run``) records the trace in the session history.
         """
-        from repro.compiler.schedule import replay_sweeps
-
         if grid.size > self.n_procs:
             raise ValidationError(
                 f"grid of {grid.size} procs exceeds machine size {self.n_procs}"
@@ -291,7 +299,13 @@ class MultiprocessingBackend(Backend):
         )
         entry = self._oracle.get(key)
         if entry is None:
-            template = self._shadow_run(session, grid, steps, overlap, marks_mode)
+            def shadow(ctx):
+                for analysis, reused in steps[ctx.rank]:
+                    yield from shadow_replay_analysis(
+                        ctx, analysis, overlap=overlap, reused=reused
+                    )
+
+            template = session._execute(self.machine, grid, shadow, marks_mode)
             self._oracle[key] = entry = (tuple(analyses), template)
             while len(self._oracle) > 32:
                 self._oracle.popitem(last=False)
@@ -310,31 +324,6 @@ class MultiprocessingBackend(Backend):
             level=template.level,
             mark_counts=dict(template.mark_counts),
         )
-
-    def _shadow_run(self, session, grid, steps, overlap, marks_mode) -> Trace:
-        from repro.compiler.schedule import shadow_replay_analysis
-        from repro.lang.context import KaliCtx, next_run_id
-        from repro.session import Session
-
-        run_id = next_run_id()
-        ctxs = {
-            rank: KaliCtx(
-                rank, grid, run_id=run_id, session=session,
-                compiled=True, marks=marks_mode,
-            )
-            for rank in grid.linear
-        }
-
-        def shadow(ctx):
-            for analysis, reused in steps[ctx.rank]:
-                yield from shadow_replay_analysis(
-                    ctx, analysis, overlap=overlap, reused=reused
-                )
-
-        programs = {rank: shadow(ctxs[rank]) for rank in grid.linear}
-        trace = self.machine.run(programs)
-        Session._fold_mark_counts(trace, ctxs.values())
-        return trace
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -371,144 +360,14 @@ def _pool_key(analyses, grid) -> tuple:
     )
 
 
-class _LoopStep:
-    """One rank's worker-side recipe for one loop of the program.
+def _worker_main(rank: int, conn, barrier, script: list[tuple]) -> None:
+    """Persistent rank worker: drive sweeps on command until told to exit.
 
-    Everything is pre-resolved to concrete ndarrays (shared-memory
-    block views, transfer slots, plan workspaces) in the parent before
-    the fork; the per-sweep drive is pure array copies and the plan's
-    prebound closures.
+    ``script`` is the rank's ``(StepPlan, slots of that loop, loop has
+    remote writes)`` per loop, inherited at fork; the sweep itself is
+    :func:`repro.compiler.schedule.replay_direct`, fenced by the pool's
+    barrier and alternating slot halves on the sweep parity.
     """
-
-    __slots__ = (
-        "gather_sends",   # (slot, block, src_idx): slot[parity] = block[src_idx]
-        "local_moves",    # (buf, dst_idx, block, src_idx)
-        "gather_recvs",   # (buf, dst_idx, slot): buf[dst_idx] = slot
-        "evals",          # the StepPlan's prebound rhs closures
-        "stores",         # per stmt: ("box"|"flat"|"transfer", ...) | None
-        "scatter_recvs",  # (block, piece, slot): block[piece] = slot
-        "has_remote",     # loop-level: any rank scatters (phase C exists)
-    )
-
-    def __init__(self):
-        self.gather_sends: list[tuple] = []
-        self.local_moves: list[tuple] = []
-        self.gather_recvs: list[tuple] = []
-        self.evals: list = []
-        self.stores: list = []
-        self.scatter_recvs: list[tuple] = []
-        self.has_remote = False
-
-
-def _build_script(analyses, me: int, slots: dict) -> list[_LoopStep]:
-    """Resolve one rank's frozen plans against the shared slot table."""
-    steps: list[_LoopStep] = []
-    for n, analysis in enumerate(analyses):
-        plan = analysis.step_plan(me)
-        step = _LoopStep()
-        step.evals = plan.evals
-        step.has_remote = analysis.has_remote_writes
-        for wire, array, sched, buf in plan.reads:
-            if sched is None:
-                continue
-            block = (
-                array.local(me)
-                if (sched.sends or sched.self_src is not None)
-                else None
-            )
-            for dst, src_idx in sched.sends:
-                step.gather_sends.append((slots[(n, wire, me, dst)], block, src_idx))
-            if buf is not None and sched.self_src is not None:
-                step.local_moves.append((buf, sched.self_dst, block, sched.self_src))
-            if buf is not None:
-                for src, dst_idx in sched.recvs:
-                    step.gather_recvs.append((buf, dst_idx, slots[(n, wire, src, me)]))
-        for store in plan.stores:
-            if store is None:
-                step.stores.append(None)
-                continue
-            kind = store[0]
-            if kind == "box":
-                _, array, locs, perm, boxshape = store
-                step.stores.append(("box", array.local(me), locs, perm, boxshape))
-            elif kind == "flat":
-                _, array, locs = store
-                step.stores.append(("flat", array.local(me), locs))
-            else:  # "transfer": scatter through the slot table
-                _, array, sched, wire = store
-                block = array.local(me)
-                sends = [
-                    (slots[(n, wire, me, dst)], sel) for dst, sel in sched.sends
-                ]
-                step.stores.append(
-                    ("transfer", block, sched.self_dst, sched.self_src, sends)
-                )
-                for src, piece in sched.recvs:
-                    step.scatter_recvs.append(
-                        (block, piece, slots[(n, wire, src, me)])
-                    )
-        steps.append(step)
-    return steps
-
-
-def _run_step(step: _LoopStep, barrier, parity: int) -> None:
-    """One sweep of one loop on one worker.
-
-    Phase A fills this rank's outgoing gather slots from its (pre-store)
-    blocks and copies owned data into the plan workspaces -- the
-    barrier then guarantees every rank's copy-in snapshot is complete
-    before any rank stores, which is exactly the ordering the simulator
-    enforces by sending pre-store payloads.  Phase B drains incoming
-    slots into the workspaces, evaluates the prebound closures, and
-    stores (filling scatter slots for remote writes).  A loop without
-    remote writes ends there, one barrier per sweep: every slot has two
-    halves and a sweep uses the half of its ``parity`` (the worker's
-    sweep count & 1), so a fast rank filling the next sweep's slots
-    never touches what a slow peer is still draining -- it cannot come
-    back to the same half without first passing the next sweep's
-    barrier, which that peer reaches only after its drain.  Phase C --
-    only when the loop scatters at all -- applies incoming scatter
-    values after a second barrier, and keeps the closing third one it
-    always had (the parity halves would cover it too; scatter steps are
-    on no measured path, so their fence stays conservative).
-    Every rank executes the same barrier count per step (the phase
-    structure depends only on loop-level facts), so the pool can never
-    split-brain.
-    """
-    for slot, block, src_idx in step.gather_sends:
-        slot[parity] = block[src_idx]
-    for buf, dst_idx, block, src_idx in step.local_moves:
-        buf[dst_idx] = block[src_idx]
-    barrier.wait()
-    for buf, dst_idx, slot in step.gather_recvs:
-        buf[dst_idx] = slot[parity]
-    values_by_stmt = [None if fn is None else fn() for fn in step.evals]
-    for values, store in zip(values_by_stmt, step.stores):
-        if store is None:
-            continue
-        kind = store[0]
-        if kind == "box":
-            _, block, locs, perm, boxshape = store
-            block[locs] = values.transpose(perm).reshape(boxshape)
-        elif kind == "flat":
-            _, block, locs = store
-            block[locs] = values.reshape(-1)
-        else:
-            _, block, self_dst, self_src, sends = store
-            flat = None if values is None else values.reshape(-1)
-            if self_src is not None:
-                block[self_dst] = flat[self_src]
-            for slot, sel in sends:
-                slot[parity] = flat[sel]
-    if step.has_remote:
-        barrier.wait()
-        for block, piece, slot in step.scatter_recvs:
-            block[piece] = slot[parity]
-        barrier.wait()
-
-
-def _worker_main(rank: int, conn, barrier, steps: list[_LoopStep]) -> None:
-    """Persistent rank worker: drive sweeps on command until told to exit."""
     sweeps_done = 0
     while True:
         try:
@@ -523,8 +382,10 @@ def _worker_main(rank: int, conn, barrier, steps: list[_LoopStep]) -> None:
         try:
             for _ in range(msg[1]):
                 _maybe_inject_fault(rank, sweeps_done)
-                for step in steps:
-                    _run_step(step, barrier, sweeps_done & 1)
+                for plan, slots, has_remote in script:
+                    replay_direct(
+                        plan, slots, has_remote, barrier.wait, sweeps_done & 1
+                    )
                 sweeps_done += 1
             conn.send(("ok", rank))
         except Exception:
@@ -546,7 +407,8 @@ class _WorkerPool:
         self._segments: list[shared_memory.SharedMemory] = []
         # (storage array, rank, shm view, original private block)
         self._adopted: list[tuple] = []
-        self._slots: dict[tuple, np.ndarray] = {}
+        # per loop: (wire, src, dst) -> shm slot, parity axis first
+        self._slots: list[dict[tuple, np.ndarray]] = []
         self._procs: dict[int, Any] = {}
         self._pipes: dict[int, Any] = {}
         self._barrier = mp.Barrier(len(self.ranks))
@@ -557,7 +419,10 @@ class _WorkerPool:
             # materialize every rank's script *before* the first fork so
             # all workers inherit identical frozen state
             scripts = {
-                rank: _build_script(analyses, rank, self._slots)
+                rank: [
+                    (analysis.step_plan(rank), slots, analysis.has_remote_writes)
+                    for analysis, slots in zip(analyses, self._slots)
+                ]
                 for rank in self.ranks
             }
             for rank in self.ranks:
@@ -609,36 +474,21 @@ class _WorkerPool:
     def _build_slots(self, analyses) -> None:
         """One shared slot per frozen message: the wire, minus the wire.
 
-        Keyed ``(loop_idx, wire_kind, src, dst)`` straight off the
-        sender's :class:`~repro.compiler.commgen.StepPlan` records --
-        the same records :func:`_build_script` binds, so wire names are
-        defined once, by the plan.  Each schedule sends at most one
-        message per (destination, wire) per sweep, so a slot half is
-        written exactly once between barriers.  The leading axis of
-        extent 2 is the sweep parity :func:`_run_step` alternates
-        between.  Gather slots take the sender's open-mesh payload shape
-        (identical to the receiver's workspace positions shape -- both
-        sides froze the same per-dimension global index lists); scatter
-        slots are flat value runs.
+        One dict per loop, keyed ``(wire_kind, src, dst)`` from what each
+        sender's plan reports through
+        :func:`~repro.compiler.schedule.outgoing` -- the same records
+        ``replay_direct`` walks, so wire names are defined once, by the
+        plan.  Each schedule sends at most one message per (destination,
+        wire) per sweep, so a slot half is written exactly once between
+        barriers.  The leading axis of extent 2 is the sweep parity the
+        workers alternate between.
         """
-        for n, analysis in enumerate(analyses):
+        for analysis in analyses:
+            slots = {}
             for rank in self.ranks:
-                plan = analysis.step_plan(rank)
-                for wire, array, sched, _buf in plan.reads:
-                    if sched is None:
-                        continue
-                    for dst, src_idx in sched.sends:
-                        self._slots[(n, wire, rank, dst)] = self._shm_ndarray(
-                            (2,) + mesh_shape(src_idx), array.dtype
-                        )
-                for store in plan.stores:
-                    if store is None or store[0] != "transfer":
-                        continue
-                    _, array, sched, wire = store
-                    for dst, sel in sched.sends:
-                        self._slots[(n, wire, rank, dst)] = self._shm_ndarray(
-                            (2, int(np.asarray(sel).size)), array.dtype
-                        )
+                for wire, dst, shape, dtype in outgoing(analysis.step_plan(rank)):
+                    slots[wire, rank, dst] = self._shm_ndarray((2,) + shape, dtype)
+            self._slots.append(slots)
 
     # -- driving ----------------------------------------------------------
 
@@ -739,7 +589,7 @@ class _WorkerPool:
         # objects hold the scripts via their args) before closing them
         self._procs = {}
         self._pipes = {}
-        self._slots = {}
+        self._slots = []
         for storage, rank, view, block in self._adopted:
             if storage._blocks.get(rank) is view:
                 block[...] = view

@@ -167,8 +167,8 @@ class Session:
         self._mp_backend = None
         #: default doall executor mode for launches from this Session:
         #: True replays compiled StepPlans (the fast path), False runs
-        #: the interpreted reference executor.  Each run (and each
-        #: ``ctx.doall`` call) may override it.
+        #: the interpreted reference executor (what the equivalence
+        #: suites diff against).
         self.compiled = compiled
         #: default mark mode: "full" records every schedule Mark,
         #: "cheap" aggregates steady-state schedule events into
@@ -261,7 +261,6 @@ class Session:
         machine: Machine | None = None,
         grid: ProcessorGrid | None = None,
         backend: "str | Backend | None" = None,
-        compiled: bool | None = None,
         marks: str | None = None,
         **kwargs: Any,
     ) -> Trace:
@@ -272,17 +271,29 @@ class Session:
         rank's :class:`~repro.lang.context.KaliCtx` is bound to this
         Session, so every collective inside consults this Session's
         caches.  The trace is appended to :attr:`history` and returned.
-        ``machine``/``grid`` override the Session defaults, and
-        ``compiled``/``marks`` override its executor and mark modes for
-        this launch; a routine parameter with any of these names must be
-        bound via ``functools.partial``.
+        ``machine``/``grid``/``backend`` override the Session defaults
+        and ``marks`` its mark mode for this launch; a routine parameter
+        with any of these names must be bound via ``functools.partial``.
         """
+        runner, grid = self._target(machine, grid, backend)
+        return self._record(self._execute(
+            runner, grid, lambda ctx: routine(ctx, *args, **kwargs), marks
+        ))
+
+    def _target(self, machine, grid, backend) -> tuple[Backend, ProcessorGrid]:
+        """Where a launch executes: ``(Backend, grid)``, call-site
+        overrides resolved against the Session defaults."""
         if machine is None and self.machine is None:
             # a Backend instance can stand in for the machine it wraps
             resolved = backend if backend is not None else self.backend
             machine = getattr(resolved, "machine", None)
         machine, grid = self._resolve(machine, grid)
-        runner = self._resolve_backend(backend, machine)
+        return self._resolve_backend(backend, machine), grid
+
+    def _execute(self, runner: Backend, grid, routine, marks) -> Trace:
+        """Run ``routine(ctx)`` per rank of ``grid`` on ``runner``,
+        unrecorded (:meth:`run` records; the multiprocessing backend's
+        oracle stream must not)."""
         # Launch identities are unique across sessions *and* processes
         # (keyed by pid + counter): a run id scopes cache decisions and
         # staging tokens, and two Sessions sharing one explicit
@@ -290,31 +301,19 @@ class Session:
         # must never reuse an id.  Ids never enter traces, so this does
         # not affect determinism.
         run_id = next_run_id()
-        ctxs = {
-            rank: KaliCtx(
-                rank, grid, run_id=run_id, session=self,
-                compiled=compiled, marks=marks,
-            )
+        ctxs = [
+            KaliCtx(rank, grid, run_id=run_id, session=self, marks=marks)
             for rank in grid.linear
-        }
-        programs = {
-            rank: routine(ctxs[rank], *args, **kwargs) for rank in grid.linear
-        }
-        trace = runner.run(programs)
-        self._fold_mark_counts(trace, ctxs.values())
-        return self._record(trace)
-
-    @staticmethod
-    def _fold_mark_counts(trace: Trace, ctxs) -> None:
-        """Aggregate cheap-marks counters from the ranks into the trace."""
+        ]
+        trace = runner.run({ctx.rank: routine(ctx) for ctx in ctxs})
+        # aggregate cheap-marks counters from the ranks into the trace
         merged: dict[tuple, int] = trace.mark_counts
-        cheap = False
         for ctx in ctxs:
-            cheap = cheap or ctx.marks == "cheap"
             for key, n in ctx.mark_counts.items():
                 merged[key] = merged.get(key, 0) + n
-        if cheap:
+        if any(ctx.marks == "cheap" for ctx in ctxs):
             trace.level = "cheap"
+        return trace
 
     def launch(self, programs: dict, machine: Machine | None = None) -> Trace:
         """Run pre-built per-rank node programs (no contexts involved).
@@ -539,7 +538,6 @@ class Program:
         *args: Any,
         iters: int = 1,
         overlap: bool = False,
-        compiled: bool | None = None,
         marks: str | None = None,
         machine: Machine | None = None,
         backend: "str | Backend | None" = None,
@@ -558,16 +556,17 @@ class Program:
         Each run replays the schedules frozen at compile time --
         re-running never re-derives communication.
 
-        ``compiled`` (default True, from the Session) picks the
-        executor: the compiled fast path resolves each loop's cached
+        The Session picks the executor (``Session(compiled=)``, default
+        True): the compiled fast path resolves each loop's cached
         analysis once per run and replays its frozen per-rank
         :class:`~repro.compiler.commgen.StepPlan` every sweep -- no
-        per-sweep cache probe, no expression interpretation;
-        ``compiled=False`` runs the interpreted reference executor.
-        Results, traces, and cache accounting are bit-identical between
-        the two.  ``marks="cheap"`` additionally aggregates steady-state
-        schedule marks into ``Trace.mark_counts`` instead of per-op
-        records (default "full" is unchanged behavior).
+        per-sweep cache probe, no expression interpretation; a
+        ``compiled=False`` Session runs the interpreted reference
+        executor.  Results, traces, and cache accounting are
+        bit-identical between the two.  ``marks="cheap"`` additionally
+        aggregates steady-state schedule marks into
+        ``Trace.mark_counts`` instead of per-op records (default "full"
+        is unchanged behavior).
 
         ``backend`` (default from the Session) picks the execution
         backend.  With ``"multiprocessing"`` (or a
@@ -575,7 +574,7 @@ class Program:
         instance) the compiled loop path executes on real shared-memory
         worker processes -- results, schedule accounting, and the
         cost-model-stamped trace stay bit-identical to the simulator;
-        parsub routines and ``compiled=False`` runs fall back to the
+        parsub routines and ``compiled=False`` Sessions fall back to the
         backend's inner reference machine.
 
         ``session`` overrides the Session the launch executes in (the
@@ -604,25 +603,23 @@ class Program:
             if checkpoint_every is not None:
                 return self._run_checkpointed(
                     args, kwargs, checkpoint_every=checkpoint_every,
-                    iters=iters, overlap=overlap, compiled=compiled,
+                    iters=iters, overlap=overlap,
                     marks=marks, machine=machine, backend=backend,
                     bindings=bindings, session=session,
                 )
             return self._run(
                 args, kwargs, iters=iters, overlap=overlap,
-                compiled=compiled, marks=marks, machine=machine,
+                marks=marks, machine=machine,
                 backend=backend, bindings=bindings, session=session,
             )
 
     def _run(
-        self, args, kwargs, *, iters, overlap, compiled, marks,
+        self, args, kwargs, *, iters, overlap, marks,
         machine, backend, bindings, session,
     ) -> Trace:
         sess = session if session is not None else self.session
         if iters < 1:
             raise ValidationError(f"iters must be >= 1, got {iters}")
-        if compiled is None:
-            compiled = sess.compiled
         if self.routine is not None:
             if bindings is not None:
                 raise ValidationError("bindings apply to loop programs only")
@@ -640,7 +637,7 @@ class Program:
 
             return sess.run(
                 _program, machine=machine, grid=self.grid,
-                backend=backend, compiled=compiled, marks=marks,
+                backend=backend, marks=marks,
             )
 
         if args:
@@ -653,24 +650,16 @@ class Program:
         self._apply_bindings(merged)
         loops, niters = self.loops, iters
 
-        if compiled and loops:
+        runner, grid = sess._target(machine, self.grid, backend)
+        if sess.compiled and loops and hasattr(runner, "run_loops"):
             # Backends that lower frozen loop replays to real parallel
             # execution take the whole run here; the generic path below
             # stays generator-driven on the (possibly inner) simulator.
-            resolved = backend if backend is not None else sess.backend
-            mach = machine if machine is not None else sess.machine
-            if mach is None:
-                mach = getattr(resolved, "machine", None)
-            mach, grid = sess._resolve(mach, self.grid)
-            runner = sess._resolve_backend(backend, mach)
-            if hasattr(runner, "run_loops"):
-                trace = runner.run_loops(
-                    sess, loops, grid,
-                    iters=niters, overlap=overlap, marks=marks,
-                )
-                return sess._record(trace)
+            return sess._record(runner.run_loops(
+                sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
+            ))
 
-        if compiled:
+        if sess.compiled:
             # The steady-state fast path: one cache probe per loop per
             # rank per *run*, then the frozen StepPlans replay directly
             # (see replay_sweeps).
@@ -681,19 +670,15 @@ class Program:
                     ctx.session.plans, loops, niters
                 ):
                     yield from replay_analysis(
-                        ctx, analysis, overlap=overlap,
-                        compiled=True, reused=reused,
+                        ctx, analysis, overlap=overlap, reused=reused
                     )
         else:
             def _program(ctx):
                 for _ in range(niters):
                     for loop in loops:
-                        yield from ctx.doall(loop, overlap=overlap, compiled=False)
+                        yield from ctx.doall(loop, overlap=overlap)
 
-        return sess.run(
-            _program, machine=machine, grid=self.grid,
-            backend=backend, compiled=compiled, marks=marks,
-        )
+        return sess._record(sess._execute(runner, grid, _program, marks))
 
     def _check_bindings(self, names) -> None:
         """Reject binding names this program cannot load by name."""
@@ -717,7 +702,7 @@ class Program:
 
     def _run_checkpointed(
         self, args, kwargs, *, checkpoint_every, iters, overlap,
-        compiled, marks, machine, backend, bindings, session, recover=None,
+        marks, machine, backend, bindings, session, recover=None,
     ) -> Trace:
         """The one checkpointed-leg loop: ``run(checkpoint_every=k)`` and
         :meth:`repro.supervise.Supervisor.run` both drive it.
@@ -764,7 +749,7 @@ class Program:
             leg = min(checkpoint_every, iters - done)
             try:
                 trace = self._run(
-                    (), {}, iters=leg, overlap=overlap, compiled=compiled,
+                    (), {}, iters=leg, overlap=overlap,
                     marks=marks, machine=machine, backend=backend,
                     bindings=None, session=session,
                 )
@@ -789,7 +774,7 @@ class Program:
         ck = self.ckpt_latest
         if ck is None:
             return None
-        if getattr(ck, "kind", "full") == "incremental":
+        if ck.kind == "incremental":
             return ck.merged(self.ckpt_base)
         return ck
 
@@ -929,7 +914,7 @@ class Program:
 
         trace = sess.run(
             _program, machine=machine, grid=grid, marks=marks,
-            backend="simulator",
+            backend=backend if isinstance(backend, Machine) else "simulator",
         )
 
         # Write back member by member, collecting each one's global

@@ -271,7 +271,7 @@ class Supervisor:
         with program.lock:
             return program._run_checkpointed(
                 (), kw_bindings, checkpoint_every=checkpoint_every, iters=iters,
-                overlap=overlap, compiled=None, marks=marks, machine=None,
+                overlap=overlap, marks=marks, machine=None,
                 backend="simulator" if self._degraded else backend,
                 bindings=bindings, session=self.session,
                 recover=self._recovery(program),

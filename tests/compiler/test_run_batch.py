@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import Machine, ProcessorGrid, Session
+from repro import CostModel, Machine, ProcessorGrid, Session
 from repro.lang import Assign, BlockCyclic, DistArray, Doall, Owner, loopvars
 from repro.session import BatchResult, run_batch
 from repro.util.errors import ValidationError
@@ -123,6 +123,18 @@ def test_run_batch_of_one_is_a_single_run(dist, overlap):
     assert [(c.proc, c.start, c.end, c.label) for c in tb.computes] == \
         [(c.proc, c.start, c.end, c.label) for c in t1.computes]
     np.testing.assert_array_equal(res["y"][0], single.arrays["y"].to_global())
+
+
+def test_run_batch_runs_on_a_machine_passed_as_backend():
+    """``backend=<Machine>`` names the machine the batch executes on,
+    exactly as for ``run`` -- it used to be dropped for the Session's."""
+    slow = Machine(n_procs=3, cost=CostModel(alpha=1.0, flop_time=1.0))
+    prog, single = _prog(p=3, n=12), _prog(p=3, n=12)
+    (bind,) = _bindings(1, n=12)
+    on_session_machine = single.run(**bind).makespan()
+    want = single.run(**bind, backend=slow).makespan()
+    assert want > 1.0 > on_session_machine
+    assert prog.run_batch([bind], backend=slow).trace.makespan() == want
 
 
 def test_run_batch_iters_and_overlap():

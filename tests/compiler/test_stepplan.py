@@ -112,30 +112,42 @@ def test_remote_write_bit_identical(backend, overlap):
     assert trace_sig(ta) == trace_sig(tb)
 
 
-def test_diagonal_flat_store_bit_identical():
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("p,last", [
+    pytest.param(2, 8, id="all-ranks-busy"),
+    # rows 0..4 of 9 over 3 ranks: rank 2 owns no iteration point
+    pytest.param(3, 4, id="idle-rank"),
+])
+def test_diagonal_flat_store_bit_identical(p, last, backend):
     """A[i, i] is not box-decomposable: the frozen flat-store path."""
-    def run(compiled):
-        g = ProcessorGrid((2,))
+    def run(compiled, backend=None):
+        g = ProcessorGrid((p,))
         A = DistArray((9, 9), g, dist=("block", "*"), name="A")
         B = DistArray((9, 9), g, dist=("block", "*"), name="B")
         B.from_global(np.random.default_rng(1).standard_normal((9, 9)))
         (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(0, 8)], on=Owner(A, (i, 0)),
+        loop = Doall(vars=(i,), ranges=[(0, last)], on=Owner(A, (i, 0)),
                      body=[Assign(A[i, i], B[i, i] * 3.0 - 1.0)], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled)
+        sess = Session(Machine(n_procs=p), g, compiled=compiled,
+                       backend=backend)
         prog = repro.compile(loop, session=sess)
+        if last < 8:
+            analysis, _ = sess.plans.analysis(loop, count=False)
+            assert analysis.step_plan(p - 1).n_points == 0
         trace = prog.run(iters=2)
+        close_backend(prog)
         return A.to_global(), trace
 
-    xa, ta = run(True)
+    xa, ta = run(True, backend)
     xb, tb = run(False)
     np.testing.assert_array_equal(xa, xb)
     assert trace_sig(ta) == trace_sig(tb)
 
 
-def test_strided_ranges_bit_identical():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_strided_ranges_bit_identical(backend):
     """Stride-2 loops (zebra sweeps) defeat the slice fast path cleanly."""
-    def run(compiled):
+    def run(compiled, backend=None):
         g = ProcessorGrid((2,))
         u = DistArray((16,), g, dist=("cyclic",), name="u")
         v = DistArray((16,), g, dist=("cyclic",), name="v")
@@ -143,12 +155,14 @@ def test_strided_ranges_bit_identical():
         (i,) = loopvars("i")
         loop = Doall(vars=(i,), ranges=[(1, 14, 2)], on=Owner(v, (i,)),
                      body=[Assign(v[i], u[i - 1] + u[i + 1])], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled)
+        sess = Session(Machine(n_procs=2), g, compiled=compiled,
+                       backend=backend)
         prog = repro.compile(loop, session=sess)
         trace = prog.run(iters=3)
+        close_backend(prog)
         return v.to_global(), trace
 
-    xa, ta = run(True)
+    xa, ta = run(True, backend)
     xb, tb = run(False)
     np.testing.assert_array_equal(xa, xb)
     assert trace_sig(ta) == trace_sig(tb)

@@ -218,6 +218,9 @@ def test_program_parsub_and_errors():
     lprog = repro.compile(loop, machine=Machine(n_procs=p))
     with pytest.raises(ValidationError, match="unknown binding"):
         lprog.run(nosuch=np.zeros(12))
+    # the executor mode is the Session's alone: no per-run override
+    with pytest.raises(ValidationError, match="unknown binding 'compiled'"):
+        lprog.run(compiled=False)
     with pytest.raises(ValidationError, match="positional"):
         lprog.run(1)
     with pytest.raises(ValidationError, match="cannot compile"):

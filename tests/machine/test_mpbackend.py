@@ -268,12 +268,12 @@ def test_single_barrier_survives_rank_skew():
 
 @pytest.mark.parametrize("remote,per_sweep", [(False, 1), (True, 3)])
 def test_run_step_barrier_count(remote, per_sweep):
-    """_run_step waits once per sweep for a loop without remote writes
-    and three times with: counted on the real scripts, one thread per
-    rank, against the simulator's result."""
+    """replay_direct fences once per sweep for a loop without remote
+    writes and three times with: counted on the real plans, one thread
+    per rank, against the simulator's result."""
     import threading
 
-    from repro.machine.mpbackend import _build_script, _run_step, _WorkerPool
+    from repro.compiler.schedule import outgoing, replay_direct
 
     def program():
         g = ProcessorGrid((4,))
@@ -291,23 +291,22 @@ def test_run_step_barrier_count(remote, per_sweep):
 
     analysis, _ = prog.session.plans.analysis(prog.loops[0], count=False)
     assert analysis.has_remote_writes == remote
-    pool = object.__new__(_WorkerPool)  # the slot table, minus shm and forks
-    pool.ranks, pool._slots = list(g.linear), {}
-    pool._shm_ndarray = lambda shape, dtype: np.zeros(shape, dtype)
-    pool._build_slots([analysis])
+    slots = {
+        (wire, rank, dst): np.zeros((2,) + shape, dtype)
+        for rank in g.linear
+        for wire, dst, shape, dtype in outgoing(analysis.step_plan(rank))
+    }
 
     waits = {r: 0 for r in g.linear}
     barrier = threading.Barrier(g.size)
 
     def worker(rank):
-        class Counted:
-            def wait(self):
-                waits[rank] += 1
-                barrier.wait(timeout=30)
+        def fence():
+            waits[rank] += 1
+            barrier.wait(timeout=30)
 
-        (step,) = _build_script([analysis], rank, pool._slots)
         for sweep in range(3):
-            _run_step(step, Counted(), sweep & 1)
+            replay_direct(analysis.step_plan(rank), slots, remote, fence, sweep & 1)
 
     threads = [threading.Thread(target=worker, args=(r,)) for r in g.linear]
     for t in threads:
@@ -317,6 +316,28 @@ def test_run_step_barrier_count(remote, per_sweep):
     assert not any(t.is_alive() for t in threads)
     assert waits == {r: 3 * per_sweep for r in g.linear}
     np.testing.assert_array_equal(B.to_global(), Br.to_global())
+
+
+def test_mpbackend_names_no_plan_record():
+    """Tier-1 guard: the StepPlan record layout and the sweep's phase
+    order are known to compiler/schedule.py alone (outgoing /
+    replay_direct); the backend owns the pool, the shm and the oracle."""
+    import pathlib
+    import re
+
+    from repro.machine import mpbackend
+
+    records = re.compile(r"\.(reads|stores|evals|sends|recvs|self_src|self_dst)\b")
+    path = pathlib.Path(mpbackend.__file__)
+    offenders = [
+        f"{path}:{lineno}: {line.strip()}"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if records.search(line)
+    ]
+    assert not offenders, (
+        "mpbackend.py reads a plan record (walk it in compiler/schedule.py):\n"
+        + "\n".join(offenders)
+    )
 
 
 # ----------------------------------------------------------------------

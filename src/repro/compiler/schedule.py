@@ -41,19 +41,27 @@ steady-state sweep never walks an expression AST or evaluates an
 affine index.  The StepPlan record layout and the phase order of a sweep
 are known to this module only, in two walks kept apart on purpose.
 :func:`_replay` is the generator the simulator drives (ops out, trace
-recorded), and :func:`replay_analysis` (a single run),
-:func:`replay_batch_analysis` (``Program.run_batch``: B bindings behind
-a leading batch axis) and :func:`shadow_replay_analysis` (the
-multiprocessing backend's data-free trace oracle) are thin entry points
-that differ only in where they say the rank's blocks live.
-:func:`replay_direct` is the same sweep for a forked multiprocessing
-worker -- plain calls, preallocated slots for the wire, a fence between
-phases -- with :func:`outgoing` telling the pool which slots that takes;
-a worker must not pay for a generator and the simulator needs one, so
-neither walk branches on its caller.  Around them,
-:func:`replay_sweeps` is the one sweep driver -- resolve each loop's
-analysis at its first execution of a run, count later sweeps as
-replays -- that every run loop iterates.  The interpreted path
+recorded), behind two thin entry points: :func:`replay_analysis` (live:
+``ctx.doall`` inside a parsub, where ops interleave with user code, and
+backends that only run node programs) and :func:`shadow_replay_analysis`
+(data-free: the trace oracle).  The *direct* walk is the same sweep as
+three plain phase functions -- fill outgoing slots and do local moves /
+drain, evaluate, store / apply incoming scatter values -- with
+preallocated slots for the wire and :func:`outgoing` telling a
+transport which slots that takes: :func:`replay_direct` puts a fence
+between them for a forked multiprocessing worker, and
+:func:`replay_in_process` walks every rank of the grid phase by phase,
+the phase boundary being the fence.  A worker must not pay for a
+generator and the simulator needs one, so neither walk branches on its
+caller.
+
+A frozen loop ``Program`` executes the same way on both first-class
+backends (:func:`run_frozen_loops`): accounting by arithmetic (one cache
+probe per loop per rank per run, later sweeps counted in bulk), floats
+by the direct walk, and the sim-clock ``Trace`` from
+:func:`oracle_trace` -- one data-free simulation per distinct run
+shape, memoized on the Session and re-materialized per run.  The
+interpreted path
 (``Session(compiled=False)``) re-derives positions and walks the ASTs
 per sweep and is kept as the reference semantics; both produce
 bit-identical results, traces, and cache accounting (see
@@ -84,6 +92,7 @@ from repro.compiler.commsched import (
 from repro.lang.doall import Doall
 from repro.lang.expr import BinOp, Const, Ref
 from repro.machine.ops import Compute, Mark, Recv, Send
+from repro.machine.trace import Trace
 from repro.util.errors import CompileError, ValidationError
 from repro.util.indexing import mesh_shape
 
@@ -109,7 +118,10 @@ class PlanCache:
     analyses (kind ``"doall"`` -- these carry the frozen gather/scatter
     :class:`~repro.compiler.commsched.TransferSchedule` objects) and the
     ADI line-solve plans (kind ``"adi-line"``,
-    :mod:`repro.tensor.adi`).  Wire schedules that need a collective
+    :mod:`repro.tensor.adi`).  A Session keeps a second, smaller
+    instance for the trace-oracle templates of its frozen loop runs
+    (kind ``"oracle"``, :func:`oracle_trace`), whose counters stay out
+    of the plan statistics.  Wire schedules that need a collective
     build protocol live in the companion
     :class:`~repro.compiler.commsched.ScheduleCache` instead.
 
@@ -162,9 +174,9 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _count(self, kind: str, outcome: str) -> None:
+    def _count(self, kind: str, outcome: str, n: int = 1) -> None:
         d = self.by_kind.setdefault(kind, {"hits": 0, "misses": 0})
-        d[outcome] += 1
+        d[outcome] += n
 
     def get(self, kind: str, key, build: Callable[[], Any], uids=(),
             count: bool = True) -> tuple[Any, bool]:
@@ -214,17 +226,18 @@ class PlanCache:
             uids=lambda: _loop_uids(loop), count=count,
         )
 
-    def count_replay(self, kind: str) -> None:
-        """Record an as-if hit for a plan the caller already holds.
+    def count_replay(self, kind: str, n: int = 1) -> None:
+        """Record ``n`` as-if hits for plans the caller already holds.
 
-        The compiled replay driver (``Program.run``) resolves each
-        loop's analysis once per run and replays it every sweep; the
-        interpreted path probes the cache per sweep instead.  Counting
-        the replays here keeps the hit/miss accounting identical between
-        the two executors without paying for the structural key walk.
+        The frozen-loop driver (:func:`run_frozen_loops`) resolves each
+        loop's analysis once per rank per run and replays it every
+        sweep; the interpreted path probes the cache per sweep instead.
+        Counting the replays here, in one call, keeps the hit/miss
+        accounting identical between the two executors without paying
+        for the structural key walk.
         """
         with self._lock:
-            self._count(kind, "hits")
+            self._count(kind, "hits", n)
 
     def drop(self, kind: str, key) -> None:
         with self._lock:
@@ -338,43 +351,16 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False):
     yield from replay_analysis(ctx, analysis, overlap=overlap, reused=reused)
 
 
-def replay_sweeps(plans: PlanCache, loops, iters: int):
-    """Yield ``(analysis, reused)`` per loop execution of ``iters`` sweeps.
-
-    The steady-state discipline every compiled run loop shares
-    (``Program.run``, ``Program.run_batch``, the multiprocessing
-    backend's accounting and its oracle stream): each loop's analysis is
-    resolved at its first execution -- one cache probe per loop per rank
-    per *run*, whose outcome is the ``reused`` of the first sweep -- and
-    later sweeps replay the pinned analysis, skipping the structural-key
-    walk and counting as-if hits (:meth:`PlanCache.count_replay`) so the
-    accounting matches the interpreted path's per-sweep probes.  Loop
-    programs contain no redistribution, so a pinned analysis cannot go
-    stale within a run; between runs the probe picks up any layout
-    change.
-    """
-    resolved = []
-    for loop in loops:
-        analysis, reused = plans.analysis(loop)
-        resolved.append(analysis)
-        yield analysis, reused
-    for _ in range(iters - 1):
-        for analysis in resolved:
-            plans.count_replay("doall")
-            yield analysis, True
-
-
 def replay_analysis(
     ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
 ):
     """Drive one rank's share of an already-resolved doall analysis.
 
-    The replay half of :func:`execute_doall`, split out so a caller
-    holding the analysis (:func:`replay_sweeps` resolves each loop's
-    plan once per run) can skip the per-sweep cache probe -- the
-    structural key walk -- entirely.  ``reused`` feeds the
-    ``commsched/hit`` vs ``commsched/build`` mark, mirroring what a
-    probe would have reported.
+    The replay half of :func:`execute_doall`: the live generator behind
+    ``ctx.doall`` -- parsubs, whose ops interleave with user code, and
+    backends that only run node programs.  ``reused`` feeds the
+    ``commsched/hit`` vs ``commsched/build`` mark, mirroring what the
+    probe reported.
     """
     if ctx.session.compiled:
         yield from _replay(
@@ -386,33 +372,9 @@ def replay_analysis(
         yield from _interpret_doall(ctx, analysis, overlap, tag)
 
 
-def replay_batch_analysis(
-    ctx, analysis: LoopAnalysis, blocks: dict, nbatch: int,
-    overlap: bool = False, reused: bool = True,
-):
-    """Drive one rank's share of a doall over ``nbatch`` bindings at once.
-
-    The batched entry point behind ``Program.run_batch``: the same
-    frozen schedules replay once per sweep, but every fetch, closure,
-    and store carries a leading batch axis, so one pass advances all
-    ensemble members together.  ``blocks`` maps ``array.uid`` to this
-    rank's batched local block -- shape ``(nbatch,) + local shape`` --
-    which the walk reads ghosts from and stores results into (the live
-    arrays are never touched; the caller owns the batched copies and the
-    write-back).
-
-    Wire discipline: message *counts* and tags are identical to one
-    single-binding sweep -- each payload slot just widens by the batch
-    factor.  Compute charges scale by ``nbatch`` (the ensemble honestly
-    does that many members' flops).
-    """
-    return _replay(
-        ctx, analysis, overlap, reused, lambda array: blocks[array.uid], nbatch
-    )
-
-
 def shadow_replay_analysis(
     ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
+    nbatch: int | None = None,
 ):
     """The compiled replay's op stream with no data moved.
 
@@ -420,22 +382,25 @@ def shadow_replay_analysis(
     produces -- same Marks, same Compute flops and labels, same Sends
     (tag and byte count) and Recvs in the same order -- but sends carry
     ``data=None`` with the frozen payload's byte count, receives
-    discard, and neither closures nor stores run.  This is how the
-    multiprocessing backend derives its cost-model-stamped trace: the
-    floats are computed by real parallel workers, while the inner
-    simulator runs this stream to produce a trace bit-identical to what
-    the simulator backend would have recorded.
+    discard, and neither closures nor stores run.  This is how a frozen
+    loop run gets its cost-model-stamped trace (:func:`oracle_trace`):
+    the floats are moved by the direct walk, while the simulator runs
+    this stream once to produce the trace a live replay would have
+    recorded.  ``nbatch`` scales the flop charges and the byte counts to
+    an ensemble of that many members (``Program.run_batch``): message
+    counts and tags are those of one single-binding sweep, each payload
+    widens by the batch factor.
 
     Deliberately takes the analysis (never probing the plan cache):
-    cache accounting for a shadowed run is done once by the parent, not
+    cache accounting for a frozen run is done once by the driver, not
     once per shadow rank.
     """
-    return _replay(ctx, analysis, overlap, reused, None)
+    return _replay(ctx, analysis, overlap, reused, None, nbatch)
 
 
 def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             block_of, nbatch: int | None = None):
-    """The one compiled walk of a frozen :class:`~repro.compiler.commgen.StepPlan`.
+    """The one generator walk of a frozen :class:`~repro.compiler.commgen.StepPlan`.
 
     Every index array, closure, label, and flop charge was frozen at
     plan-build time; a sweep is, in this fixed order: gather sends +
@@ -443,22 +408,25 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
     closures, box/flat stores, scatter sends / self move / receives.
     The op stream is bit-identical to :func:`_interpret_doall`.
 
-    The three entry points above differ only in ``block_of``, *where
-    this rank's blocks live*: ``array -> block`` for the live arrays
-    (``array.local(rank)``) or the batch driver's shadow blocks, or
-    ``None`` to move no data at all.  Blocks are resolved through it at
-    the moment of each read or store, never captured: a block swapped
-    by redistribution must not be written through a stale buffer, and a
-    rank that only *sends* a scatter owns no lhs block to ask for.
-    Payloads go through :func:`freeze_payload` (copy-in, by value, no
-    simulator-side snapshot copy).
+    The two entry points above differ only in ``block_of``, *where this
+    rank's blocks live*: ``array -> block`` for the live arrays
+    (``array.local(rank)``), or ``None`` to move no data at all.  Blocks
+    are resolved through it at the moment of each read or store, never
+    captured: a block swapped by redistribution must not be written
+    through a stale buffer, and a rank that only *sends* a scatter owns
+    no lhs block to ask for.  Payloads go through :func:`freeze_payload`
+    (copy-in, by value, no simulator-side snapshot copy).
+
+    The live walk is single-run only.  ``nbatch`` exists for the
+    data-free stream alone, as a scale: the flop charges are the batched
+    plan's and every Send's byte count is multiplied by it.
     """
     me = ctx.rank
     tag = ctx.next_tag(analysis.loop.grid)
     yield from announce_replay(ctx, analysis, reused)
     plan = analysis.step_plan(me, nbatch=nbatch)
-    lead = plan.lead
     live = block_of is not None
+    scale = 1 if nbatch is None else nbatch
 
     # Sends for *all* read arrays go out before any receive, so they are
     # in flight together.
@@ -467,15 +435,15 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
         if sched is None:
             continue
         if not live:
-            itemsize = array.dtype.itemsize
+            itemsize = array.dtype.itemsize * scale
             for dst, idx in sched.sends:
                 yield Send(dst, None, (tag, wire, me), _index_nbytes(idx, itemsize))
         elif sched.sends or sched.self_src is not None:
             block = block_of(array)
             for dst, idx in sched.sends:
-                yield Send(dst, freeze_payload(block[lead + idx]), (tag, wire, me))
+                yield Send(dst, freeze_payload(block[idx]), (tag, wire, me))
             if buf is not None and sched.self_src is not None:
-                buf[lead + sched.self_dst] = block[lead + sched.self_src]
+                buf[sched.self_dst] = block[sched.self_src]
         if sched.recvs:
             pending.append((wire, sched.recvs, buf))
 
@@ -487,7 +455,7 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
         for src, idx in recvs:
             values = yield Recv(src, (tag, wire, src))
             if live:
-                buf[lead + idx] = values
+                buf[idx] = values
 
     if remaining:
         yield Compute(
@@ -503,23 +471,102 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
         op, array = store[0], store[1]
         if op == "transfer":  # remote-write scatter replay
             sched, wire = store[2], store[3]
-            flat = None if values is None else values.reshape(plan.flat)
             if live:
+                flat = None if values is None else values.reshape(-1)
                 for dst, sel in sched.sends:
-                    yield Send(dst, freeze_payload(flat[lead + (sel,)]), (tag, wire, me))
+                    yield Send(dst, freeze_payload(flat[sel]), (tag, wire, me))
                 if sched.self_src is not None:
-                    block_of(array)[lead + sched.self_dst] = \
-                        flat[lead + (sched.self_src,)]
+                    block_of(array)[sched.self_dst] = flat[sched.self_src]
             else:
-                itemsize = array.dtype.itemsize
+                itemsize = array.dtype.itemsize * scale
                 for dst, sel in sched.sends:
                     yield Send(dst, None, (tag, wire, me), _index_nbytes(sel, itemsize))
             for src, piece in sched.recvs:
                 incoming = yield Recv(src, (tag, wire, src))
                 if live:
-                    block_of(array)[lead + piece] = incoming
+                    block_of(array)[piece] = incoming
         elif not live:
             continue
+        elif op == "box":
+            _, _, locs, perm, boxshape = store
+            block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
+        else:  # "flat"
+            block_of(array)[store[2]] = values.reshape(-1)
+
+
+# ----------------------------------------------------------------------
+# The direct walk: the same sweep as plain calls over preallocated slots
+# ----------------------------------------------------------------------
+
+
+def outgoing(plan):
+    """Yield ``(wire, dst, payload shape, dtype)`` per message the
+    plan's rank sends in one sweep -- gather sends first, then scatter
+    sends: what a transport must provision for the direct walk.
+    A gather payload keeps the sender's open-mesh shape (the receiver
+    froze the same per-dimension global index lists, so its workspace
+    positions have that shape too); a scatter payload is a flat value
+    run; a batched plan's payloads carry its batch axis in front.
+    """
+    batch = () if plan.nbatch is None else (plan.nbatch,)
+    for wire, array, sched, _buf in plan.reads:
+        if sched is not None:
+            for dst, idx in sched.sends:
+                yield wire, dst, batch + _payload_shape(idx), array.dtype
+    for store in plan.stores:
+        if store is not None and store[0] == "transfer":
+            _, array, sched, wire = store
+            for dst, sel in sched.sends:
+                yield wire, dst, batch + _payload_shape(sel), array.dtype
+
+
+# The three phases of a direct sweep.  ``slots`` maps ``(wire, src,
+# dst)`` to the buffer standing in for that message; ``half`` indexes
+# the part of each slot this sweep uses (the sweep parity of a
+# double-buffered slot, ``()`` for a whole one); ``block_of`` says where
+# the rank's blocks live, resolved per read or store, never captured --
+# both exactly as in :func:`_replay`.  A batched plan prefixes every
+# frozen selection with its batch axis (``plan.lead``) and keeps its
+# value vectors ``(B, -1)`` (``plan.flat``).
+
+
+def _fill(plan, slots: dict, block_of, half) -> None:
+    """Phase A: outgoing gather slots from the rank's pre-store blocks,
+    and owned data into the plan workspaces (the copy-in snapshot)."""
+    me, lead = plan.rank, plan.lead
+    for wire, array, sched, buf in plan.reads:
+        if sched is None or not (sched.sends or sched.self_src is not None):
+            continue
+        block = block_of(array)
+        for dst, idx in sched.sends:
+            slots[wire, me, dst][half] = block[lead + idx]
+        if buf is not None and sched.self_src is not None:
+            buf[lead + sched.self_dst] = block[lead + sched.self_src]
+
+
+def _drain_eval_store(plan, slots: dict, block_of, half) -> None:
+    """Phase B: incoming gather slots into the workspaces, the prebound
+    closures, then the stores (filling scatter slots for remote writes)."""
+    me, lead = plan.rank, plan.lead
+    for wire, _array, sched, buf in plan.reads:
+        if sched is not None:
+            for src, idx in sched.recvs:
+                buf[lead + idx] = slots[wire, src, me][half]
+
+    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
+
+    for values, store in zip(stmt_vals, plan.stores):
+        if store is None:
+            continue
+        op, array = store[0], store[1]
+        if op == "transfer":
+            sched, wire = store[2], store[3]
+            flat = None if values is None else values.reshape(plan.flat)
+            for dst, sel in sched.sends:
+                slots[wire, me, dst][half] = flat[lead + (sel,)]
+            if sched.self_src is not None:
+                block_of(array)[lead + sched.self_dst] = \
+                    flat[lead + (sched.self_src,)]
         elif op == "box":
             _, _, locs, perm, boxshape = store
             block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
@@ -527,23 +574,15 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             block_of(array)[store[2]] = values.reshape(plan.flat)
 
 
-def outgoing(plan):
-    """Yield ``(wire, dst, payload shape, dtype)`` per message the
-    plan's rank sends in one sweep -- gather sends first, then scatter
-    sends: what a transport must provision for :func:`replay_direct`.
-    A gather payload keeps the sender's open-mesh shape (the receiver
-    froze the same per-dimension global index lists, so its workspace
-    positions have that shape too); a scatter payload is a flat value run.
-    """
-    for wire, array, sched, _buf in plan.reads:
-        if sched is not None:
-            for dst, idx in sched.sends:
-                yield wire, dst, _payload_shape(idx), array.dtype
+def _apply_scatter(plan, slots: dict, block_of, half) -> None:
+    """Phase C (loops with remote writes only): incoming scatter values
+    into the rank's lhs blocks."""
+    me, lead = plan.rank, plan.lead
     for store in plan.stores:
         if store is not None and store[0] == "transfer":
             _, array, sched, wire = store
-            for dst, sel in sched.sends:
-                yield wire, dst, _payload_shape(sel), array.dtype
+            for src, piece in sched.recvs:
+                block_of(array)[lead + piece] = slots[wire, src, me][half]
 
 
 def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> None:
@@ -575,51 +614,160 @@ def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> No
     their fence stays conservative).  Every rank executes the same fence
     count per sweep (the phase structure depends only on loop-level
     facts), so the ranks can never split-brain.
-
-    Blocks are resolved through ``array.local(rank)`` per sweep, never
-    captured, for the reason :func:`_replay` gives.
     """
-    me = plan.rank
-    for wire, array, sched, buf in plan.reads:
-        if sched is None or not (sched.sends or sched.self_src is not None):
-            continue
-        block = array.local(me)
-        for dst, idx in sched.sends:
-            slots[wire, me, dst][parity] = block[idx]
-        if buf is not None and sched.self_src is not None:
-            buf[sched.self_dst] = block[sched.self_src]
+    block_of = methodcaller("local", plan.rank)
+    _fill(plan, slots, block_of, parity)
     fence()
-    for wire, _array, sched, buf in plan.reads:
-        if sched is not None:
-            for src, idx in sched.recvs:
-                buf[idx] = slots[wire, src, me][parity]
-
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
-
-    for values, store in zip(stmt_vals, plan.stores):
-        if store is None:
-            continue
-        op, array = store[0], store[1]
-        if op == "transfer":
-            sched, wire = store[2], store[3]
-            flat = None if values is None else values.reshape(-1)
-            for dst, sel in sched.sends:
-                slots[wire, me, dst][parity] = flat[sel]
-            if sched.self_src is not None:
-                array.local(me)[sched.self_dst] = flat[sched.self_src]
-        elif op == "box":
-            _, _, locs, perm, boxshape = store
-            array.local(me)[locs] = values.transpose(perm).reshape(boxshape)
-        else:  # "flat"
-            array.local(me)[store[2]] = values.reshape(-1)
+    _drain_eval_store(plan, slots, block_of, parity)
     if has_remote:
         fence()
-        for store in plan.stores:
-            if store is not None and store[0] == "transfer":
-                _, array, sched, wire = store
-                for src, piece in sched.recvs:
-                    array.local(me)[piece] = slots[wire, src, me][parity]
+        _apply_scatter(plan, slots, block_of, parity)
         fence()
+
+
+def replay_in_process(analyses, grid, iters: int, nbatch: int | None = None,
+                      blocks: dict | None = None) -> None:
+    """``iters`` sweeps of the loops on every rank of ``grid``, in this
+    process: the simulator backend's data plane.
+
+    The same three phases the forked workers run, walked rank by rank --
+    fill all, drain/eval/store all, [apply all] -- so the phase boundary
+    *is* the fence: every rank's copy-in snapshot is complete before any
+    rank stores, with no barrier, and a slot is drained before the next
+    sweep refills it, with no parity.  Slots are plain arrays sized by
+    :func:`outgoing`.  ``blocks`` (with ``nbatch``) redirects every
+    block access to the batch driver's ``(uid, rank) -> (B,) + local``
+    shadow blocks; without it the live arrays are read and stored.
+    """
+    script, linear = [], grid.linear
+    for analysis in analyses:
+        ranks, slots = [], {}
+        for rank in linear:
+            plan = analysis.step_plan(rank, nbatch=nbatch)
+            for wire, dst, shape, dtype in outgoing(plan):
+                slots[wire, rank, dst] = np.empty(shape, dtype)
+            if blocks is None:
+                block_of = methodcaller("local", rank)
+            else:
+                def block_of(array, rank=rank):
+                    return blocks[array.uid, rank]
+            ranks.append((plan, block_of))
+        script.append((ranks, slots, analysis.has_remote_writes))
+    for _ in range(iters):
+        for ranks, slots, has_remote in script:
+            for plan, block_of in ranks:
+                _fill(plan, slots, block_of, ())
+            for plan, block_of in ranks:
+                _drain_eval_store(plan, slots, block_of, ())
+            if has_remote:
+                for plan, block_of in ranks:
+                    _apply_scatter(plan, slots, block_of, ())
+
+
+# ----------------------------------------------------------------------
+# A frozen loop run: accounting by arithmetic, trace from the oracle
+# ----------------------------------------------------------------------
+
+
+def run_frozen_loops(session, machine, loops, grid, move, *, iters: int,
+                     overlap: bool, marks: str | None,
+                     nbatch: int | None = None) -> Trace:
+    """Execute a frozen loop program: the driver both backends' ``run_loops``
+    share.
+
+    ``machine`` is the modeled machine (the simulator itself, or the one
+    a backend wraps); ``move(analyses)`` is the backend's data plane --
+    :func:`replay_in_process` here, the worker pool's sweeps there.  The
+    rest is the same everywhere: each rank probes the plan cache once
+    per loop per run (the outcome is the ``reused`` of its first sweep),
+    the remaining sweeps are counted as as-if hits in one call
+    (:meth:`PlanCache.count_replay`) so the accounting matches the
+    interpreted path's per-sweep probes, and the trace comes from
+    :func:`oracle_trace`.  Loop programs contain no redistribution, so
+    an analysis cannot go stale within a run; between runs the probes
+    pick up any layout change.  The oracle is consulted before the data
+    moves, so a rejected argument leaves the arrays untouched.
+    """
+    ranks = grid.linear
+    if len(ranks) > machine.n_procs:
+        raise ValidationError(
+            f"grid of {len(ranks)} procs exceeds machine size {machine.n_procs}"
+        )
+    plans = session.plans
+    probes = [[plans.analysis(loop) for loop in loops] for _ in ranks]
+    plans.count_replay("doall", (iters - 1) * len(loops) * len(ranks))
+    analyses = [analysis for analysis, _ in probes[0]]
+    first = tuple(tuple(reused for _, reused in row) for row in probes)
+    trace = oracle_trace(
+        session, machine, loops, analyses, grid, first,
+        iters=iters, overlap=overlap, marks=marks, nbatch=nbatch,
+    )
+    move(analyses)
+    return trace
+
+
+#: bound of a trace-oracle cache (a Session's, or a pool's shared one):
+#: entries hold whole Trace templates, so far fewer than plans
+ORACLE_ENTRIES = 32
+
+
+def oracle_trace(session, machine, loops, analyses, grid, first, *,
+                 iters: int, overlap: bool, marks: str | None,
+                 nbatch: int | None) -> Trace:
+    """The sim-clock Trace of one frozen loop run, from the memoized oracle.
+
+    Trace *timings* are statements of the cost model, not of the host,
+    and for a frozen loop program they are as frozen as the schedules:
+    the same messages, tags, byte counts, flop charges and marks every
+    run.  So the trace is simulated once -- ``machine`` runs the
+    data-free :func:`shadow_replay_analysis` stream of every rank --
+    and kept as a template in ``session.oracle`` (a :class:`PlanCache`:
+    LRU, one build serves every concurrent requester, and
+    :func:`drop_plans_for_array` reclaims the entries of a redistributed
+    array).  ``first`` holds each rank's per-loop ``reused`` flags of
+    the first sweep -- only a loop's first execution can be a build.
+
+    The key is stable facts only: the loops' structural keys (array uids
+    and layout epochs, grid), the cost model by value, the run shape,
+    and the identity of the machine, which the entry pins so the id
+    cannot be recycled.  An entry holds the template and the machine --
+    never a :class:`LoopAnalysis`, whose lifetime stays its plan-cache
+    entry's.
+    """
+    mode = marks if marks is not None else session.marks
+    key = (
+        tuple(loop.key() for loop in loops), id(machine), machine.cost,
+        iters, overlap, mode, nbatch, first,
+    )
+
+    def build():
+        first_of = dict(zip(grid.linear, first))
+
+        def shadow(ctx):
+            for sweep in range(iters):
+                for analysis, was_cached in zip(analyses, first_of[ctx.rank]):
+                    yield from shadow_replay_analysis(
+                        ctx, analysis, overlap, was_cached or sweep > 0, nbatch
+                    )
+
+        return session._execute(machine, grid, shadow, mode), machine
+
+    (template, _), _ = session.oracle.get(
+        "oracle", key, build,
+        uids=lambda: {uid for loop in loops for uid in _loop_uids(loop)},
+    )
+    # a fresh Trace per run: records are immutable once a run finishes,
+    # so materializations share them while the lists and dicts stay
+    # caller-owned
+    return Trace(
+        n_procs=template.n_procs,
+        computes=list(template.computes),
+        messages=list(template.messages),
+        marks=list(template.marks),
+        finish_times=dict(template.finish_times),
+        level=template.level,
+        mark_counts=dict(template.mark_counts),
+    )
 
 
 def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):

@@ -5,9 +5,10 @@ The simulator executes N ranks inside one Python process; this backend
 executes them as N *real* forked worker processes, one per grid rank,
 and keeps everything else -- results, schedule accounting, and the
 cost-model-stamped trace -- bit-identical to the simulator.  This
-module owns the worker pool, the shared memory and the oracle-trace
-cache; it never looks inside a plan.  The design executes exactly the
-frozen artifacts the compiler already produces:
+module owns the worker pool and the shared memory; it never looks
+inside a plan, and the run driver and the trace oracle are the ones the
+simulator backend uses.  The design executes exactly the frozen
+artifacts the compiler already produces:
 
 * **plan shipping**: each rank's frozen
   :class:`~repro.compiler.commgen.StepPlan` (closures, workspaces,
@@ -39,15 +40,15 @@ frozen artifacts the compiler already produces:
   event-driven simulator enforces through virtual time, so the floats
   are bit-identical.
 * **the simulator as trace oracle**: trace *timings* are statements of
-  the cost model, not of the host machine, so the backend derives its
-  trace by running the inner reference :class:`Machine` over the
-  compiled replay walk itself with no data attached
-  (:func:`repro.compiler.schedule.shadow_replay_analysis`) -- same
-  marks, flops, tags, and byte counts by construction.  Oracle traces
-  are cached per (plans, iters, mode), so repeated runs of one program
-  pay for the simulation once.  Cache accounting and the oracle's
-  per-rank op sequence both come from the one sweep driver
-  (:func:`repro.compiler.schedule.replay_sweeps`).
+  the cost model, not of the host machine, so a frozen loop run takes
+  its trace from the oracle both backends share
+  (:func:`repro.compiler.schedule.oracle_trace`): the inner reference
+  :class:`Machine` runs the compiled replay walk with no data attached
+  -- same marks, flops, tags, and byte counts by construction -- once
+  per run shape, memoized on the Session.  Cache accounting and the
+  call into the oracle are the shared driver's
+  (:func:`repro.compiler.schedule.run_frozen_loops`); this backend
+  contributes the data plane.
 
 Generic (non-loop) node programs -- parsub routines, hand-written
 message passing -- are delegated to the inner simulator unchanged:
@@ -63,18 +64,12 @@ import os
 import time
 import traceback
 import weakref
-from collections import OrderedDict
 from multiprocessing import shared_memory
 from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.compiler.schedule import (
-    outgoing,
-    replay_direct,
-    replay_sweeps,
-    shadow_replay_analysis,
-)
+from repro.compiler.schedule import outgoing, replay_direct, run_frozen_loops
 from repro.lang.array import storage_of
 from repro.machine.backend import Backend, NodeProgram
 from repro.machine.costmodel import CostModel
@@ -181,10 +176,6 @@ class MultiprocessingBackend(Backend):
                 "pickled); this platform does not provide it"
             ) from None
         self._pool: _WorkerPool | None = None
-        # oracle-trace templates: key -> (strong analysis refs, Trace).
-        # The refs pin the analyses so a key's embedded id()s can never
-        # alias a recycled object.
-        self._oracle: OrderedDict[tuple, tuple[tuple, Trace]] = OrderedDict()
 
     # -- Backend surface ---------------------------------------------------
 
@@ -226,27 +217,18 @@ class MultiprocessingBackend(Backend):
     ) -> Trace:
         """Replay a frozen loop program with real parallel workers.
 
-        Cache accounting is the compiled driver's own
-        (:func:`~repro.compiler.schedule.replay_sweeps`, drained once
-        per rank -- identical to the simulator path); the worker pool
-        executes ``iters`` sweeps, and the oracle trace replays the same
-        per-rank ``(analysis, reused)`` sequences data-free.  The caller
-        (``Program.run``) records the trace in the session history.
+        The driver is the one the simulator backend uses
+        (:func:`~repro.compiler.schedule.run_frozen_loops`: cache
+        accounting, then the oracle trace of the inner machine); only
+        the data plane differs -- the worker pool executes ``iters``
+        sweeps.  The caller (``Program.run``) records the trace in the
+        session history.
         """
-        if grid.size > self.n_procs:
-            raise ValidationError(
-                f"grid of {grid.size} procs exceeds machine size {self.n_procs}"
-            )
-        steps = {
-            rank: list(replay_sweeps(session.plans, loops, iters))
-            for rank in grid.linear
-        }
-        analyses = [analysis for analysis, _ in steps[grid.linear[0]][:len(loops)]]
-
-        pool = self._ensure_pool(analyses, grid)
-        pool.run_sweeps(iters)
-
-        return self._oracle_trace(session, analyses, grid, steps, overlap, marks)
+        return run_frozen_loops(
+            session, self.machine, loops, grid,
+            lambda analyses: self._ensure_pool(analyses, grid).run_sweeps(iters),
+            iters=iters, overlap=overlap, marks=marks,
+        )
 
     # -- worker pool management --------------------------------------------
 
@@ -279,51 +261,6 @@ class MultiprocessingBackend(Backend):
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # -- the trace oracle --------------------------------------------------
-
-    def _oracle_trace(self, session, analyses, grid, steps, overlap, marks) -> Trace:
-        marks_mode = marks if marks is not None else getattr(session, "marks", "full")
-        key = (
-            tuple(id(a) for a in analyses),
-            grid.key(),
-            id(self.machine),
-            len(steps[grid.linear[0]]),
-            overlap,
-            marks_mode,
-            # only a loop's first execution can be a build
-            tuple(
-                tuple(reused for _, reused in steps[rank][:len(analyses)])
-                for rank in grid.linear
-            ),
-        )
-        entry = self._oracle.get(key)
-        if entry is None:
-            def shadow(ctx):
-                for analysis, reused in steps[ctx.rank]:
-                    yield from shadow_replay_analysis(
-                        ctx, analysis, overlap=overlap, reused=reused
-                    )
-
-            template = session._execute(self.machine, grid, shadow, marks_mode)
-            self._oracle[key] = entry = (tuple(analyses), template)
-            while len(self._oracle) > 32:
-                self._oracle.popitem(last=False)
-        else:
-            self._oracle.move_to_end(key)
-        template = entry[1]
-        # materialize a fresh Trace per run; record objects are immutable
-        # once a run finishes, so sharing them across materializations is
-        # safe while the lists/dicts stay caller-owned
-        return Trace(
-            n_procs=template.n_procs,
-            computes=list(template.computes),
-            messages=list(template.messages),
-            marks=list(template.marks),
-            finish_times=dict(template.finish_times),
-            level=template.level,
-            mark_counts=dict(template.mark_counts),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

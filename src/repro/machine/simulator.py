@@ -383,3 +383,25 @@ class Machine(Backend):
         if leftovers:
             raise MachineError(f"unconsumed messages at exit: {leftovers}")
         return trace
+
+    def run_loops(self, session, loops, grid, *, iters: int = 1,
+                  overlap: bool = False, marks: str | None = None,
+                  nbatch: int | None = None, blocks: dict | None = None) -> Trace:
+        """Execute a frozen loop program (``Program.run`` /
+        ``Program.run_batch`` route here) without the event loop.
+
+        The floats move by the in-process direct phase walk; the Trace
+        is what :meth:`run` would have recorded for the same run,
+        simulated data-free once per run shape and re-materialized from
+        ``session.oracle`` afterwards -- see
+        :func:`repro.compiler.schedule.run_frozen_loops`.  ``nbatch`` /
+        ``blocks`` run an ensemble over the batch driver's shadow blocks.
+        """
+        # the compiler imports this package, never the other way at load
+        from repro.compiler.schedule import replay_in_process, run_frozen_loops
+
+        return run_frozen_loops(
+            session, self, loops, grid,
+            lambda analyses: replay_in_process(analyses, grid, iters, nbatch, blocks),
+            iters=iters, overlap=overlap, marks=marks, nbatch=nbatch,
+        )

@@ -56,7 +56,7 @@ from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from repro.compiler.commsched import ScheduleCache
-from repro.compiler.schedule import PlanCache
+from repro.compiler.schedule import ORACLE_ENTRIES, PlanCache
 from repro.lang.procs import ProcessorGrid
 from repro.machine.simulator import Machine
 from repro.machine.trace import Trace
@@ -115,6 +115,8 @@ class SessionPool:
         self.cache = ScheduleCache(max_entries=max_schedule_entries)
         #: the one PlanCache every pooled session consults
         self.plans = PlanCache(max_entries=max_plan_entries)
+        #: the one trace-oracle cache (``Session.oracle``) they consult
+        self.oracle = PlanCache(max_entries=ORACLE_ENTRIES)
         self.sessions: list[Session] = []
         for _ in range(size):
             s = (
@@ -124,6 +126,7 @@ class SessionPool:
             # swap the session's private caches for the pool-shared ones
             s.cache = self.cache
             s.plans = self.plans
+            s.oracle = self.oracle
             self.sessions.append(s)
         self._free: list[Session] = list(self.sessions)
         self._cond = threading.Condition()

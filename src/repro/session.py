@@ -7,16 +7,20 @@ lifecycle explicit:
 * a :class:`Session` owns everything that used to be process-global
   mutable state -- the transfer-:class:`~repro.compiler.commsched.ScheduleCache`,
   the compiled-plan :class:`~repro.compiler.schedule.PlanCache`, the
-  run-id counter, and the trace history.  Two Sessions never share
-  schedules, so concurrent workloads (or test cases) are isolated by
-  construction;
+  trace-oracle templates, the run-id counter, and the trace history.
+  Two Sessions never share schedules, so concurrent workloads (or test
+  cases) are isolated by construction;
 * :func:`compile` lowers a program -- a :class:`~repro.lang.doall.Doall`
   (or list of them), KF1 source text, a parsed
   :class:`~repro.lang.kf1.KF1Program`, or a parsub generator function --
   into a :class:`Program` whose communication schedules are frozen at
   compile time;
 * ``Program.run(**bindings)`` launches the program on the simulated
-  machine, replaying the cached schedules on every run;
+  machine, replaying the cached schedules on every run -- a loop
+  program's floats move by the direct phase walk and its ``Trace`` is
+  re-materialized from the Session's memoized trace oracle
+  (:func:`repro.compiler.schedule.run_frozen_loops`), so only the first
+  run of a shape pays for the event simulation;
   ``Program.estimate`` predicts its critical path without executing,
   ``Program.schedules``/``Program.stats`` expose the frozen transfer
   schedules and per-direction reuse rates, and ``Program.explain``
@@ -52,6 +56,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import threading
 import warnings
 import weakref
@@ -61,7 +66,7 @@ import numpy as np
 
 from repro.compiler.commsched import ScheduleCache
 from repro.compiler.estimate import LoopEstimate, estimate_doall
-from repro.compiler.schedule import PlanCache
+from repro.compiler.schedule import ORACLE_ENTRIES, PlanCache
 from repro.lang.context import KaliCtx, next_run_id
 from repro.lang.doall import Doall
 from repro.lang.kf1 import KF1Program, parse_program
@@ -211,6 +216,18 @@ class Session:
         #: they already look for cache accounting
         self.recovery = None
 
+    @functools.cached_property
+    def oracle(self) -> PlanCache:
+        """Trace-oracle templates of frozen loop runs
+        (:func:`~repro.compiler.schedule.oracle_trace`): one data-free
+        simulation per distinct run shape.  A second PlanCache, for its
+        LRU, its locking and its purge on redistribution, created at the
+        first frozen run (a Session that only launches parsubs never
+        pays for one) and assignable (a pool swaps in its shared one).
+        Its counters are the oracle's own, never part of
+        ``stats()["plans"]``."""
+        return PlanCache(max_entries=ORACLE_ENTRIES)
+
     # -- launching ---------------------------------------------------------
 
     def _resolve(self, machine: Machine | None, grid: ProcessorGrid | None):
@@ -292,8 +309,8 @@ class Session:
 
     def _execute(self, runner: Backend, grid, routine, marks) -> Trace:
         """Run ``routine(ctx)`` per rank of ``grid`` on ``runner``,
-        unrecorded (:meth:`run` records; the multiprocessing backend's
-        oracle stream must not)."""
+        unrecorded (:meth:`run` records; the trace oracle's data-free
+        stream must not)."""
         # Launch identities are unique across sessions *and* processes
         # (keyed by pid + counter): a run id scopes cache decisions and
         # staging tokens, and two Sessions sharing one explicit
@@ -470,9 +487,11 @@ class Session:
         return _hit_rates(self.cache, self.plans)
 
     def clear(self) -> None:
-        """Drop every cached schedule and plan (the traces stay)."""
+        """Drop every cached schedule, plan and oracle template (the
+        traces stay)."""
         self.cache.clear()
         self.plans.clear()
+        self.oracle.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -560,13 +579,17 @@ class Program:
         True): the compiled fast path resolves each loop's cached
         analysis once per run and replays its frozen per-rank
         :class:`~repro.compiler.commgen.StepPlan` every sweep -- no
-        per-sweep cache probe, no expression interpretation; a
-        ``compiled=False`` Session runs the interpreted reference
-        executor.  Results, traces, and cache accounting are
-        bit-identical between the two.  ``marks="cheap"`` additionally
-        aggregates steady-state schedule marks into
-        ``Trace.mark_counts`` instead of per-op records (default "full"
-        is unchanged behavior).
+        per-sweep cache probe, no expression interpretation, and no
+        event simulation either: the floats move by the direct phase
+        walk and the returned Trace is re-materialized from the
+        Session's memoized trace oracle (simulated once per run shape;
+        the lists are the caller's, the records shared and immutable).
+        A ``compiled=False`` Session runs the interpreted reference
+        executor through the simulator.  Results, traces, and cache
+        accounting are bit-identical between the two.
+        ``marks="cheap"`` additionally aggregates steady-state schedule
+        marks into ``Trace.mark_counts`` instead of per-op records
+        (default "full" is unchanged behavior).
 
         ``backend`` (default from the Session) picks the execution
         backend.  With ``"multiprocessing"`` (or a
@@ -652,31 +675,19 @@ class Program:
 
         runner, grid = sess._target(machine, self.grid, backend)
         if sess.compiled and loops and hasattr(runner, "run_loops"):
-            # Backends that lower frozen loop replays to real parallel
-            # execution take the whole run here; the generic path below
-            # stays generator-driven on the (possibly inner) simulator.
+            # Both first-class backends take a frozen loop run whole:
+            # accounting by arithmetic, floats by the direct walk, the
+            # Trace from the oracle (schedule.run_frozen_loops).
             return sess._record(runner.run_loops(
                 sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
             ))
 
-        if sess.compiled:
-            # The steady-state fast path: one cache probe per loop per
-            # rank per *run*, then the frozen StepPlans replay directly
-            # (see replay_sweeps).
-            from repro.compiler.schedule import replay_analysis, replay_sweeps
-
-            def _program(ctx):
-                for analysis, reused in replay_sweeps(
-                    ctx.session.plans, loops, niters
-                ):
-                    yield from replay_analysis(
-                        ctx, analysis, overlap=overlap, reused=reused
-                    )
-        else:
-            def _program(ctx):
-                for _ in range(niters):
-                    for loop in loops:
-                        yield from ctx.doall(loop, overlap=overlap)
+        # The interpreted reference, and backends that only run node
+        # programs: the live generator, one cache probe per sweep.
+        def _program(ctx):
+            for _ in range(niters):
+                for loop in loops:
+                    yield from ctx.doall(loop, overlap=overlap)
 
         return sess._record(sess._execute(runner, grid, _program, marks))
 
@@ -800,8 +811,9 @@ class Program:
         factor, and the compiled rhs closures evaluate all members in
         one numpy call.  Wire message **counts** are identical to one
         single-binding run; compute and bytes honestly scale by the
-        batch size.  See
-        :func:`repro.compiler.schedule.replay_batch_analysis`.
+        batch size.  The walk is the one :meth:`run` uses
+        (:func:`repro.compiler.schedule.replay_in_process`, over batched
+        plans), and so is the trace oracle.
 
         Each member starts from the program's pre-call array state with
         its own bindings applied -- exactly what a fresh ``run`` per
@@ -897,25 +909,13 @@ class Program:
             for (uid, r), batched in blocks.items():
                 batched[b] = arrays[uid].local(r)
 
-        from repro.compiler.schedule import replay_batch_analysis, replay_sweeps
-
-        def _program(ctx):
-            me = ctx.rank
-            myblocks = {
-                uid: batched for (uid, r), batched in blocks.items() if r == me
-            }
-            for analysis, reused in replay_sweeps(
-                ctx.session.plans, loops, niters
-            ):
-                yield from replay_batch_analysis(
-                    ctx, analysis, myblocks, nbatch,
-                    overlap=overlap, reused=reused,
-                )
-
-        trace = sess.run(
-            _program, machine=machine, grid=grid, marks=marks,
-            backend=backend if isinstance(backend, Machine) else "simulator",
+        runner, grid = sess._target(
+            machine, grid, backend if isinstance(backend, Machine) else "simulator"
         )
+        trace = sess._record(runner.run_loops(
+            sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
+            nbatch=nbatch, blocks=blocks,
+        ))
 
         # Write back member by member, collecting each one's global
         # view; member order leaves the live arrays holding the last

@@ -125,6 +125,23 @@ def test_run_batch_of_one_is_a_single_run(dist, overlap):
     np.testing.assert_array_equal(res["y"][0], single.arrays["y"].to_global())
 
 
+def test_run_batch_same_size_simulates_once(simulations):
+    """The batched trace is as frozen as the single-run one: a second
+    ``run_batch`` of the same B re-materializes the oracle's template
+    (fresh lists, equal content) and never enters ``Machine.run``; a
+    different B is a different run shape and simulates once more."""
+    sims, prog = simulations, _prog(p=3, n=12)
+    first = prog.run_batch(_bindings(8, n=12))
+    assert len(sims) == 1
+    again = prog.run_batch(_bindings(8, n=12, seed=1))
+    assert len(sims) == 1
+    assert again.trace.messages == first.trace.messages
+    assert again.trace.messages is not first.trace.messages
+    assert again.trace.computes == first.trace.computes
+    prog.run_batch(_bindings(2, n=12))
+    assert len(sims) == 2
+
+
 def test_run_batch_runs_on_a_machine_passed_as_backend():
     """``backend=<Machine>`` names the machine the batch executes on,
     exactly as for ``run`` -- it used to be dropped for the Session's."""

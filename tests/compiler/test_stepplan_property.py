@@ -2,9 +2,12 @@
 interpreted executor across distributions, stencil shapes, overlap
 modes, and mid-run redistribution.
 
-For every drawn case the same program runs once with ``compiled=True``
-(frozen StepPlans) and once with ``compiled=False`` (the interpreted
-reference).  Results, the full message stream (sources, destinations,
+For every drawn case the same program runs with ``compiled=True``
+(frozen StepPlans) in both launch forms -- ``Program.run`` (the direct
+phase walk, trace from the oracle) and a parsub calling ``ctx.doall``
+(the live generator walk) -- and once with ``compiled=False`` (the
+interpreted reference), which is itself checked against the stencil
+written in plain numpy.  Results, the full message stream (sources, destinations,
 tags, byte counts, timings), marks, compute charges, and the schedule /
 plan hit accounting must agree exactly -- not approximately.
 """
@@ -54,7 +57,7 @@ def test_compiled_equals_interpreted(case):
     values = np.random.default_rng(seed).standard_normal(n)
     wkind = kind if write_kind == "same" else write_kind
 
-    def run(compiled):
+    def run(compiled, form="program"):
         g = ProcessorGrid((p,))
         u = DistArray((n,), g, dist=(_dist_of(kind),), name="u")
         v = DistArray((n,), g, dist=(_dist_of(wkind),), name="v")
@@ -69,17 +72,33 @@ def test_compiled_equals_interpreted(case):
         )
         sess = Session(Machine(n_procs=p), g, compiled=compiled)
         prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=iters, overlap=overlap)
+        if form == "program":
+            # compiled: the direct phase walk + the trace oracle
+            trace = prog.run(iters=iters, overlap=overlap)
+        else:
+            # compiled: the live generator walk, op by op on the simulator
+            def parsub(ctx):
+                for _ in range(iters):
+                    yield from ctx.doall(loop, overlap=overlap)
+
+            trace = sess.run(parsub)
         return v.to_global(), trace, prog.session
 
-    xa, ta, sa = run(True)
     xb, tb, sb = run(False)
-    np.testing.assert_array_equal(xa, xb)
-    assert trace_sig(ta) == trace_sig(tb)
-    # cache accounting (plan hits, schedule hit rates) must agree too
-    assert sa.plans.kind_stats() == sb.plans.kind_stats()
-    assert ta.schedule_hit_rate() == tb.schedule_hit_rate()
-    assert ta.schedule_directions() == tb.schedule_directions()
+    for form in ("program", "parsub"):
+        xa, ta, sa = run(True, form)
+        np.testing.assert_array_equal(xa, xb)
+        assert trace_sig(ta) == trace_sig(tb), form
+        # cache accounting (plan hits, schedule hit rates) must agree too
+        assert sa.plans.kind_stats() == sb.plans.kind_stats(), form
+        assert ta.schedule_hit_rate() == tb.schedule_hit_rate()
+        assert ta.schedule_directions() == tb.schedule_directions()
+    # and the anchor outside the system: the stencil in plain numpy (u is
+    # only read, so every sweep stores the same values)
+    at = np.arange(off_l, n - off_r)
+    expect = np.zeros(n)
+    expect[at] = 2.0 * values[at - off_l] - values[at + off_r] + 0.5
+    np.testing.assert_array_equal(xb, expect)
 
 
 @st.composite

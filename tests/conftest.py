@@ -75,3 +75,17 @@ def hang_guard(request):
         f"{request.node.nodeid} leaked shm segments {leaked} "
         f"and child pids {zombies}"
     )
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Counts entries into the event simulator (``Machine.run``): what a
+    frozen loop run may make once per run shape, for its trace oracle."""
+    from repro import Machine
+
+    calls = []
+    real = Machine.run
+    monkeypatch.setattr(
+        Machine, "run", lambda self, *a, **kw: calls.append(1) or real(self, *a, **kw)
+    )
+    return calls

@@ -10,7 +10,9 @@ Covers the compile-and-run contract:
 * importing the package creates no cache: a Session is the only owner
   of compile-and-run state;
 * plan-cache keys are immune to CPython id() reuse (regression for the
-  ``id(array)`` aliasing bug).
+  ``id(array)`` aliasing bug);
+* a frozen loop run takes its Trace from the Session's memoized oracle:
+  simulated once per run shape, caller-owned, keyed on stable facts.
 """
 
 import gc
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import Machine, ProcessorGrid, Session
+from repro import CostModel, Machine, ProcessorGrid, Session
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.tensor.jacobi import build_jacobi_loop, jacobi_reference
 from repro.util.errors import ValidationError
@@ -348,3 +350,109 @@ def test_owner_and_ref_keys_use_uid():
     assert A.uid in Owner(A, (i,)).key()
     assert A.uid in A[i].key()
     assert id(A) not in Owner(A, (i,)).key()
+
+
+# ----------------------------------------------------------------------
+# The trace oracle: a frozen loop run simulates once per run shape
+# ----------------------------------------------------------------------
+
+BACKENDS = [None, "multiprocessing"]
+
+
+def _loop_program(backend=None, compiled=True):
+    g = ProcessorGrid((2,))
+    loop, u, v = _stencil_loop(g)
+    sess = Session(Machine(n_procs=2), g, backend=backend, compiled=compiled)
+    return repro.compile(loop, session=sess), sess, u, v
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_oracle_steady_state_runs_never_simulate(backend, simulations):
+    prog, sess, _, _ = _loop_program(backend)
+    try:
+        prog.run(iters=3)
+        warm = len(simulations)
+        traces = [prog.run(iters=3) for _ in range(5)]
+        assert len(simulations) == warm == 1
+    finally:
+        sess.close_backend()
+    want = _trace_fingerprint(_loop_program()[0].run(iters=3))
+    assert all(_trace_fingerprint(t) == want for t in traces)
+    assert sess.runs == 6 and len(sess.history) == 6
+    assert "oracle" not in sess.stats()["plans"]
+
+
+def test_oracle_trace_is_caller_owned():
+    prog, _, _, _ = _loop_program()
+    t1, t2 = prog.run(iters=2), prog.run(iters=2)
+    want = _trace_fingerprint(t2)
+    t1.messages.clear()
+    t1.computes.clear()
+    t1.marks.clear()
+    t1.finish_times.clear()
+    t1.mark_counts["mine"] = 1
+    assert _trace_fingerprint(t2) == want
+    t3 = prog.run(iters=2)
+    assert _trace_fingerprint(t3) == want and not t3.mark_counts
+
+
+def test_oracle_stamps_each_machine_with_its_own_cost_model():
+    """Short-lived machines, created and dropped per run: an entry is
+    keyed on the cost model by value and pins its machine, so neither a
+    recycled ``id()`` nor a reassigned ``machine.cost`` can serve
+    another model's timings."""
+    prog, _, _, _ = _loop_program()
+    costs = [CostModel(alpha=a, flop_time=a / 100) for a in (1e-4, 1e-2, 1.0)]
+    spans = [
+        prog.run(machine=Machine(n_procs=2, cost=cost), iters=2).makespan()
+        for cost in costs
+    ]
+    want = [
+        _loop_program()[0].run(
+            machine=Machine(n_procs=2, cost=cost), iters=2
+        ).makespan()
+        for cost in costs
+    ]
+    assert spans == want and len(set(spans)) == 3
+    machine = Machine(n_procs=2, cost=costs[0])
+    assert prog.run(machine=machine, iters=2).makespan() == want[0]
+    machine.cost = costs[2]
+    assert prog.run(machine=machine, iters=2).makespan() == want[2]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_oracle_follows_a_redistribution_between_runs(backend):
+    """Epochs are part of the key: after a layout flip the next run gets
+    the new layout's trace (with its build marks), the one after that
+    the steady-state trace -- as the interpreted reference records."""
+    def run(backend, compiled):
+        prog, sess, u, v = _loop_program(backend, compiled)
+        out = [prog.run(iters=2)]
+        for arr in (u, v):
+            arr.redistribute(("cyclic",))
+        if compiled:
+            assert len(sess.oracle) == 0  # purged with the plans
+        out += [prog.run(iters=2), prog.run(iters=2)]
+        sess.close_backend()
+        return [_trace_fingerprint(t) for t in out]
+
+    got, want = run(backend, True), run(None, False)
+    assert got == want
+    assert got[0] != got[1] != got[2]
+
+
+def test_oracle_one_entry_per_run_shape_and_clear(simulations):
+    prog, sess, _, _ = _loop_program()
+    shapes = [
+        dict(iters=2), dict(iters=2, overlap=True),
+        dict(iters=2, marks="cheap"), dict(iters=3),
+    ]
+    for _ in range(2):
+        for shape in shapes:
+            prog.run(**shape)
+    assert len(sess.oracle) == len(simulations) == 4
+    assert sess.oracle.kind_stats() == {"oracle": {"hits": 4, "misses": 4}}
+    sess.clear()
+    assert len(sess.oracle) == 0
+    prog.run(iters=2)
+    assert len(simulations) == 5

@@ -320,24 +320,88 @@ def test_run_step_barrier_count(remote, per_sweep):
 
 def test_mpbackend_names_no_plan_record():
     """Tier-1 guard: the StepPlan record layout and the sweep's phase
-    order are known to compiler/schedule.py alone (outgoing /
-    replay_direct); the backend owns the pool, the shm and the oracle."""
+    order are known to compiler/schedule.py alone (outgoing / the phase
+    walk); the backends own the pool, the shm and the event loop."""
     import pathlib
     import re
 
-    from repro.machine import mpbackend
+    from repro.machine import mpbackend, simulator
 
     records = re.compile(r"\.(reads|stores|evals|sends|recvs|self_src|self_dst)\b")
-    path = pathlib.Path(mpbackend.__file__)
     offenders = [
         f"{path}:{lineno}: {line.strip()}"
+        for path in (pathlib.Path(m.__file__) for m in (mpbackend, simulator))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if records.search(line)
     ]
     assert not offenders, (
-        "mpbackend.py reads a plan record (walk it in compiler/schedule.py):\n"
+        "a backend reads a plan record (walk it in compiler/schedule.py):\n"
         + "\n".join(offenders)
     )
+
+
+def test_generator_walk_is_single_run_and_drivers_are_gone():
+    """Tier-1 guard: the live generator knows nothing of the batch
+    prefix (the direct phase walk owns it), and the sweep drivers the
+    shared frozen-loop driver replaced stay deleted."""
+    import inspect
+
+    from repro.compiler import schedule
+
+    source = inspect.getsource(schedule._replay)
+    assert "lead" not in source and ".flat" not in source
+    assert not hasattr(schedule, "replay_batch_analysis")
+    assert not hasattr(schedule, "replay_sweeps")
+
+
+# ----------------------------------------------------------------------
+# The trace oracle pins no analysis a redistribution dropped
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", [None, "multiprocessing"])
+def test_oracle_pins_no_superseded_analysis(backend):
+    """Every layout flip orphans the loop's analysis (its per-rank
+    StepPlans and their workspaces with it); the oracle keys on stable
+    facts and holds a Trace template and the Machine, so each orphan
+    must die by refcount -- no collection -- the moment the plan cache
+    lets go.  The mp row keeps one explicit backend alive throughout."""
+    import gc
+    import weakref
+
+    n = 33
+    grid = ProcessorGrid((2,))
+    u = DistArray((n, n), grid, dist=("*", "block"), name="u")
+    f = DistArray((n, n), grid, dist=("*", "block"), name="f")
+    f.from_global(np.random.default_rng(3).standard_normal((n, n)))
+    i, j = loopvars("i j")
+    loop = Doall(
+        vars=(i, j), ranges=[(1, n - 2), (1, n - 2)], on=Owner(u, (i, j)),
+        body=[Assign(u[i, j], 0.5 * (u[i, j - 1] + u[i, j + 1]) - f[i, j])],
+        grid=grid,
+    )
+    mp = MultiprocessingBackend(n_procs=2) if backend else None
+    sess = Session(Machine(n_procs=2) if mp is None else None, grid, backend=mp)
+    prog = repro.compile(loop, session=sess)
+    dead = []
+    gc.disable()
+    try:
+        for flip in range(6):
+            prog.run(iters=2)
+            analysis, _ = sess.plans.analysis(loop, count=False)
+            dead.append(weakref.ref(analysis))
+            del analysis
+            sess.close_backend()
+            layout = ("*", "cyclic") if flip % 2 == 0 else ("*", "block")
+            u.redistribute(layout)
+            f.redistribute(layout)
+        prog.run(iters=2)
+        alive = sum(ref() is not None for ref in dead)
+    finally:
+        gc.enable()
+        sess.close_backend()
+    assert len(sess.plans) == 1
+    assert alive == 0, f"{alive} of 6 superseded analyses still referenced"
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,13 @@ frozen remote-write plans of doall loops), or a **repartition** (the
 owner-to-owner relayout behind ``DistArray.redistribute`` /
 ``ctx.redistribute``).  All three replay through one executor
 (:func:`~repro.compiler.commsched.execute_transfer`) and share the
-``commsched/*`` trace-mark vocabulary.  Caching: gather schedules key on
-the array's ``uid``/``comm_epoch`` and an index-pattern fingerprint, so
-redistribution (which bumps the epoch) orphans them; repartition
-schedules key on the (from-layout, to-layout) spec pair instead, so
-repeated layout flips replay forever; scatter schedules ride in the
-structurally-keyed doall plan cache.
+``commsched/*`` trace-mark vocabulary.  Caching is keyed by layout
+*value*, never by the monotone ``comm_epoch``: gather schedules key on
+the array's ``layout_key()`` and an index-pattern fingerprint;
+repartition schedules on the (from-layout, to-layout) spec pair; doall
+plans (which carry the scatter schedules) on the loop's structure plus
+the layout keys of its arrays.  So repeated layout flips replay
+forever, in every cache: a layout seen before is a hit.
 """
 
 from repro.compiler.schedule import (

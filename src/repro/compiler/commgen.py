@@ -159,9 +159,9 @@ class LoopAnalysis:
         self.scatter_names = ",".join(sa.lhs_array.name for sa in self.stmts)
         #: per-rank compiled replay recipes, built lazily by
         #: :meth:`step_plan` and dropped together with the analysis
-        #: (the cache entry is the only owner), so layout invalidation
-        #: (``drop_plans_for_array``) retires compiled closures exactly
-        #: when it retires the schedules they were built against.
+        #: (the cache entry is the only owner): one set per layout the
+        #: loop's arrays have visited, live until that entry is evicted
+        #: (LRU), purged (``invalidate_schedules``) or cleared.
         #: Keyed by rank for single-run plans and ``(rank, nbatch)`` for
         #: batched ones (``Program.run_batch``).
         self.step_plans: dict[object, "StepPlan"] = {}
@@ -298,8 +298,9 @@ class LoopAnalysis:
         lowered rhs closures, lhs store coordinates -- so steady-state
         replay is a straight drive over prebound numpy calls.  Living on
         the analysis, a plan's lifetime is exactly the analysis's cache
-        entry lifetime: redistribution keys it away and
-        ``drop_plans_for_array`` purges it eagerly.
+        entry lifetime: a redistribution moves the probe to another
+        layout's entry, and this one waits, valid, for the array to come
+        back (or for the LRU bound to reclaim it).
 
         ``nbatch`` asks for the *batched* variant of the recipe: the
         same schedules and closures with a leading batch axis of that
@@ -389,9 +390,11 @@ class StepPlan:
     The plan deliberately captures *arrays*, never their local blocks:
     store targets are resolved through ``array.local(rank)`` on each
     sweep, so a block swapped by redistribution can never be written
-    through a stale captured buffer -- and the plan itself lives on the
-    :class:`LoopAnalysis`, whose cache key embeds every array's comm
-    epoch and which ``drop_plans_for_array`` purges eagerly.
+    through a stale captured buffer.  That is what lets the plan outlive
+    a redistribution: it lives on the :class:`LoopAnalysis`, cached
+    under the arrays' layout keys, holds no block of any array, and is
+    replayed only while every array is (again) in the layout it was
+    frozen for.
 
     The executor in :mod:`repro.compiler.schedule` drives the plan; the
     replayed op stream (messages, marks, computes) is bit-identical to
@@ -602,8 +605,8 @@ def frozen_flat_store(sa, iters: IterSet) -> tuple:
 
     The per-sweep fallback in the interpreted executor derives these
     from the lhs index expressions on every execution; they only depend
-    on the iteration set and the (epoch-keyed) layout, so the compiled
-    plan computes them once.
+    on the iteration set and the layout the analysis is keyed on, so
+    the compiled plan computes them once.
     """
     array = sa.lhs_array
     shape = iters.shape()

@@ -45,11 +45,11 @@ into one bidirectional abstraction used by every communication layer:
   intersections of its old block with the new owners' blocks;
 
 * :class:`ScheduleCache` -- a keyed store of transfer schedules with
-  per-direction hit/miss accounting.  Gather schedules key on array
-  identity + distribution epoch + index-pattern fingerprint; repartition
-  schedules key on the (from-layout, to-layout) spec pair -- *not* the
-  epoch -- so repeated layout flips (ADI's row/column sweeps) replay the
-  same schedules forever.
+  per-direction hit/miss accounting.  Gather schedules key on the
+  array's layout key (identity + layout by value) + index-pattern
+  fingerprint; repartition schedules key on the (from-layout,
+  to-layout) spec pair -- so repeated layout flips (ADI's row/column
+  sweeps) replay the same schedules, of both kinds, forever.
 
 Cached transfers are **collective**: every rank of the grid must call
 them, and all ranks must keep or change their patterns together (SPMD
@@ -117,9 +117,10 @@ def schedule_key(
 ) -> tuple:
     """Cache key of one rank's share of a collective gather.
 
-    Keyed on the array's identity *and* its ``comm_epoch`` so that
-    redistribution (which bumps the epoch) orphans every schedule built
-    against the old layout.  The rank is part of the key because two
+    Keyed on the array's layout key -- its identity *and* its layout by
+    value -- so a redistributed array probes for the new layout's
+    schedules, and finds the old ones again when it returns.  The rank
+    is part of the key because two
     ranks with identical request patterns still play different roles as
     senders.  Pass ``fingerprint`` when the caller already hashed the
     index pattern -- the fingerprint walks the whole index array, so a
@@ -127,8 +128,7 @@ def schedule_key(
     """
     return (
         "gather",
-        array.uid,
-        array.comm_epoch,
+        array.layout_key(),
         grid.key(),
         rank,
         fingerprint if fingerprint is not None else index_fingerprint(indices),
@@ -208,7 +208,7 @@ class TransferSchedule:
         "grid",
         "to_grid",
         "n_out",
-        "epoch",
+        "layout",
         "fingerprint",
         "from_spec",
         "to_spec",
@@ -219,7 +219,7 @@ class TransferSchedule:
     )
 
     def __init__(self, direction: str, key=None, rank: int = -1, grid=None,
-                 n_out: int = 0, epoch: int | None = None, fingerprint: str = "",
+                 n_out: int = 0, layout: tuple | None = None, fingerprint: str = "",
                  group=None, uid_chain=(), from_spec=None, to_spec=None,
                  to_grid=None):
         if direction not in DIRECTIONS:
@@ -236,9 +236,10 @@ class TransferSchedule:
         self.rank = rank
         self.grid = grid
         self.n_out = n_out
-        #: comm epoch the schedule was built against; None for epoch-
-        #: independent schedules (repartitions pin layouts via specs).
-        self.epoch = epoch
+        #: layout key of the array the schedule was built against; None
+        #: when the builder pins the layout another way (repartitions,
+        #: via specs) or owns the schedule's lifetime (doall plans).
+        self.layout = layout
         self.fingerprint = fingerprint
         #: layout transition (repartition only): Distribution spec keys.
         self.from_spec = from_spec
@@ -261,12 +262,12 @@ class TransferSchedule:
 
     def check_replayable(self, array: BaseDistArray) -> None:
         """Refuse to replay against an array whose layout moved on."""
-        if self.epoch is not None and self.epoch != array.comm_epoch:
+        if self.layout is not None and self.layout != array.layout_key():
             raise ValidationError(
                 f"stale {self.direction} schedule: the array was "
-                f"redistributed (schedule epoch {self.epoch}, array epoch "
-                f"{array.comm_epoch}); rebuild via the builder or a "
-                "ScheduleCache"
+                f"redistributed (schedule layout {self.layout}, array "
+                f"layout {array.layout_key()}); rebuild via the builder "
+                "or a ScheduleCache"
             )
         if self.from_spec is not None and getattr(array, "dist", None) is not None \
                 and array.dist.spec_key() != self.from_spec:
@@ -422,7 +423,7 @@ def build_gather_schedule(
         rank=me,
         grid=grid,
         n_out=indices.shape[0],
-        epoch=array.comm_epoch,
+        layout=array.layout_key(),
         fingerprint=fingerprint,
         # the run id disambiguates builds from different launches, whose
         # per-grid tag counters restart and would otherwise collide
@@ -637,7 +638,6 @@ def build_repartition_schedule(
         rank=rank,
         grid=array.grid,
         to_grid=to_grid,
-        epoch=None,
         from_spec=array.dist.spec_key(),
         to_spec=new_dist.spec_key(),
         group=group,
@@ -669,10 +669,10 @@ def execute_repartition(ctx, array, sched: TransferSchedule, new_dist, tag=None,
     Sends this rank's old-block intersections (snapshotted by the Send
     op), assembles the rank's new-layout block from the local move and
     incoming messages, then commits the relayout through the array's
-    staging protocol: the layout swap (and the comm-epoch bump that
-    invalidates gather schedules and doall plans) happens exactly once,
-    after a commit barrier guarantees every rank has finished reading
-    its old block.
+    staging protocol: the layout swap (which moves the array's layout
+    key, so gather and doall probes follow it to the new layout's
+    entries) happens exactly once, after a commit barrier guarantees
+    every rank has finished reading its old block.
 
     With ``new_grid`` the repartition is inter-grid: ranks of the old
     grid read and send, ranks of the new grid allocate and stage
@@ -754,10 +754,11 @@ class ScheduleCache:
     to reach the call, and applied to every rank of that call (see
     :class:`_CallDecision`), so cache mutations between two ranks'
     lookups can never split a collective into mixed replay/rebuild.
-    Stale gather entries from redistributed arrays simply never hit
-    again because their key embeds the comm epoch; repartition entries
-    key on the layout-spec pair instead and survive redistribution by
-    design (that is their reuse story).
+    Gather entries key on the array's layout key and repartition
+    entries on the layout-spec pair, so both survive redistribution by
+    design (that is their reuse story): the gather schedules of a
+    layout the array has left wait for its return, or for the LRU
+    bound.  :meth:`invalidate_array` is the manual purge.
 
     The cache is also **thread-safe**, so one instance can be shared by
     many Sessions serving concurrent runs (:mod:`repro.serve`).  All
@@ -826,9 +827,6 @@ class ScheduleCache:
         # embed run id + tag, so stale tombstones can never match a new
         # build.
         self._tombstones: OrderedDict = OrderedDict()
-        # array uid -> comm epoch this cache last purged stale entries
-        # for (repartition runs the purge once per collective)
-        self._purged_epochs: dict[int, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -908,7 +906,6 @@ class ScheduleCache:
             self._decisions.clear()
             self._run_scopes.clear()
             self._tombstones.clear()
-            self._purged_epochs.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
@@ -1093,18 +1090,6 @@ class ScheduleCache:
         yield from execute_repartition(
             ctx, array, sched, new_dist, tag=tag, new_grid=to_grid
         )
-        # this cache just watched the layout change: purge its own
-        # orphaned layout-dependent schedules (their keys embed the old
-        # epoch, so they could never hit again -- this stops the leak).
-        # The commit already purged the doall plans, and the scan runs
-        # once per collective, not once per rank.
-        epoch = array.comm_epoch  # post-commit epoch
-        with self._lock:
-            purge = self._purged_epochs.get(array.uid) != epoch
-            if purge:
-                self._purged_epochs[array.uid] = epoch
-        if purge:
-            self.invalidate_array(array)
 
 
 def sched_group_specs(array, new_dist) -> tuple:

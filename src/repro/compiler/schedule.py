@@ -96,10 +96,11 @@ from repro.machine.trace import Trace
 from repro.util.errors import CompileError, ValidationError
 from repro.util.indexing import mesh_shape
 
-#: Every live PlanCache (including session-owned ones), so that
-#: layout-invalidation hooks (``drop_plans_for_array``) reach plans no
-#: matter which Session compiled them.  Weak: a Session's caches die
-#: with the Session.
+#: Every live PlanCache (including session-owned ones), so that the
+#: manual invalidation hooks (``array.invalidate_schedules()``,
+#: ``loop.invalidate_plan()``) reach plans no matter which Session
+#: compiled them.  Redistribution does not come through here.  Weak: a
+#: Session's caches die with the Session.
 _ALL_PLAN_CACHES: "weakref.WeakSet[PlanCache]" = weakref.WeakSet()
 
 
@@ -125,13 +126,22 @@ class PlanCache:
     build protocol live in the companion
     :class:`~repro.compiler.commsched.ScheduleCache` instead.
 
-    Entries are LRU-bounded: plan keys embed each array's ``comm_epoch``
-    (and uid), so a redistribution orphans the old entries; they are
-    purged eagerly by :func:`drop_plans_for_array` and, as a backstop,
-    evicted once the cache exceeds the cap.  Eviction is always safe --
-    plans are derived deterministically and locally, so a rank
-    recompiling what another rank still has cached produces identical
-    communication.
+    One keying rule for every kind: a key names its arrays by
+    :meth:`~repro.lang.array.BaseDistArray.layout_key` -- uid plus the
+    *value* of the layout (dist spec, grid shape and ranks) -- never by
+    the monotone ``comm_epoch``.  A redistribution therefore moves the
+    probe to another entry and leaves the old one where it is: an array
+    that returns to a layout (ADI's ``(block, *)`` <-> ``(*, block)``, a
+    morph there and back) replays the plans of its first visit.  That is
+    safe by construction, not by bookkeeping: plans capture arrays and
+    resolve blocks through ``array.local(rank)`` per sweep, workspaces
+    belong to the plan, and every frozen selection is a pure function of
+    the key.  Layouts that never come back are reclaimed by the LRU
+    bound alone; an explicit ``array.invalidate_schedules()`` (for
+    out-of-band layout edits) purges eagerly through
+    :func:`drop_plans_for_array`.  Eviction is always safe -- plans are
+    derived deterministically and locally, so a rank recompiling what
+    another rank still has cached produces identical communication.
 
     The cache is **thread-safe** and may be shared by many Sessions (the
     serving layer, :mod:`repro.serve`, does exactly that): every probe,
@@ -184,9 +194,9 @@ class PlanCache:
 
         On a miss ``build()`` derives the plan, which is stored tagged
         with ``uids`` (the arrays it depends on) so
-        :meth:`drop_for_array` can purge it on redistribution; pass a
-        zero-argument callable to defer that derivation to the miss
-        path and keep hits walk-free.  ``count=False`` makes a
+        :meth:`drop_for_array` can purge it on a manual invalidation;
+        pass a zero-argument callable to defer that derivation to the
+        miss path and keep hits walk-free.  ``count=False`` makes a
         read-only peek: the hit counter stays untouched, so
         static-analysis lookups (estimates, explain) do not inflate the
         replay statistics.  A miss always counts -- it did the compile
@@ -215,12 +225,9 @@ class PlanCache:
     def analysis(self, loop: Doall, count: bool = True) -> tuple[LoopAnalysis, bool]:
         """Cached :class:`LoopAnalysis` of ``loop``; ``(analysis, was_cached)``.
 
-        The structural key is computed once here -- it walks the whole
-        loop body, so the replay path must not derive it twice per
-        execution.
+        A hit costs the loop's memoized structure plus one layout key
+        per referenced array; the uid walk is deferred to the miss path.
         """
-        # uids deferred to the miss path: a replay must pay for one
-        # loop-body walk (the key), never two
         return self.get(
             "doall", loop.key(), lambda: LoopAnalysis(loop),
             uids=lambda: _loop_uids(loop), count=count,
@@ -248,8 +255,8 @@ class PlanCache:
 
     def drop_for_array(self, array) -> int:
         """Purge every plan built against ``array`` (or a section of
-        it); returns the count.  Called on redistribution so orphaned
-        plans (their keys embed the old comm epoch) do not accumulate.
+        it), in whatever layout; returns the count.  The purge half of
+        ``array.invalidate_schedules()``.
         """
         uid = array.uid
         with self._lock:
@@ -684,9 +691,9 @@ def run_frozen_loops(session, machine, loops, grid, move, *, iters: int,
     (:meth:`PlanCache.count_replay`) so the accounting matches the
     interpreted path's per-sweep probes, and the trace comes from
     :func:`oracle_trace`.  Loop programs contain no redistribution, so
-    an analysis cannot go stale within a run; between runs the probes
-    pick up any layout change.  The oracle is consulted before the data
-    moves, so a rejected argument leaves the arrays untouched.
+    the layout cannot move within a run; between runs the probes follow
+    it to that layout's analyses.  The oracle is consulted before the
+    data moves, so a rejected argument leaves the arrays untouched.
     """
     ranks = grid.linear
     if len(ranks) > machine.n_procs:
@@ -722,13 +729,13 @@ def oracle_trace(session, machine, loops, analyses, grid, first, *,
     run.  So the trace is simulated once -- ``machine`` runs the
     data-free :func:`shadow_replay_analysis` stream of every rank --
     and kept as a template in ``session.oracle`` (a :class:`PlanCache`:
-    LRU, one build serves every concurrent requester, and
-    :func:`drop_plans_for_array` reclaims the entries of a redistributed
-    array).  ``first`` holds each rank's per-loop ``reused`` flags of
-    the first sweep -- only a loop's first execution can be a build.
+    LRU, one build serves every concurrent requester, one template per
+    layout the arrays visit).  ``first`` holds each rank's per-loop
+    ``reused`` flags of the first sweep -- only a loop's first execution
+    can be a build.
 
-    The key is stable facts only: the loops' structural keys (array uids
-    and layout epochs, grid), the cost model by value, the run shape,
+    The key is stable facts only: the loops' keys (structure and array
+    layouts, by value), the cost model by value, the run shape,
     and the identity of the machine, which the entry pins so the id
     cannot be recycled.  An entry holds the template and the machine --
     never a :class:`LoopAnalysis`, whose lifetime stays its plan-cache

@@ -36,11 +36,13 @@ class BaseDistArray:
 
     The compiler only uses this protocol: shape/dtype, the owning grid,
     per-dimension bound distributions, and per-rank local views.  Every
-    array additionally carries two communication-schedule cache hooks: a
-    process-unique ``uid`` and a ``comm_epoch`` that is bumped whenever
-    the data layout changes (see :meth:`invalidate_schedules`), which
-    orphans every cached schedule and loop plan built against the old
-    layout.
+    array additionally carries the cache hooks: a process-unique ``uid``;
+    a :meth:`layout_key`, the value identity of its current layout that
+    every cached plan and gather schedule is keyed on (so an array that
+    *returns* to a layout finds that layout's plans again); and a
+    monotone ``comm_epoch``, bumped whenever the layout changes, which
+    names the current *blocks* -- what a worker pool adopted, what an
+    in-flight collective runs against -- and appears in no plan key.
     """
 
     name: str
@@ -56,27 +58,36 @@ class BaseDistArray:
 
     @property
     def comm_epoch(self) -> int:
-        """Layout generation: schedules keyed on an older epoch are stale."""
-        return getattr(self, "_comm_epoch", 0)
+        """Generation of the local blocks: moves on every layout change."""
+        raise NotImplementedError
+
+    def layout_key(self) -> tuple:
+        """Hashable value identity of the array's current layout.
+
+        ``(uid, dist spec, grid shape, grid ranks, invalidation count)``
+        for a :class:`DistArray` -- the grid shape because the rank tuple
+        alone cannot tell a ``(2, 2)`` grid from a ``(4, 1)`` one; a
+        :class:`Section` is its own uid over its base's.  Plans and gather
+        schedules are pure functions of the arrays' layout keys, so they
+        are cached under them: redistributing away and back is a hit.
+        """
+        raise NotImplementedError
 
     def invalidate_schedules(self) -> None:
-        """Declare every communication schedule for this array stale.
+        """Declare every plan and schedule built for this array stale.
 
-        Called automatically on redistribution; call it manually after
-        any out-of-band change to the array's layout.  Cached gather
-        schedules and compiled doall plans key on ``comm_epoch``, so
-        bumping it makes them unreachable (they are rebuilt on next
-        use); the orphaned doall plans are purged eagerly from every
-        live plan cache so they do not accumulate across repeated
-        redistributions.  A
-        :class:`~repro.compiler.commsched.ScheduleCache` purges its own
-        orphans when it runs the repartition; after a manual bump call
+        For out-of-band edits of the layout, which the layout key cannot
+        see.  (Redistribution needs no invalidation: it moves the layout
+        key, and the plans of the layout left behind stay valid for a
+        return to it.)  Moves ``comm_epoch`` and the layout key, so no
+        cache anywhere can hit an old entry again, and purges the
+        array's plans from every live
+        :class:`~repro.compiler.schedule.PlanCache`; a
+        :class:`~repro.compiler.commsched.ScheduleCache` reclaims its
+        unreachable gather schedules by LRU, or at once through
         ``cache.invalidate_array(arr)``.
         """
-        self._comm_epoch = self.comm_epoch + 1
-        from repro.compiler.schedule import drop_plans_for_array
-
-        drop_plans_for_array(self)
+        raise NotImplementedError
 
     def dim(self, k: int) -> BoundDim:
         """Bound distribution of array dimension ``k``."""
@@ -186,7 +197,7 @@ class BaseDistArray:
 
     def _owned_meshes(self) -> list[tuple]:
         """``(rank, selection of its owned box in the global array)`` per
-        rank, re-derived only when the layout epoch has moved."""
+        rank, re-derived only when the blocks have moved."""
         cached = getattr(self, "_meshes", None)
         if cached is None or cached[0] != self.comm_epoch:
             cached = self._meshes = (
@@ -246,6 +257,8 @@ class DistArray(BaseDistArray):
             dist = ("*",) * len(self.shape)
         self.uid = next(_UIDS)
         self._comm_epoch = 0
+        self._invalidations = 0
+        self._layout_key: tuple | None = None
         self.dist = Distribution(dist, self.shape, grid.shape)
         self._blocks: dict[int, np.ndarray] = {}
         for rank in grid.linear:
@@ -254,15 +267,37 @@ class DistArray(BaseDistArray):
                 self.dist.local_shape(coords), dtype=self.dtype
             )
 
+    @property
+    def comm_epoch(self) -> int:
+        return self._comm_epoch
+
+    def layout_key(self) -> tuple:
+        key = self._layout_key
+        if key is None:
+            key = self._layout_key = (
+                self.uid, self.dist.spec_key(), self.grid.shape,
+                self.grid.key(), self._invalidations,
+            )
+        return key
+
+    def invalidate_schedules(self) -> None:
+        from repro.compiler.schedule import drop_plans_for_array
+
+        self._comm_epoch += 1
+        self._invalidations += 1
+        self._layout_key = None
+        drop_plans_for_array(self)
+
     def redistribute(self, dist, grid: ProcessorGrid | None = None) -> None:
         """Re-lay the array out with a new distribution, preserving values.
 
         The paper's arrays are statically distributed, but schedule
         caching makes layout a cached artifact, so redistribution must be
-        an explicit, invalidating operation: local blocks are rebuilt for
-        the new distribution and :meth:`invalidate_schedules` bumps the
-        comm epoch so every cached gather schedule and doall plan keyed
-        on the old layout is rebuilt on next use.
+        an explicit operation: local blocks are rebuilt for the new
+        distribution, the comm epoch is bumped (the old blocks are gone)
+        and the layout key moves, so the next doall or cached gather
+        probes for the *new* layout's plans -- compiled on first visit,
+        replayed on every return.
 
         ``grid`` moves the array to a *different* processor grid in the
         same step (the elastic grow/shrink primitive): the new blocks
@@ -290,10 +325,15 @@ class DistArray(BaseDistArray):
         pieces = repartition_pieces(self, new_dist, new_grid=new_grid)
         for src, dst, src_locs, dst_locs in pieces:
             new_blocks[dst][dst_locs] = self._blocks[src][src_locs]
-        self.grid = new_grid
-        self.dist = new_dist
-        self._blocks = new_blocks
-        self.invalidate_schedules()
+        self._install(new_grid, new_dist, new_blocks)
+
+    def _install(self, grid: ProcessorGrid, dist: Distribution, blocks: dict) -> None:
+        """Swap in a new layout: the one place a layout changes."""
+        self.grid = grid
+        self.dist = dist
+        self._blocks = blocks
+        self._comm_epoch += 1
+        self._layout_key = None
 
     # -- collective repartition staging protocol ------------------------
     #
@@ -329,10 +369,7 @@ class DistArray(BaseDistArray):
                 f"{len(staged)}/{grid.size} ranks staged; every rank "
                 "of the destination grid must run the collective repartition"
             )
-        self.grid = grid
-        self.dist = new_dist
-        self._blocks = staged
-        self.invalidate_schedules()
+        self._install(grid, new_dist, staged)
 
     def dim(self, k: int) -> BoundDim:
         return self.dist.dim(k)
@@ -427,8 +464,11 @@ class Section(BaseDistArray):
 
     @property
     def comm_epoch(self) -> int:
-        """Sections share their base array's layout generation."""
+        """Sections share their base array's block generation."""
         return self.base.comm_epoch
+
+    def layout_key(self) -> tuple:
+        return (self.uid, self.base.layout_key())
 
     def invalidate_schedules(self) -> None:
         self.base.invalidate_schedules()

@@ -190,7 +190,7 @@ class KaliCtx:
         Each rank sends only the intersections of its old block with the
         new owners' blocks -- the full array is never materialized --
         and the repartition schedule is cached (keyed on the layout
-        pair, not the comm epoch), so repeated flips between two layouts
+        pair), so repeated flips between two layouts
         replay without re-deriving the moves.  ``cache`` defaults to
         this context's Session cache (a session-less context must pass
         one).  Yields machine ops (use ``yield from``).

@@ -56,7 +56,6 @@ class Owner(OnClause):
         return (
             "owner",
             self.array.uid,
-            getattr(self.array, "comm_epoch", 0),
             tuple(None if e is None else e.key() for e in self.idx),
         )
 
@@ -82,6 +81,7 @@ class OnProc(OnClause):
     def key(self):
         return (
             "onproc",
+            self.grid.shape,
             self.grid.key(),
             tuple(None if e is None else e.key() for e in self.coord_exprs),
         )
@@ -145,9 +145,16 @@ class Doall:
         self.grid = grid
         # A Doall is immutable once built (vars/ranges/on/body are fixed;
         # plan caching depends on that), so the referenced-array set and
-        # the structural key can be derived once and memoized.
+        # the structural half of the key are derived once, here.
         self._arrays = self._scan_arrays()
-        self._key_cache: tuple | None = None
+        self._structure = (
+            tuple(v.name for v in self.vars),
+            self.ranges,
+            self.on.key(),
+            tuple(st.key() for st in self.body),
+            grid.shape,
+            grid.key(),
+        )
         for arr in self._arrays:
             if not arr.grid.is_subset_of(grid):
                 raise CompileError(
@@ -169,36 +176,22 @@ class Doall:
         return list(self._arrays)
 
     def key(self):
-        """Structural identity for plan caching.
+        """Identity for plan caching: ``(structure, layouts)``.
 
-        Includes each referenced array's ``comm_epoch`` (via the Ref and
-        Owner keys), so redistributing an array automatically retires the
-        plans compiled against its old layout.
-
-        The loop structure is immutable, so the only key component that
-        can move between calls is the epoch vector; the full key walk (a
-        traversal of every statement's expression tree) runs once per
-        epoch state and is replayed from a one-entry memo afterwards --
-        the probe on the steady-state replay path costs an epoch scan,
-        not a tree walk.
+        The structure (loop variables, ranges, ``on`` clause, statement
+        trees with array uids, grid) is immutable and was derived at
+        construction.  The only part that can move between calls is the
+        vector of the referenced arrays' layout keys
+        (:meth:`~repro.lang.array.BaseDistArray.layout_key`, memoized on
+        each array), so a probe costs one small tuple, never a tree
+        walk -- and because a layout key is a value, redistributing an
+        array away and back yields the key, and the cached plan, the
+        loop had before.
         """
-        epochs = tuple(getattr(a, "comm_epoch", 0) for a in self._arrays)
-        cached = self._key_cache
-        if cached is not None and cached[0] == epochs:
-            return cached[1]
-        key = (
-            tuple(v.name for v in self.vars),
-            self.ranges,
-            self.on.key(),
-            tuple(st.key() for st in self.body),
-            self.grid.key(),
-        )
-        self._key_cache = (epochs, key)
-        return key
+        return (self._structure, tuple(a.layout_key() for a in self._arrays))
 
     def invalidate_plan(self) -> None:
         """Drop this loop's cached analysis/communication schedule."""
         from repro.compiler.schedule import drop_plan
 
         drop_plan(self)
-        self._key_cache = None

@@ -293,18 +293,13 @@ class Ref(Expr):
         return out
 
     def key(self):
-        # The array's comm epoch is part of the identity so that cached
-        # loop plans die with the layout they were compiled against.
-        # The process-unique ``uid`` (never ``id()``: CPython reuses
-        # addresses after GC, so a freed array could alias a live one's
-        # cached plans) pins which array this is.  No fallback: an array
-        # without a uid must fail loudly, not share key component None.
-        return (
-            "ref",
-            self.array.uid,
-            getattr(self.array, "comm_epoch", 0),
-            tuple(e.key() for e in self.idx),
-        )
+        # Structure only: which array (the process-unique ``uid``, never
+        # ``id()`` -- CPython reuses addresses after GC, so a freed array
+        # could alias a live one's cached plans) at which subscripts.
+        # How that array is laid out enters a plan key once per loop,
+        # in ``Doall.key``.  No fallback: an array without a uid must
+        # fail loudly, not share key component None.
+        return ("ref", self.array.uid, tuple(e.key() for e in self.idx))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{getattr(self.array, 'name', 'A')}[{', '.join(map(repr, self.idx))}]"

@@ -45,6 +45,11 @@ class ProcessorGrid:
         self.shape = shape
         self.ranks = ranks
         self.ranks.setflags(write=False)
+        # a grid is immutable, so everything derived from the rank array
+        # is computed once here, not per call
+        self.size = ranks.size
+        self._key = tuple(ranks.reshape(-1).tolist())
+        self._members = frozenset(self._key)
 
     # ------------------------------------------------------------------
 
@@ -53,13 +58,9 @@ class ProcessorGrid:
         return len(self.shape)
 
     @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
     def linear(self) -> list[int]:
-        """All machine ranks of this grid in C order."""
-        return [int(r) for r in self.ranks.reshape(-1)]
+        """All machine ranks of this grid in C order (a fresh list)."""
+        return list(self._key)
 
     def rank_at(self, coords: tuple[int, ...]) -> int:
         """Machine rank at grid coordinates."""
@@ -80,7 +81,7 @@ class ProcessorGrid:
         return tuple(int(x) for x in pos[0])
 
     def contains(self, rank: int) -> bool:
-        return bool(np.any(self.ranks == rank))
+        return rank in self._members
 
     # ------------------------------------------------------------------
     # Slicing: procs[:, jp] etc.
@@ -110,11 +111,11 @@ class ProcessorGrid:
 
     def key(self) -> tuple[int, ...]:
         """Hashable identity: the tuple of member ranks (used for tags)."""
-        return tuple(self.linear)
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProcessorGrid) and (
-            self.shape == other.shape and np.array_equal(self.ranks, other.ranks)
+            self.shape == other.shape and self._key == other._key
         )
 
     def __hash__(self) -> int:
@@ -124,7 +125,7 @@ class ProcessorGrid:
         return f"ProcessorGrid(shape={self.shape}, ranks={self.linear})"
 
     def is_subset_of(self, other: "ProcessorGrid") -> bool:
-        return set(self.linear) <= set(other.linear)
+        return self._members <= other._members
 
     def union(self, other: "ProcessorGrid") -> "ProcessorGrid":
         """Smallest grid containing both rank sets (1-D, sorted ranks).
@@ -140,7 +141,7 @@ class ProcessorGrid:
         >>> ProcessorGrid((2,)).union(ProcessorGrid((2,))).shape
         (2,)
         """
-        mine, theirs = set(self.linear), set(other.linear)
+        mine, theirs = self._members, other._members
         if mine == theirs:
             return self
         merged = sorted(mine | theirs)

@@ -162,12 +162,13 @@ def _line_plan(ctx, grid, rhs_arr, axis, me) -> tuple[_LinePlan, bool]:
 
     Line plans ride in the Session-owned
     :class:`~repro.compiler.schedule.PlanCache`, so ``Session.stats()``
-    sees line-solver reuse next to doall plans and ``session.clear()`` /
-    redistribution purges cover them in one story.  Partial eviction is
+    sees line-solver reuse next to doall plans, keyed by the same rule
+    (the array's layout key: a sweep back in a layout seen before
+    replays) and cleared by the same ``session.clear()``.  Partial eviction is
     harmless here (a plan rebuild is purely local and deterministic --
     no protocol divergence), so the cache's plain LRU cap suffices.
     """
-    key = (grid.key(), rhs_arr.uid, rhs_arr.comm_epoch, axis, me)
+    key = (grid.shape, grid.key(), rhs_arr.layout_key(), axis, me)
     return ctx.session.plans.get(
         "adi-line",
         key,

@@ -403,32 +403,49 @@ def test_oversized_collective_does_not_self_evict():
     assert trace.schedule_counts() == {"miss": p, "hit": 2 * p}
 
 
-def test_redistribute_purges_orphaned_doall_plans():
-    """Plan-cache keys embed the comm epoch, so redistribution orphans
-    old entries; they must be purged, not leaked, across repeated
-    redistributions."""
+def test_plan_entries_bounded_by_layouts_visited_and_lru():
+    """Plan keys name layouts by value, so a redistribution leaves the
+    old layout's plan cached for a return: the entry count follows the
+    *distinct* layouts visited, never the number of flips -- and layouts
+    that do not come back are reclaimed by ``max_entries`` alone."""
     from repro.lang import Assign, Doall, Owner, loopvars
 
     n, p = 12, 2
     g = ProcessorGrid((p,))
     u = DistArray((n,), g, dist=("block",), name="u")
     v = DistArray((n,), g, dist=("block",), name="v")
-    u.from_global(np.arange(float(n)))
+    u0 = np.arange(float(n))
+    u.from_global(u0)
     (i,) = loopvars("i")
     loop = Doall(vars=(i,), ranges=[(1, n - 2)], on=Owner(v, (i,)),
                  body=[Assign(v[i], u[i - 1] + u[i + 1])], grid=g)
+    want = np.zeros(n)
+    want[1:-1] = u0[:-2] + u0[2:]
 
     def prog(ctx):
         yield from ctx.doall(loop)
 
-    session = Session(grid=g)
-    for k in range(4):
+    def sweep_in(session, layout):
+        # host-side redistribution, outside any run
+        u.redistribute((layout,))
+        v.redistribute((layout,))
+        v.fill(0.0)
         session.run(prog, machine=Machine(n_procs=p))
-        assert len(session.plans) == 1  # exactly the live layout's plan
-        # host-side redistribution must reach session-owned plan caches
-        u.redistribute(("cyclic",) if k % 2 == 0 else ("block",))
-        v.redistribute(("cyclic",) if k % 2 == 0 else ("block",))
-        assert len(session.plans) == 0  # orphaned plan purged, not leaked
+        np.testing.assert_array_equal(v.to_global(), want)
+
+    session = Session(grid=g)
+    for k in range(6):
+        sweep_in(session, "cyclic" if k % 2 else "block")
+        assert len(session.plans) == min(k + 1, 2)  # two layouts, ever
+    assert session.plans.kind_stats()["doall"]["misses"] == 2
+
+    cap = 3
+    small = Session(grid=g, max_plan_entries=cap)
+    layouts = ["block", "cyclic"] + [BlockCyclic(b) for b in range(1, 6)]
+    for k, layout in enumerate(layouts):
+        sweep_in(small, layout)
+        assert len(small.plans) == min(k + 1, cap)
+    assert small.plans.kind_stats()["doall"]["misses"] == len(layouts)
 
 
 def test_aborted_run_does_not_poison_later_runs():

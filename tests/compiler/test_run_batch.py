@@ -251,8 +251,8 @@ def test_run_batch_bit_identical_to_looped(case):
        st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=10, deadline=None)
 def test_run_batch_survives_redistribution_between_calls(kind, seed):
-    """A layout flip between batched calls orphans the cached plans;
-    the rebuilt batched plans still match the looped reference."""
+    """A layout flip between batched calls moves the probe to the new
+    layout's plans; their batched plans still match the looped reference."""
     p, n, nb = 2, 12, 3
     rng = np.random.default_rng(seed)
     binds = [{"u": rng.standard_normal(n)} for _ in range(nb)]

@@ -117,8 +117,9 @@ def redistribution_cases(draw):
 @given(redistribution_cases())
 @settings(max_examples=15, deadline=None)
 def test_equivalence_across_mid_run_redistribution(case):
-    """Layout flips mid-run orphan the plans; both executors rebuild to
-    the same answers, messages, and marks."""
+    """Layout flips mid-run move the probes to other layouts' plans;
+    both executors compile and replay them to the same answers,
+    messages, and marks."""
     p, n, kinds, sweeps, seed = case
     values = np.random.default_rng(seed).standard_normal(n)
 

@@ -138,6 +138,33 @@ def test_morph_replays_repartitions_on_second_cycle():
     assert after["hits"] > before["hits"]
 
 
+def test_morph_back_replays_plans_and_oracle():
+    """Plans and oracle templates key on layouts by value: shrinking
+    compiles the 2-rank plan once, and every later visit to either grid
+    -- the first re-grow included -- adds no doall miss and no oracle
+    entry.  The sweeps stay numpy's throughout."""
+    g4, g2 = ProcessorGrid((4,)), ProcessorGrid((2,))
+    sess, prog = fresh()
+    prog.run(X=np.zeros((N, N)), F=forcing(), iters=2)
+    sess.morph(g2)
+    prog.run(iters=2)
+    misses = sess.plans.kind_stats()["doall"]["misses"]
+    assert misses == len(sess.oracle) == 2  # one per grid
+    for grid in (g4, g2, g4):
+        sess.morph(grid)
+        prog.run(iters=2)
+        assert sess.plans.kind_stats()["doall"]["misses"] == misses
+        assert len(sess.oracle) == 2
+
+    want, f = np.zeros((N, N)), forcing()
+    for _ in range(10):
+        old = want.copy()
+        want[1:-1, 1:-1] = 0.25 * (
+            old[2:, 1:-1] + old[:-2, 1:-1] + old[1:-1, 2:] + old[1:-1, :-2]
+        ) - f[1:-1, 1:-1]
+    np.testing.assert_array_equal(prog.arrays["X"].to_global(), want)
+
+
 def test_morph_noop_when_already_on_grid():
     g4 = ProcessorGrid((4,))
     sess, prog = fresh()

@@ -205,21 +205,34 @@ def test_redistribute_of_section_rejected():
 
 
 def test_collective_redistribute_invalidates_sections_and_gathers():
+    """A redistribution retires the old layout's gather schedule for the
+    layout the array is *in* -- the same request misses and rebuilds --
+    but keeps it for the layout's return, where it hits again; a section
+    sliced before the flip stays stale even then."""
     n, p = 16, 2
     g = ProcessorGrid((p,))
     u = DistArray((4, n), g, dist=("*", "block"), name="u")
-    u.from_global(np.arange(4.0 * n).reshape(4, n))
+    ref = np.arange(4.0 * n).reshape(4, n)
+    u.from_global(ref)
     sec = u[0, :]
     cache = ScheduleCache()
     idx = {0: np.array([[0, n - 1]]), 1: np.array([[1, 0]])}
+    got = []
 
     def prog(ctx):
-        yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
-        yield from ctx.redistribute(u, ("*", "cyclic"), cache=cache)
+        for layout in (("*", "cyclic"), ("*", "block")):
+            vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
+            got.append((ctx.rank, float(vals[0])))
+            yield from ctx.redistribute(u, layout, cache=cache)
+        vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
+        got.append((ctx.rank, float(vals[0])))
 
     Session(Machine(n_procs=p), g).run(prog)
-    # gather schedules of the old layout are gone; repartition schedules stay
-    assert all(s.direction == "repartition" for s in cache._entries.values())
+    # block: build; cyclic: build (the block schedule must not serve it);
+    # block again: replay
+    assert cache.direction_stats()["gather"] == {"hits": p, "misses": 2 * p}
+    assert {v for r, v in got if r == 0} == {ref[0, n - 1]}
+    assert {v for r, v in got if r == 1} == {ref[1, 0]}
     with pytest.raises(ValidationError, match="stale section"):
         sec.local(0)
 

@@ -422,23 +422,31 @@ def test_oracle_stamps_each_machine_with_its_own_cost_model():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_oracle_follows_a_redistribution_between_runs(backend):
-    """Epochs are part of the key: after a layout flip the next run gets
-    the new layout's trace (with its build marks), the one after that
-    the steady-state trace -- as the interpreted reference records."""
+    """Layouts are part of the key: after a flip the next run gets the
+    new layout's trace (with its build marks), the one after that the
+    steady-state trace -- as the interpreted reference records -- and a
+    flip *back* replays the first layout's steady-state template: no new
+    oracle entry, no simulation."""
     def run(backend, compiled):
         prog, sess, u, v = _loop_program(backend, compiled)
         out = [prog.run(iters=2)]
         for arr in (u, v):
             arr.redistribute(("cyclic",))
-        if compiled:
-            assert len(sess.oracle) == 0  # purged with the plans
         out += [prog.run(iters=2), prog.run(iters=2)]
+        for arr in (u, v):
+            arr.redistribute(("block",))
+        if compiled:
+            entries = len(sess.oracle)
+        out.append(prog.run(iters=2))
+        if compiled:
+            assert len(sess.oracle) == entries == 3
         sess.close_backend()
         return [_trace_fingerprint(t) for t in out]
 
     got, want = run(backend, True), run(None, False)
     assert got == want
     assert got[0] != got[1] != got[2]
+    assert got[3] == got[0]
 
 
 def test_oracle_one_entry_per_run_shape_and_clear(simulations):

@@ -355,17 +355,20 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
 
 
 # ----------------------------------------------------------------------
-# The trace oracle pins no analysis a redistribution dropped
+# The trace oracle pins no analysis the plan cache let go of
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", [None, "multiprocessing"])
 def test_oracle_pins_no_superseded_analysis(backend):
-    """Every layout flip orphans the loop's analysis (its per-rank
-    StepPlans and their workspaces with it); the oracle keys on stable
-    facts and holds a Trace template and the Machine, so each orphan
-    must die by refcount -- no collection -- the moment the plan cache
-    lets go.  The mp row keeps one explicit backend alive throughout."""
+    """A loop's analysis (its per-rank StepPlans and their workspaces
+    with it) belongs to its plan-cache entry alone; the oracle keys on
+    stable facts and holds a Trace template and the Machine.  So an
+    analysis must die by refcount -- no collection -- the moment the
+    plan cache lets go: evicted by LRU (a one-entry cache, so every flip
+    to the other layout evicts the one left behind) or purged by a
+    manual ``invalidate_schedules()``.  The mp row keeps one explicit
+    backend alive throughout."""
     import gc
     import weakref
 
@@ -381,27 +384,34 @@ def test_oracle_pins_no_superseded_analysis(backend):
         grid=grid,
     )
     mp = MultiprocessingBackend(n_procs=2) if backend else None
-    sess = Session(Machine(n_procs=2) if mp is None else None, grid, backend=mp)
+    sess = Session(Machine(n_procs=2) if mp is None else None, grid,
+                   backend=mp, max_plan_entries=1)
     prog = repro.compile(loop, session=sess)
     dead = []
+
+    def run_and_watch():
+        prog.run(iters=2)
+        analysis, _ = sess.plans.analysis(loop, count=False)
+        dead.append(weakref.ref(analysis))
+        sess.close_backend()
+
     gc.disable()
     try:
         for flip in range(6):
-            prog.run(iters=2)
-            analysis, _ = sess.plans.analysis(loop, count=False)
-            dead.append(weakref.ref(analysis))
-            del analysis
-            sess.close_backend()
+            run_and_watch()
             layout = ("*", "cyclic") if flip % 2 == 0 else ("*", "block")
             u.redistribute(layout)
             f.redistribute(layout)
-        prog.run(iters=2)
-        alive = sum(ref() is not None for ref in dead)
+        run_and_watch()
+        evicted = sum(ref() is None for ref in dead[:-1])
+        assert dead[-1]() is not None and len(sess.plans) == 1
+        u.invalidate_schedules()
+        purged = dead[-1]() is None
     finally:
         gc.enable()
         sess.close_backend()
-    assert len(sess.plans) == 1
-    assert alive == 0, f"{alive} of 6 superseded analyses still referenced"
+    assert evicted == 6, f"{6 - evicted} of 6 LRU-evicted analyses still referenced"
+    assert purged and len(sess.plans) == 0, "manual invalidation left the analysis alive"
 
 
 # ----------------------------------------------------------------------

@@ -46,7 +46,6 @@ forever, in every cache: a layout seen before is a hit.
 
 from repro.compiler.schedule import (
     PlanCache,
-    drop_plan,
     execute_doall,
 )
 from repro.compiler.estimate import estimate_doall, LoopEstimate
@@ -68,7 +67,6 @@ from repro.compiler.commsched import (
 __all__ = [
     "execute_doall",
     "PlanCache",
-    "drop_plan",
     "estimate_doall",
     "LoopEstimate",
     "inspector_gather",

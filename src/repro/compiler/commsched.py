@@ -142,7 +142,9 @@ def repartition_key(
     """Cache key of one rank's share of a collective repartition.
 
     Deliberately keyed on the *(from-layout, to-layout)* pair -- source
-    grid + specs, destination grid + specs -- instead of the comm epoch:
+    grid + specs, destination grid + specs, each grid named by shape
+    *and* ranks (a ``(2,2)`` -> ``(4,1)`` move and its return share ranks
+    and specs) -- instead of the comm epoch:
     a repartition schedule describes a layout transition, so it stays
     valid every time the array is again in the ``from`` layout -- which
     is exactly what makes repeated layout flips (block -> cyclic ->
@@ -154,9 +156,9 @@ def repartition_key(
     return (
         "repartition",
         array.uid,
-        array.grid.key(),
+        (array.grid.shape, array.grid.key()),
         array.dist.spec_key(),
-        to_grid.key(),
+        (to_grid.shape, to_grid.key()),
         new_dist.spec_key(),
         rank,
     )
@@ -276,11 +278,11 @@ class TransferSchedule:
                 f"in the schedule's source layout {self.from_spec!r}"
             )
         if self.direction == "repartition" and self.grid is not None \
-                and array.grid.key() != self.grid.key():
+                and array.grid != self.grid:
             raise ValidationError(
                 f"stale {self.direction} schedule: the array moved to a "
-                f"different grid (schedule source grid {self.grid.key()}, "
-                f"array grid {array.grid.key()}); rebuild via the builder "
+                f"different grid (schedule source grid {self.grid!r}, "
+                f"array grid {array.grid!r}); rebuild via the builder "
                 "or a ScheduleCache"
             )
 
@@ -1063,7 +1065,7 @@ class ScheduleCache:
         tag = ctx.next_tag(union)
         key = repartition_key(array, new_dist, me, new_grid=to_grid)
         label = f"{array.dist.spec_key()}->{new_dist.spec_key()}"
-        if to_grid.key() != array.grid.key():
+        if to_grid != array.grid:
             label += f" @grid{array.grid.shape}->{to_grid.shape}"
         with self._lock:
             sched = self._entries.get(key)
@@ -1081,17 +1083,11 @@ class ScheduleCache:
             yield from _mark(ctx, "commsched/miss", ("repartition", array.name, label))
             sched = build_repartition_schedule(
                 array, new_dist, me, new_grid=to_grid,
-                # one group per collective call: run id + tag identify it
-                group=(array.uid, array.grid.key(), to_grid.key(),
-                       sched_group_specs(array, new_dist),
-                       getattr(ctx, "run_id", None), tag),
+                # one group per collective call: the key minus its rank
+                # names the transition, run id + tag the call
+                group=key[1:-1] + (getattr(ctx, "run_id", None), tag),
             )
             self.store(sched)
         yield from execute_repartition(
             ctx, array, sched, new_dist, tag=tag, new_grid=to_grid
         )
-
-
-def sched_group_specs(array, new_dist) -> tuple:
-    """Group-identity component for a repartition collective."""
-    return (array.dist.spec_key(), new_dist.spec_key())

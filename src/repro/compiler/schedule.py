@@ -97,10 +97,10 @@ from repro.util.errors import CompileError, ValidationError
 from repro.util.indexing import mesh_shape
 
 #: Every live PlanCache (including session-owned ones), so that the
-#: manual invalidation hooks (``array.invalidate_schedules()``,
-#: ``loop.invalidate_plan()``) reach plans no matter which Session
-#: compiled them.  Redistribution does not come through here.  Weak: a
-#: Session's caches die with the Session.
+#: manual invalidation hook (``array.invalidate_schedules()``) reaches
+#: plans no matter which Session compiled them.  Redistribution does
+#: not come through here.  Weak: a Session's caches die with the
+#: Session.
 _ALL_PLAN_CACHES: "weakref.WeakSet[PlanCache]" = weakref.WeakSet()
 
 
@@ -246,13 +246,6 @@ class PlanCache:
         with self._lock:
             self._count(kind, "hits", n)
 
-    def drop(self, kind: str, key) -> None:
-        with self._lock:
-            self._entries.pop((kind, key), None)
-
-    def drop_loop(self, loop: Doall) -> None:
-        self.drop("doall", loop.key())
-
     def drop_for_array(self, array) -> int:
         """Purge every plan built against ``array`` (or a section of
         it), in whatever layout; returns the count.  The purge half of
@@ -282,13 +275,6 @@ class PlanCache:
         """Per-kind hit/miss counters (kinds seen so far)."""
         with self._lock:
             return {k: dict(v) for k, v in self.by_kind.items()}
-
-
-def drop_plan(loop: Doall) -> None:
-    """Forget one loop's cached analysis in *every* live plan cache
-    (``Doall.invalidate_plan`` hook)."""
-    for cache in list(_ALL_PLAN_CACHES):
-        cache.drop_loop(loop)
 
 
 def drop_plans_for_array(array) -> int:

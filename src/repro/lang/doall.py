@@ -189,9 +189,3 @@ class Doall:
         loop had before.
         """
         return (self._structure, tuple(a.layout_key() for a in self._arrays))
-
-    def invalidate_plan(self) -> None:
-        """Drop this loop's cached analysis/communication schedule."""
-        from repro.compiler.schedule import drop_plan
-
-        drop_plan(self)

@@ -520,7 +520,7 @@ class Server:
         """Request accounting: counts, latency percentiles, cache rates.
 
         ``latency`` holds seconds over (up to) the last 4096 completed
-        requests -- the same fields ``BENCH_serve.json`` records.
+        requests.
         """
         with self._lock:
             lats = sorted(self._latencies)

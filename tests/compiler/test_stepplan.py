@@ -21,6 +21,9 @@ from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.lang.expr import compile_expr
 from repro.machine.ops import Recv, Send
 from repro.machine.simulator import _snapshot
+from repro.tensor.adi import _build_residual_loop, _build_update_loop, default_tau
+from repro.tensor.multigrid2d import MG2
+from repro.tensor.poisson import Coeffs2D
 
 
 def trace_sig(trace):
@@ -34,8 +37,7 @@ def trace_sig(trace):
     )
 
 
-def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
-    grid = ProcessorGrid((p, p))
+def stencil_loop(n, grid, dist=("block", "block")):
     X = DistArray((n, n), grid, dist=dist, name="X")
     F = DistArray((n, n), grid, dist=dist, name="F")
     F.from_global(np.random.default_rng(5).standard_normal((n, n)))
@@ -46,6 +48,12 @@ def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
     )]
     loop = Doall(vars=(i, j), ranges=[(1, n - 2), (1, n - 2)],
                  on=Owner(X, (i, j)), body=body, grid=grid)
+    return loop, X
+
+
+def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
+    grid = ProcessorGrid((p, p))
+    loop, X = stencil_loop(n, grid, dist)
     sess = Session(Machine(n_procs=p * p), grid, compiled=compiled,
                    backend=backend)
     return repro.compile(loop, session=sess), X
@@ -69,16 +77,75 @@ BACKENDS = [None, "multiprocessing"]
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("overlap", [False, True])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stencil_bit_identical(overlap, backend):
-    pa, Xa = stencil_program(20, 2, compiled=True, backend=backend)
-    pb, Xb = stencil_program(20, 2, compiled=False)
-    ta = pa.run(iters=4, overlap=overlap)
-    tb = pb.run(iters=4, overlap=overlap)
-    close_backend(pa)
-    np.testing.assert_array_equal(Xa.to_global(), Xb.to_global())
+def stencil_case(p=(2, 2)):
+    """The five-point stencil; ``p=(8, 1)`` is eight forked workers."""
+    grid = ProcessorGrid(p)
+    loop, X = stencil_loop(20, grid)
+    return [loop], [X], grid
+
+
+def adi_case():
+    """ADI's defect-correction doalls: the residual + update loop pair
+    (the line solves between them are kernels outside the doall path)."""
+    n, coeffs = 16, Coeffs2D()
+    grid = ProcessorGrid((2, 2))
+    f = 1e-3 * np.random.default_rng(12).standard_normal((n + 1, n + 1))
+    u, F, r, v = (DistArray(f.shape, grid, dist=("block", "block"), name=name)
+                  for name in ("u", "F", "r", "v"))
+    F.from_global(f)
+    v.from_global(0.1 * f)
+    h2 = (1.0 / n) ** 2
+    loops = [_build_residual_loop(r, u, F, n, h2, h2, coeffs, grid),
+             _build_update_loop(u, v, n, default_tau(n, coeffs), grid)]
+    return loops, [u, r], grid
+
+
+def mg2_case():
+    """2-D multigrid's finest level: the two zebra relaxation rhs loops
+    (stride-2 columns) and the residual loop."""
+    n = 16
+    grid = ProcessorGrid((2,))
+    f = 1e-3 * np.random.default_rng(13).standard_normal((n + 1, n + 1))
+    u = DistArray(f.shape, grid, dist=("*", "block"), name="u2")
+    F = DistArray(f.shape, grid, dist=("*", "block"), name="f2")
+    F.from_global(f)
+    u.from_global(0.01 * f)
+    fine = MG2(u, F, grid, Coeffs2D()).levels[0]
+    loops = [fine["zebra"]["even"], fine["zebra"]["odd"], fine["resid"]]
+    return loops, [fine["tmp"], fine["r"]], grid
+
+
+@pytest.mark.parametrize("case,backend,overlap", [
+    # the stencil ids keep the names they had as the only case
+    *(pytest.param(stencil_case, b, o, id=f"{b}-{o}")
+      for b in BACKENDS for o in (False, True)),
+    *(pytest.param(case, b, False, id=f"{case.__name__}-{b}")
+      for case in (adi_case, mg2_case) for b in BACKENDS),
+    # more workers than a CI host has cores: the barrier protocol must
+    # not depend on every rank being scheduled at once
+    pytest.param(lambda: stencil_case(p=(8, 1)), "multiprocessing", False,
+                 id="eight-workers"),
+])
+def test_stencil_bit_identical(case, backend, overlap):
+    """The loops the paper's solvers spend their sweeps in: results,
+    full trace and plan accounting of the compiled executor on either
+    backend against the interpreted simulator reference."""
+    def run(compiled, backend=None):
+        loops, outputs, grid = case()
+        sess = Session(Machine(n_procs=grid.size), grid, compiled=compiled,
+                       backend=backend)
+        prog = repro.compile(loops, session=sess)
+        trace = prog.run(iters=4, overlap=overlap)
+        close_backend(prog)
+        return ([a.to_global() for a in outputs], trace,
+                sess.plans.kind_stats()["doall"])
+
+    xa, ta, acct_a = run(True, backend)
+    xb, tb, acct_b = run(False)
+    for a, b in zip(xa, xb):
+        np.testing.assert_array_equal(a, b)
     assert trace_sig(ta) == trace_sig(tb)
+    assert acct_a == acct_b
 
 
 @pytest.mark.parametrize(

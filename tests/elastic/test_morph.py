@@ -43,6 +43,17 @@ def forcing():
     return np.random.default_rng(11).standard_normal((N, N))
 
 
+def numpy_sweeps(k):
+    """``k`` sweeps of SRC's loop from X = 0, in plain numpy."""
+    want, f = np.zeros((N, N)), forcing()
+    for _ in range(k):
+        old = want.copy()
+        want[1:-1, 1:-1] = 0.25 * (
+            old[2:, 1:-1] + old[:-2, 1:-1] + old[1:-1, 2:] + old[1:-1, :-2]
+        ) - f[1:-1, 1:-1]
+    return want
+
+
 def fresh(backend=None):
     sess = Session(Machine(n_procs=4), backend=backend)
     prog = repro.compile(SRC, session=sess)
@@ -156,13 +167,33 @@ def test_morph_back_replays_plans_and_oracle():
         assert sess.plans.kind_stats()["doall"]["misses"] == misses
         assert len(sess.oracle) == 2
 
-    want, f = np.zeros((N, N)), forcing()
-    for _ in range(10):
-        old = want.copy()
-        want[1:-1, 1:-1] = 0.25 * (
-            old[2:, 1:-1] + old[:-2, 1:-1] + old[1:-1, 2:] + old[1:-1, :-2]
-        ) - f[1:-1, 1:-1]
-    np.testing.assert_array_equal(prog.arrays["X"].to_global(), want)
+    np.testing.assert_array_equal(prog.arrays["X"].to_global(), numpy_sweeps(10))
+
+
+def test_morph_there_and_back_over_the_same_ranks():
+    """(2,2) -> (4,1) -> (2,2) keeps ranks and specs and changes only
+    the grid shape: the return trip must build its own repartition
+    schedules, not replay the outbound ones, and a second round trip
+    replays both directions."""
+    g22, g41 = ProcessorGrid((2, 2)), ProcessorGrid((4, 1))
+    sess = Session(Machine(n_procs=4))
+    prog = repro.compile(
+        SRC.replace("procs(4)", "procs(2, 2)").replace("(block, *)", "(block, block)"),
+        session=sess,
+    )
+    prog.run(X=np.zeros((N, N)), F=forcing(), iters=1)
+    for grid in (g41, g22):
+        sess.morph(grid)
+        prog.run(iters=1)
+    before = dict(sess.cache.by_direction["repartition"])
+    for grid in (g41, g22):
+        sess.morph(grid)
+        prog.run(iters=1)
+    after = sess.cache.by_direction["repartition"]
+    assert after["misses"] == before["misses"], "second round trip rebuilt"
+    assert after["hits"] > before["hits"]
+
+    np.testing.assert_array_equal(prog.arrays["X"].to_global(), numpy_sweeps(5))
 
 
 def test_morph_noop_when_already_on_grid():

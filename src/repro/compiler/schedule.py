@@ -118,8 +118,10 @@ class PlanCache:
     Holds every *locally derivable* compiled artifact: doall loop
     analyses (kind ``"doall"`` -- these carry the frozen gather/scatter
     :class:`~repro.compiler.commsched.TransferSchedule` objects) and the
-    ADI line-solve plans (kind ``"adi-line"``,
-    :mod:`repro.tensor.adi`).  A Session keeps a second, smaller
+    line-solve plans (kind ``"adi-line"``, keyed ``(array.layout_key(),
+    line_dim, rank)``; :mod:`repro.tensor.adi`) that ADI,
+    variable-coefficient ADI and MG2's distributed-x zebra lines share.
+    A Session keeps a second, smaller
     instance for the trace-oracle templates of its frozen loop runs
     (kind ``"oracle"``, :func:`oracle_trace`), whose counters stay out
     of the plan statistics.  Wire schedules that need a collective

@@ -134,7 +134,7 @@ class Session:
     A Session owns its :class:`~repro.compiler.commsched.ScheduleCache`
     (wire transfer schedules: gathers, repartitions), its
     :class:`~repro.compiler.schedule.PlanCache` (compiled doall analyses
-    with their frozen gather/scatter schedules, ADI line plans), a
+    with their frozen gather/scatter schedules, line-solve plans), a
     run-id counter, and ``history`` -- the traces of every launch.  No
     state leaks between Sessions: caches warmed in one are invisible to
     another.

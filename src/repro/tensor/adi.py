@@ -26,6 +26,10 @@ Two variants, as in the paper:
   slice;
 * ``pipelined=True`` (Listing 8): all of a slice's lines stream through
   one pipelined multi-system solve (``mtrixc``/``mtriyc``).
+
+Both run through :func:`_solve_lines`, the one distributed line
+solver, which variable-coefficient ADI (:mod:`repro.tensor.adi_varcoef`)
+and MG2's parallel zebra lines (:mod:`repro.tensor.multigrid2d`) share.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine.ops import Mark
 from repro.machine.simulator import Machine
 from repro.machine.translate import translate_ranks
-from repro.tensor.poisson import Coeffs2D, laplacian_2d
+from repro.tensor.poisson import Coeffs2D, check_pow2, laplacian_2d
 from repro.util.errors import ValidationError
 from repro.util.indexing import block_bounds
 
@@ -64,6 +68,25 @@ def default_tau(n: int, coeffs: Coeffs2D = Coeffs2D()) -> float:
     return 1.0 / np.sqrt(lam_min * lam_max)
 
 
+def _check_adi(f: np.ndarray, grid: ProcessorGrid | None = None) -> None:
+    """The up-front checks of both ADI front ends and their references.
+
+    A square 2-D input; with a ``grid``, also a 2-D processor grid of
+    power-of-two extents that leaves every block at least two rows (the
+    parallel tridiagonal solver's minimum).
+    """
+    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+        raise ValidationError("ADI example uses square grids")
+    if grid is None:
+        return
+    if grid.ndim != 2:
+        raise ValidationError("ADI requires a 2-D processor grid")
+    for s in grid.shape:
+        check_pow2(s, "grid extent", least=1)
+    if f.shape[0] < 2 * max(grid.shape):
+        raise ValidationError("grid too coarse for this processor array")
+
+
 def adi_reference(
     f: np.ndarray,
     iters: int,
@@ -71,9 +94,8 @@ def adi_reference(
     tau: float | None = None,
 ) -> np.ndarray:
     """Sequential PR-ADI (the numerics the distributed version must match)."""
+    _check_adi(f)
     n = f.shape[0] - 1
-    if f.shape[0] != f.shape[1]:
-        raise ValidationError("ADI example uses square grids")
     if tau is None:
         tau = default_tau(n, coeffs)
     hx2 = (1.0 / n) ** 2
@@ -124,115 +146,140 @@ def _build_update_loop(u, v, n, tau, grid):
 
 
 class _LinePlan:
-    """One rank's precomputed share of a line-solve sweep.
+    """One rank's share of a line-solve sweep along ``line_dim`` of ``arr``.
 
-    Deriving the solver group, block bounds and owned lines is pure
-    layout information -- loop-invariant across ADI iterations -- so it
-    is computed once per (grid, array layout, axis, rank) and replayed
-    every sweep, mirroring the compiler's cached communication
-    schedules.
+    Everything comes from the distribution: the solver group is the
+    slice of ``arr``'s grid along the grid dimension ``line_dim`` is
+    distributed over, this rank solves rows ``lo:hi`` of every line it
+    holds, and ``lines`` are the global indices of those lines in local
+    storage order (column ``s`` of the local block, with ``line_dim``
+    moved first, is line ``lines[s]``).  No axis is special-cased, so the
+    same plan serves a 2-D array and a plane *section* of a 3-D one.  It
+    is loop-invariant, so it is derived once per layout and replayed
+    every sweep, mirroring the compiler's cached communication schedules.
     """
 
-    __slots__ = ("group", "p", "my_pos", "lo", "hi", "my_lines")
+    __slots__ = ("group", "my_pos", "lo", "hi", "lines")
 
-    def __init__(self, grid, rhs_arr, axis, me):
-        coords = grid.coords_of(me)
-        if axis == 0:
-            group_grid = grid[:, coords[1]]
-            my_pos = coords[0]
-            line_dim, sys_dim = 0, 1
-        else:
-            group_grid = grid[coords[0], :]
-            my_pos = coords[1]
-            line_dim, sys_dim = 1, 0
-        self.group = group_grid.linear
-        self.p = len(self.group)
-        self.my_pos = my_pos
-        n_line = rhs_arr.shape[line_dim]
-        self.lo, self.hi = block_bounds(n_line, self.p, my_pos)
-        # global indices of the lines (systems) I hold along sys_dim
-        sys_bd = rhs_arr.dim(sys_dim)
-        gd = rhs_arr.grid_dim_of(sys_dim)
-        sys_coord = coords[gd] if gd is not None else 0
-        self.my_lines = sys_bd.owned_indices(sys_coord)
+    def __init__(self, arr, line_dim, rank):
+        coords = arr.grid.coords_of(rank)
+        g = arr.grid_dim_of(line_dim)
+        key = list(coords)
+        key[g] = slice(None)
+        self.group = arr.grid[tuple(key)]
+        self.my_pos = coords[g]
+        self.lo, self.hi = block_bounds(arr.shape[line_dim], self.group.size, self.my_pos)
+        self.lines = arr.owned_lists(rank)[1 - line_dim]
+
+    def broadcast(self, diags):
+        """A constant-coefficient system as per-line diagonals: rows
+        ``lo:hi`` of each global diagonal, shared by every held line."""
+        shape = (self.hi - self.lo, len(self.lines))
+        return [np.broadcast_to(d[self.lo:self.hi, None], shape) for d in diags]
 
 
-def _line_plan(ctx, grid, rhs_arr, axis, me) -> tuple[_LinePlan, bool]:
-    """Cached :class:`_LinePlan` under the ``"adi-line"`` plan kind.
+def _line_plan(ctx, arr, line_dim):
+    """This rank's cached :class:`_LinePlan` (a generator: yields the
+    plan's ``commsched`` mark, returns the plan).
 
     Line plans ride in the Session-owned
-    :class:`~repro.compiler.schedule.PlanCache`, so ``Session.stats()``
-    sees line-solver reuse next to doall plans, keyed by the same rule
-    (the array's layout key: a sweep back in a layout seen before
-    replays) and cleared by the same ``session.clear()``.  Partial eviction is
-    harmless here (a plan rebuild is purely local and deterministic --
-    no protocol divergence), so the cache's plain LRU cap suffices.
+    :class:`~repro.compiler.schedule.PlanCache` under the ``"adi-line"``
+    kind, so ``Session.stats()`` sees line-solver reuse next to doall
+    plans, keyed by the same rule -- ``(arr.layout_key(), line_dim,
+    rank)``; the layout key already names the grid shape and ranks, so a
+    sweep back in a layout seen before replays -- and cleared by the
+    same ``session.clear()``.  Partial eviction is harmless here (a plan
+    rebuild is purely local and deterministic -- no protocol
+    divergence), so the cache's plain LRU cap suffices.
     """
-    key = (grid.shape, grid.key(), rhs_arr.layout_key(), axis, me)
-    return ctx.session.plans.get(
+    plan, was_cached = ctx.session.plans.get(
         "adi-line",
-        key,
-        lambda: _LinePlan(grid, rhs_arr, axis, me),
-        uids=uid_chain(rhs_arr),
+        (arr.layout_key(), line_dim, ctx.rank),
+        lambda: _LinePlan(arr, line_dim, ctx.rank),
+        uids=uid_chain(arr),
     )
-
-
-def _solve_lines(ctx, grid, rhs_arr, out_arr, diags, axis, pipelined, phase):
-    """Solve a tridiagonal system along ``axis`` for every grid line.
-
-    axis 0: systems run along x; lines indexed by j; the solver group is
-    my processor-grid column.  axis 1: transposed.  Implements the
-    doall-of-parsub-calls of Listings 7-8.
-    """
-    b, a, c = diags
-    me = ctx.rank
-    plan, was_cached = _line_plan(ctx, grid, rhs_arr, axis, me)
     yield Mark(
         "commsched/hit" if was_cached else "commsched/build",
-        payload=("adi-lines", axis),
+        payload=("adi-lines", line_dim),
     )
-    group = plan.group
-    p = plan.p
-    my_pos = plan.my_pos
-    lo, hi = plan.lo, plan.hi
-    rhs_local = rhs_arr.local(me)
-    out_local = out_arr.local(me)
-    my_lines = plan.my_lines
+    return plan
 
-    def line_block(s_local):
-        if axis == 0:
-            return rhs_local[:, s_local]
-        return rhs_local[s_local, :]
 
-    def store(s_local, x):
-        if axis == 0:
-            out_local[:, s_local] = x
-        else:
-            out_local[s_local, :] = x
+def _solve_lines(plan, line_dim, rhs, out, diags, pick, sys_ids, pipelined):
+    """Solve the tridiagonal systems along ``line_dim`` of the lines ``pick``.
 
+    The one distributed line solver (ADI, variable-coefficient ADI,
+    MG2's parallel zebra lines).  ``rhs`` and ``out`` are this rank's
+    local blocks; ``diags`` are the (lower, main, upper) diagonals shaped
+    ``(hi - lo, len(plan.lines))``, one column per held line (a constant
+    coefficient is :meth:`_LinePlan.broadcast`); ``pick`` holds the local
+    indices of the lines to solve and ``sys_ids`` their message-tag
+    namespaces.  ``pipelined`` streams every line through one pipelined
+    multi-system solve (Listing 8); otherwise each line is one call of
+    the parallel solver ``tri`` (Listing 7) over the plan's group.
+    """
+    rhs, out = np.moveaxis(rhs, line_dim, 0), np.moveaxis(out, line_dim, 0)
+    pos, p = plan.my_pos, plan.group.size
+    blocks = [(*(d[:, s] for d in diags), rhs[:, s]) for s in pick]
+    outs = [{} for _ in blocks]
     if pipelined:
-        outs: list[dict[int, np.ndarray]] = [{} for _ in range(len(my_lines))]
-        blocks = [
-            (b[lo:hi], a[lo:hi], c[lo:hi], line_block(s_local).copy())
-            for s_local in range(len(my_lines))
-        ]
-        sys_ids = [(phase, axis, int(gline)) for gline in my_lines]
-        prog = pipelined_node_program(
-            my_pos, p, blocks, ShuffleMapping(p), outs, sys_ids=sys_ids
-        )
-        yield from translate_ranks(prog, group)
-        for s_local in range(len(my_lines)):
-            store(s_local, outs[s_local][my_pos])
+        progs = [pipelined_node_program(
+            pos, p, blocks, ShuffleMapping(p), outs, sys_ids=sys_ids
+        )]
     else:
-        for s_local, gline in enumerate(my_lines):
-            out: dict[int, np.ndarray] = {}
-            blk = (b[lo:hi], a[lo:hi], c[lo:hi], line_block(s_local).copy())
-            prog = tri_node_program(
-                my_pos, p, blk, ContiguousMapping(p), out,
-                sys_id=(phase, axis, int(gline)),
-            )
-            yield from translate_ranks(prog, group)
-            store(s_local, out[my_pos])
+        progs = (
+            tri_node_program(pos, p, blk, ContiguousMapping(p), res, sys_id=sid)
+            for blk, res, sid in zip(blocks, outs, sys_ids)
+        )
+    group = plan.group.linear
+    for prog in progs:
+        yield from translate_ranks(prog, group)
+    for s, res in zip(pick, outs):
+        out[:, s] = res[pos]
+
+
+def _adi_run(machine, grid, session, fields, iters, tau, pipelined,
+             build_resid, line_diags):
+    """The distributed iteration both ADI front ends share.
+
+    Scatters the global ``fields`` (``F`` first, then any coefficient
+    fields) into ``(block, block)`` arrays beside ``u`` and the work
+    arrays ``r``, ``w``, ``v``, then runs ``iters`` sweeps of
+    ``[residual doall, x-lines, y-lines, update doall]``.  The front ends
+    differ only in ``build_resid(arrays)``, the residual doall, and
+    ``line_diags(plan, line_dim, rank, arrays)``, the per-line diagonals
+    of one sweep direction.  Returns (u_global, trace).
+    """
+    f = fields["F"]
+    n = f.shape[0] - 1
+    arrays = {
+        name: DistArray(f.shape, grid, dist=("block", "block"), name=name)
+        for name in ("u", *fields, "r", "w", "v")
+    }
+    for name, value in fields.items():
+        arrays[name].from_global(value)
+    resid_loop = build_resid(arrays)
+    update_loop = _build_update_loop(arrays["u"], arrays["v"], n, tau, grid)
+    sweeps = ((arrays["r"], arrays["w"]), (arrays["w"], arrays["v"]))
+
+    def program(ctx):
+        me = ctx.rank
+        for it in range(iters):
+            yield from ctx.doall(resid_loop)
+            for line_dim, (src, dst) in enumerate(sweeps):
+                plan = yield from _line_plan(ctx, src, line_dim)
+                sys_ids = [((it, "xy"[line_dim]), line_dim, int(g)) for g in plan.lines]
+                yield from _solve_lines(
+                    plan, line_dim, src.local(me), dst.local(me),
+                    line_diags(plan, line_dim, me, arrays),
+                    range(len(plan.lines)), sys_ids, pipelined,
+                )
+            yield from ctx.doall(update_loop)
+
+    from repro.session import run_in
+
+    trace = run_in(program, machine, grid, session)
+    return arrays["u"].to_global(), trace
 
 
 def adi_solve(
@@ -251,46 +298,20 @@ def adi_solve(
     ``session`` (a fresh one per call when omitted, so repeated solves
     never alias each other's schedules).  Returns (u_global, trace).
     """
+    _check_adi(f, grid)
     n = f.shape[0] - 1
-    if f.shape[0] != f.shape[1]:
-        raise ValidationError("ADI example uses square grids")
-    if grid.ndim != 2:
-        raise ValidationError("ADI requires a 2-D processor grid")
-    for s in grid.shape:
-        if s & (s - 1):
-            raise ValidationError("grid extents must be powers of two")
-    if n + 1 < 2 * max(grid.shape):
-        raise ValidationError("grid too coarse for this processor array")
     if tau is None:
         tau = default_tau(n, coeffs)
     hx2 = (1.0 / n) ** 2
     hy2 = (1.0 / n) ** 2
-    bx, ax, cx = _line_system(n, hx2, coeffs.a, coeffs.c / 2.0, tau)
-    by, ay, cy = _line_system(n, hy2, coeffs.b, coeffs.c / 2.0, tau)
-
-    dist = ("block", "block")
-    u = DistArray(f.shape, grid, dist=dist, name="u")
-    F = DistArray(f.shape, grid, dist=dist, name="F")
-    r = DistArray(f.shape, grid, dist=dist, name="r")
-    w = DistArray(f.shape, grid, dist=dist, name="w")
-    v = DistArray(f.shape, grid, dist=dist, name="v")
-    F.from_global(f)
-
-    resid_loop = _build_residual_loop(r, u, F, n, hx2, hy2, coeffs, grid)
-    update_loop = _build_update_loop(u, v, n, tau, grid)
-
-    def program(ctx):
-        for it in range(iters):
-            yield from ctx.doall(resid_loop)
-            yield from _solve_lines(
-                ctx, grid, r, w, (bx, ax, cx), 0, pipelined, phase=(it, "x")
-            )
-            yield from _solve_lines(
-                ctx, grid, w, v, (by, ay, cy), 1, pipelined, phase=(it, "y")
-            )
-            yield from ctx.doall(update_loop)
-
-    from repro.session import run_in
-
-    trace = run_in(program, machine, grid, session)
-    return u.to_global(), trace
+    systems = (
+        _line_system(n, hx2, coeffs.a, coeffs.c / 2.0, tau),
+        _line_system(n, hy2, coeffs.b, coeffs.c / 2.0, tau),
+    )
+    return _adi_run(
+        machine, grid, session, {"F": f}, iters, tau, pipelined,
+        lambda A: _build_residual_loop(
+            A["r"], A["u"], A["F"], n, hx2, hy2, coeffs, grid
+        ),
+        lambda plan, line_dim, rank, A: plan.broadcast(systems[line_dim]),
+    )

@@ -16,7 +16,9 @@ change relative to :mod:`repro.tensor.adi`:
   the processor's local coefficient block -- which is exactly the
   multi-system shape the pipelined solver of Listing 6 exists for.
 
-The iteration is the same defect-correction Peaceman-Rachford scheme;
+Everything else -- validation, arrays, the cached line plans, the line
+solves and the update -- is :mod:`repro.tensor.adi`'s.  The iteration
+is the same defect-correction Peaceman-Rachford scheme;
 for smooth positive a, b (and c <= 0) the split operators remain
 negative definite and the sweep contracts.
 """
@@ -25,14 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.pipelined import pipelined_node_program
-from repro.kernels.substructured import ContiguousMapping, ShuffleMapping, tri_node_program
 from repro.kernels.thomas import thomas_solve
-from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
+from repro.lang import Assign, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine.simulator import Machine
-from repro.machine.translate import translate_ranks
+from repro.tensor.adi import _adi_run, _check_adi
 from repro.util.errors import ValidationError
-from repro.util.indexing import block_bounds
 
 
 def default_tau_varcoef(n: int, a: np.ndarray, b: np.ndarray) -> float:
@@ -80,9 +79,10 @@ def adi_varcoef_reference(
     tau: float | None = None,
 ) -> np.ndarray:
     """Sequential variable-coefficient PR-ADI."""
-    n = f.shape[0] - 1
     if not (f.shape == a.shape == b.shape == c.shape):
         raise ValidationError("f, a, b, c must share a shape")
+    _check_adi(f)
+    n = f.shape[0] - 1
     if tau is None:
         tau = default_tau_varcoef(n, a, b)
     u = np.zeros_like(f)
@@ -124,79 +124,6 @@ def _build_residual_loop(r, u, F, A, B, C, n, grid):
     )
 
 
-def _solve_lines_var(ctx, grid, rhs_arr, out_arr, coef_arr, c_arr, n, tau,
-                     axis, pipelined, phase):
-    """Per-line variable-coefficient tridiagonal solves along ``axis``."""
-    me = ctx.rank
-    coords = grid.coords_of(me)
-    if axis == 0:
-        group = grid[:, coords[1]].linear
-        my_pos = coords[0]
-    else:
-        group = grid[coords[0], :].linear
-        my_pos = coords[1]
-    p = len(group)
-    lo, hi = block_bounds(n + 1, p, my_pos)
-    rhs_local = rhs_arr.local(me)
-    out_local = out_arr.local(me)
-    coef_local = coef_arr.local(me)
-    c_local = c_arr.local(me)
-    sys_dim = 1 - axis
-    bd = rhs_arr.dim(sys_dim)
-    gd = rhs_arr.grid_dim_of(sys_dim)
-    sys_coord = coords[gd] if gd is not None else 0
-    my_lines = bd.owned_indices(sys_coord)
-    h2 = (1.0 / n) ** 2
-
-    def col(arr, s):
-        return arr[:, s] if axis == 0 else arr[s, :]
-
-    def diags_for(s_local):
-        # local coefficient slice covers only rows lo..hi of the line
-        coef = col(coef_local, s_local)
-        cc = col(c_local, s_local)
-        t = tau * coef / h2
-        low = -t
-        dia = 1.0 + 2.0 * t - tau * cc / 2.0
-        upp = (-t).copy()  # distinct buffer: boundary rows mutate low/upp
-        # identity boundary rows live on the first/last processor blocks
-        if lo == 0:
-            low[0], dia[0], upp[0] = 0.0, 1.0, 0.0
-        if hi == n + 1:
-            low[-1], dia[-1], upp[-1] = 0.0, 1.0, 0.0
-        return low, dia, upp
-
-    if pipelined:
-        outs = [dict() for _ in range(len(my_lines))]
-        blocks = []
-        for s_local in range(len(my_lines)):
-            low, dia, upp = diags_for(s_local)
-            blocks.append((low, dia, upp, col(rhs_local, s_local).copy()))
-        sys_ids = [(phase, axis, int(gl)) for gl in my_lines]
-        prog = pipelined_node_program(
-            my_pos, p, blocks, ShuffleMapping(p), outs, sys_ids=sys_ids
-        )
-        yield from translate_ranks(prog, group)
-        for s_local in range(len(my_lines)):
-            if axis == 0:
-                out_local[:, s_local] = outs[s_local][my_pos]
-            else:
-                out_local[s_local, :] = outs[s_local][my_pos]
-    else:
-        for s_local, gline in enumerate(my_lines):
-            low, dia, upp = diags_for(s_local)
-            out = {}
-            prog = tri_node_program(
-                my_pos, p, (low, dia, upp, col(rhs_local, s_local).copy()),
-                ContiguousMapping(p), out, sys_id=(phase, axis, int(gline)),
-            )
-            yield from translate_ranks(prog, group)
-            if axis == 0:
-                out_local[:, s_local] = out[my_pos]
-            else:
-                out_local[s_local, :] = out[my_pos]
-
-
 def adi_varcoef_solve(
     machine: Machine,
     grid: ProcessorGrid,
@@ -213,51 +140,36 @@ def adi_varcoef_solve(
 
     Runs in ``session`` (a fresh one per call when omitted).
     """
-    n = f.shape[0] - 1
     if not (f.shape == a.shape == b.shape == c.shape):
         raise ValidationError("f, a, b, c must share a shape")
-    if grid.ndim != 2:
-        raise ValidationError("requires a 2-D processor grid")
-    for s in grid.shape:
-        if s & (s - 1):
-            raise ValidationError("grid extents must be powers of two")
+    _check_adi(f, grid)
+    n = f.shape[0] - 1
     if tau is None:
         tau = default_tau_varcoef(n, a, b)
+    h2 = (1.0 / n) ** 2
 
-    dist = ("block", "block")
-    u = DistArray(f.shape, grid, dist=dist, name="u")
-    F = DistArray(f.shape, grid, dist=dist, name="F")
-    A = DistArray(f.shape, grid, dist=dist, name="a")
-    B = DistArray(f.shape, grid, dist=dist, name="b")
-    C = DistArray(f.shape, grid, dist=dist, name="c")
-    r = DistArray(f.shape, grid, dist=dist, name="r")
-    w = DistArray(f.shape, grid, dist=dist, name="w")
-    v = DistArray(f.shape, grid, dist=dist, name="v")
-    for arr, val in ((F, f), (A, a), (B, b), (C, c)):
-        arr.from_global(val)
+    def line_diags(plan, line_dim, rank, A):
+        # _line_diags' arithmetic over the local coefficient blocks, which
+        # cover rows lo..hi of every held line (one column per line)
+        coef, cc = (
+            np.moveaxis(A[name].local(rank), line_dim, 0)
+            for name in ("ab"[line_dim], "c")
+        )
+        t = tau * coef / h2
+        low = -t
+        dia = 1.0 + 2.0 * t - tau * cc / 2.0
+        upp = -t
+        # identity boundary rows live on the first/last processor blocks
+        for row, held in ((0, plan.lo == 0), (-1, plan.hi == n + 1)):
+            if held:
+                low[row], dia[row], upp[row] = 0.0, 1.0, 0.0
+        return low, dia, upp
 
-    resid_loop = _build_residual_loop(r, u, F, A, B, C, n, grid)
-    i, j = loopvars("i j")
-    update_loop = Doall(
-        vars=(i, j),
-        ranges=[(1, n - 1), (1, n - 1)],
-        on=Owner(u, (i, j)),
-        body=[Assign(u[i, j], u[i, j] - (2.0 * tau) * v[i, j])],
-        grid=grid,
+    return _adi_run(
+        machine, grid, session, {"F": f, "a": a, "b": b, "c": c}, iters, tau,
+        pipelined,
+        lambda A: _build_residual_loop(
+            A["r"], A["u"], A["F"], A["a"], A["b"], A["c"], n, grid
+        ),
+        line_diags,
     )
-
-    def program(ctx):
-        for it in range(iters):
-            yield from ctx.doall(resid_loop)
-            yield from _solve_lines_var(
-                ctx, grid, r, w, A, C, n, tau, 0, pipelined, phase=(it, "x")
-            )
-            yield from _solve_lines_var(
-                ctx, grid, w, v, B, C, n, tau, 1, pipelined, phase=(it, "y")
-            )
-            yield from ctx.doall(update_loop)
-
-    from repro.session import run_in
-
-    trace = run_in(program, machine, grid, session)
-    return u.to_global(), trace

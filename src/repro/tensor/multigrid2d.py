@@ -27,22 +27,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.pipelined import pipelined_node_program
-from repro.kernels.substructured import ShuffleMapping
 from repro.kernels.thomas import thomas_solve_many
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.lang.array import BaseDistArray
 from repro.machine.ops import Compute, Mark
 from repro.machine.simulator import Machine
-from repro.machine.translate import translate_ranks
-from repro.tensor.poisson import Coeffs2D
+from repro.tensor.adi import _line_plan, _solve_lines
+from repro.tensor.poisson import Coeffs2D, check_pow2
 from repro.util.errors import ValidationError
-from repro.util.indexing import block_bounds
-
-
-def _check_pow2(n: int, what: str) -> None:
-    if n < 2 or (n & (n - 1)):
-        raise ValidationError(f"{what} must be a power of two >= 2, got {n}")
 
 
 class MG2:
@@ -62,7 +54,7 @@ class MG2:
     ):
         nx = u.shape[0] - 1
         ny = u.shape[1] - 1
-        _check_pow2(ny, "ny")
+        check_pow2(ny, "ny")
         if u.shape != f.shape:
             raise ValidationError("u and f must share a shape")
         self.grid = grid
@@ -200,17 +192,6 @@ class MG2:
     # Execution (SPMD generators)
     # ------------------------------------------------------------------
 
-    def _my_parity_lines(self, u, rank, ny, parity):
-        """Interior lines of one parity owned by this rank along dim 1."""
-        bd = u.dim(1)
-        g = u.grid_dim_of(1)
-        coord = u.grid.coords_of(rank)[g] if g is not None else 0
-        owned = bd.owned_indices(coord)
-        want = 0 if parity == "even" else 1
-        lines = [int(j) for j in owned if 0 < j < ny and j % 2 == want]
-        loc = [int(bd.local_index(j)) for j in lines]
-        return lines, loc
-
     def _zebra_sweep(self, ctx, level: int, parity: str):
         """One half-sweep: rhs doall + exact line solves.
 
@@ -218,57 +199,47 @@ class MG2:
         line solve is the local ``seqtri`` of Listing 11.  When x is
         *distributed* -- the three-dimensional processor array variant
         section 5 discusses -- the lines of this parity stream through
-        the pipelined parallel tridiagonal solver over the x-subgrid.
+        the shared pipelined line solver over the x-subgrid.
         """
         lv = self.levels[level]
         loop = lv["zebra"][parity]
         if loop is None:
             return
         yield from ctx.doall(loop)
-        u, tmp, ny = lv["u"], lv["tmp"], lv["ny"]
+        u, ny = lv["u"], lv["ny"]
         me = ctx.rank
-        bx, ax, cx = lv["line"]
-        lines, loc = self._my_parity_lines(u, me, ny, parity)
         ul = u.local(me)
-        tl = tmp.local(me)
-        g0 = u.grid_dim_of(0)
-        if g0 is None:
+        tl = lv["tmp"].local(me)
+        want = 0 if parity == "even" else 1
+
+        def pick(lines):
+            """Local indices of the held interior lines of this parity."""
+            return [s for s, j in enumerate(lines) if 0 < j < ny and j % 2 == want]
+
+        if u.grid_dim_of(0) is None:
             # local path: every line solve is sequential (Listing 11 seqtri)
-            if not lines:
+            loc = pick(u.owned_lists(me)[1])
+            if not loc:
                 return
-            rhs = tl[:, loc].copy()
+            rhs = tl[:, loc]  # fancy indexing: a copy
             rhs[0, :] = 0.0
             rhs[-1, :] = 0.0
-            sol = thomas_solve_many(bx, ax, cx, rhs)
-            ul[:, loc] = sol
-            yield Compute(flops=8.0 * (self.nx + 1) * len(lines), label="zebra_lines")
+            ul[:, loc] = thomas_solve_many(*lv["line"], rhs)
+            yield Compute(flops=8.0 * (self.nx + 1) * len(loc), label="zebra_lines")
             return
         # parallel path: distribute each line solve over the x-subgrid
-        coords = u.grid.coords_of(me)
-        key = [coords[d] for d in range(u.grid.ndim)]
-        key[g0] = slice(None)
-        group_grid = u.grid[tuple(key)]
-        group = group_grid.linear
-        p = len(group)
-        my_pos = coords[g0]
-        lo, hi = block_bounds(self.nx + 1, p, my_pos)
-        phase = ctx.next_tag(group_grid)
-        blocks = []
-        for s_local in loc:
-            rhs_line = tl[:, s_local].copy()
-            if lo == 0:
-                rhs_line[0] = 0.0
-            if hi == self.nx + 1:
-                rhs_line[-1] = 0.0
-            blocks.append((bx[lo:hi], ax[lo:hi], cx[lo:hi], rhs_line))
-        outs = [dict() for _ in blocks]
-        sys_ids = [(phase, j) for j in lines]
-        prog = pipelined_node_program(
-            my_pos, p, blocks, ShuffleMapping(p), outs, sys_ids=sys_ids
+        plan = yield from _line_plan(ctx, u, 0)
+        loc = pick(plan.lines)
+        rhs = tl.copy()
+        if plan.lo == 0:
+            rhs[0] = 0.0
+        if plan.hi == self.nx + 1:
+            rhs[-1] = 0.0
+        phase = ctx.next_tag(plan.group)
+        sys_ids = [(phase, int(plan.lines[s])) for s in loc]
+        yield from _solve_lines(
+            plan, 0, rhs, ul, plan.broadcast(lv["line"]), loc, sys_ids, pipelined=True
         )
-        yield from translate_ranks(prog, group)
-        for s_local, out in zip(loc, outs):
-            ul[:, s_local] = out[my_pos]
 
     def _zero(self, ctx, arr):
         if arr.grid.contains(ctx.rank):

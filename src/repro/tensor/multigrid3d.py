@@ -41,13 +41,8 @@ from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine.ops import Compute, Mark
 from repro.machine.simulator import Machine
 from repro.tensor.multigrid2d import MG2, mg2_vcycle_ref
-from repro.tensor.poisson import Coeffs2D, Coeffs3D
+from repro.tensor.poisson import Coeffs2D, Coeffs3D, check_pow2
 from repro.util.errors import ValidationError
-
-
-def _check_pow2(n: int, what: str) -> None:
-    if n < 2 or (n & (n - 1)):
-        raise ValidationError(f"{what} must be a power of two >= 2, got {n}")
 
 
 class MG3:
@@ -63,8 +58,8 @@ class MG3:
         name: str = "mg3",
     ):
         nx, ny, nz = (s - 1 for s in u.shape)
-        _check_pow2(nz, "nz")
-        _check_pow2(ny, "ny")
+        check_pow2(nz, "nz")
+        check_pow2(ny, "ny")
         self.grid = grid
         self.coeffs = coeffs
         self.plane_cycles = plane_cycles

@@ -39,6 +39,12 @@ class Coeffs3D:
     c: float = 0.0
 
 
+def check_pow2(n: int, what: str, least: int = 2) -> None:
+    """Refuse ``n`` unless it is a power of two >= ``least``."""
+    if n < least or (n & (n - 1)):
+        raise ValidationError(f"{what} must be a power of two >= {least}, got {n}")
+
+
 def laplacian_2d(u: np.ndarray, coeffs: Coeffs2D = Coeffs2D()) -> np.ndarray:
     """Apply the 5-point operator on interior points (boundary rows zero)."""
     nx, ny = u.shape[0] - 1, u.shape[1] - 1

@@ -282,7 +282,8 @@ BLOCK_IDENTITY_SITES = {
     "elastic.py::checkpoint",
 }
 
-#: ... and never these, allow-listed or not
+#: ... and never these, allow-listed or not (``_line_plan`` keys the one
+#: line-solve plan every tensor line sweep shares)
 KEY_BUILDERS = {"key", "layout_key", "_line_plan", "schedule_key", "repartition_key"}
 
 
@@ -334,3 +335,17 @@ def test_comm_epoch_appears_only_at_block_identity_sites():
     )
     gone = BLOCK_IDENTITY_SITES - sites
     assert not gone, f"allow-listed sites no longer use comm_epoch: {sorted(gone)}"
+
+
+def test_key_builders_are_all_defined():
+    """A renamed key builder would silently drop out of the guard above:
+    every listed name must still be a function defined under src/repro."""
+    root = pathlib.Path(repro.__file__).parent
+    defined = {
+        node.name
+        for file in root.rglob("*.py")
+        for node in ast.walk(ast.parse(file.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    missing = KEY_BUILDERS - defined
+    assert not missing, f"KEY_BUILDERS names no function in src/repro: {sorted(missing)}"

@@ -272,23 +272,52 @@ def test_history_bounded_but_runs_counted():
     assert s.runs == 5 and s.stats()["runs"] == 5
 
 
-def test_adi_line_plans_visible_in_session_stats():
-    """The ADI line-solver plans ride in the session's PlanCache."""
+@pytest.mark.parametrize("solver", ["adi_solve", "adi_varcoef_solve"])
+def test_adi_line_plans_visible_in_session_stats(solver):
+    """Both ADI front ends' line-solver plans ride in the session's
+    PlanCache: one plan per (axis, rank), replayed every later sweep."""
     from repro.tensor.adi import adi_solve
+    from repro.tensor.adi_varcoef import adi_varcoef_solve
 
-    n, p = 16, 2
+    n, p, iters = 16, 2, 3
     rng = np.random.default_rng(5)
     f = 1e-3 * rng.standard_normal((n + 1, n + 1))
     session = Session()
-    adi_solve(
-        Machine(n_procs=p * p), ProcessorGrid((p, p)), f, iters=3,
-        session=session,
-    )
+    machine, grid = Machine(n_procs=p * p), ProcessorGrid((p, p))
+    if solver == "adi_solve":
+        adi_solve(machine, grid, f, iters=iters, session=session)
+    else:
+        ones = np.ones_like(f)
+        adi_varcoef_solve(
+            machine, grid, f, ones, 2.0 * ones, -ones, iters=iters,
+            session=session,
+        )
     kinds = session.plans.kind_stats()
     assert "adi-line" in kinds and "doall" in kinds
-    # one line plan per (axis, rank) compiled, then replayed every sweep
     assert kinds["adi-line"]["misses"] == 2 * p * p
-    assert kinds["adi-line"]["hits"] == 2 * p * p * 2  # iters-1 replays
+    assert kinds["adi-line"]["hits"] == 2 * p * p * (iters - 1)
+
+
+def test_mg3_line_plans_replay_across_cycles():
+    """MG3 on a (block, block, block) grid runs its plane solves' zebra
+    lines through the shared line solver: every line-plan lookup of the
+    second V-cycle replays a plan the first one built."""
+    from repro.tensor.multigrid3d import mg3_solve
+    from repro.tensor.poisson import manufactured_3d
+
+    _, f = manufactured_3d(8)
+    counts = []
+    for cycles in (1, 2):
+        session = Session()
+        mg3_solve(
+            Machine(n_procs=8), ProcessorGrid((2, 2, 2)), f, cycles=cycles,
+            dist=("block", "block", "block"), session=session,
+        )
+        counts.append(session.plans.kind_stats()["adi-line"])
+    one, two = counts
+    assert one["misses"] > 0 and one["hits"] > 0
+    assert two["misses"] == one["misses"]
+    assert two["hits"] == 2 * one["hits"] + one["misses"]
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ with a commit message explaining the delta.
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.compiler import ScheduleCache
 from repro.kernels.substructured import (
@@ -22,6 +23,10 @@ from repro.kernels.substructured import (
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine import Machine
 from repro.session import Session
+from repro.tensor.adi import adi_solve
+from repro.tensor.adi_varcoef import adi_varcoef_solve
+from repro.tensor.multigrid3d import mg3_solve
+from repro.tensor.poisson import manufactured_2d, manufactured_3d
 
 
 def _dominant_system(n, seed):
@@ -126,3 +131,52 @@ def test_golden_cached_gather_sweeps():
     assert trace.schedule_counts() == {"miss": 2, "hit": 4}
     # per-message golden: every wire payload is one 8-byte element/index row
     assert sorted({m.nbytes for m in trace.messages}) == [8]
+
+
+def _adi_trace(solver, pipelined):
+    n = 16
+    _, f = manufactured_2d(n)
+    args = ()
+    if solver is adi_varcoef_solve:
+        x = np.linspace(0.0, 1.0, n + 1)
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        args = (1.0 + X * Y, 2.0 - X * Y, -np.ones_like(X))
+    _, trace = solver(
+        Machine(n_procs=4), ProcessorGrid((2, 2)), f, *args, iters=2,
+        pipelined=pipelined,
+    )
+    return trace
+
+
+@pytest.mark.parametrize(
+    "solver, pipelined, makespan",
+    [
+        (adi_solve, False, 0.018633000000000014),
+        (adi_solve, True, 0.009993999999999996),
+        (adi_varcoef_solve, False, 0.018857000000000013),
+        (adi_varcoef_solve, True, 0.010249999999999995),
+    ],
+    ids=["adi-per-line", "adi-pipelined", "varcoef-per-line", "varcoef-pipelined"],
+)
+def test_golden_adi_line_solves(solver, pipelined, makespan):
+    """(2, 2) grid, n=16, 2 iterations: the wire cost of both ADI front
+    ends through the shared line solver.  Both variants move the
+    same 160 messages; pipelining only reorders them, which the makespan
+    shows."""
+    trace = _adi_trace(solver, pipelined)
+    assert trace.message_count() == 160
+    assert trace.total_bytes() == 6592
+    assert trace.makespan() == pytest.approx(makespan, rel=1e-12)
+
+
+def test_golden_mg3_block_cubed():
+    """(2, 2, 2) grid, (block, block, block), n=8, one V-cycle: the plane
+    solves' zebra lines run through the distributed line solver."""
+    _, f = manufactured_3d(8)
+    _, trace = mg3_solve(
+        Machine(n_procs=8), ProcessorGrid((2, 2, 2)), f, cycles=1,
+        dist=("block", "block", "block"),
+    )
+    assert trace.message_count() == 2432
+    assert trace.total_bytes() == 95488
+    assert trace.makespan() == pytest.approx(0.10099200000000012, rel=1e-12)

@@ -89,3 +89,20 @@ def test_validation():
     m = Machine(n_procs=2)
     with pytest.raises(ValidationError):
         adi_varcoef_solve(m, ProcessorGrid((2,)), f, a, b, c, iters=1)
+    # both ADI front ends and the reference refuse the same inputs up
+    # front, before any simulated rank runs
+    from repro.tensor.adi import adi_solve
+
+    rect = np.ones((9, 5))
+    with pytest.raises(ValidationError, match="square"):
+        adi_varcoef_reference(rect, rect, rect, -rect, iters=1)
+    _, f4, a4, b4, c4 = problem(4)
+    cases = {
+        "square": (ProcessorGrid((2, 2)), rect, (rect, rect, -rect)),
+        "too coarse": (ProcessorGrid((4, 4)), f4, (a4, b4, c4)),
+        "power of two": (ProcessorGrid((3, 2)), f, (a, b, c)),
+    }
+    for match, (grid, rhs, coefs) in cases.items():
+        for solve, args in ((adi_varcoef_solve, (rhs, *coefs)), (adi_solve, (rhs,))):
+            with pytest.raises(ValidationError, match=match):
+                solve(Machine(n_procs=16), grid, *args, iters=1)

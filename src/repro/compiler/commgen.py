@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import threading
 import weakref
+from typing import Callable
 
 import numpy as np
 
 from repro.compiler import access as acc
 from repro.compiler.stripmine import IterSet, stripmine
-from repro.lang.array import BaseDistArray
+from repro.lang.array import BaseDistArray, storage_of
 from repro.lang.doall import Doall
 from repro.lang.expr import compile_expr
 from repro.util.errors import CompileError
@@ -374,13 +375,26 @@ class StepPlan:
 
     * persistent gather workspaces (one buffer per read array, reused
       every sweep -- the local move plus the schedule receives overwrite
-      every needed element, so no per-sweep allocation or clearing);
+      every needed element, so no per-sweep allocation or clearing).
+      An array gets none on a rank where the workspace would only copy
+      the block: no statement of the loop writes it, the rank receives
+      nothing for it, its local move is a slice box onto the whole
+      workspace, and every reference to it is a slice box
+      (:func:`block_boxes`) -- ``f`` in Jacobi.  Its references then
+      read the block itself, and the fill skips its local move;
     * per-statement rhs closures lowered by
       :func:`~repro.lang.expr.compile_expr`: each array reference is
       pre-bound to its workspace positions (a slice view when the
       positions form a contiguous box -- the paper's stencils -- else a
-      precomputed fancy gather), so replay never touches the expression
-      AST or evaluates an affine index;
+      precomputed fancy gather) or to its box of the block, so replay
+      never touches the expression AST or evaluates an affine index.
+      Each closure evaluates in place into the statement's ``scratch``:
+      contiguous buffers of the iteration box's shape allocated here --
+      one per statement, plus one per operator node evaluated beside
+      another -- and overwritten every sweep.  A closure is called as
+      ``fn(block_of)`` and returns its root buffer, which the store
+      reads (casting to the lhs dtype) before the next sweep; the
+      buffer itself is never a message payload, so it is never frozen;
     * per-statement store recipes: the open-mesh box, frozen flat
       coordinates for non-box-decomposable writes
       (which the interpreted path re-derives every sweep), or the
@@ -388,13 +402,13 @@ class StepPlan:
     * the Compute labels and flop charges.
 
     The plan deliberately captures *arrays*, never their local blocks:
-    store targets are resolved through ``array.local(rank)`` on each
-    sweep, so a block swapped by redistribution can never be written
-    through a stale captured buffer.  That is what lets the plan outlive
-    a redistribution: it lives on the :class:`LoopAnalysis`, cached
-    under the arrays' layout keys, holds no block of any array, and is
-    replayed only while every array is (again) in the layout it was
-    frozen for.
+    store targets and direct reads are resolved through ``block_of`` on
+    each sweep, so a block swapped by redistribution can never be read
+    or written through a stale captured buffer.  That is what lets the
+    plan outlive a redistribution: it lives on the
+    :class:`LoopAnalysis`, cached under the arrays' layout keys, holds
+    no block of any array, and is replayed only while every array is
+    (again) in the layout it was frozen for.
 
     The executor in :mod:`repro.compiler.schedule` drives the plan; the
     replayed op stream (messages, marks, computes) is bit-identical to
@@ -402,14 +416,15 @@ class StepPlan:
 
     **Batched plans.**  Built with ``nbatch=B``, the plan is the recipe
     for executing the loop over ``B`` independent parameter bindings at
-    once (``Program.run_batch``): every workspace gains a leading batch
-    axis, every frozen fetch and store selection is prefixed with
-    ``slice(None)`` on that axis, and the rhs closures broadcast over it
-    for free (:func:`~repro.lang.expr.compile_expr` closures are plain
-    numpy ufunc chains).  The *schedules* are shared untouched with the
-    single-run plan -- same sends, same receives, same tags -- so the
-    wire message **count** is identical to one single-binding sweep;
-    only the payload slots widen by the batch factor.  Batched store
+    once (``Program.run_batch``): every workspace and scratch buffer
+    gains a leading batch axis, every frozen fetch and store selection
+    is prefixed with ``slice(None)`` on that axis, and the rhs closures
+    broadcast over it for free (:func:`~repro.lang.expr.compile_expr`
+    closures are plain numpy ufunc chains).  The *schedules* are shared
+    untouched with the single-run plan -- same sends, same receives,
+    same tags -- so the wire message **count** is identical to one
+    single-binding sweep; only the payload slots widen by the batch
+    factor.  Batched store
     recipes address the batched shadow blocks the batch driver owns
     (``blocks[array.uid]``), never the live single-member arrays.
     """
@@ -428,6 +443,7 @@ class StepPlan:
         "label_boundary",
         "reads",
         "evals",
+        "scratch",
         "stores",
         "_split",
     )
@@ -464,52 +480,66 @@ class StepPlan:
         self.flat = (-1,) if nbatch is None else (nbatch, -1)
 
         # ---- read side: persistent workspaces + send/recv recipes ------
-        #: (wire kind, array, gather schedule | None, workspace | None)
+        #: (wire kind, array, gather schedule | None, workspace | None);
+        #: an array read from the block has no workspace, and no record
+        #: at all when it sends nothing either
         self.reads: list[tuple] = []
-        bufs: dict[int, np.ndarray] = {}
-        needed_of: dict[int, list[np.ndarray]] = {}
-        for arr_idx, plans in enumerate(analysis.read_plans):
+        #: id(ref) -> read(block_of) of that reference's values
+        reads_of: dict[int, Callable] = {}
+        written = {id(storage_of(sa.lhs_array)) for sa in analysis.stmts}
+        for arr_idx, (plans, refs) in enumerate(
+            zip(analysis.read_plans, analysis.read_refs)
+        ):
             plan = plans[rank]
-            array = plan.array
-            buf = None
+            array, sched, buf = plan.array, plan.transfer, None
             if plan.needed is not None:
-                buf = np.empty(
-                    lead_shape + tuple(n.size for n in plan.needed),
-                    dtype=array.dtype,
-                )
-                bufs[id(array)] = buf
-                needed_of[id(array)] = plan.needed
-            self.reads.append((f"gh{arr_idx}", array, plan.transfer, buf))
+                found = [ref_positions(plan.needed, ref, iters) for ref in refs]
+                direct = None
+                if id(storage_of(array)) not in written:
+                    direct = block_boxes(
+                        sched, plan.needed, [box for _, box in found]
+                    )
+                if direct is not None:
+                    # read-only and ghost-free here: read the block itself
+                    for ref, box in zip(refs, direct):
+                        reads_of[id(ref)] = block_read(array, lead_sel + box)
+                    if not sched.sends:
+                        continue  # nothing moves for this array on this rank
+                else:
+                    buf = np.empty(
+                        lead_shape + tuple(n.size for n in plan.needed),
+                        dtype=array.dtype,
+                    )
+                    for ref, (pos, box) in zip(refs, found):
+                        # batch prefix: with the advanced indices
+                        # consecutive after the leading slice, numpy
+                        # keeps their broadcast dims in place, so the
+                        # fetch shape is exactly (B,) + single shape
+                        sel = lead_sel + (pos if box is None else box)
+                        reads_of[id(ref)] = workspace_read(buf, sel)
+            self.reads.append((f"gh{arr_idx}", array, sched, buf))
 
         # ---- statement rhs closures ------------------------------------
-        def resolve(ref):
-            buf = bufs[id(ref.array)]
-            needed = needed_of[id(ref.array)]
-            pos = tuple(
-                acc.positions_in(n, np.asarray(acc.eval_index(e, iters)))
-                for n, e in zip(needed, ref.idx)
-            )
-            box = freeze_positions(pos)
-            # batch prefix: with the advanced indices consecutive after
-            # the leading slice, numpy keeps their broadcast dims in
-            # place, so the fetch shape is exactly (B,) + single shape
-            sel = lead_sel + (pos if box is None else box)
-            return lambda: buf[sel]
-
         shape = lead_shape + self.shape
-        #: per-statement closures producing the broadcast value box
+        #: per statement: the buffers its closure evaluates into
+        self.scratch: list[list[np.ndarray]] = []
+        #: per statement: ``fn(block_of)`` -> the rhs values, in the
+        #: statement's scratch buffer
         self.evals: list = []
         for sa in analysis.stmts:
+            bufs: list[np.ndarray] = []
+            self.scratch.append(bufs)
             if self.n_points == 0:
                 self.evals.append(None)
                 continue
-            fn = compile_expr(sa.stmt.rhs, resolve)
-            dt = sa.lhs_array.dtype
-            self.evals.append(
-                lambda fn=fn, dt=dt: np.broadcast_to(
-                    np.asarray(fn(), dtype=dt), shape
-                )
-            )
+
+            def alloc(dtype, bufs=bufs):
+                bufs.append(np.empty(shape, dtype))
+                return bufs[-1]
+
+            self.evals.append(compile_expr(
+                sa.stmt.rhs, lambda ref: reads_of[id(ref)], alloc
+            ))
 
         # ---- statement store recipes -----------------------------------
         #: per-statement: ("box", array, locs, perm, shape) |
@@ -598,6 +628,58 @@ def freeze_positions(pos) -> tuple | None:
     if np.broadcast_shapes(*(p.shape for p in arrays)) != mesh_shape(box):
         return None
     return box
+
+
+def ref_positions(needed, ref, iters: IterSet) -> tuple:
+    """``(positions, slice box | None)`` of one reference in the
+    workspace of its array's ``needed`` lists (see
+    :func:`freeze_positions`)."""
+    pos = tuple(
+        acc.positions_in(n, np.asarray(acc.eval_index(e, iters)))
+        for n, e in zip(needed, ref.idx)
+    )
+    return pos, freeze_positions(pos)
+
+
+def block_boxes(sched, needed, boxes) -> list | None:
+    """Per-reference block boxes of a workspace the rank need not fill.
+
+    The workspace is a verbatim copy of one slice box of the rank's
+    block when the rank receives nothing for the array and its local
+    move is slice box to whole workspace; if, in addition, every
+    reference is a slice box of the workspace, each reads the same
+    elements from the block directly.  Returns those block boxes, or
+    None when any condition fails (the caller keeps the workspace).
+    """
+    if sched is None or sched.recvs or sched.self_src is None:
+        return None
+    moves = tuple(sched.self_src) + tuple(sched.self_dst)
+    if not all(isinstance(s, slice) for s in moves):
+        return None
+    if any(range(*s.indices(n.size)) != range(n.size)
+           for s, n in zip(sched.self_dst, needed)):
+        return None
+    if any(box is None for box in boxes):
+        return None
+    out = []
+    for box in boxes:
+        dims = []
+        for src, ref in zip(sched.self_src, box):
+            r = range(src.start, src.stop, src.step or 1)[ref]
+            dims.append(slice(r.start, r.stop, None if r.step == 1 else r.step))
+        out.append(tuple(dims))
+    return out
+
+
+def workspace_read(buf: np.ndarray, sel: tuple):
+    """Read of a plan workspace (``block_of`` unused)."""
+    return lambda block_of: buf[sel]
+
+
+def block_read(array: BaseDistArray, sel: tuple):
+    """Read of the rank's block, resolved through ``block_of`` per call
+    and never captured."""
+    return lambda block_of: block_of(array)[sel]
 
 
 def frozen_flat_store(sa, iters: IterSet) -> tuple:

@@ -34,11 +34,13 @@ cached analysis without re-deriving any index list.
 Two executors drive the phases.  The default compiled path
 (``Session(compiled=True)``) replays the rank's frozen
 :class:`~repro.compiler.commgen.StepPlan`: statement right-hand sides
-lowered once into closures over pre-bound numpy ufuncs, array
-references pre-resolved to workspace positions (slice views for box
-patterns), store coordinates frozen, workspaces persistent -- the
-steady-state sweep never walks an expression AST or evaluates an
-affine index.  The StepPlan record layout and the phase order of a sweep
+lowered once into closures over pre-bound numpy ufuncs that evaluate
+in place into plan-owned scratch, array references pre-resolved to
+workspace positions (slice views for box patterns) or, for read-only
+ghost-free arrays, to boxes of the block itself, store coordinates
+frozen, workspaces persistent -- the steady-state sweep never walks an
+expression AST, evaluates an affine index or allocates an operator's
+result.  The StepPlan record layout and the phase order of a sweep
 are known to this module only, in two walks kept apart on purpose.
 :func:`_replay` is the generator the simulator drives (ops out, trace
 recorded), behind two thin entry points: :func:`replay_analysis` (live:
@@ -458,7 +460,9 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             label=plan.label_boundary if interior else plan.label,
         )
 
-    stmt_vals = [None if fn is None or not live else fn() for fn in plan.evals]
+    stmt_vals = [
+        None if fn is None or not live else fn(block_of) for fn in plan.evals
+    ]
 
     for values, store in zip(stmt_vals, plan.stores):
         if store is None:
@@ -469,7 +473,10 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             if live:
                 flat = None if values is None else values.reshape(-1)
                 for dst, sel in sched.sends:
-                    yield Send(dst, freeze_payload(flat[sel]), (tag, wire, me))
+                    # fancy selection: a fresh copy of the scratch, cast
+                    # to the lhs dtype the wire carries
+                    payload = flat[sel].astype(array.dtype, copy=False)
+                    yield Send(dst, freeze_payload(payload), (tag, wire, me))
                 if sched.self_src is not None:
                     block_of(array)[sched.self_dst] = flat[sched.self_src]
             else:
@@ -548,7 +555,7 @@ def _drain_eval_store(plan, slots: dict, block_of, half) -> None:
             for src, idx in sched.recvs:
                 buf[lead + idx] = slots[wire, src, me][half]
 
-    stmt_vals = [None if fn is None else fn() for fn in plan.evals]
+    stmt_vals = [None if fn is None else fn(block_of) for fn in plan.evals]
 
     for values, store in zip(stmt_vals, plan.stores):
         if store is None:

@@ -335,57 +335,132 @@ class BinOp(Expr):
 UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def compile_expr(expr: Expr, resolve):
+def compile_expr(expr: Expr, resolve, alloc=None):
     """Lower a value expression into a closure (the compiled fast path).
 
     ``resolve(ref)`` is called once per :class:`Ref` *now*, at lowering
-    time, and must return a zero-argument callable producing that
-    reference's current values (vectorized over the iteration set --
-    typically a pre-bound fancy-index or slice read of a gather
-    workspace).  The returned closure re-evaluates the whole expression
-    on each call through pre-bound numpy ufuncs: no AST walk, no
-    operator dispatch, no affine index evaluation at call time.
+    time, and must return a callable producing that reference's current
+    values (vectorized over the iteration set -- typically a pre-bound
+    slice or fancy-index read of a gather workspace or of a block).  The
+    returned closure passes its own call arguments on to every such
+    read, so a caller can hand the reads what they resolve against at
+    call time (the replay walks pass ``block_of``).  Each call
+    re-evaluates the whole expression through pre-bound numpy ufuncs: no
+    AST walk, no operator dispatch, no affine index evaluation.
 
-    The tree-walking interpreter
-    (:func:`repro.compiler.schedule._eval_expr`) remains the reference
-    semantics; the two paths must agree bit-for-bit, which the
-    equivalence tests assert over random expression trees.
+    ``alloc(dtype)`` is called at lowering time for every buffer the
+    tree evaluates into, and the closure returns the root's buffer,
+    overwritten on each call.  The evaluation is in place: along a left
+    spine ``op(acc, right, out=acc)``; a leaf on the left of an operator
+    node reads first and the right child evaluates into the buffer,
+    ``op(leaf, acc, out=acc)``.  So a tree takes one buffer for its
+    root plus one for each operator node evaluated beside it -- the
+    right child of a node whose children are both operators, or a child
+    whose dtype differs from its parent's.  Each buffer has the dtype
+    numpy gives its subtree (found by evaluating the tree once on
+    zero-size operands); a bare reference or constant is copied into
+    its buffer.  Without ``alloc`` every operator allocates its result,
+    as plain numpy arithmetic would.
 
-    >>> import numpy as np
+    Constant subtrees are Python floats, computed here once; the
+    operators and their operand order are the tree's, so the result is
+    bit-identical to the tree-walking interpreter
+    (:func:`repro.compiler.schedule._eval_expr`), which remains the
+    reference semantics.
+
     >>> e = as_expr(2.0) * as_expr(3.0) - as_expr(1.0)
-    >>> fn = compile_expr(e, resolve=lambda ref: None)
-    >>> float(fn())
-    5.0
+    >>> fn = compile_expr(e, resolve=None, alloc=lambda dt: np.empty((2,), dt))
+    >>> fn()
+    array([5., 5.])
 
     **Batch axis.**  Because the closure is a chain of pre-bound numpy
     ufuncs, a *leading batch axis* threads through for free: when the
-    resolve closures hand back ``(B,) + shape`` reads instead of
-    ``shape`` ones -- which is exactly what a batched
+    reads hand back ``(B,) + shape`` values and the buffers have that
+    shape -- which is exactly what a batched
     :class:`~repro.compiler.commgen.StepPlan` pre-binds for
     ``Program.run_batch`` -- the same compiled closure evaluates all
     ``B`` ensemble members in one vectorized call, constants
     broadcasting across the new axis untouched:
 
     >>> from types import SimpleNamespace
-    >>> A = SimpleNamespace(ndim=1, uid=0)
+    >>> A = SimpleNamespace(ndim=1, uid=0, dtype=np.dtype(float))
     >>> e = Ref(A, (AffineExpr(const=0),)) * as_expr(2.0)
     >>> batched = np.array([[1.0], [10.0]])        # B=2 members
-    >>> fn = compile_expr(e, resolve=lambda ref: lambda: batched)
+    >>> fn = compile_expr(e, resolve=lambda ref: lambda: batched,
+    ...                   alloc=lambda dt: np.empty((2, 1), dt))
     >>> fn()
     array([[ 2.],
            [20.]])
     """
-    if isinstance(expr, Const):
-        value = expr.value
-        return lambda: value
-    if isinstance(expr, Ref):
-        return resolve(expr)
-    if isinstance(expr, BinOp):
-        op = UFUNCS[expr.op]
-        left = compile_expr(expr.left, resolve)
-        right = compile_expr(expr.right, resolve)
-        return lambda: op(left(), right())
-    raise CompileError(f"cannot compile expression {expr!r}")
+    trial: dict[int, Any] = {}
+
+    def dry_run(node):
+        # zero-size operands give every subtree's numpy dtype; a
+        # constant subtree comes out as its Python float value
+        if isinstance(node, Const):
+            value = node.value
+        elif isinstance(node, Ref):
+            value = np.empty(0, node.array.dtype)
+        elif isinstance(node, BinOp):
+            left, right = dry_run(node.left), dry_run(node.right)
+            value = UFUNCS[node.op](left, right)
+            if isinstance(left, float) and isinstance(right, float):
+                value = float(value)
+        else:
+            raise CompileError(f"cannot compile expression {node!r}")
+        trial[id(node)] = value
+        return value
+
+    def is_op(node):
+        return isinstance(node, BinOp) and not isinstance(trial[id(node)], float)
+
+    def buffer(node):
+        return None if alloc is None else alloc(np.result_type(trial[id(node)]))
+
+    def beside(node):
+        """A read of ``node`` that does not touch its parent's buffer."""
+        if is_op(node):
+            return lower(node, buffer(node))
+        if isinstance(node, Ref):
+            return resolve(node)
+        value = trial[id(node)]
+        return lambda *args: value
+
+    def in_place(child, node):
+        return (alloc is not None and is_op(child)
+                and trial[id(child)].dtype == trial[id(node)].dtype)
+
+    def lower(node, buf):
+        op = UFUNCS[node.op]
+        if in_place(node.left, node):
+            left, right = lower(node.left, buf), beside(node.right)
+
+            def spine(*args):
+                acc = left(*args)
+                return op(acc, right(*args), out=acc)
+            return spine
+        if in_place(node.right, node):
+            left, right = beside(node.left), lower(node.right, buf)
+
+            def right_deep(*args):
+                acc = right(*args)
+                return op(left(*args), acc, out=acc)
+            return right_deep
+        left, right = beside(node.left), beside(node.right)
+        return lambda *args: op(left(*args), right(*args), out=buf)
+
+    dry_run(expr)
+    if is_op(expr):
+        return lower(expr, buffer(expr))
+    read = beside(expr)
+    if alloc is None:
+        return read
+    buf = buffer(expr)
+
+    def copy(*args):
+        buf[...] = read(*args)
+        return buf
+    return copy
 
 
 class Assign:

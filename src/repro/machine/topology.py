@@ -3,14 +3,12 @@
 A topology only has to answer two questions for the simulator: how many
 processors exist, and how many link hops separate two of them.  Closed
 forms are used for the standard topologies; :class:`GraphTopology` falls
-back to networkx all-pairs shortest paths for arbitrary interconnects.
+back to breadth-first hop counts over an arbitrary interconnect graph.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-
-import networkx as nx
 
 from repro.util.errors import ValidationError
 
@@ -150,22 +148,38 @@ class Hypercube(Topology):
 
 
 class GraphTopology(Topology):
-    """Arbitrary interconnect given as a networkx graph over ranks 0..n-1."""
+    """Arbitrary interconnect given as a graph over ranks 0..n-1.
 
-    def __init__(self, graph: nx.Graph):
+    Any undirected graph object with ``number_of_nodes()``, ``nodes``
+    and ``neighbors(u)`` will do -- a networkx ``Graph``, typically.  The
+    package itself never imports networkx: hop counts are one
+    breadth-first search per source rank.
+    """
+
+    def __init__(self, graph):
         n = graph.number_of_nodes()
         if n == 0:
             raise ValidationError("topology graph is empty")
         if set(graph.nodes) != set(range(n)):
             raise ValidationError("graph nodes must be exactly range(n)")
-        if not nx.is_connected(graph):
-            raise ValidationError("topology graph must be connected")
         self.n_procs = n
         self._graph = graph
+        if len(self._dist_from(0)) != n:
+            raise ValidationError("topology graph must be connected")
 
     @lru_cache(maxsize=None)
     def _dist_from(self, src: int) -> dict[int, int]:
-        return nx.single_source_shortest_path_length(self._graph, src)
+        dist, frontier, step = {src: 0}, [src], 0
+        while frontier:
+            step += 1
+            nxt = []
+            for u in frontier:
+                for v in self._graph.neighbors(u):
+                    if v not in dist:
+                        dist[v] = step
+                        nxt.append(v)
+            frontier = nxt
+        return dist
 
     def hops(self, src: int, dst: int) -> int:
         self.check_rank(src)

@@ -542,12 +542,12 @@ class Program:
         self.ckpt_base = None
         self.ckpt_latest = None
         #: serializes runs of *this* Program: its arrays (and the
-        #: StepPlan workspaces of its analyses) are the mutable state a
-        #: run reads and writes, so two concurrent ``run``/``run_batch``
-        #: calls on one Program execute one-after-the-other.  Distinct
-        #: Programs -- even ones sharing a Session or its caches --
-        #: run concurrently; the serving layer (:mod:`repro.serve`)
-        #: relies on exactly this split.
+        #: StepPlan workspaces and scratch of its analyses) are the
+        #: mutable state a run reads and writes, so two concurrent
+        #: ``run``/``run_batch`` calls on one Program execute
+        #: one-after-the-other.  Distinct Programs -- even ones sharing
+        #: a Session or its caches -- run concurrently; the serving
+        #: layer (:mod:`repro.serve`) relies on exactly this split.
         self.lock = threading.RLock()
 
     # -- execution ---------------------------------------------------------
@@ -604,8 +604,8 @@ class Program:
         serving layer checks out pooled Sessions whose caches are
         shared, so a Program compiled anywhere replays its frozen
         schedules there).  Runs of one Program are serialized on
-        :attr:`lock` -- its arrays and plan workspaces are the mutable
-        state -- while distinct Programs run concurrently.
+        :attr:`lock` -- its arrays and plan workspaces and scratch are the
+        mutable state -- while distinct Programs run concurrently.
 
         ``checkpoint_every=k`` (loop programs only) snapshots array
         state at every k-th sweep boundary: a full

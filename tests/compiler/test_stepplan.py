@@ -9,8 +9,12 @@ redistribution) and the snapshot-elision and cheap-marks machinery that
 ride along.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import Machine, ProcessorGrid, Session
@@ -18,7 +22,7 @@ from repro.compiler.commgen import StepPlan, freeze_positions
 from repro.compiler.commsched import freeze_payload
 from repro.compiler.schedule import _eval_expr, drop_plans_for_array
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
-from repro.lang.expr import compile_expr
+from repro.lang.expr import BinOp, Const, LoopVar, Ref, compile_expr
 from repro.machine.ops import Recv, Send
 from repro.machine.simulator import _snapshot
 from repro.tensor.adi import _build_residual_loop, _build_update_loop, default_tau
@@ -431,30 +435,108 @@ def test_adhoc_send_still_deep_copied():
 # ----------------------------------------------------------------------
 
 
-def test_compile_expr_matches_interpreter():
-    g = ProcessorGrid((1,))
-    A = DistArray((6,), g, dist=("block",), name="A")
-    (i,) = loopvars("i")
-    expr = (2.0 * A[i] - A[i + 1]) / (A[i - 1] + 3.0) + (-A[i])
-    vals = {0: np.array([1.0, 2.0]), 1: np.array([4.0, 5.0]),
-            2: np.array([7.0, 8.0])}
+_I = LoopVar("i")
+#: stand-in arrays per dtype: compile_expr needs ndim, uid and dtype only
+_ARRAYS = {
+    (name, dt): SimpleNamespace(ndim=1, uid=-k, dtype=np.dtype(dt), name=name)
+    for k, (name, dt) in enumerate(
+        [(n, d) for n in "AB" for d in ("float64", "float32")], 1)
+}
+_CONSTS = [0.5, 2.0, -1.25, 3.0, 0.1]
 
-    offs = {}
-    for ref in expr.refs():
-        offs[id(ref)] = int(ref.idx[0].const)
 
-    fn = compile_expr(expr, resolve=lambda ref: lambda: vals[offs[id(ref)] + 1])
+@st.composite
+def rhs_cases(draw):
+    """A random rhs tree over A at three offsets and B at one, with the
+    lhs dtype, an optional batch axis and a seed for the operands."""
+    A = _ARRAYS["A", draw(st.sampled_from(["float64", "float32"]))]
+    B = _ARRAYS["B", draw(st.sampled_from(["float64", "float32"]))]
+    leaves = st.one_of(
+        st.sampled_from([Ref(A, (_I - 1,)), Ref(A, (_I,)), Ref(A, (_I + 1,)),
+                         Ref(B, (_I,))]),
+        st.sampled_from(_CONSTS).map(Const),
+    )
+    tree = draw(st.recursive(
+        leaves,
+        lambda kids: st.builds(BinOp, st.sampled_from("+-*/"), kids, kids),
+        max_leaves=10,
+    ))
+    lhs = draw(st.sampled_from([np.float64, np.float32]))
+    batch = draw(st.sampled_from([(), (3,)]))
+    return tree, lhs, batch, draw(st.integers(0, 2**16))
+
+
+# the shapes the in-place lowering distinguishes, pinned as examples
+_A, _B = _ARRAYS["A", "float64"], _ARRAYS["B", "float32"]
+_a0, _a1, _b = Ref(_A, (_I,)), Ref(_A, (_I + 1,)), Ref(_B, (_I,))
+
+
+@given(rhs_cases())
+@example((2.0 * (_a0 - _a1) + _b, np.float64, (), 1))          # Const-left
+@example((_a0 - (_b * (_a1 + 3.0)), np.float32, (), 2))       # right-deep
+@example(((_a0 + _b) * (_a1 - _b) / (_b + 0.5), np.float64, (3,), 3))
+@example((Const(2.0) * Const(3.0) - 1.0, np.float32, (), 4))  # all constant
+@example((_a1 + 0.0, np.float32, (3,), 5))
+@example((_b * 0.1 - _b * _b * 0.1 + _a0, np.float64, (), 7))   # mixed dtypes
+@example((Ref(_B, (_I,)), np.float64, (), 6))                 # bare reference
+@settings(max_examples=200, deadline=None)
+def test_compile_expr_matches_interpreter(case):
+    """The scratch lowering equals the tree-walking interpreter bit for
+    bit -- its own values, and the values the store casts to the lhs
+    dtype -- and reusing its buffers on a second call with new operands
+    leaves nothing stale behind."""
+    expr, lhs, batch, seed = case
+    shape = batch + (7,)
+    rng = np.random.default_rng(seed)
+    data: dict = {}
+
+    def draw_operands():
+        for ref in expr.refs():
+            key = (id(ref.array), int(ref.idx[0].const))
+            data[key] = rng.standard_normal(shape).astype(ref.array.dtype)
+
+    def resolve(ref):
+        key = (id(ref.array), int(ref.idx[0].const))
+        return lambda block_of: data[key]
 
     class FakeWs:
+        def __init__(self, array):
+            self.array = array
+
         def fetch(self, idx):
-            return vals[int(np.asarray(idx[0]).reshape(-1)[0])]
+            off = int(np.asarray(idx[0]).reshape(-1)[0])
+            return data[id(self.array), off - 1]
 
     class FakeIters:
         def env(self):
             return {"i": np.array([1])}
 
-    ref_result = _eval_expr(expr, {id(A): FakeWs()}, FakeIters())
-    np.testing.assert_array_equal(np.asarray(fn()), np.asarray(ref_result))
+    workspaces = {id(a): FakeWs(a) for a in _ARRAYS.values()}
+    scratch = []
+
+    def alloc(dtype):
+        scratch.append(np.empty(shape, dtype))
+        return scratch[-1]
+
+    with np.errstate(all="ignore"):
+        fn = compile_expr(expr, resolve, alloc)
+        fresh = compile_expr(expr, resolve)  # no scratch: numpy allocates
+        for _ in range(2):
+            draw_operands()
+            got = fn(None)
+            try:
+                want = _eval_expr(expr, workspaces, FakeIters())
+            except ZeroDivisionError:  # a constant over a zero constant
+                reject()
+            want = np.broadcast_to(np.asarray(want), shape)
+            assert got is scratch[0]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            alone = np.broadcast_to(np.asarray(fresh(None)), shape)
+            assert alone.tobytes() == want.tobytes()
+            stored = np.empty(shape, lhs)
+            stored[...] = got  # the store's cast
+            assert stored.tobytes() == np.asarray(want, dtype=lhs).tobytes()
 
 
 def test_freeze_positions_contiguous_box():

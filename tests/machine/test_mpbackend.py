@@ -253,11 +253,11 @@ def test_single_barrier_survives_rank_skew():
     evals = analysis.step_plan(1).evals  # inherited by rank 1's worker at fork
     fn, calls = evals[0], [0]
 
-    def slow_every_other_sweep():
+    def slow_every_other_sweep(block_of):
         calls[0] += 1
         if calls[0] % 2:
             time.sleep(0.002)
-        return fn()
+        return fn(block_of)
 
     evals[0] = slow_every_other_sweep
     want, got = ref.run(iters=60), prog.run(iters=60)

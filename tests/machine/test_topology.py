@@ -85,3 +85,22 @@ def test_mesh_coords_validated():
     t = Mesh2D(2, 2)
     with pytest.raises(ValidationError):
         t.rank_of(2, 0)
+
+
+def test_import_repro_does_not_load_networkx():
+    """GraphTopology takes an already-built graph and walks it itself:
+    importing the package must not pay for networkx."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('networkx' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -294,8 +294,8 @@ class LoopAnalysis:
     def step_plan(self, rank: int, nbatch: int | None = None) -> "StepPlan":
         """This rank's compiled replay recipe (built once, memoized).
 
-        The plan freezes everything the interpreted executor re-derives
-        per sweep -- workspace buffers, per-reference fetch positions,
+        The plan freezes everything a sweep would otherwise re-derive
+        -- workspace buffers, per-reference fetch positions,
         lowered rhs closures, lhs store coordinates -- so steady-state
         replay is a straight drive over prebound numpy calls.  Living on
         the analysis, a plan's lifetime is exactly the analysis's cache
@@ -370,8 +370,8 @@ class LoopAnalysis:
 class StepPlan:
     """One rank's compiled replay recipe for a doall loop.
 
-    Everything the interpreted executor re-derives per sweep is frozen
-    here once, at plan-build time:
+    Everything a sweep would otherwise re-derive is frozen here once,
+    at plan-build time:
 
     * persistent gather workspaces (one buffer per read array, reused
       every sweep -- the local move plus the schedule receives overwrite
@@ -396,9 +396,8 @@ class StepPlan:
       reads (casting to the lhs dtype) before the next sweep; the
       buffer itself is never a message payload, so it is never frozen;
     * per-statement store recipes: the open-mesh box, frozen flat
-      coordinates for non-box-decomposable writes
-      (which the interpreted path re-derives every sweep), or the
-      scatter TransferSchedule for remote writes;
+      coordinates for non-box-decomposable writes, or the scatter
+      TransferSchedule for remote writes;
     * the Compute labels and flop charges.
 
     The plan deliberately captures *arrays*, never their local blocks:
@@ -411,8 +410,9 @@ class StepPlan:
     (again) in the layout it was frozen for.
 
     The executor in :mod:`repro.compiler.schedule` drives the plan; the
-    replayed op stream (messages, marks, computes) is bit-identical to
-    the interpreted path's, which the equivalence tests assert.
+    values it stores equal the sequential evaluator's
+    (:func:`repro.baselines.doall.doall_reference`), which the
+    equivalence tests assert.
 
     **Batched plans.**  Built with ``nbatch=B``, the plan is the recipe
     for executing the loop over ``B`` independent parameter bindings at
@@ -563,9 +563,8 @@ class StepPlan:
                         ("box", sa.lhs_array, lead_sel + locs, perm, boxshape)
                     )
                 else:
-                    # non-box-decomposable all-local write: freeze the
-                    # flat coordinates the interpreted fallback
-                    # (_flat_local_store) re-derives every sweep
+                    # non-box-decomposable all-local write: freeze its
+                    # flat local coordinates
                     self.stores.append(
                         ("flat", sa.lhs_array,
                          lead_sel + frozen_flat_store(sa, iters))
@@ -685,10 +684,9 @@ def block_read(array: BaseDistArray, sel: tuple):
 def frozen_flat_store(sa, iters: IterSet) -> tuple:
     """Frozen local flat coordinates of a non-box-decomposable lhs.
 
-    The per-sweep fallback in the interpreted executor derives these
-    from the lhs index expressions on every execution; they only depend
-    on the iteration set and the layout the analysis is keyed on, so
-    the compiled plan computes them once.
+    They only depend on the iteration set and the layout the analysis
+    is keyed on, so the compiled plan computes them once from the lhs
+    index expressions.
     """
     array = sa.lhs_array
     shape = iters.shape()

@@ -28,11 +28,10 @@ into one bidirectional abstraction used by every communication layer:
 * :func:`execute_transfer` -- the one vectorized executor all three
   directions replay through: post the precomputed coalesced sends, do
   the local move, scatter incoming messages through the precomputed
-  index arrays.  No request round, no index lists on the wire.  Its two
-  wire halves, :func:`transfer_sends` and :func:`transfer_recvs`, are
-  exposed separately so an overlap-aware caller (the doall executor in
-  :mod:`repro.compiler.schedule`) can interleave local computation
-  between posting the sends and draining the receives;
+  index arrays.  No request round, no index lists on the wire.  (The
+  doall replay in :mod:`repro.compiler.schedule` walks a loop's frozen
+  schedules itself, so it can charge interior computation between
+  posting the sends and draining the receives);
 
 * :func:`build_gather_schedule` -- the one-time inspection phase for
   gathers.  It runs the same two-round protocol as ``inspector_gather``
@@ -321,49 +320,18 @@ def freeze_payload(values) -> np.ndarray:
     return values
 
 
-def transfer_sends(ctx, sched: TransferSchedule, read, tag=None, kind: str = "val"):
-    """First wire half of a transfer: post the precomputed coalesced sends.
-
-    ``read(idx)`` must return the values at source-side index arrays
-    ``idx``.  Payloads are frozen (:func:`freeze_payload`), so the
-    simulator skips its send-time snapshot copy.  Sends are asynchronous
-    machine ops: the sender pays only its injection overhead, so a
-    caller may keep computing while the messages are in flight (see
-    :func:`execute_transfer` for the composed serialized path).
-    """
-    me = ctx.rank
-    for dst, src_idx in sched.sends:
-        yield Send(dst, freeze_payload(read(src_idx)), tag=(tag, kind, me))
-
-
-def transfer_local_move(sched: TransferSchedule, read, write) -> None:
-    """Perform the schedule's message-free local move (if any)."""
-    if sched.self_src is not None:
-        write(sched.self_dst, read(sched.self_src))
-
-
-def transfer_recvs(ctx, sched: TransferSchedule, write, tag=None, kind: str = "val"):
-    """Second wire half of a transfer: drain the precomputed receives.
-
-    ``write(idx, values)`` must store values at destination-side index
-    arrays.  Blocks (in simulated time) until each expected message has
-    arrived; messages are consumed in schedule order.
-    """
-    for src, dst_idx in sched.recvs:
-        values = yield Recv(src=src, tag=(tag, kind, src))
-        write(dst_idx, values)
-
-
 def execute_transfer(ctx, sched: TransferSchedule, read, write,
                      tag=None, kind: str = "val"):
     """Replay any transfer schedule through ``read``/``write`` callables.
 
     ``read(idx)`` must return the values at source-side index arrays
     ``idx``; ``write(idx, values)`` must store values at destination-side
-    index arrays.  The executor posts all precomputed coalesced sends
-    (:func:`transfer_sends`), performs the local move, then consumes
-    incoming messages in schedule order (:func:`transfer_recvs`).
-    Collective over the schedule's peer set; yields machine ops.
+    index arrays.  The executor posts all precomputed coalesced sends --
+    payloads frozen (:func:`freeze_payload`), so the simulator skips its
+    send-time snapshot copy -- performs the local move, then consumes
+    incoming messages in schedule order, blocking (in simulated time)
+    until each has arrived.  Collective over the schedule's peer set;
+    yields machine ops.
 
     A schedule whose moves are all local yields no ops at all:
 
@@ -380,9 +348,14 @@ def execute_transfer(ctx, sched: TransferSchedule, read, write,
     >>> out
     array([30., 10.])
     """
-    yield from transfer_sends(ctx, sched, read, tag=tag, kind=kind)
-    transfer_local_move(sched, read, write)
-    yield from transfer_recvs(ctx, sched, write, tag=tag, kind=kind)
+    me = ctx.rank
+    for dst, src_idx in sched.sends:
+        yield Send(dst, freeze_payload(read(src_idx)), tag=(tag, kind, me))
+    if sched.self_src is not None:
+        write(sched.self_dst, read(sched.self_src))
+    for src, dst_idx in sched.recvs:
+        values = yield Recv(src=src, tag=(tag, kind, src))
+        write(dst_idx, values)
 
 
 # ----------------------------------------------------------------------

@@ -31,8 +31,7 @@ iteration (the common case) compile once; the read-side gather
 schedules and the write-side scatter schedules both replay from the
 cached analysis without re-deriving any index list.
 
-Two executors drive the phases.  The default compiled path
-(``Session(compiled=True)``) replays the rank's frozen
+Every sweep replays the rank's frozen
 :class:`~repro.compiler.commgen.StepPlan`: statement right-hand sides
 lowered once into closures over pre-bound numpy ufuncs that evaluate
 in place into plan-owned scratch, array references pre-resolved to
@@ -48,7 +47,7 @@ recorded), behind two thin entry points: :func:`replay_analysis` (live:
 backends that only run node programs) and :func:`shadow_replay_analysis`
 (data-free: the trace oracle).  The *direct* walk is the same sweep as
 three plain phase functions -- fill outgoing slots and do local moves /
-drain, evaluate, store / apply incoming scatter values -- with
+drain, evaluate, store / store the scatter statements in order -- with
 preallocated slots for the wire and :func:`outgoing` telling a
 transport which slots that takes: :func:`replay_direct` puts a fence
 between them for a forked multiprocessing worker, and
@@ -62,12 +61,10 @@ backends (:func:`run_frozen_loops`): accounting by arithmetic (one cache
 probe per loop per rank per run, later sweeps counted in bulk), floats
 by the direct walk, and the sim-clock ``Trace`` from
 :func:`oracle_trace` -- one data-free simulation per distinct run
-shape, memoized on the Session and re-materialized per run.  The
-interpreted path
-(``Session(compiled=False)``) re-derives positions and walks the ASTs
-per sweep and is kept as the reference semantics; both produce
-bit-identical results, traces, and cache accounting (see
-docs/performance.md).
+shape, memoized on the Session and re-materialized per run.  Both walks
+produce the same results, traces and cache accounting; the values of
+either are checked against the sequential evaluator
+:func:`repro.baselines.doall.doall_reference` (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -81,18 +78,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.compiler import access as acc
 from repro.compiler.commgen import LoopAnalysis
 from repro.compiler.commsched import (
-    execute_transfer,
     freeze_payload,
-    transfer_local_move,
-    transfer_recvs,
-    transfer_sends,
     uid_chain,
 )
 from repro.lang.doall import Doall
-from repro.lang.expr import BinOp, Const, Ref
 from repro.machine.ops import Compute, Mark, Recv, Send
 from repro.machine.trace import Trace
 from repro.util.errors import CompileError, ValidationError
@@ -242,10 +233,10 @@ class PlanCache:
 
         The frozen-loop driver (:func:`run_frozen_loops`) resolves each
         loop's analysis once per rank per run and replays it every
-        sweep; the interpreted path probes the cache per sweep instead.
-        Counting the replays here, in one call, keeps the hit/miss
-        accounting identical between the two executors without paying
-        for the structural key walk.
+        sweep; ``ctx.doall`` in a parsub probes the cache per sweep
+        instead.  Counting the replays here, in one call, keeps the
+        hit/miss accounting identical between the two launch forms
+        without paying for the structural key walk.
         """
         with self._lock:
             self._count(kind, "hits", n)
@@ -286,46 +277,6 @@ def drop_plans_for_array(array) -> int:
     return sum(cache.drop_for_array(array) for cache in list(_ALL_PLAN_CACHES))
 
 
-class _Workspace:
-    """Gathered read data for one array on one rank."""
-
-    __slots__ = ("needed", "data")
-
-    def __init__(self, needed: list[np.ndarray], dtype):
-        self.needed = needed
-        self.data = np.empty([n.size for n in needed], dtype=dtype)
-
-    def put_at(self, pos: tuple, values: np.ndarray) -> None:
-        """Scatter a box of values through precomputed positions."""
-        self.data[pos] = values
-
-    def fetch(self, idx_arrays: list[np.ndarray]) -> np.ndarray:
-        pos = tuple(
-            acc.positions_in(n, np.asarray(g)) for n, g in zip(self.needed, idx_arrays)
-        )
-        return self.data[pos]
-
-
-def _eval_expr(expr, workspaces: dict[int, _Workspace], iters) -> np.ndarray | float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Ref):
-        ws = workspaces[id(expr.array)]
-        idx = [acc.eval_index(e, iters) for e in expr.idx]
-        return ws.fetch(idx)
-    if isinstance(expr, BinOp):
-        left = _eval_expr(expr.left, workspaces, iters)
-        right = _eval_expr(expr.right, workspaces, iters)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
-    raise CompileError(f"cannot evaluate expression {expr!r}")
-
-
 def execute_doall(ctx, loop: Doall, overlap: bool = False):
     """Yield the machine ops realizing this rank's share of ``loop``.
 
@@ -334,12 +285,9 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False):
     computation proceeding while remote values are in flight; the wire
     content is unchanged.
 
-    The context's Session selects the executor (``Session(compiled=)``):
-    by default the rank's frozen
-    :class:`~repro.compiler.commgen.StepPlan` replays -- prebound numpy
-    calls, no per-sweep expression interpretation; ``compiled=False``
-    Sessions run the interpreted reference path.  Both produce
-    bit-identical results, traces, and cache accounting.
+    The rank's frozen :class:`~repro.compiler.commgen.StepPlan`
+    replays -- prebound numpy calls, no per-sweep expression
+    interpretation.
     """
     me = ctx.rank
     if not loop.grid.contains(me):
@@ -359,14 +307,9 @@ def replay_analysis(
     ``commsched/hit`` vs ``commsched/build`` mark, mirroring what the
     probe reported.
     """
-    if ctx.session.compiled:
-        yield from _replay(
-            ctx, analysis, overlap, reused, methodcaller("local", ctx.rank)
-        )
-    else:
-        tag = ctx.next_tag(analysis.loop.grid)
-        yield from announce_replay(ctx, analysis, reused)
-        yield from _interpret_doall(ctx, analysis, overlap, tag)
+    return _replay(
+        ctx, analysis, overlap, reused, methodcaller("local", ctx.rank)
+    )
 
 
 def shadow_replay_analysis(
@@ -403,7 +346,6 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
     plan-build time; a sweep is, in this fixed order: gather sends +
     local moves, [interior Compute], gather receives, Compute, rhs
     closures, box/flat stores, scatter sends / self move / receives.
-    The op stream is bit-identical to :func:`_interpret_doall`.
 
     The two entry points above differ only in ``block_of``, *where this
     rank's blocks live*: ``array -> block`` for the live arrays
@@ -546,9 +488,10 @@ def _fill(plan, slots: dict, block_of, half) -> None:
             buf[lead + sched.self_dst] = block[lead + sched.self_src]
 
 
-def _drain_eval_store(plan, slots: dict, block_of, half) -> None:
+def _drain_eval_store(plan, slots: dict, block_of, half) -> list:
     """Phase B: incoming gather slots into the workspaces, the prebound
-    closures, then the stores (filling scatter slots for remote writes)."""
+    closures, then the stores (only filling scatter slots for remote
+    writes); returns the statement values for phase C."""
     me, lead = plan.rank, plan.lead
     for wire, _array, sched, buf in plan.reads:
         if sched is not None:
@@ -566,25 +509,30 @@ def _drain_eval_store(plan, slots: dict, block_of, half) -> None:
             flat = None if values is None else values.reshape(plan.flat)
             for dst, sel in sched.sends:
                 slots[wire, me, dst][half] = flat[lead + (sel,)]
-            if sched.self_src is not None:
-                block_of(array)[lead + sched.self_dst] = \
-                    flat[lead + (sched.self_src,)]
         elif op == "box":
             _, _, locs, perm, boxshape = store
             block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
         else:  # "flat"
             block_of(array)[store[2]] = values.reshape(plan.flat)
+    return stmt_vals
 
 
-def _apply_scatter(plan, slots: dict, block_of, half) -> None:
-    """Phase C (loops with remote writes only): incoming scatter values
-    into the rank's lhs blocks."""
+def _apply_scatter(plan, slots: dict, block_of, half, stmt_vals) -> None:
+    """Phase C (loops whose stores go through scatter schedules):
+    statement by statement, the rank's own values and then the incoming
+    scatter values into its lhs blocks -- the order :func:`_replay`
+    stores in, so the later statement wins an element two statements
+    write."""
     me, lead = plan.rank, plan.lead
-    for store in plan.stores:
-        if store is not None and store[0] == "transfer":
-            _, array, sched, wire = store
-            for src, piece in sched.recvs:
-                block_of(array)[lead + piece] = slots[wire, src, me][half]
+    for values, store in zip(stmt_vals, plan.stores):
+        if store is None or store[0] != "transfer":
+            continue
+        _, array, sched, wire = store
+        if sched.self_src is not None:
+            block_of(array)[lead + sched.self_dst] = \
+                values.reshape(plan.flat)[lead + (sched.self_src,)]
+        for src, piece in sched.recvs:
+            block_of(array)[lead + piece] = slots[wire, src, me][half]
 
 
 def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> None:
@@ -602,16 +550,18 @@ def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> No
     then guarantees every rank's copy-in snapshot is complete before any
     rank stores, which is exactly the ordering the simulator enforces by
     sending pre-store payloads.  Phase B drains incoming slots into the
-    workspaces, evaluates the prebound closures, and stores (filling
-    scatter slots for remote writes).  A loop without remote writes ends
-    there, one fence per sweep: every slot has two halves and a sweep
+    workspaces, evaluates the prebound closures, and stores (only
+    filling scatter slots for statements that store through a scatter
+    schedule).  Phase C stores those statements, in order: the rank's
+    own values, then the incoming ones.  A loop without remote writes
+    has one fence per sweep: every slot has two halves and a sweep
     uses the half of its ``parity`` (the rank's sweep count & 1), so a
     fast rank filling the next sweep's slots never touches what a slow
     peer is still draining -- it cannot come back to the same half
     without first passing the next sweep's fence, which that peer
-    reaches only after its drain.  Phase C -- only when the loop
-    scatters at all (``has_remote``) -- applies incoming scatter values
-    after a second fence, and keeps a closing third one (the parity
+    reaches only after its drain.  When the loop sends scatter messages
+    at all (``has_remote``), phase C runs after a second fence, and
+    keeps a closing third one (the parity
     halves would cover it too; scatter steps are on no measured path, so
     their fence stays conservative).  Every rank executes the same fence
     count per sweep (the phase structure depends only on loop-level
@@ -620,10 +570,11 @@ def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> No
     block_of = methodcaller("local", plan.rank)
     _fill(plan, slots, block_of, parity)
     fence()
-    _drain_eval_store(plan, slots, block_of, parity)
+    stmt_vals = _drain_eval_store(plan, slots, block_of, parity)
     if has_remote:
         fence()
-        _apply_scatter(plan, slots, block_of, parity)
+    _apply_scatter(plan, slots, block_of, parity, stmt_vals)
+    if has_remote:
         fence()
 
 
@@ -654,16 +605,16 @@ def replay_in_process(analyses, grid, iters: int, nbatch: int | None = None,
                 def block_of(array, rank=rank):
                     return blocks[array.uid, rank]
             ranks.append((plan, block_of))
-        script.append((ranks, slots, analysis.has_remote_writes))
+        script.append((ranks, slots, not analysis.writes_local))
     for _ in range(iters):
-        for ranks, slots, has_remote in script:
+        for ranks, slots, scatters in script:
             for plan, block_of in ranks:
                 _fill(plan, slots, block_of, ())
-            for plan, block_of in ranks:
-                _drain_eval_store(plan, slots, block_of, ())
-            if has_remote:
-                for plan, block_of in ranks:
-                    _apply_scatter(plan, slots, block_of, ())
+            vals = [_drain_eval_store(plan, slots, block_of, ())
+                    for plan, block_of in ranks]
+            if scatters:
+                for (plan, block_of), stmt_vals in zip(ranks, vals):
+                    _apply_scatter(plan, slots, block_of, (), stmt_vals)
 
 
 # ----------------------------------------------------------------------
@@ -684,7 +635,7 @@ def run_frozen_loops(session, machine, loops, grid, move, *, iters: int,
     per loop per run (the outcome is the ``reused`` of its first sweep),
     the remaining sweeps are counted as as-if hits in one call
     (:meth:`PlanCache.count_replay`) so the accounting matches the
-    interpreted path's per-sweep probes, and the trace comes from
+    per-sweep probes of ``ctx.doall``, and the trace comes from
     :func:`oracle_trace`.  Loop programs contain no redistribution, so
     the layout cannot move within a run; between runs the probes follow
     it to that layout's analyses.  The oracle is consulted before the
@@ -778,9 +729,9 @@ def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
     Yields the ``commsched/hit`` / ``commsched/build`` Marks -- or, in
     cheap-marks mode, aggregates counters on the context and yields
     nothing (the Session folds the counts into ``Trace.mark_counts``
-    after the run).  Shared by the live executors *and* the
-    multiprocessing backend's shadow replay, so the two op streams can
-    never drift on mark content.
+    after the run).  The live and the data-free replay both announce
+    through here, so the two op streams can never drift on mark
+    content.
     """
     kind = "commsched/hit" if reused else "commsched/build"
     if getattr(ctx, "marks", "full") == "cheap":
@@ -802,128 +753,6 @@ def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
         yield Mark(kind, payload=("scatter", analysis.scatter_names))
 
 
-def _interpret_doall(ctx, analysis: LoopAnalysis, overlap: bool, tag):
-    """The interpreted reference executor (``compiled=False``).
-
-    Re-derives workspace positions and walks the expression ASTs every
-    sweep; kept as the semantics the compiled fast path must match
-    bit-for-bit (the equivalence tests diff the two op streams).
-    """
-    me = ctx.rank
-    iters = analysis.iters[me]
-    label = f"doall[{analysis.var_label}]"
-
-    # ---- phase 1: gather-schedule sends + local moves --------------------
-    # Each read array's frozen gather TransferSchedule replays through
-    # the shared transfer executor: the send half posts pre-write
-    # snapshots (copy-in), the local move copies own data into the
-    # workspace.  Sends for *all* arrays go out before any receive, so
-    # they are in flight together.
-    workspaces: dict[int, _Workspace] = {}
-    readers: list[tuple] = []  # (arr_idx, sched, workspace) pending recv halves
-    for arr_idx, plans in enumerate(analysis.read_plans):
-        plan = plans[me]
-        array = plan.array
-        if plan.needed is not None:
-            workspaces[id(array)] = _Workspace(plan.needed, array.dtype)
-        sched = plan.transfer
-        if sched is None:
-            continue
-        ws = workspaces.get(id(array))
-        if sched.sends or sched.self_src is not None:
-            block = array.local(me)
-            read = block.__getitem__
-        else:
-            read = None
-        yield from transfer_sends(ctx, sched, read, tag=tag, kind=f"gh{arr_idx}")
-        if ws is not None:
-            transfer_local_move(sched, read, ws.put_at)
-        if sched.recvs:
-            # recvs are only frozen for ranks with needed data, so a
-            # workspace always exists here
-            readers.append((arr_idx, sched, ws))
-
-    # ---- phase 1b (overlap): interior compute while ghosts fly -----------
-    n_points = iters.count()
-    interior = analysis.interior_count(me) if overlap else 0
-    remaining = n_points - interior
-    if interior:
-        yield Compute(
-            flops=interior * analysis.flops_per_point(),
-            label=f"{label}/interior",
-        )
-
-    # ---- phase 2: gather-schedule receives -------------------------------
-    for arr_idx, sched, ws in readers:
-        yield from transfer_recvs(ctx, sched, ws.put_at, tag=tag, kind=f"gh{arr_idx}")
-
-    # ---- phase 3: evaluate (boundary points under overlap) ---------------
-    if remaining:
-        yield Compute(
-            flops=remaining * analysis.flops_per_point(),
-            label=f"{label}/boundary" if interior else label,
-        )
-
-    stmt_vals: list[np.ndarray | None] = []
-    for sa in analysis.stmts:
-        if n_points:
-            values = _eval_expr(sa.stmt.rhs, workspaces, iters)
-            stmt_vals.append(
-                np.broadcast_to(
-                    np.asarray(values, dtype=sa.lhs_array.dtype), iters.shape()
-                )
-            )
-        else:
-            stmt_vals.append(None)
-
-    # ---- phase 4: scatter-schedule replay ---------------------------------
-    # All-local statements store through their frozen open-mesh box (or
-    # per-sweep flat coordinates when not box-decomposable); statements
-    # with remote writes replay their frozen scatter TransferSchedule:
-    # local stores and outgoing messages read the flat value vector
-    # through precomputed selection arrays, incoming messages (values
-    # only, no index lists) land through precomputed local-block
-    # coordinates.
-    for stmt_idx, sa in enumerate(analysis.stmts):
-        wplan = analysis.write_plans[stmt_idx][me]
-        values = stmt_vals[stmt_idx]
-        if analysis.writes_local:
-            if values is None:
-                continue
-            if wplan.local_box is not None:
-                locs, perm, shape = wplan.local_box
-                sa.lhs_array.local(me)[locs] = values.transpose(perm).reshape(shape)
-            else:
-                _flat_local_store(sa, iters, me, values)
-            continue
-        sched = wplan.transfer
-        if sched is None:
-            continue
-        yield from execute_transfer(
-            ctx,
-            sched,
-            read=_reader(None if values is None else values.reshape(-1)),
-            write=_writer(sa.lhs_array, me),
-            tag=tag,
-            kind=f"wr{stmt_idx}",
-        )
-
-
-def _flat_local_store(sa, iters, rank: int, values: np.ndarray) -> None:
-    """Per-sweep fallback for non-box-decomposable all-local writes."""
-    array = sa.lhs_array
-    idx_arrays = sa.lhs_index_arrays(iters)
-    full_idx = [
-        np.broadcast_to(np.asarray(a), values.shape).reshape(-1)
-        for a in idx_arrays
-    ]
-    locs = tuple(
-        np.asarray(array.dim(k).local_index(full_idx[k]), dtype=np.int64)
-        for k in range(array.ndim)
-    )
-    array.local(rank)[locs] = values.reshape(-1)
-
-
 def _payload_shape(idx) -> tuple:
     """Shape of the payload a source-side index selection reads.
 
@@ -940,17 +769,3 @@ def _index_nbytes(idx, itemsize: int) -> int:
     """Byte count of that payload: matches ``read(idx).nbytes``."""
     return math.prod(_payload_shape(idx)) * int(itemsize)
 
-
-def _reader(flat: np.ndarray | None):
-    """Selection reads from one statement's flat value vector."""
-    def read(sel):
-        assert flat is not None, "schedule sends values on an empty rank"
-        return flat[sel]
-    return read
-
-
-def _writer(array, rank: int):
-    """Stores through frozen local-block coordinates."""
-    def write(locs, values):
-        array.local(rank)[locs] = values
-    return write

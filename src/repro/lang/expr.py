@@ -364,9 +364,8 @@ def compile_expr(expr: Expr, resolve, alloc=None):
 
     Constant subtrees are Python floats, computed here once; the
     operators and their operand order are the tree's, so the result is
-    bit-identical to the tree-walking interpreter
-    (:func:`repro.compiler.schedule._eval_expr`), which remains the
-    reference semantics.
+    bit-identical to the sequential reference's tree walk
+    (:func:`repro.baselines.doall.eval_rhs`).
 
     >>> e = as_expr(2.0) * as_expr(3.0) - as_expr(1.0)
     >>> fn = compile_expr(e, resolve=None, alloc=lambda dt: np.empty((2,), dt))

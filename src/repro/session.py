@@ -151,7 +151,6 @@ class Session:
         cost: CostModel | None = None,
         *,
         backend: "str | Backend | None" = None,
-        compiled: bool = True,
         marks: str = "full",
         max_schedule_entries: int = 256,
         max_plan_entries: int = 4096,
@@ -170,11 +169,6 @@ class Session:
         #: one MultiprocessingBackend around the resolved machine
         self.backend = backend
         self._mp_backend = None
-        #: default doall executor mode for launches from this Session:
-        #: True replays compiled StepPlans (the fast path), False runs
-        #: the interpreted reference executor (what the equivalence
-        #: suites diff against).
-        self.compiled = compiled
         #: default mark mode: "full" records every schedule Mark,
         #: "cheap" aggregates steady-state schedule events into
         #: ``Trace.mark_counts`` (identical hit-rate reporting, no
@@ -575,18 +569,17 @@ class Program:
         Each run replays the schedules frozen at compile time --
         re-running never re-derives communication.
 
-        The Session picks the executor (``Session(compiled=)``, default
-        True): the compiled fast path resolves each loop's cached
-        analysis once per run and replays its frozen per-rank
+        A loop run resolves each loop's cached analysis once per run
+        and replays its frozen per-rank
         :class:`~repro.compiler.commgen.StepPlan` every sweep -- no
         per-sweep cache probe, no expression interpretation, and no
         event simulation either: the floats move by the direct phase
         walk and the returned Trace is re-materialized from the
         Session's memoized trace oracle (simulated once per run shape;
         the lists are the caller's, the records shared and immutable).
-        A ``compiled=False`` Session runs the interpreted reference
-        executor through the simulator.  Results, traces, and cache
-        accounting are bit-identical between the two.
+        Results, traces, and cache accounting equal those of the same
+        loops launched through ``ctx.doall`` in a parsub, and the values
+        equal :func:`repro.baselines.doall_reference`'s.
         ``marks="cheap"`` additionally aggregates steady-state schedule
         marks into ``Trace.mark_counts`` instead of per-op records
         (default "full" is unchanged behavior).
@@ -597,8 +590,8 @@ class Program:
         instance) the compiled loop path executes on real shared-memory
         worker processes -- results, schedule accounting, and the
         cost-model-stamped trace stay bit-identical to the simulator;
-        parsub routines and ``compiled=False`` Sessions fall back to the
-        backend's inner reference machine.
+        parsub routines fall back to the backend's inner reference
+        machine.
 
         ``session`` overrides the Session the launch executes in (the
         serving layer checks out pooled Sessions whose caches are
@@ -674,7 +667,7 @@ class Program:
         loops, niters = self.loops, iters
 
         runner, grid = sess._target(machine, self.grid, backend)
-        if sess.compiled and loops and hasattr(runner, "run_loops"):
+        if loops and hasattr(runner, "run_loops"):
             # Both first-class backends take a frozen loop run whole:
             # accounting by arithmetic, floats by the direct walk, the
             # Trace from the oracle (schedule.run_frozen_loops).
@@ -682,8 +675,8 @@ class Program:
                 sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
             ))
 
-        # The interpreted reference, and backends that only run node
-        # programs: the live generator, one cache probe per sweep.
+        # Backends that only run node programs: the live generator,
+        # one cache probe per sweep.
         def _program(ctx):
             for _ in range(niters):
                 for loop in loops:
@@ -825,8 +818,7 @@ class Program:
 
         ``session`` overrides the launch Session (pooled serving);
         ``marks``/``machine`` are as in :meth:`run`.  The batched
-        executor is always the compiled path (there is no interpreted
-        batch twin) and runs on the **simulator backend only**: passing
+        executor runs on the **simulator backend only**: passing
         any other ``backend`` raises :class:`ValidationError` (it used
         to be silently ignored), and a Session whose *default* backend
         is non-simulator is routed to the simulator with an explicit
@@ -1157,8 +1149,7 @@ def compile(
             raise ValidationError(
                 "compile() of a sequence needs one or more Doall loops"
             )
-        gkeys = {lp.grid.key() for lp in loops}
-        if len(gkeys) != 1:
+        if any(lp.grid != loops[0].grid for lp in loops):
             raise ValidationError(
                 "compile() loops must share one processor grid; wrap "
                 "multi-grid programs in a parsub routine instead"
@@ -1181,7 +1172,7 @@ def compile(
             "routine"
         )
 
-    if grid is not None and program.loops and grid.key() != program.grid.key():
+    if grid is not None and program.loops and grid != program.grid:
         raise ValidationError(
             "grid mismatch: loop/KF1 programs carry their own grid "
             f"{program.grid.shape}; omit grid= or pass a matching one"

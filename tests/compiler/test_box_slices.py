@@ -14,12 +14,13 @@ import pytest
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.baselines import doall_reference
 from repro.compiler.commsched import repartition_pieces
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.lang.dist import BlockCyclic, Distribution
 
 
-def stencil(n, grid_shape, dist, compiled=True):
+def stencil(n, grid_shape, dist):
     """The Jacobi listing of ``jacobi_large`` under a chosen layout."""
     grid = ProcessorGrid(grid_shape)
     X = DistArray((n, n), grid, dist=dist, name="X")
@@ -37,7 +38,7 @@ def stencil(n, grid_shape, dist, compiled=True):
         )],
         grid=grid,
     )
-    sess = Session(Machine(n_procs=grid.size), grid, compiled=compiled)
+    sess = Session(Machine(n_procs=grid.size), grid)
     return repro.compile(loop, session=sess), X, loop
 
 
@@ -110,10 +111,21 @@ def test_block_cyclic_keeps_index_arrays():
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_compiled_replay_matches_interpreted(layout):
-    pa, Xa, _ = stencil(33, *LAYOUTS[layout], compiled=True)
-    pb, Xb, _ = stencil(33, *LAYOUTS[layout], compiled=False)
-    ta, tb = pa.run(iters=3), pb.run(iters=3)
-    np.testing.assert_array_equal(Xa.to_global(), Xb.to_global())
+    """What replays through the frozen boxes: the values of the
+    sequential reference, and ``Program.run``'s trace equal to the live
+    ``ctx.doall`` walk's."""
+    pa, Xa, loop = stencil(33, *LAYOUTS[layout])
+    pb, Xb, loop_b = stencil(33, *LAYOUTS[layout])
+    state = {a: a.to_global() for a in loop.arrays()}
+
+    def parsub(ctx):
+        for _ in range(3):
+            yield from ctx.doall(loop_b)
+
+    ta, tb = pa.run(iters=3), pb.session.run(parsub)
+    doall_reference([loop], state, 3)
+    assert Xa.to_global().tobytes() == state[Xa].tobytes()
+    np.testing.assert_array_equal(Xb.to_global(), Xa.to_global())
     assert trace_sig(ta) == trace_sig(tb)
 
 

@@ -68,10 +68,9 @@ def flip_walks(draw):
         st.tuples(layout, layout, st.integers(min_value=1, max_value=2)),
         min_size=3, max_size=8,
     ))
-    compiled = draw(st.booleans())
     where = draw(st.sampled_from(["parsub", "host"]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    return p, n, steps, compiled, where, seed
+    return p, n, steps, where, seed
 
 
 @given(flip_walks())
@@ -82,9 +81,9 @@ def test_random_flips_match_numpy_and_miss_once_per_layout(case):
     ``DistArray.redistribute`` between ``Program.run`` calls -- with
     sweeps in every layout pair.  The values are numpy's, and the loop
     compiles exactly once per distinct layout pair it ran in."""
-    p, n, steps, compiled, where, seed = case
+    p, n, steps, where, seed = case
     g, u, f, loop, u0, f0 = smoother(p, n, seed)
-    sess = Session(Machine(n_procs=p), g, compiled=compiled)
+    sess = Session(Machine(n_procs=p), g)
 
     if where == "parsub":
         def routine(ctx):
@@ -151,16 +150,28 @@ def test_stale_section_still_refused_after_a_return_to_its_layout():
     assert after["misses"] == stats["misses"] and after["hits"] > stats["hits"]
 
 
-@pytest.mark.parametrize("compiled", [True, False])
-def test_manual_invalidation_forces_a_rebuild(compiled):
+@pytest.mark.parametrize("parsub", [True, False])
+def test_manual_invalidation_forces_a_rebuild(parsub):
     """``invalidate_schedules()`` is for layout edits the key cannot
     see: it purges the array's plans and moves its layout key, so the
-    next sweep recompiles even though dist and grid read the same."""
+    next sweep recompiles even though dist and grid read the same --
+    whether the sweeps come from ``ctx.doall`` or ``Program.run``."""
     p, n = 2, 12
     g, u, f, loop, u0, f0 = smoother(p, n, seed=5)
-    sess = Session(Machine(n_procs=p), g, compiled=compiled)
+    sess = Session(Machine(n_procs=p), g)
     prog = repro.compile(loop, session=sess)
-    prog.run(iters=2)
+
+    def run(iters):
+        if not parsub:
+            return prog.run(iters=iters)
+
+        def routine(ctx):
+            for _ in range(iters):
+                yield from ctx.doall(loop)
+
+        return sess.run(routine)
+
+    run(2)
     assert doall_misses(sess) == 1 and len(sess.plans) == 1
     key, epoch = u.layout_key(), u.comm_epoch
 
@@ -168,7 +179,7 @@ def test_manual_invalidation_forces_a_rebuild(compiled):
     assert len(sess.plans) == 0
     assert u.layout_key() != key and u.comm_epoch == epoch + 1
     assert u.layout_key()[:4] == key[:4]  # same uid, spec, grid: only the count moved
-    prog.run(iters=1)
+    run(1)
     assert doall_misses(sess) == 2 and len(sess.plans) == 1
     np.testing.assert_array_equal(u.to_global(), smooth_numpy(u0, f0, 3))
 

@@ -5,9 +5,9 @@ rhs into buffers it allocated at freeze, and reads an array straight
 from the rank's block -- no workspace copy -- when the loop never
 writes it, the rank receives nothing for it, and every reference is a
 slice box.  These tests pin how many buffers a plan owns, which arrays
-keep their workspaces, and that every executor stays bit-identical to
-the interpreted reference (``Session(compiled=False)``) whatever the
-plan decided.
+keep their workspaces, and that both launch forms stay bit-identical
+to the sequential reference (:func:`repro.baselines.doall_reference`)
+whatever the plan decided.
 """
 
 import numpy as np
@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.baselines import doall_reference
 from repro.lang import Assign, DistArray, Doall, OnProc, Owner, loopvars
 
 
@@ -28,29 +29,28 @@ def workspaces(plan) -> set:
     return {array.name for _, array, _, buf in plan.reads if buf is not None}
 
 
-def run_both(build, *, iters=3, form="program"):
-    """``build() -> (loop, outputs, grid)``: the compiled executor in
-    ``form`` ("program": ``Program.run``; "parsub": ``ctx.doall``)
-    against the interpreted reference -- results and message stream;
-    returns the compiled session and loop."""
-    def run(compiled):
-        loop, outputs, grid = build()
-        sess = Session(Machine(n_procs=grid.size), grid, compiled=compiled)
-        if form == "program":
-            trace = repro.compile(loop, session=sess).run(iters=iters)
-        else:
-            def parsub(ctx):
-                for _ in range(iters):
-                    yield from ctx.doall(loop)
-            trace = sess.run(parsub)
-        wire = [(m.src, m.dst, m.tag, m.nbytes, m.t_recv) for m in trace.messages]
-        return sess, loop, [a.to_global() for a in outputs], wire
-
-    sess, loop, got, wire = run(True)
-    _, _, want, want_wire = run(False)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-    assert wire == want_wire
+def run_checked(build, *, iters=3, form="program"):
+    """``build() -> (loop, outputs, grid)``: run the loop in ``form``
+    ("program": ``Program.run``; "parsub": ``ctx.doall``), check every
+    array against the sequential reference and the message and byte
+    counts against the static estimate; returns the session and loop."""
+    loop, _, grid = build()
+    state = {a: a.to_global() for a in loop.arrays()}
+    sess = Session(Machine(n_procs=grid.size), grid)
+    prog = repro.compile(loop, session=sess)
+    if form == "program":
+        trace = prog.run(iters=iters)
+    else:
+        def parsub(ctx):
+            for _ in range(iters):
+                yield from ctx.doall(loop)
+        trace = sess.run(parsub)
+    doall_reference([loop], state, iters)
+    for array, want in state.items():
+        assert array.to_global().tobytes() == want.tobytes(), array.name
+    (est,) = prog.loop_estimates()
+    assert trace.message_count() == iters * est.total_messages()
+    assert trace.total_bytes() == iters * est.total_bytes()
     return sess, loop
 
 
@@ -129,7 +129,7 @@ def test_float32_lhs_over_mixed_operands_bit_identical(form):
                      grid=g)
         return loop, [v], g
 
-    run_both(build, form=form)
+    run_checked(build, form=form)
 
 
 # ----------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_float32_lhs_over_mixed_operands_bit_identical(form):
 
 @pytest.mark.parametrize("form", ["program", "parsub"])
 def test_jacobi_reads_f_from_its_block(form):
-    sess, loop = run_both(jacobi, form=form)
+    sess, loop = run_checked(jacobi, form=form)
     for rank in range(4):
         plan = plan_of(sess, loop, rank)
         assert workspaces(plan) == {"X"}
@@ -162,7 +162,7 @@ def test_halo_reference_keeps_the_workspace():
                      grid=g)
         return loop, [X], g
 
-    sess, loop = run_both(build)
+    sess, loop = run_checked(build)
     assert "F" in workspaces(plan_of(sess, loop, 0))
     assert "F" not in workspaces(plan_of(sess, loop, 1))
 
@@ -181,7 +181,7 @@ def test_diagonal_reference_keeps_the_workspace(form):
                      body=[Assign(X[i, j], D[i, j] + D[i, i])], grid=g)
         return loop, [X], g
 
-    sess, loop = run_both(build, form=form)
+    sess, loop = run_checked(build, form=form)
     for rank in range(2):
         assert "D" in workspaces(plan_of(sess, loop, rank))
 
@@ -200,7 +200,7 @@ def test_strided_reference_keeps_the_workspace(form):
                      body=[Assign(X[i], G[i] + G[i + 1])], grid=g)
         return loop, [X], g
 
-    sess, loop = run_both(build, form=form)
+    sess, loop = run_checked(build, form=form)
     for rank in range(2):
         assert "G" in workspaces(plan_of(sess, loop, rank))
 
@@ -221,7 +221,7 @@ def test_array_written_by_another_statement_keeps_the_workspace(form):
                      grid=g)
         return loop, [X, F], g
 
-    sess, loop = run_both(build, form=form)
+    sess, loop = run_checked(build, form=form)
     for rank in range(2):
         assert workspaces(plan_of(sess, loop, rank)) == {"X", "F"}
 
@@ -230,34 +230,35 @@ def test_flip_parsub_reads_f_from_its_new_block():
     """flip_churn's shape: f is read from the block, never a captured one,
     so after ``ctx.redistribute`` (new blocks) and a local edit of them,
     each doall sees the values f holds now."""
-    def run(compiled):
-        g = ProcessorGrid((4,))
-        n = 12
-        u = DistArray((n, n), g, dist=("*", "block"), name="u")
-        f = DistArray((n, n), g, dist=("*", "block"), name="f")
-        f.from_global(np.random.default_rng(6).standard_normal((n, n)))
-        i, j = loopvars("i j")
-        loop = Doall(vars=(i, j), ranges=[(1, n - 2), (1, n - 2)],
-                     on=Owner(u, (i, j)),
-                     body=[Assign(u[i, j], 0.5 * (u[i, j - 1] + u[i, j + 1])
-                                  - f[i, j])],
-                     grid=g)
-        sess = Session(Machine(n_procs=4), g, compiled=compiled)
+    g = ProcessorGrid((4,))
+    n = 12
+    u = DistArray((n, n), g, dist=("*", "block"), name="u")
+    f = DistArray((n, n), g, dist=("*", "block"), name="f")
+    f.from_global(np.random.default_rng(6).standard_normal((n, n)))
+    i, j = loopvars("i j")
+    loop = Doall(vars=(i, j), ranges=[(1, n - 2), (1, n - 2)],
+                 on=Owner(u, (i, j)),
+                 body=[Assign(u[i, j], 0.5 * (u[i, j - 1] + u[i, j + 1])
+                              - f[i, j])],
+                 grid=g)
+    state = {u: u.to_global(), f: f.to_global()}
+    sess = Session(Machine(n_procs=4), g)
 
-        def parsub(ctx):
-            for dist in (("*", "cyclic"), ("*", "block"), ("*", "cyclic")):
-                yield from ctx.doall(loop)
-                yield from ctx.redistribute(u, dist)
-                yield from ctx.redistribute(f, dist)
-                f.local(ctx.rank)[...] *= 1.5
+    def parsub(ctx):
+        for dist in (("*", "cyclic"), ("*", "block"), ("*", "cyclic")):
             yield from ctx.doall(loop)
+            yield from ctx.redistribute(u, dist)
+            yield from ctx.redistribute(f, dist)
+            f.local(ctx.rank)[...] *= 1.5
+        yield from ctx.doall(loop)
 
-        sess.run(parsub)
-        return sess, loop, u.to_global()
-
-    sess, loop, got = run(True)
-    _, _, want = run(False)
-    assert got.tobytes() == want.tobytes()
+    sess.run(parsub)
+    for _ in range(3):
+        doall_reference([loop], state, 1)
+        state[f] *= 1.5
+    doall_reference([loop], state, 1)
+    assert u.to_global().tobytes() == state[u].tobytes()
+    assert f.to_global().tobytes() == state[f].tobytes()
     assert "f" not in workspaces(plan_of(sess, loop, 1))
 
 
@@ -284,7 +285,7 @@ def test_remote_write_scratch_survives_repeated_sweeps(form):
                      grid=g)
         return loop, [B], g
 
-    sess, loop = run_both(build, iters=5, form=form)
+    sess, loop = run_checked(build, iters=5, form=form)
     analysis, _ = sess.plans.analysis(loop, count=False)
     assert analysis.has_remote_writes
     for rank in range(4):

@@ -1,12 +1,14 @@
-"""The compiled replay fast path: StepPlan equivalence and lifecycle.
+"""The compiled replay: StepPlan equivalence and lifecycle.
 
-``compiled=True`` (the default) replays frozen per-rank StepPlans;
-``compiled=False`` runs the interpreted reference executor.  Everything
-observable -- array results, message streams, marks, compute charges,
-cache accounting -- must be bit-identical between the two.  These tests
-pin that, plus the plan-lifecycle guarantees (stale plans dropped on
-redistribution) and the snapshot-elision and cheap-marks machinery that
-ride along.
+Every doall replays frozen per-rank StepPlans, in two launch forms:
+``Program.run`` (the direct phase walk, its trace from the oracle) and
+``ctx.doall`` inside a parsub (the live generator walk on the
+simulator).  The stored values of either must equal the sequential
+evaluator :func:`repro.baselines.doall_reference` bit for bit, and the
+two forms must agree on everything else observable -- message streams,
+marks, compute charges, cache accounting.  These tests pin that, plus
+the plan-lifecycle guarantees (stale plans dropped on redistribution)
+and the snapshot-elision and cheap-marks machinery that ride along.
 """
 
 from types import SimpleNamespace
@@ -18,10 +20,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.baselines import doall_reference
+from repro.baselines.doall import eval_rhs
 from repro.compiler.commgen import StepPlan, freeze_positions
 from repro.compiler.commsched import freeze_payload
-from repro.compiler.schedule import _eval_expr, drop_plans_for_array
+from repro.compiler.schedule import drop_plans_for_array
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
+from repro.lang.array import storage_of
 from repro.lang.expr import BinOp, Const, LoopVar, Ref, compile_expr
 from repro.machine.ops import Recv, Send
 from repro.machine.simulator import _snapshot
@@ -41,6 +46,19 @@ def trace_sig(trace):
     )
 
 
+def capture(loops):
+    """Every storage array the loops touch, with its global values now."""
+    return {s: s.to_global() for loop in loops for s in map(storage_of, loop.arrays())}
+
+
+def assert_reference(loops, state, iters):
+    """The live arrays hold what ``iters`` sequential sweeps of ``loops``
+    compute from ``state`` (a :func:`capture` taken before the run)."""
+    doall_reference(loops, state, iters)
+    for array, want in state.items():
+        assert array.to_global().tobytes() == want.tobytes(), array.name
+
+
 def stencil_loop(n, grid, dist=("block", "block")):
     X = DistArray((n, n), grid, dist=dist, name="X")
     F = DistArray((n, n), grid, dist=dist, name="F")
@@ -55,11 +73,10 @@ def stencil_loop(n, grid, dist=("block", "block")):
     return loop, X
 
 
-def stencil_program(n, p, dist=("block", "block"), compiled=True, backend=None):
+def stencil_program(n, p, dist=("block", "block"), backend=None):
     grid = ProcessorGrid((p, p))
     loop, X = stencil_loop(n, grid, dist)
-    sess = Session(Machine(n_procs=p * p), grid, compiled=compiled,
-                   backend=backend)
+    sess = Session(Machine(n_procs=p * p), grid, backend=backend)
     return repro.compile(loop, session=sess), X
 
 
@@ -69,10 +86,43 @@ def close_backend(prog):
         prog.session._mp_backend.close()
 
 
-# The bit-identity contract holds across *executors* (compiled vs
-# interpreted) and across *backends* (event-driven simulator vs real
-# shared-memory worker processes): every parametrized case below is
-# compared against the interpreted simulator reference.
+def launch(case, form, backend=None, *, iters, overlap=False):
+    """Run ``case()``'s loops for ``iters`` sweeps in one launch form --
+    ``"program"`` (``Program.run`` on ``backend``) or ``"parsub"``
+    (``ctx.doall`` on the simulator) -- check every array against the
+    sequential reference, and return the trace and the doall accounting."""
+    loops, _, grid = case()
+    state = capture(loops)
+    sess = Session(Machine(n_procs=grid.size), grid, backend=backend)
+    prog = repro.compile(loops, session=sess)
+    if form == "program":
+        trace = prog.run(iters=iters, overlap=overlap)
+    else:
+        def parsub(ctx):
+            for _ in range(iters):
+                for loop in loops:
+                    yield from ctx.doall(loop, overlap=overlap)
+
+        trace = sess.run(parsub)
+    close_backend(prog)
+    assert_reference(loops, state, iters)
+    return trace, sess.plans.kind_stats()["doall"]
+
+
+def assert_forms_agree(case, backend, *, iters, overlap=False):
+    """Values against the reference in both forms; trace and accounting
+    of ``Program.run`` on ``backend`` against the live parsub walk."""
+    ta, acct_a = launch(case, "program", backend, iters=iters, overlap=overlap)
+    tb, acct_b = launch(case, "parsub", iters=iters, overlap=overlap)
+    assert trace_sig(ta) == trace_sig(tb)
+    assert acct_a == acct_b
+
+
+# The contract holds across *launch forms* (the direct walk vs the live
+# generator) and across *backends* (event-driven simulator vs real
+# shared-memory worker processes): every parametrized case below checks
+# values against the sequential reference and the program form's trace
+# against the live simulator walk.
 BACKENDS = [None, "multiprocessing"]
 
 
@@ -131,25 +181,23 @@ def mg2_case():
                  id="eight-workers"),
 ])
 def test_stencil_bit_identical(case, backend, overlap):
-    """The loops the paper's solvers spend their sweeps in: results,
-    full trace and plan accounting of the compiled executor on either
-    backend against the interpreted simulator reference."""
-    def run(compiled, backend=None):
-        loops, outputs, grid = case()
-        sess = Session(Machine(n_procs=grid.size), grid, compiled=compiled,
-                       backend=backend)
-        prog = repro.compile(loops, session=sess)
-        trace = prog.run(iters=4, overlap=overlap)
-        close_backend(prog)
-        return ([a.to_global() for a in outputs], trace,
-                sess.plans.kind_stats()["doall"])
+    """The loops the paper's solvers spend their sweeps in: values
+    against the sequential reference, and the full trace and plan
+    accounting of ``Program.run`` on either backend against the live
+    simulator walk."""
+    assert_forms_agree(case, backend, iters=4, overlap=overlap)
 
-    xa, ta, acct_a = run(True, backend)
-    xb, tb, acct_b = run(False)
-    for a, b in zip(xa, xb):
-        np.testing.assert_array_equal(a, b)
-    assert trace_sig(ta) == trace_sig(tb)
-    assert acct_a == acct_b
+
+def remote_write_case():
+    """Mismatched layouts force a scatter schedule: block -> cyclic."""
+    g = ProcessorGrid((4,))
+    A = DistArray((17,), g, dist=("block",), name="A")
+    B = DistArray((17,), g, dist=("cyclic",), name="B")
+    A.from_global(np.arange(17.0))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(1, 15)], on=Owner(A, (i,)),
+                 body=[Assign(B[i], A[i - 1] + 2.0 * A[i + 1])], grid=g)
+    return [loop], [B], g
 
 
 @pytest.mark.parametrize(
@@ -159,28 +207,21 @@ def test_stencil_bit_identical(case, backend, overlap):
      for b in BACKENDS for o in (False, True)],
 )
 def test_remote_write_bit_identical(backend, overlap):
-    """Mismatched layouts force scatter schedules; every executor and
-    backend must agree with the interpreted simulator reference, with
-    and without the overlap split."""
-    def run(compiled, backend=None):
-        g = ProcessorGrid((4,))
-        A = DistArray((17,), g, dist=("block",), name="A")
-        B = DistArray((17,), g, dist=("cyclic",), name="B")
-        A.from_global(np.arange(17.0))
-        (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(1, 15)], on=Owner(A, (i,)),
-                     body=[Assign(B[i], A[i - 1] + 2.0 * A[i + 1])], grid=g)
-        sess = Session(Machine(n_procs=4), g, compiled=compiled,
-                       backend=backend)
-        prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=3, overlap=overlap)
-        close_backend(prog)
-        return B.to_global(), trace
+    """Mismatched layouts force scatter schedules; every backend must
+    agree with the reference and with the live walk, with and without
+    the overlap split."""
+    assert_forms_agree(remote_write_case, backend, iters=3, overlap=overlap)
 
-    xa, ta = run(True, backend)
-    xb, tb = run(False)
-    np.testing.assert_array_equal(xa, xb)
-    assert trace_sig(ta) == trace_sig(tb)
+
+def diagonal_case(p, last):
+    g = ProcessorGrid((p,))
+    A = DistArray((9, 9), g, dist=("block", "*"), name="A")
+    B = DistArray((9, 9), g, dist=("block", "*"), name="B")
+    B.from_global(np.random.default_rng(1).standard_normal((9, 9)))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(0, last)], on=Owner(A, (i, 0)),
+                 body=[Assign(A[i, i], B[i, i] * 3.0 - 1.0)], grid=g)
+    return [loop], [A], g
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -191,64 +232,78 @@ def test_remote_write_bit_identical(backend, overlap):
 ])
 def test_diagonal_flat_store_bit_identical(p, last, backend):
     """A[i, i] is not box-decomposable: the frozen flat-store path."""
-    def run(compiled, backend=None):
-        g = ProcessorGrid((p,))
-        A = DistArray((9, 9), g, dist=("block", "*"), name="A")
-        B = DistArray((9, 9), g, dist=("block", "*"), name="B")
-        B.from_global(np.random.default_rng(1).standard_normal((9, 9)))
-        (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(0, last)], on=Owner(A, (i, 0)),
-                     body=[Assign(A[i, i], B[i, i] * 3.0 - 1.0)], grid=g)
-        sess = Session(Machine(n_procs=p), g, compiled=compiled,
-                       backend=backend)
-        prog = repro.compile(loop, session=sess)
-        if last < 8:
-            analysis, _ = sess.plans.analysis(loop, count=False)
-            assert analysis.step_plan(p - 1).n_points == 0
-        trace = prog.run(iters=2)
-        close_backend(prog)
-        return A.to_global(), trace
+    def case():
+        return diagonal_case(p, last)
 
-    xa, ta = run(True, backend)
-    xb, tb = run(False)
-    np.testing.assert_array_equal(xa, xb)
-    assert trace_sig(ta) == trace_sig(tb)
+    if last < 8:
+        (loop,), _, g = case()
+        sess = Session(Machine(n_procs=p), g)
+        analysis, _ = sess.plans.analysis(loop, count=False)
+        assert analysis.step_plan(p - 1).n_points == 0
+    assert_forms_agree(case, backend, iters=2)
+
+
+def strided_case():
+    """A stride-2 loop over cyclic arrays (a zebra sweep)."""
+    g = ProcessorGrid((2,))
+    u = DistArray((16,), g, dist=("cyclic",), name="u")
+    v = DistArray((16,), g, dist=("cyclic",), name="v")
+    u.from_global(np.arange(16.0))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(1, 14, 2)], on=Owner(v, (i,)),
+                 body=[Assign(v[i], u[i - 1] + u[i + 1])], grid=g)
+    return [loop], [v], g
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_strided_ranges_bit_identical(backend):
     """Stride-2 loops (zebra sweeps) defeat the slice fast path cleanly."""
-    def run(compiled, backend=None):
-        g = ProcessorGrid((2,))
-        u = DistArray((16,), g, dist=("cyclic",), name="u")
-        v = DistArray((16,), g, dist=("cyclic",), name="v")
-        u.from_global(np.arange(16.0))
-        (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(1, 14, 2)], on=Owner(v, (i,)),
-                     body=[Assign(v[i], u[i - 1] + u[i + 1])], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled,
-                       backend=backend)
-        prog = repro.compile(loop, session=sess)
-        trace = prog.run(iters=3)
-        close_backend(prog)
-        return v.to_global(), trace
+    assert_forms_agree(strided_case, backend, iters=3)
 
-    xa, ta = run(True, backend)
-    xb, tb = run(False)
-    np.testing.assert_array_equal(xa, xb)
-    assert trace_sig(ta) == trace_sig(tb)
+
+def double_write_case():
+    """Two statements write C(i + 1) and C(i): an element gets the
+    second statement's value, whether it arrives by scatter or by the
+    rank's own move."""
+    g = ProcessorGrid((2,))
+    A = DistArray((8,), g, dist=("block",), name="A")
+    C = DistArray((8,), g, dist=("block",), name="C")
+    A.from_global(np.arange(8.0))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(0, 6)], on=Owner(A, (i,)),
+                 body=[Assign(C[i + 1], A[i] + 100.0), Assign(C[i], A[i] * 2.0)],
+                 grid=g)
+    return [loop], [C], g
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_later_statement_wins_a_doubly_written_element(backend):
+    """Statement order decides an element two statements write: C(4)
+    gets statement one's value from rank 0 by scatter and statement
+    two's from its owner's own move, and must end with statement two's,
+    on every launch form and backend."""
+    assert_forms_agree(double_write_case, backend, iters=2)
 
 
 def test_plan_accounting_identical():
-    """Fast-path as-if hits keep PlanCache stats equal to per-sweep probes."""
-    pa, _ = stencil_program(16, 2, compiled=True)
-    pb, _ = stencil_program(16, 2, compiled=False)
+    """Fast-path as-if hits keep PlanCache stats equal to the per-sweep
+    probes of ``ctx.doall``, run after run."""
+    pa, _ = stencil_program(16, 2)
+    pb, _ = stencil_program(16, 2)
+    (loop,) = pb.loops
+
+    def sweeps(n):
+        def parsub(ctx):
+            for _ in range(n):
+                yield from ctx.doall(loop)
+        return parsub
+
     pa.run(iters=5)
-    pb.run(iters=5)
+    pb.session.run(sweeps(5))
     assert (pa.session.plans.kind_stats()["doall"]
             == pb.session.plans.kind_stats()["doall"])
     pa.run(iters=3)
-    pb.run(iters=3)
+    pb.session.run(sweeps(3))
     assert (pa.session.plans.kind_stats()["doall"]
             == pb.session.plans.kind_stats()["doall"])
     assert pa.session.hit_rates()["doall"] == pb.session.hit_rates()["doall"]
@@ -260,7 +315,7 @@ def test_plan_accounting_identical():
 
 
 def test_step_plans_dropped_with_analysis():
-    prog, X = stencil_program(16, 2, compiled=True)
+    prog, X = stencil_program(16, 2)
     prog.run(iters=2)
     plans = prog.session.plans
     (entry,) = [v for (kind, _), (v, _) in plans._entries.items() if kind == "doall"]
@@ -269,55 +324,48 @@ def test_step_plans_dropped_with_analysis():
     assert not [k for k in plans._entries if k[0] == "doall"]
 
 
+def smoother_case(n):
+    g = ProcessorGrid((2,))
+    u = DistArray((n,), g, dist=("block",), name="u")
+    v = DistArray((n,), g, dist=("block",), name="v")
+    u.from_global(np.arange(float(n)))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(1, n - 2)], on=Owner(v, (i,)),
+                 body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
+    return loop, u, v, g
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_redistribute_between_runs_regression(backend):
     """Layout flips between runs: the compiled path must rebuild, never
     write through a closure captured against the old blocks -- and the
     multiprocessing backend must respawn its worker pool (epoch-keyed),
     never sweep against stale shared-memory adoptions."""
-    def run(compiled, backend=None):
-        g = ProcessorGrid((2,))
-        u = DistArray((13,), g, dist=("block",), name="u")
-        v = DistArray((13,), g, dist=("block",), name="v")
-        u.from_global(np.arange(13.0))
-        (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(1, 11)], on=Owner(v, (i,)),
-                     body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled,
-                       backend=backend)
-        prog = repro.compile(loop, session=sess)
-        out = []
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
-        u.redistribute(("cyclic",))
-        v.redistribute(("cyclic",))
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
-        u.redistribute(("block",))
-        v.redistribute(("block",))
-        prog.run(iters=2)
-        out.append(v.to_global().copy())
+    loop, u, v, g = smoother_case(13)
+    prog = repro.compile(loop, session=Session(Machine(n_procs=2), g,
+                                               backend=backend))
+    try:
+        for dist in (None, ("cyclic",), ("block",)):
+            if dist is not None:
+                u.redistribute(dist)
+                v.redistribute(dist)
+            state = capture([loop])
+            prog.run(iters=2)
+            assert_reference([loop], state, 2)
+    finally:
         close_backend(prog)
-        return out
-
-    for a, b in zip(run(True, backend), run(False)):
-        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_redistribute_mid_run_bit_identical(backend):
     """Parsub programs (opaque generators, mid-run repartitions) run on
-    the backend's inner reference machine; the trace must not care."""
-    def run(compiled, backend=None):
-        g = ProcessorGrid((2,))
-        u = DistArray((12,), g, dist=("block",), name="u")
-        v = DistArray((12,), g, dist=("block",), name="v")
-        u.from_global(np.arange(12.0))
-        (i,) = loopvars("i")
-        loop = Doall(vars=(i,), ranges=[(1, 10)], on=Owner(v, (i,)),
-                     body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
-        sess = Session(Machine(n_procs=2), g, compiled=compiled,
-                       backend=backend)
+    the backend's inner reference machine; the trace must not care, and
+    the values are three sequential sweeps (a repartition moves no
+    value)."""
+    def run(backend):
+        loop, u, v, g = smoother_case(12)
+        state = capture([loop])
+        sess = Session(Machine(n_procs=2), g, backend=backend)
 
         def program(ctx):
             yield from ctx.doall(loop)
@@ -327,14 +375,11 @@ def test_redistribute_mid_run_bit_identical(backend):
             yield from ctx.doall(loop)
 
         trace = sess.run(program)
-        if sess._mp_backend is not None:
-            sess._mp_backend.close()
-        return v.to_global(), trace
+        sess.close_backend()
+        assert_reference([loop], state, 3)
+        return trace
 
-    xa, ta = run(True, backend)
-    xb, tb = run(False)
-    np.testing.assert_array_equal(xa, xb)
-    assert trace_sig(ta) == trace_sig(tb)
+    assert trace_sig(run(backend)) == trace_sig(run(None))
 
 
 def test_stale_section_still_fails_loudly_when_compiled():
@@ -349,7 +394,7 @@ def test_stale_section_still_fails_loudly_when_compiled():
     (i,) = loopvars("i")
     loop = Doall(vars=(i,), ranges=[(1, 6)], on=Owner(B, (i,)),
                  body=[Assign(B[i], sect[i] + 1.0)], grid=g)
-    sess = Session(Machine(n_procs=2), g, compiled=True)
+    sess = Session(Machine(n_procs=2), g)
     prog = repro.compile(loop, session=sess)
     prog.run()
     A.redistribute(("cyclic", "*"))
@@ -365,11 +410,10 @@ def test_stale_section_still_fails_loudly_when_compiled():
 def test_copy_in_semantics_survive_snapshot_elision():
     """The sender overwrites X in phase 4 of the same sweep its ghosts
     were sent; receivers must still observe the pre-sweep values."""
-    pa, Xa = stencil_program(12, 2, compiled=True)
-    pb, Xb = stencil_program(12, 2, compiled=False)
-    pa.run(iters=6)
-    pb.run(iters=6)
-    np.testing.assert_array_equal(Xa.to_global(), Xb.to_global())
+    prog, X = stencil_program(12, 2)
+    state = capture(prog.loops)
+    prog.run(iters=6)
+    assert_reference(prog.loops, state, 6)
 
 
 def test_snapshot_skips_frozen_copies_mutable():
@@ -481,10 +525,11 @@ _a0, _a1, _b = Ref(_A, (_I,)), Ref(_A, (_I + 1,)), Ref(_B, (_I,))
 @example((Ref(_B, (_I,)), np.float64, (), 6))                 # bare reference
 @settings(max_examples=200, deadline=None)
 def test_compile_expr_matches_interpreter(case):
-    """The scratch lowering equals the tree-walking interpreter bit for
-    bit -- its own values, and the values the store casts to the lhs
-    dtype -- and reusing its buffers on a second call with new operands
-    leaves nothing stale behind."""
+    """The scratch lowering equals the reference's tree walk
+    (:func:`repro.baselines.doall.eval_rhs`) bit for bit -- its own
+    values, and the values the store casts to the lhs dtype -- and
+    reusing its buffers on a second call with new operands leaves
+    nothing stale behind."""
     expr, lhs, batch, seed = case
     shape = batch + (7,)
     rng = np.random.default_rng(seed)
@@ -499,19 +544,6 @@ def test_compile_expr_matches_interpreter(case):
         key = (id(ref.array), int(ref.idx[0].const))
         return lambda block_of: data[key]
 
-    class FakeWs:
-        def __init__(self, array):
-            self.array = array
-
-        def fetch(self, idx):
-            off = int(np.asarray(idx[0]).reshape(-1)[0])
-            return data[id(self.array), off - 1]
-
-    class FakeIters:
-        def env(self):
-            return {"i": np.array([1])}
-
-    workspaces = {id(a): FakeWs(a) for a in _ARRAYS.values()}
     scratch = []
 
     def alloc(dtype):
@@ -525,7 +557,7 @@ def test_compile_expr_matches_interpreter(case):
             draw_operands()
             got = fn(None)
             try:
-                want = _eval_expr(expr, workspaces, FakeIters())
+                want = eval_rhs(expr, lambda ref: resolve(ref)(None))
             except ZeroDivisionError:  # a constant over a zero constant
                 reject()
             want = np.broadcast_to(np.asarray(want), shape)
@@ -559,7 +591,7 @@ def test_freeze_positions_rejects_non_boxes():
 
 
 def test_step_plan_is_memoized_per_rank():
-    prog, _ = stencil_program(12, 2, compiled=True)
+    prog, _ = stencil_program(12, 2)
     prog.run()
     plans = prog.session.plans
     (analysis,) = [v for (kind, _), (v, _) in plans._entries.items()
@@ -579,7 +611,7 @@ def test_dropped_session_frees_its_plans_without_the_collector():
     gc.collect()
     gc.disable()
     try:
-        prog, X = stencil_program(12, 2, compiled=True)
+        prog, X = stencil_program(12, 2)
         prog.run(iters=2, overlap=True)  # overlap: charges() walks the back-ref
         (analysis,) = [v for (kind, _), (v, _) in
                        prog.session.plans._entries.items() if kind == "doall"]
@@ -598,7 +630,7 @@ def test_dropped_session_frees_its_plans_without_the_collector():
 
 
 def test_cheap_marks_counts_match_full():
-    pa, _ = stencil_program(14, 2, compiled=True)
+    pa, _ = stencil_program(14, 2)
     full = pa.run(iters=4)
     cheap = pa.run(iters=4, marks="cheap")
     assert cheap.level == "cheap"

@@ -1,15 +1,16 @@
-"""Property test: the compiled replay fast path is bit-identical to the
-interpreted executor across distributions, stencil shapes, overlap
-modes, and mid-run redistribution.
+"""Property test: the compiled replay is bit-identical to the sequential
+reference across distributions, stencil shapes, overlap modes, and
+mid-run redistribution.
 
-For every drawn case the same program runs with ``compiled=True``
-(frozen StepPlans) in both launch forms -- ``Program.run`` (the direct
-phase walk, trace from the oracle) and a parsub calling ``ctx.doall``
-(the live generator walk) -- and once with ``compiled=False`` (the
-interpreted reference), which is itself checked against the stencil
-written in plain numpy.  Results, the full message stream (sources, destinations,
-tags, byte counts, timings), marks, compute charges, and the schedule /
-plan hit accounting must agree exactly -- not approximately.
+For every drawn case the program runs in both launch forms --
+``Program.run`` (the direct phase walk, trace from the oracle) and a
+parsub calling ``ctx.doall`` (the live generator walk).  The values of
+each must equal :func:`repro.baselines.doall_reference` run from the
+globals captured before the run (itself checked against the stencil
+written in plain numpy); the two forms must agree exactly on the full
+message stream (sources, destinations, tags, byte counts, timings),
+marks, compute charges, and the schedule / plan hit accounting; and the
+message and byte counts must be the static estimate's exact ones.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 
 import repro
 from repro import Machine, ProcessorGrid, Session
+from repro.baselines import doall_reference
+from repro.compiler.estimate import estimate_doall
 from repro.lang import Assign, BlockCyclic, DistArray, Doall, Owner, loopvars
 
 
@@ -57,7 +60,7 @@ def test_compiled_equals_interpreted(case):
     values = np.random.default_rng(seed).standard_normal(n)
     wkind = kind if write_kind == "same" else write_kind
 
-    def run(compiled, form="program"):
+    def run(form):
         g = ProcessorGrid((p,))
         u = DistArray((n,), g, dist=(_dist_of(kind),), name="u")
         v = DistArray((n,), g, dist=(_dist_of(wkind),), name="v")
@@ -70,35 +73,40 @@ def test_compiled_equals_interpreted(case):
             body=[Assign(v[i], 2.0 * u[i - off_l] - u[i + off_r] + 0.5)],
             grid=g,
         )
-        sess = Session(Machine(n_procs=p), g, compiled=compiled)
+        state = {u: u.to_global(), v: v.to_global()}
+        sess = Session(Machine(n_procs=p), g)
         prog = repro.compile(loop, session=sess)
         if form == "program":
-            # compiled: the direct phase walk + the trace oracle
+            # the direct phase walk + the trace oracle
             trace = prog.run(iters=iters, overlap=overlap)
         else:
-            # compiled: the live generator walk, op by op on the simulator
+            # the live generator walk, op by op on the simulator
             def parsub(ctx):
                 for _ in range(iters):
                     yield from ctx.doall(loop, overlap=overlap)
 
             trace = sess.run(parsub)
-        return v.to_global(), trace, prog.session
+        doall_reference([loop], state, iters)
+        assert v.to_global().tobytes() == state[v].tobytes(), form
+        assert u.to_global().tobytes() == state[u].tobytes(), form
+        (est,) = prog.loop_estimates()
+        assert trace.message_count() == iters * est.total_messages(), form
+        assert trace.total_bytes() == iters * est.total_bytes(), form
+        return v.to_global(), trace, sess
 
-    xb, tb, sb = run(False)
-    for form in ("program", "parsub"):
-        xa, ta, sa = run(True, form)
-        np.testing.assert_array_equal(xa, xb)
-        assert trace_sig(ta) == trace_sig(tb), form
-        # cache accounting (plan hits, schedule hit rates) must agree too
-        assert sa.plans.kind_stats() == sb.plans.kind_stats(), form
-        assert ta.schedule_hit_rate() == tb.schedule_hit_rate()
-        assert ta.schedule_directions() == tb.schedule_directions()
-    # and the anchor outside the system: the stencil in plain numpy (u is
+    xa, ta, sa = run("program")
+    xb, tb, sb = run("parsub")
+    assert trace_sig(ta) == trace_sig(tb)
+    # cache accounting (plan hits, schedule hit rates) must agree too
+    assert sa.plans.kind_stats() == sb.plans.kind_stats()
+    assert ta.schedule_hit_rate() == tb.schedule_hit_rate()
+    assert ta.schedule_directions() == tb.schedule_directions()
+    # and the reference itself against the stencil in plain numpy (u is
     # only read, so every sweep stores the same values)
     at = np.arange(off_l, n - off_r)
     expect = np.zeros(n)
     expect[at] = 2.0 * values[at - off_l] - values[at + off_r] + 0.5
-    np.testing.assert_array_equal(xb, expect)
+    np.testing.assert_array_equal(xa, expect)
 
 
 @st.composite
@@ -117,38 +125,46 @@ def redistribution_cases(draw):
 @given(redistribution_cases())
 @settings(max_examples=15, deadline=None)
 def test_equivalence_across_mid_run_redistribution(case):
-    """Layout flips mid-run move the probes to other layouts' plans;
-    both executors compile and replay them to the same answers,
-    messages, and marks."""
+    """Layout flips mid-run move the probes to other layouts' plans: the
+    values stay the reference's, each layout compiles once, and the
+    doalls move exactly the messages and bytes each layout's static
+    estimate predicts."""
     p, n, kinds, sweeps, seed = case
-    values = np.random.default_rng(seed).standard_normal(n)
+    g = ProcessorGrid((p,))
+    u = DistArray((n,), g, dist=(_dist_of(kinds[0]),), name="u")
+    v = DistArray((n,), g, dist=(_dist_of(kinds[0]),), name="v")
+    u.from_global(np.random.default_rng(seed).standard_normal(n))
+    (i,) = loopvars("i")
+    loop = Doall(
+        vars=(i,),
+        ranges=[(1, n - 2)],
+        on=Owner(u, (i,)),
+        body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))],
+        grid=g,
+    )
+    state = {u: u.to_global(), v: v.to_global()}
+    sess = Session(Machine(n_procs=p), g)
 
-    def run(compiled):
-        g = ProcessorGrid((p,))
-        u = DistArray((n,), g, dist=(_dist_of(kinds[0]),), name="u")
-        v = DistArray((n,), g, dist=(_dist_of(kinds[0]),), name="v")
-        u.from_global(values)
-        (i,) = loopvars("i")
-        loop = Doall(
-            vars=(i,),
-            ranges=[(1, n - 2)],
-            on=Owner(u, (i,)),
-            body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))],
-            grid=g,
-        )
-        sess = Session(Machine(n_procs=p), g, compiled=compiled)
+    def program(ctx):
+        for kind in kinds[1:] + kinds[:1]:
+            for _ in range(sweeps):
+                yield from ctx.doall(loop)
+            yield from ctx.redistribute(u, (_dist_of(kind),))
 
-        def program(ctx):
-            for kind in kinds[1:] + kinds[:1]:
-                for _ in range(sweeps):
-                    yield from ctx.doall(loop)
-                yield from ctx.redistribute(u, (_dist_of(kind),))
+    trace = sess.run(program)
+    doall_reference([loop], state, sweeps * len(kinds))
+    assert u.to_global().tobytes() == state[u].tobytes()
+    assert v.to_global().tobytes() == state[v].tobytes()
+    assert sess.plans.kind_stats()["doall"]["misses"] == len(kinds)
 
-        trace = sess.run(program)
-        return u.to_global(), v.to_global(), trace
-
-    ua, va, ta = run(True)
-    ub, vb, tb = run(False)
-    np.testing.assert_array_equal(ua, ub)
-    np.testing.assert_array_equal(va, vb)
-    assert trace_sig(ta) == trace_sig(tb)
+    # the doalls ran once per layout in ``kinds`` order: estimate each
+    want_msgs = want_bytes = 0
+    for kind in kinds:
+        u.redistribute((_dist_of(kind),))
+        est = estimate_doall(loop)
+        want_msgs += sweeps * est.total_messages()
+        want_bytes += sweeps * est.total_bytes()
+    doall_msgs = [m for m in trace.messages
+                  if str(m.tag[1]).startswith(("gh", "wr"))]
+    assert len(doall_msgs) == want_msgs
+    assert sum(m.nbytes for m in doall_msgs) == want_bytes

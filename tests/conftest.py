@@ -2,8 +2,10 @@
 concurrency-heavy suites.
 
 The machine / elastic / serve / supervise suites exercise forked worker
-pools, shared-memory segments, barriers, and thread pools -- the failure
-modes of a bug there are a *hang* and a *silent leak*, not a traceback.
+pools, shared-memory segments, barriers, and thread pools, and the
+compiler / lang / tune suites fork workers for their multiprocessing
+cases -- the failure modes of a bug there are a *hang* and a *silent
+leak*, not a traceback.
 ``pytest-timeout`` is not in the toolchain, so this conftest arms
 :func:`faulthandler.dump_traceback_later` around each test in those
 directories: a test exceeding the budget dumps every thread's stack to
@@ -22,9 +24,12 @@ import os
 
 import pytest
 
-#: directories whose tests get the guard (hang-prone suites only --
-#: arming faulthandler around every fast unit test is pointless churn)
-_GUARDED = ("elastic", "serve", "supervise", "machine")
+#: directories whose tests get the guard (suites that fork workers or
+#: run thread pools -- arming faulthandler around every fast unit test
+#: elsewhere is pointless churn)
+_GUARDED = (
+    "elastic", "serve", "supervise", "machine", "compiler", "lang", "tune",
+)
 
 _DEFAULT_TIMEOUT = 180.0
 

@@ -16,6 +16,7 @@ Covers the compile-and-run contract:
 """
 
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -220,13 +221,35 @@ def test_program_parsub_and_errors():
     lprog = repro.compile(loop, machine=Machine(n_procs=p))
     with pytest.raises(ValidationError, match="unknown binding"):
         lprog.run(nosuch=np.zeros(12))
-    # the executor mode is the Session's alone: no per-run override
+    # there is one executor and no option selecting it: not even per run
     with pytest.raises(ValidationError, match="unknown binding 'compiled'"):
         lprog.run(compiled=False)
+    assert "compiled" not in inspect.signature(Session).parameters
     with pytest.raises(ValidationError, match="positional"):
         lprog.run(1)
     with pytest.raises(ValidationError, match="cannot compile"):
         repro.compile(42)
+
+
+def test_compile_compares_grids_by_shape_and_ranks():
+    """A (2, 2) and a (4, 1) grid over ranks 0-3 share ``grid.key()``;
+    compile() must still tell them apart, both against ``grid=`` and
+    across the loops of one program."""
+    g22, g41 = ProcessorGrid((2, 2)), ProcessorGrid((4, 1))
+    assert g22.key() == g41.key()
+
+    def loop_on(g):
+        A = DistArray((8, 8), g, dist=("block", "block"), name="A")
+        i, j = loopvars("i j")
+        return Doall(vars=(i, j), ranges=[(0, 7), (0, 7)], on=Owner(A, (i, j)),
+                     body=[Assign(A[i, j], A[i, j] + 1.0)], grid=g)
+
+    loop22 = loop_on(g22)
+    repro.compile(loop22, grid=ProcessorGrid((2, 2)))  # equal by value: fine
+    with pytest.raises(ValidationError, match="grid mismatch"):
+        repro.compile(loop22, grid=g41)
+    with pytest.raises(ValidationError, match="share one processor grid"):
+        repro.compile([loop22, loop_on(g41)])
 
 
 def test_program_guard_rails():
@@ -388,10 +411,10 @@ def test_owner_and_ref_keys_use_uid():
 BACKENDS = [None, "multiprocessing"]
 
 
-def _loop_program(backend=None, compiled=True):
+def _loop_program(backend=None):
     g = ProcessorGrid((2,))
     loop, u, v = _stencil_loop(g)
-    sess = Session(Machine(n_procs=2), g, backend=backend, compiled=compiled)
+    sess = Session(Machine(n_procs=2), g, backend=backend)
     return repro.compile(loop, session=sess), sess, u, v
 
 
@@ -453,26 +476,38 @@ def test_oracle_stamps_each_machine_with_its_own_cost_model():
 def test_oracle_follows_a_redistribution_between_runs(backend):
     """Layouts are part of the key: after a flip the next run gets the
     new layout's trace (with its build marks), the one after that the
-    steady-state trace -- as the interpreted reference records -- and a
-    flip *back* replays the first layout's steady-state template: no new
-    oracle entry, no simulation."""
-    def run(backend, compiled):
-        prog, sess, u, v = _loop_program(backend, compiled)
-        out = [prog.run(iters=2)]
+    steady-state trace -- as the live ``ctx.doall`` walk records -- and
+    a flip *back* replays the first layout's steady-state template: no
+    new oracle entry, no simulation."""
+    def run(backend, parsub):
+        prog, sess, u, v = _loop_program(backend)
+        (loop,) = prog.loops
+
+        def sweep():
+            if not parsub:
+                return prog.run(iters=2)
+
+            def routine(ctx):
+                for _ in range(2):
+                    yield from ctx.doall(loop)
+
+            return sess.run(routine)
+
+        out = [sweep()]
         for arr in (u, v):
             arr.redistribute(("cyclic",))
-        out += [prog.run(iters=2), prog.run(iters=2)]
+        out += [sweep(), sweep()]
         for arr in (u, v):
             arr.redistribute(("block",))
-        if compiled:
+        if not parsub:
             entries = len(sess.oracle)
-        out.append(prog.run(iters=2))
-        if compiled:
+        out.append(sweep())
+        if not parsub:
             assert len(sess.oracle) == entries == 3
         sess.close_backend()
         return [_trace_fingerprint(t) for t in out]
 
-    got, want = run(backend, True), run(None, False)
+    got, want = run(backend, False), run(None, True)
     assert got == want
     assert got[0] != got[1] != got[2]
     assert got[3] == got[0]

@@ -14,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro
 from repro.compiler import ScheduleCache
 from repro.kernels.substructured import (
     ShuffleMapping,
@@ -180,3 +181,113 @@ def test_golden_mg3_block_cubed():
     assert trace.message_count() == 2432
     assert trace.total_bytes() == 95488
     assert trace.makespan() == pytest.approx(0.10099200000000012, rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Doall op streams first anchored by the interpreted executor
+# ----------------------------------------------------------------------
+#
+# Recorded at commit c45162e from its interpreted reference executor
+# (its compiled replay agreed): message counts, byte totals, makespans
+# and compute labels.  That executor is gone; these pins hold the op
+# streams it used to anchor.
+
+
+def _stencil_overlap_loop():
+    n = 12
+    g = ProcessorGrid((2, 2))
+    X = DistArray((n, n), g, dist=("block", "block"), name="X")
+    F = DistArray((n, n), g, dist=("block", "block"), name="F")
+    F.from_global(np.random.default_rng(5).standard_normal((n, n)))
+    i, j = loopvars("i j")
+    return Doall(
+        vars=(i, j), ranges=[(1, n - 2), (1, n - 2)], on=Owner(X, (i, j)),
+        body=[Assign(X[i, j], 0.25 * (X[i + 1, j] + X[i - 1, j] + X[i, j + 1]
+                                      + X[i, j - 1]) - F[i, j])],
+        grid=g,
+    ), dict(iters=2, overlap=True)
+
+
+def _remote_write_overlap_loop():
+    g = ProcessorGrid((4,))
+    A = DistArray((17,), g, dist=("block",), name="A")
+    B = DistArray((17,), g, dist=("cyclic",), name="B")
+    A.from_global(np.arange(17.0))
+    (i,) = loopvars("i")
+    return Doall(vars=(i,), ranges=[(1, 15)], on=Owner(A, (i,)),
+                 body=[Assign(B[i], A[i - 1] + 2.0 * A[i + 1])],
+                 grid=g), dict(iters=3, overlap=True)
+
+
+def _diagonal_idle_rank_loop():
+    g = ProcessorGrid((3,))
+    A = DistArray((9, 9), g, dist=("block", "*"), name="A")
+    B = DistArray((9, 9), g, dist=("block", "*"), name="B")
+    B.from_global(np.random.default_rng(1).standard_normal((9, 9)))
+    (i,) = loopvars("i")
+    # rows 0..4 of 9 over 3 ranks: rank 2 owns no iteration point
+    return Doall(vars=(i,), ranges=[(0, 4)], on=Owner(A, (i, 0)),
+                 body=[Assign(A[i, i], B[i, i] * 3.0 - 1.0)],
+                 grid=g), dict(iters=2)
+
+
+def _stride2_cyclic_loop():
+    g = ProcessorGrid((2,))
+    u = DistArray((16,), g, dist=("cyclic",), name="u")
+    v = DistArray((16,), g, dist=("cyclic",), name="v")
+    u.from_global(np.arange(16.0))
+    (i,) = loopvars("i")
+    return Doall(vars=(i,), ranges=[(1, 14, 2)], on=Owner(v, (i,)),
+                 body=[Assign(v[i], u[i - 1] + u[i + 1])],
+                 grid=g), dict(iters=3)
+
+
+def _assert_pin(trace, messages, nbytes, makespan, labels):
+    assert trace.message_count() == messages
+    assert trace.total_bytes() == nbytes
+    assert trace.makespan() == pytest.approx(makespan, rel=1e-12)
+    assert Counter(c.label for c in trace.computes) == Counter(labels)
+
+
+@pytest.mark.parametrize("build, messages, nbytes, makespan, labels", [
+    pytest.param(_stencil_overlap_loop, 24, 832, 0.0006240000000000001,
+                 {"doall[i,j]/interior": 8, "doall[i,j]/boundary": 8},
+                 id="stencil-2x2-overlap"),
+    pytest.param(_remote_write_overlap_loop, 51, 408, 0.0010760000000000004,
+                 {"doall[i]/interior": 12, "doall[i]/boundary": 12},
+                 id="block-to-cyclic-remote-write-overlap"),
+    pytest.param(_diagonal_idle_rank_loop, 0, 0, 1.8e-05, {"doall[i]": 4},
+                 id="diagonal-flat-store-idle-rank"),
+    pytest.param(_stride2_cyclic_loop, 3, 192, 0.000288, {"doall[i]": 3},
+                 id="stride-2-cyclic"),
+])
+def test_golden_doall_program(build, messages, nbytes, makespan, labels):
+    """Pinned at c45162e from the interpreted executor: a loop
+    ``Program.run`` keeps its wire volume, makespan and compute labels."""
+    loop, run = build()
+    sess = Session(Machine(n_procs=loop.grid.size), loop.grid)
+    trace = repro.compile(loop, session=sess).run(**run)
+    _assert_pin(trace, messages, nbytes, makespan, labels)
+
+
+def test_golden_parsub_redistributes_mid_run():
+    """Pinned at c45162e from the interpreted executor: three doall
+    sweeps with a block -> cyclic -> block repartition between them,
+    launched as one parsub."""
+    g = ProcessorGrid((2,))
+    u = DistArray((12,), g, dist=("block",), name="u")
+    v = DistArray((12,), g, dist=("block",), name="v")
+    u.from_global(np.arange(12.0))
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(1, 10)], on=Owner(v, (i,)),
+                 body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
+
+    def program(ctx):
+        yield from ctx.doall(loop)
+        yield from ctx.redistribute(u, ("cyclic",))
+        yield from ctx.doall(loop)
+        yield from ctx.redistribute(u, ("block",))
+        yield from ctx.doall(loop)
+
+    trace = Session(Machine(n_procs=2), g).run(program)
+    _assert_pin(trace, 10, 176, 0.000683, {"doall[i]": 6})

@@ -19,6 +19,7 @@ import sys
 
 #: Modules whose docstrings carry runnable ``>>>`` examples.
 DEFAULT_MODULES = [
+    "repro.baselines.doall",
     "repro.compiler.commsched",
     "repro.compiler.estimate",
     "repro.compiler.schedule",

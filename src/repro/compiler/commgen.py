@@ -34,6 +34,7 @@ splits its Compute op on this count; see ``LoopAnalysis.interior_count``.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from typing import Callable
@@ -46,7 +47,7 @@ from repro.lang.array import BaseDistArray, storage_of
 from repro.lang.doall import Doall
 from repro.lang.expr import compile_expr
 from repro.util.errors import CompileError
-from repro.util.indexing import mesh_shape, open_mesh
+from repro.util.indexing import mesh_shape, open_mesh, payload_shape
 
 
 class ReadPlan:
@@ -166,6 +167,11 @@ class LoopAnalysis:
         #: Keyed by rank for single-run plans and ``(rank, nbatch)`` for
         #: batched ones (``Program.run_batch``).
         self.step_plans: dict[object, "StepPlan"] = {}
+        #: the in-process walk over the live arrays of the whole grid
+        #: (each rank's StepPlan and block accessor, and the message
+        #: slots), built lazily by
+        #: :func:`repro.compiler.schedule.replay_in_process`
+        self.grid_walk: tuple | None = None
         # guards the two lazy memoizations (step plans, interior
         # counts): an analysis may be shared across Sessions through a
         # shared PlanCache, and everything else on it is immutable
@@ -445,6 +451,7 @@ class StepPlan:
         "evals",
         "scratch",
         "stores",
+        "send_nbytes",
         "_split",
     )
 
@@ -575,6 +582,18 @@ class StepPlan:
                     None if sched is None
                     else ("transfer", sa.lhs_array, sched, f"wr{stmt_idx}")
                 )
+
+        #: ``(wire, dst) -> bytes`` of each message this rank sends per
+        #: sweep, the batch axis included: what the op stream charges
+        sources = [(wire, array, sched) for wire, array, sched, _ in self.reads]
+        sources += [(st[3], st[1], st[2]) for st in self.stores
+                    if st is not None and st[0] == "transfer"]
+        self.send_nbytes = {
+            (wire, dst): math.prod(lead_shape + payload_shape(idx))
+            * array.dtype.itemsize
+            for wire, array, sched in sources if sched is not None
+            for dst, idx in sched.sends
+        }
 
     def charges(self, overlap: bool) -> tuple:
         """(interior points, interior flops, boundary points, boundary

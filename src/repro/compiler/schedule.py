@@ -1,21 +1,18 @@
 """Per-processor execution of compiled doall loops.
 
-``execute_doall(ctx, loop)`` is a generator of machine ops implementing
-one rank's share of the loop:
+One rank's share of a doall sweep is, in this order:
 
-1. replay the send half of each read array's frozen gather
-   :class:`~repro.compiler.commsched.TransferSchedule` (payload
-   snapshotted -> the receiver observes pre-loop values: copy-in) and
-   perform its local move into the workspace;
-2. replay the receive half: ghost regions land in the workspace through
-   the schedule's precomputed scatter positions;
-3. evaluate all statement right-hand sides vectorized over the local
+1. the send half of each read array's frozen gather
+   :class:`~repro.compiler.commsched.TransferSchedule` (the sender's
+   pre-loop values: copy-in) and its local move into the workspace;
+2. the receive half: ghost regions land in the workspace through the
+   schedule's precomputed scatter positions;
+3. all statement right-hand sides, evaluated vectorized over the local
    iteration box (one Compute op charges the flop count);
-4. replay each statement's frozen scatter TransferSchedule: local
-   stores and outgoing remote-write messages read the flat value vector
-   through precomputed selection arrays, incoming messages (values
-   only, no index lists on the wire) land through precomputed
-   local-block coordinates.
+4. each statement's frozen scatter TransferSchedule: local stores and
+   outgoing remote-write values read the flat value vector through
+   precomputed selection arrays, incoming values (no index lists on the
+   wire) land through precomputed local-block coordinates.
 
 With ``overlap=True`` the executor models communication/computation
 overlap: since the gather sends of phase 1 are asynchronous, the
@@ -40,36 +37,46 @@ ghost-free arrays, to boxes of the block itself, store coordinates
 frozen, workspaces persistent -- the steady-state sweep never walks an
 expression AST, evaluates an affine index or allocates an operator's
 result.  The StepPlan record layout and the phase order of a sweep
-are known to this module only, in two walks kept apart on purpose.
-:func:`_replay` is the generator the simulator drives (ops out, trace
-recorded), behind two thin entry points: :func:`replay_analysis` (live:
-``ctx.doall`` inside a parsub, where ops interleave with user code, and
-backends that only run node programs) and :func:`shadow_replay_analysis`
-(data-free: the trace oracle).  The *direct* walk is the same sweep as
-three plain phase functions -- fill outgoing slots and do local moves /
+are known to this module only, in two walks: one moves the values,
+the other only the time.  The *direct* walk is the sweep as three
+plain phase functions -- fill outgoing slots and do local moves /
 drain, evaluate, store / store the scatter statements in order -- with
 preallocated slots for the wire and :func:`outgoing` telling a
 transport which slots that takes: :func:`replay_direct` puts a fence
 between them for a forked multiprocessing worker, and
 :func:`replay_in_process` walks every rank of the grid phase by phase,
-the phase boundary being the fence.  A worker must not pay for a
-generator and the simulator needs one, so neither walk branches on its
-caller.
+the phase boundary being the fence.  It moves the values of every
+doall, on every launch form.  :func:`_replay` is the generator the
+simulator drives: the sweep's op stream with no data in it (Marks,
+Compute charges, Sends that carry only a byte count, Recvs that
+discard), which is what the trace records.
+
+``ctx.doall`` inside a parsub (:func:`execute_doall`) joins the two at a
+grid rendezvous: its stream opens with a
+:class:`~repro.machine.ops.Rendezvous`, at which the simulator parks
+each rank of the loop's grid until the last one arrives, runs one
+:func:`replay_in_process` sweep of the whole grid, and resumes every
+rank at its own clock -- no time is charged.  So every rank of a loop's
+grid must reach the doall before any rank leaves it: a parsub in which
+a rank waits, before its doall, for a message that a grid peer sends
+only after its own doall deadlocks (the ``DeadlockError`` names the
+rendezvous), and a ``Recv(src=ANY)`` whose candidates straddle a doall
+may match in another order than it would without the rendezvous.
 
 A frozen loop ``Program`` executes the same way on both first-class
 backends (:func:`run_frozen_loops`): accounting by arithmetic (one cache
 probe per loop per rank per run, later sweeps counted in bulk), floats
 by the direct walk, and the sim-clock ``Trace`` from
-:func:`oracle_trace` -- one data-free simulation per distinct run
-shape, memoized on the Session and re-materialized per run.  Both walks
-produce the same results, traces and cache accounting; the values of
-either are checked against the sequential evaluator
-:func:`repro.baselines.doall.doall_reference` (see docs/performance.md).
+:func:`oracle_trace` -- the same stream with an action-less rendezvous,
+simulated once per distinct run shape, memoized on the Session and
+re-materialized per run.  So a parsub and a ``Program.run`` record the
+same trace, and the values of every launch form are checked against
+the sequential evaluator :func:`repro.baselines.doall.doall_reference`
+(see docs/performance.md).
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -79,15 +86,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.compiler.commgen import LoopAnalysis
-from repro.compiler.commsched import (
-    freeze_payload,
-    uid_chain,
-)
+from repro.compiler.commsched import uid_chain
 from repro.lang.doall import Doall
-from repro.machine.ops import Compute, Mark, Recv, Send
+from repro.machine.ops import Compute, Mark, Recv, Rendezvous, Send
 from repro.machine.trace import Trace
 from repro.util.errors import CompileError, ValidationError
-from repro.util.indexing import mesh_shape
+from repro.util.indexing import payload_shape
 
 #: Every live PlanCache (including session-owned ones), so that the
 #: manual invalidation hook (``array.invalidate_schedules()``) reaches
@@ -285,116 +289,86 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False):
     computation proceeding while remote values are in flight; the wire
     content is unchanged.
 
-    The rank's frozen :class:`~repro.compiler.commgen.StepPlan`
-    replays -- prebound numpy calls, no per-sweep expression
-    interpretation.
+    The values move by the direct phase walk, not by the ops: once
+    every rank of the loop's grid has reached the doall, the stream's
+    leading :class:`~repro.machine.ops.Rendezvous` runs one
+    :func:`replay_in_process` sweep of the whole grid, and each rank
+    then goes on through the data-free stream that charges the sweep's
+    time and records its messages.  So a rank leaves a doall only after
+    every rank of the grid has entered it.
     """
     me = ctx.rank
     if not loop.grid.contains(me):
         raise CompileError(f"rank {me} executing doall outside its grid")
     analysis, reused = ctx.session.plans.analysis(loop)
-    yield from replay_analysis(ctx, analysis, overlap=overlap, reused=reused)
-
-
-def replay_analysis(
-    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
-):
-    """Drive one rank's share of an already-resolved doall analysis.
-
-    The replay half of :func:`execute_doall`: the live generator behind
-    ``ctx.doall`` -- parsubs, whose ops interleave with user code, and
-    backends that only run node programs.  ``reused`` feeds the
-    ``commsched/hit`` vs ``commsched/build`` mark, mirroring what the
-    probe reported.
-    """
-    return _replay(
-        ctx, analysis, overlap, reused, methodcaller("local", ctx.rank)
+    yield from _replay(
+        ctx, analysis, overlap, reused,
+        action=lambda: replay_in_process([analysis], loop.grid, 1),
     )
 
 
-def shadow_replay_analysis(
-    ctx, analysis: LoopAnalysis, overlap: bool = False, reused: bool = True,
-    nbatch: int | None = None,
-):
-    """The compiled replay's op stream with no data moved.
+def _replay(ctx, analysis: LoopAnalysis, overlap: bool = False,
+            reused: bool = True, nbatch: int | None = None, action=None):
+    """The op stream of one rank's sweep of a frozen
+    :class:`~repro.compiler.commgen.StepPlan`, with no data moved.
 
-    Yields the *exact* op stream a compiled replay of ``analysis``
-    produces -- same Marks, same Compute flops and labels, same Sends
-    (tag and byte count) and Recvs in the same order -- but sends carry
-    ``data=None`` with the frozen payload's byte count, receives
-    discard, and neither closures nor stores run.  This is how a frozen
-    loop run gets its cost-model-stamped trace (:func:`oracle_trace`):
-    the floats are moved by the direct walk, while the simulator runs
-    this stream once to produce the trace a live replay would have
-    recorded.  ``nbatch`` scales the flop charges and the byte counts to
-    an ensemble of that many members (``Program.run_batch``): message
-    counts and tags are those of one single-binding sweep, each payload
-    widens by the batch factor.
+    In this fixed order: the grid :class:`~repro.machine.ops.Rendezvous`
+    (carrying ``action``, the sweep's data plane, for ``ctx.doall``;
+    ``None`` for the trace oracle), the ``commsched`` Marks, gather
+    sends, [interior Compute], gather receives, Compute, scatter sends
+    and receives.  Sends carry ``data=None`` with the frozen payload's
+    byte count, receives discard, and no closure or store runs.  This is
+    also how a frozen loop run gets its cost-model-stamped trace
+    (:func:`oracle_trace`).  ``nbatch`` scales the flop charges and the
+    byte counts to an ensemble of that many members
+    (``Program.run_batch``): message counts and tags are those of one
+    single-binding sweep, each payload widens by the batch factor.
 
-    Deliberately takes the analysis (never probing the plan cache):
-    cache accounting for a frozen run is done once by the driver, not
-    once per shadow rank.
-    """
-    return _replay(ctx, analysis, overlap, reused, None, nbatch)
-
-
-def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
-            block_of, nbatch: int | None = None):
-    """The one generator walk of a frozen :class:`~repro.compiler.commgen.StepPlan`.
-
-    Every index array, closure, label, and flop charge was frozen at
-    plan-build time; a sweep is, in this fixed order: gather sends +
-    local moves, [interior Compute], gather receives, Compute, rhs
-    closures, box/flat stores, scatter sends / self move / receives.
-
-    The two entry points above differ only in ``block_of``, *where this
-    rank's blocks live*: ``array -> block`` for the live arrays
-    (``array.local(rank)``), or ``None`` to move no data at all.  Blocks
-    are resolved through it at the moment of each read or store, never
-    captured: a block swapped by redistribution must not be written
-    through a stale buffer, and a rank that only *sends* a scatter owns
-    no lhs block to ask for.  Payloads go through :func:`freeze_payload`
-    (copy-in, by value, no simulator-side snapshot copy).
-
-    The live walk is single-run only.  ``nbatch`` exists for the
-    data-free stream alone, as a scale: the flop charges are the batched
-    plan's and every Send's byte count is multiplied by it.
+    Takes the analysis, never probing the plan cache: the caller
+    accounts for the probe and passes ``reused`` for the
+    ``commsched/hit`` vs ``commsched/build`` mark.
     """
     me = ctx.rank
-    tag = ctx.next_tag(analysis.loop.grid)
-    yield from announce_replay(ctx, analysis, reused)
+    grid = analysis.loop.grid
+    tag = ctx.next_tag(grid)
+    yield Rendezvous(grid.key(), tag, action)
+    # announce the replay (or compile) of the plan and of its gather and
+    # scatter schedules, per direction; cheap-marks mode only counts, and
+    # the Session folds the counts into ``Trace.mark_counts``
+    kind = "commsched/hit" if reused else "commsched/build"
+    if getattr(ctx, "marks", "full") == "cheap":
+        ctx.count_mark(kind, "doall")
+        if analysis.has_read_transfers:
+            ctx.count_mark(kind, "gather")
+        if analysis.has_remote_writes:
+            ctx.count_mark(kind, "scatter")
+    else:
+        yield Mark(kind, payload=("doall", analysis.var_label))
+        if analysis.has_read_transfers:
+            yield Mark(kind, payload=("gather", analysis.read_names))
+        if analysis.has_remote_writes:
+            yield Mark(kind, payload=("scatter", analysis.scatter_names))
     plan = analysis.step_plan(me, nbatch=nbatch)
-    live = block_of is not None
-    scale = 1 if nbatch is None else nbatch
+    nbytes = plan.send_nbytes
 
     # Sends for *all* read arrays go out before any receive, so they are
     # in flight together.
     pending: list[tuple] = []
-    for wire, array, sched, buf in plan.reads:
+    for wire, _array, sched, _buf in plan.reads:
         if sched is None:
             continue
-        if not live:
-            itemsize = array.dtype.itemsize * scale
-            for dst, idx in sched.sends:
-                yield Send(dst, None, (tag, wire, me), _index_nbytes(idx, itemsize))
-        elif sched.sends or sched.self_src is not None:
-            block = block_of(array)
-            for dst, idx in sched.sends:
-                yield Send(dst, freeze_payload(block[idx]), (tag, wire, me))
-            if buf is not None and sched.self_src is not None:
-                buf[sched.self_dst] = block[sched.self_src]
+        for dst, _idx in sched.sends:
+            yield Send(dst, None, (tag, wire, me), nbytes[wire, dst])
         if sched.recvs:
-            pending.append((wire, sched.recvs, buf))
+            pending.append((wire, sched.recvs))
 
     interior, interior_flops, remaining, remaining_flops = plan.charges(overlap)
     if interior:
         yield Compute(flops=interior_flops, label=plan.label_interior)
 
-    for wire, recvs, buf in pending:
-        for src, idx in recvs:
-            values = yield Recv(src, (tag, wire, src))
-            if live:
-                buf[idx] = values
+    for wire, recvs in pending:
+        for src, _idx in recvs:
+            yield Recv(src, (tag, wire, src))
 
     if remaining:
         yield Compute(
@@ -402,40 +376,14 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool, reused: bool,
             label=plan.label_boundary if interior else plan.label,
         )
 
-    stmt_vals = [
-        None if fn is None or not live else fn(block_of) for fn in plan.evals
-    ]
-
-    for values, store in zip(stmt_vals, plan.stores):
-        if store is None:
+    for store in plan.stores:
+        if store is None or store[0] != "transfer":
             continue
-        op, array = store[0], store[1]
-        if op == "transfer":  # remote-write scatter replay
-            sched, wire = store[2], store[3]
-            if live:
-                flat = None if values is None else values.reshape(-1)
-                for dst, sel in sched.sends:
-                    # fancy selection: a fresh copy of the scratch, cast
-                    # to the lhs dtype the wire carries
-                    payload = flat[sel].astype(array.dtype, copy=False)
-                    yield Send(dst, freeze_payload(payload), (tag, wire, me))
-                if sched.self_src is not None:
-                    block_of(array)[sched.self_dst] = flat[sched.self_src]
-            else:
-                itemsize = array.dtype.itemsize * scale
-                for dst, sel in sched.sends:
-                    yield Send(dst, None, (tag, wire, me), _index_nbytes(sel, itemsize))
-            for src, piece in sched.recvs:
-                incoming = yield Recv(src, (tag, wire, src))
-                if live:
-                    block_of(array)[piece] = incoming
-        elif not live:
-            continue
-        elif op == "box":
-            _, _, locs, perm, boxshape = store
-            block_of(array)[locs] = values.transpose(perm).reshape(boxshape)
-        else:  # "flat"
-            block_of(array)[store[2]] = values.reshape(-1)
+        _, _array, sched, wire = store
+        for dst, _sel in sched.sends:
+            yield Send(dst, None, (tag, wire, me), nbytes[wire, dst])
+        for src, _piece in sched.recvs:
+            yield Recv(src, (tag, wire, src))
 
 
 # ----------------------------------------------------------------------
@@ -456,20 +404,22 @@ def outgoing(plan):
     for wire, array, sched, _buf in plan.reads:
         if sched is not None:
             for dst, idx in sched.sends:
-                yield wire, dst, batch + _payload_shape(idx), array.dtype
+                yield wire, dst, batch + payload_shape(idx), array.dtype
     for store in plan.stores:
         if store is not None and store[0] == "transfer":
             _, array, sched, wire = store
             for dst, sel in sched.sends:
-                yield wire, dst, batch + _payload_shape(sel), array.dtype
+                yield wire, dst, batch + payload_shape(sel), array.dtype
 
 
 # The three phases of a direct sweep.  ``slots`` maps ``(wire, src,
 # dst)`` to the buffer standing in for that message; ``half`` indexes
 # the part of each slot this sweep uses (the sweep parity of a
 # double-buffered slot, ``()`` for a whole one); ``block_of`` says where
-# the rank's blocks live, resolved per read or store, never captured --
-# both exactly as in :func:`_replay`.  A batched plan prefixes every
+# the rank's blocks live, resolved at each read or store, never captured
+# (a block swapped by redistribution must not be written through a stale
+# buffer, and a rank that only *sends* a scatter owns no lhs block to
+# ask for).  A batched plan prefixes every
 # frozen selection with its batch axis (``plan.lead``) and keeps its
 # value vectors ``(B, -1)`` (``plan.flat``).
 
@@ -520,9 +470,8 @@ def _drain_eval_store(plan, slots: dict, block_of, half) -> list:
 def _apply_scatter(plan, slots: dict, block_of, half, stmt_vals) -> None:
     """Phase C (loops whose stores go through scatter schedules):
     statement by statement, the rank's own values and then the incoming
-    scatter values into its lhs blocks -- the order :func:`_replay`
-    stores in, so the later statement wins an element two statements
-    write."""
+    scatter values into its lhs blocks, so the later statement wins an
+    element two statements write."""
     me, lead = plan.rank, plan.lead
     for values, store in zip(stmt_vals, plan.stores):
         if store is None or store[0] != "transfer":
@@ -538,9 +487,9 @@ def _apply_scatter(plan, slots: dict, block_of, half, stmt_vals) -> None:
 def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> None:
     """One sweep of a single-run StepPlan with preallocated slots as the wire.
 
-    The multiprocessing workers' walk: the records and the phase order
-    of :func:`_replay`, with no generator, no ops and no trace (the
-    oracle stream accounts for the sweep).  ``slots`` maps
+    The multiprocessing workers' walk: the phases
+    :func:`replay_in_process` walks, with no generator, no ops and no
+    trace (the oracle stream accounts for the sweep).  ``slots`` maps
     ``(wire, src, dst)`` to a buffer shaped ``(2,) +`` the payload shape
     :func:`outgoing` reports, visible to both ranks; ``fence()`` returns
     once every rank of the loop has called it.
@@ -548,8 +497,8 @@ def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> No
     Phase A fills this rank's outgoing gather slots from its (pre-store)
     blocks and copies owned data into the plan workspaces -- the fence
     then guarantees every rank's copy-in snapshot is complete before any
-    rank stores, which is exactly the ordering the simulator enforces by
-    sending pre-store payloads.  Phase B drains incoming slots into the
+    rank stores, which is exactly the ordering the phase boundary gives
+    :func:`replay_in_process`.  Phase B drains incoming slots into the
     workspaces, evaluates the prebound closures, and stores (only
     filling scatter slots for statements that store through a scatter
     schedule).  Phase C stores those statements, in order: the rank's
@@ -581,31 +530,27 @@ def replay_direct(plan, slots: dict, has_remote: bool, fence, parity: int) -> No
 def replay_in_process(analyses, grid, iters: int, nbatch: int | None = None,
                       blocks: dict | None = None) -> None:
     """``iters`` sweeps of the loops on every rank of ``grid``, in this
-    process: the simulator backend's data plane.
+    process: the simulator backend's data plane, for a frozen loop run
+    and, one sweep at a grid rendezvous, for ``ctx.doall``.
 
     The same three phases the forked workers run, walked rank by rank --
     fill all, drain/eval/store all, [apply all] -- so the phase boundary
     *is* the fence: every rank's copy-in snapshot is complete before any
     rank stores, with no barrier, and a slot is drained before the next
     sweep refills it, with no parity.  Slots are plain arrays sized by
-    :func:`outgoing`.  ``blocks`` (with ``nbatch``) redirects every
-    block access to the batch driver's ``(uid, rank) -> (B,) + local``
-    shadow blocks; without it the live arrays are read and stored.
+    :func:`outgoing`, allocated once per analysis for the live arrays
+    (``LoopAnalysis.grid_walk``).  ``blocks`` (with ``nbatch``) redirects
+    every block access to the batch driver's ``(uid, rank) -> (B,) +
+    local`` shadow blocks, with slots of its own.
     """
-    script, linear = [], grid.linear
+    script = []
     for analysis in analyses:
-        ranks, slots = [], {}
-        for rank in linear:
-            plan = analysis.step_plan(rank, nbatch=nbatch)
-            for wire, dst, shape, dtype in outgoing(plan):
-                slots[wire, rank, dst] = np.empty(shape, dtype)
-            if blocks is None:
-                block_of = methodcaller("local", rank)
-            else:
-                def block_of(array, rank=rank):
-                    return blocks[array.uid, rank]
-            ranks.append((plan, block_of))
-        script.append((ranks, slots, not analysis.writes_local))
+        if blocks is not None:
+            script.append(_grid_walk(analysis, grid, nbatch, blocks))
+            continue
+        if analysis.grid_walk is None:
+            analysis.grid_walk = _grid_walk(analysis, grid, None, None)
+        script.append(analysis.grid_walk)
     for _ in range(iters):
         for ranks, slots, scatters in script:
             for plan, block_of in ranks:
@@ -615,6 +560,22 @@ def replay_in_process(analyses, grid, iters: int, nbatch: int | None = None,
             if scatters:
                 for (plan, block_of), stmt_vals in zip(ranks, vals):
                     _apply_scatter(plan, slots, block_of, (), stmt_vals)
+
+
+def _grid_walk(analysis, grid, nbatch, blocks) -> tuple:
+    """``([(plan, block_of)] per rank, slots, has scatter phase)``."""
+    ranks, slots = [], {}
+    for rank in grid.linear:
+        plan = analysis.step_plan(rank, nbatch=nbatch)
+        for wire, dst, shape, dtype in outgoing(plan):
+            slots[wire, rank, dst] = np.empty(shape, dtype)
+        if blocks is None:
+            block_of = methodcaller("local", rank)
+        else:
+            def block_of(array, rank=rank):
+                return blocks[array.uid, rank]
+        ranks.append((plan, block_of))
+    return ranks, slots, not analysis.writes_local
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +634,7 @@ def oracle_trace(session, machine, loops, analyses, grid, first, *,
     and for a frozen loop program they are as frozen as the schedules:
     the same messages, tags, byte counts, flop charges and marks every
     run.  So the trace is simulated once -- ``machine`` runs the
-    data-free :func:`shadow_replay_analysis` stream of every rank --
+    data-free :func:`_replay` stream of every rank --
     and kept as a template in ``session.oracle`` (a :class:`PlanCache`:
     LRU, one build serves every concurrent requester, one template per
     layout the arrays visit).  ``first`` holds each rank's per-loop
@@ -699,7 +660,7 @@ def oracle_trace(session, machine, loops, analyses, grid, first, *,
         def shadow(ctx):
             for sweep in range(iters):
                 for analysis, was_cached in zip(analyses, first_of[ctx.rank]):
-                    yield from shadow_replay_analysis(
+                    yield from _replay(
                         ctx, analysis, overlap, was_cached or sweep > 0, nbatch
                     )
 
@@ -721,51 +682,3 @@ def oracle_trace(session, machine, loops, analyses, grid, first, *,
         level=template.level,
         mark_counts=dict(template.mark_counts),
     )
-
-
-def announce_replay(ctx, analysis: LoopAnalysis, reused: bool):
-    """Announce one doall replay (or compile) to the trace.
-
-    Yields the ``commsched/hit`` / ``commsched/build`` Marks -- or, in
-    cheap-marks mode, aggregates counters on the context and yields
-    nothing (the Session folds the counts into ``Trace.mark_counts``
-    after the run).  The live and the data-free replay both announce
-    through here, so the two op streams can never drift on mark
-    content.
-    """
-    kind = "commsched/hit" if reused else "commsched/build"
-    if getattr(ctx, "marks", "full") == "cheap":
-        note = ctx.count_mark
-        note(kind, "doall")
-        if analysis.has_read_transfers:
-            note(kind, "gather")
-        if analysis.has_remote_writes:
-            note(kind, "scatter")
-        return
-    yield Mark(kind, payload=("doall", analysis.var_label))
-    if analysis.has_read_transfers:
-        # the loop's gather schedules replay (or compile) together
-        # with the plan; announce them under their own direction so
-        # per-direction reuse reporting sees the read side
-        yield Mark(kind, payload=("gather", analysis.read_names))
-    if analysis.has_remote_writes:
-        # likewise for the write-side scatter schedules
-        yield Mark(kind, payload=("scatter", analysis.scatter_names))
-
-
-def _payload_shape(idx) -> tuple:
-    """Shape of the payload a source-side index selection reads.
-
-    Covers the two frozen send-index forms: an
-    :func:`~repro.util.indexing.open_mesh` box (gather sends) and a flat
-    selection array (scatter sends into the value vector).
-    """
-    if isinstance(idx, tuple):
-        return mesh_shape(idx)
-    return (int(np.asarray(idx).size),)
-
-
-def _index_nbytes(idx, itemsize: int) -> int:
-    """Byte count of that payload: matches ``read(idx).nbytes``."""
-    return math.prod(_payload_shape(idx)) * int(itemsize)
-

@@ -149,6 +149,12 @@ class KaliCtx:
         byte-identical to the serialized mode.  See
         :func:`repro.compiler.schedule.execute_doall`.
 
+        A doall is a grid rendezvous: the loop's values move once every
+        rank of ``loop.grid`` has reached it, so no rank leaves it
+        before all have entered (a rank waiting, before its doall, on a
+        message a grid peer sends only after its own doall deadlocks).
+        No simulated time is charged for the wait.
+
         The loop's compiled plan (and its frozen TransferSchedules)
         lives in this context's Session plan cache; compile loops ahead
         of time with :func:`repro.compile` to warm it explicitly.  A

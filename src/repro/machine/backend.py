@@ -41,10 +41,12 @@ class Backend(ABC):
 
     The op vocabulary a backend must implement is exactly
     :mod:`repro.machine.ops`: ``Compute``, ``Send``, ``Recv``,
-    ``Barrier``, ``Mark``, ``Now``.  Message semantics are by-value
-    (payloads snapshotted at send time) and receives match FIFO per
-    ``(src, tag)`` channel; see the simulator for the normative
-    behavior.
+    ``Barrier``, ``Mark``, ``Now``, and the internal ``Rendezvous`` a
+    ``ctx.doall`` stream opens with (park the group, run the action --
+    the doall's data plane -- once, resume each rank at its own clock).
+    Message semantics are by-value (payloads snapshotted at send time)
+    and receives match FIFO per ``(src, tag)`` channel; see the
+    simulator for the normative behavior.
     """
 
     #: interconnect of the modeled machine

@@ -10,7 +10,7 @@ compose these primitives with ``yield from``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 import numpy as np
 
@@ -153,6 +153,23 @@ class Barrier:
             raise ValidationError("Barrier group must be non-empty")
         if len(set(self.group)) != len(self.group):
             raise ValidationError("Barrier group has duplicate ranks")
+
+
+@dataclass(frozen=True)
+class Rendezvous:
+    """Park until every rank of ``group`` has reached ``tag``; run
+    ``action()`` once; resume each rank at its own clock (no time is
+    charged, unlike :class:`Barrier`).
+
+    Internal: a doall's op stream yields one so that the values of the
+    whole loop move in one call once the grid has arrived
+    (:func:`repro.compiler.schedule.execute_doall`); the data-free trace
+    oracle yields it with ``action=None``.
+    """
+
+    group: tuple[int, ...]
+    tag: Hashable
+    action: Callable[[], Any] | None = None
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,18 @@
 Each processor runs a node program (a generator of ops).  The simulator
 keeps a priority queue of resume/arrival events keyed on
 ``(time, sequence)`` so runs are exactly reproducible.  When every live
-processor is blocked on a receive and no message is in flight, a
-:class:`~repro.util.errors.DeadlockError` is raised naming each blocked
+processor is blocked -- on a receive, in a barrier, or at a doall's
+rendezvous -- and no message is in flight, a
+:class:`~repro.util.errors.DeadlockError` is raised naming each stuck
 processor and what it was waiting for -- the failure mode the paper
 calls out as endemic to hand-written message passing code.
+
+A :class:`~repro.machine.ops.Rendezvous` parks each rank of its group
+until the last one arrives, runs its action once, and resumes every
+rank at its own clock.  A rank released at a clock earlier than events
+already processed sends into mailboxes that may hold later arrivals, so
+a wildcard receive whose candidates straddle a rendezvous can match in
+another order than it would without one.
 
 Sends are asynchronous: the sender pays only its injection overhead and
 the message flies while the sender keeps executing.  Communication/
@@ -38,6 +46,7 @@ from repro.machine.ops import (
     Mark,
     Now,
     Recv,
+    Rendezvous,
     Send,
     frozen_by_value,
 )
@@ -53,9 +62,10 @@ def _snapshot(data: Any) -> Any:
 
     Arrays frozen by the sender
     (:func:`repro.compiler.commsched.freeze_payload` sets
-    ``writeable=False`` on payloads the schedule executor already built
-    fresh) are by-value already and ship without a copy -- the hot
-    replay path never pays for a second snapshot.  The skip accepts a
+    ``writeable=False`` on payloads the transfer executor -- gathers,
+    repartitions -- already built fresh) are by-value already and ship
+    without a copy; a doall's op stream sends no data at all (its values
+    move at the grid rendezvous).  The skip accepts a
     frozen owning array *or* a read-only view whose whole base chain is
     frozen down to a read-only owner
     (:func:`repro.machine.ops.frozen_by_value`): a read-only slice of a
@@ -85,7 +95,8 @@ class _Proc:
     gen: NodeProgram
     clock: float = 0.0
     blocked_on: tuple[Any, Any] | None = None  # (src, tag) when waiting on recv
-    in_barrier: Hashable | None = None
+    # (kind, tag, group) while parked in a barrier or rendezvous
+    parked: tuple[str, Hashable, tuple[int, ...]] | None = None
     done: bool = False
     # messages that arrived but were not yet consumed: (src, tag) -> deque
     mailbox: dict[tuple[int, Hashable], deque] = None  # type: ignore[assignment]
@@ -168,7 +179,8 @@ class Machine(Backend):
         #   kind "arrive": payload = MessageRecord-in-progress tuple
         heap: list[tuple[float, int, str, Any]] = []
         in_flight = 0
-        barriers: dict[tuple[Hashable, tuple[int, ...]], list[int]] = {}
+        # (kind, tag, group) -> ranks parked in that barrier/rendezvous
+        parked: dict[tuple[str, Hashable, tuple[int, ...]], list[int]] = {}
 
         def push(time: float, kind: str, payload: Any) -> None:
             heapq.heappush(heap, (time, next(seq), kind, payload))
@@ -274,23 +286,29 @@ class Machine(Backend):
                         value = data
                         continue
                     return  # stay blocked; arrival will resume us
-                if isinstance(op, Barrier):
-                    key = (op.tag, tuple(sorted(op.group)))
-                    if proc.rank not in op.group:
+                if isinstance(op, (Barrier, Rendezvous)):
+                    kind = "barrier" if isinstance(op, Barrier) else "rendezvous"
+                    group = tuple(sorted(op.group))
+                    if proc.rank not in group:
                         raise MachineError(
-                            f"proc {proc.rank} entered barrier {op.tag!r} "
+                            f"proc {proc.rank} entered {kind} {op.tag!r} "
                             "it does not belong to"
                         )
-                    barriers.setdefault(key, []).append(proc.rank)
-                    proc.in_barrier = key
-                    waiting = barriers[key]
-                    if len(waiting) == len(op.group):
-                        release = max(procs[r].clock for r in waiting)
+                    key = (kind, op.tag, group)
+                    waiting = parked.setdefault(key, [])
+                    waiting.append(proc.rank)
+                    proc.parked = key
+                    if len(waiting) == len(group):
+                        del parked[key]
+                        if kind == "barrier":
+                            release = max(procs[r].clock for r in waiting)
+                            for r in waiting:
+                                procs[r].clock = release
+                        elif op.action is not None:
+                            op.action()
                         for r in waiting:
-                            procs[r].in_barrier = None
-                            procs[r].clock = release
-                            push(release, "resume", (r, None))
-                        del barriers[key]
+                            procs[r].parked = None
+                            push(procs[r].clock, "resume", (r, None))
                     return
                 if isinstance(op, Mark):
                     trace.marks.append(
@@ -352,25 +370,23 @@ class Machine(Backend):
             else:  # pragma: no cover - defensive
                 raise MachineError(f"unknown event kind {kind!r}")
 
+        # every stuck rank and what it waits on: (src, tag) of a
+        # receive, or (kind, tag, group) of a barrier or rendezvous
         blocked = {
-            r: p.blocked_on for r, p in procs.items() if not p.done and p.blocked_on
-        }
-        stuck_barrier = {r: p.in_barrier for r, p in procs.items() if p.in_barrier}
-        # each stuck rank's undelivered mailbox keys: the near-miss
-        # messages that arrived but matched nothing, which is usually
-        # the whole diagnosis of a mismatched send/recv pair
-        pending = {
-            r: sorted((k for k, q in p.mailbox.items() if q), key=repr)
+            r: p.blocked_on or p.parked
             for r, p in procs.items()
-            if not p.done
+            if not p.done and (p.blocked_on or p.parked)
         }
         if blocked:
+            # each stuck rank's undelivered mailbox keys: the near-miss
+            # messages that arrived but matched nothing, which is
+            # usually the whole diagnosis of a mismatched send/recv pair
+            pending = {
+                r: sorted((k for k, q in p.mailbox.items() if q), key=repr)
+                for r, p in procs.items()
+                if not p.done
+            }
             raise DeadlockError(blocked, pending=pending)
-        if stuck_barrier:
-            raise DeadlockError(
-                {r: ("barrier", key) for r, key in stuck_barrier.items()},
-                pending=pending,
-            )
         unfinished = [r for r, p in procs.items() if not p.done]
         if unfinished:  # pragma: no cover - defensive
             raise MachineError(f"procs {unfinished} never finished")

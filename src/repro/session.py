@@ -675,8 +675,9 @@ class Program:
                 sess, loops, grid, iters=niters, overlap=overlap, marks=marks,
             ))
 
-        # Backends that only run node programs: the live generator,
-        # one cache probe per sweep.
+        # Backends that only run node programs: each sweep is a
+        # ctx.doall -- one cache probe, the data-free op stream, and the
+        # values moved by the direct walk at the grid rendezvous.
         def _program(ctx):
             for _ in range(niters):
                 for loop in loops:

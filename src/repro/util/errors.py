@@ -14,12 +14,14 @@ class MachineError(ReproError):
 class DeadlockError(MachineError):
     """All live processors are blocked and no messages are in flight.
 
-    Carries a per-processor diagnosis of what each blocked processor was
-    waiting for -- and, when the machine provides it, the ``(src, tag)``
-    keys of messages sitting *undelivered* in each stuck rank's mailbox
-    (``pending``).  A hang is usually a near-miss between the two lists
-    (a tag or source mismatch), so the exception alone diagnoses
-    cross-backend protocol drift without re-running under a debugger.
+    Carries a per-processor diagnosis of what each stuck processor was
+    waiting for (``blocked``: ``(src, tag)`` of a receive, or ``(kind,
+    tag, group)`` of a ``"barrier"`` or doall ``"rendezvous"``) -- and,
+    when the machine provides it, the ``(src, tag)`` keys of messages
+    sitting *undelivered* in each stuck rank's mailbox (``pending``).  A
+    hang is usually a near-miss between the two lists (a tag or source
+    mismatch), so the exception alone diagnoses cross-backend protocol
+    drift without re-running under a debugger.
     """
 
     def __init__(self, blocked: dict, pending: dict | None = None):
@@ -28,10 +30,16 @@ class DeadlockError(MachineError):
         #: matched no receive; empty dict when the machine did not
         #: report mailboxes (e.g. hand-raised errors).
         self.pending = {r: list(keys) for r, keys in (pending or {}).items()}
-        lines = ["deadlock: all live processors blocked on receives"]
+        lines = ["deadlock: every live processor is blocked, no message in flight"]
         for rank in sorted(self.blocked):
-            src, tag = self.blocked[rank]
-            lines.append(f"  proc {rank}: waiting on recv(src={src!r}, tag={tag!r})")
+            wait = self.blocked[rank]
+            if len(wait) == 3:
+                kind, tag, group = wait
+                lines.append(f"  proc {rank}: waiting in {kind}(tag={tag!r}, "
+                             f"group={group!r})")
+            else:
+                src, tag = wait
+                lines.append(f"  proc {rank}: waiting on recv(src={src!r}, tag={tag!r})")
             if pending is not None:
                 keys = self.pending.get(rank)
                 if keys:

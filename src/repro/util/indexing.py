@@ -112,6 +112,21 @@ def open_mesh(lists) -> tuple:
     return tuple(out)
 
 
+def payload_shape(idx) -> tuple[int, ...]:
+    """Shape of what a frozen send selection reads: an :func:`open_mesh`
+    box (gather sends) or a flat selection array (scatter sends into a
+    value vector).
+
+    >>> payload_shape((slice(0, 3), slice(2, 4)))
+    (3, 2)
+    >>> payload_shape(np.array([4, 1, 7]))
+    (3,)
+    """
+    if isinstance(idx, tuple):
+        return mesh_shape(idx)
+    return (int(np.asarray(idx).size),)
+
+
 def mesh_shape(idx) -> tuple[int, ...]:
     """Shape of what an :func:`open_mesh` selection reads or writes.
 

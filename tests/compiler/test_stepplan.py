@@ -2,13 +2,14 @@
 
 Every doall replays frozen per-rank StepPlans, in two launch forms:
 ``Program.run`` (the direct phase walk, its trace from the oracle) and
-``ctx.doall`` inside a parsub (the live generator walk on the
-simulator).  The stored values of either must equal the sequential
-evaluator :func:`repro.baselines.doall_reference` bit for bit, and the
-two forms must agree on everything else observable -- message streams,
-marks, compute charges, cache accounting.  These tests pin that, plus
-the plan-lifecycle guarantees (stale plans dropped on redistribution)
-and the snapshot-elision and cheap-marks machinery that ride along.
+``ctx.doall`` inside a parsub (the op stream on the simulator, its
+values moved at the grid rendezvous).  The stored values of either must
+equal the sequential evaluator :func:`repro.baselines.doall_reference`
+bit for bit, and the two forms must agree on everything else observable
+-- message streams, marks, compute charges, cache accounting.  These
+tests pin that, plus the plan-lifecycle guarantees (stale plans dropped
+on redistribution) and the snapshot-elision and cheap-marks machinery
+that ride along.
 """
 
 from types import SimpleNamespace
@@ -208,7 +209,7 @@ def remote_write_case():
 )
 def test_remote_write_bit_identical(backend, overlap):
     """Mismatched layouts force scatter schedules; every backend must
-    agree with the reference and with the live walk, with and without
+    agree with the reference and with the parsub form, with and without
     the overlap split."""
     assert_forms_agree(remote_write_case, backend, iters=3, overlap=overlap)
 

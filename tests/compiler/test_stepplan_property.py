@@ -4,7 +4,8 @@ mid-run redistribution.
 
 For every drawn case the program runs in both launch forms --
 ``Program.run`` (the direct phase walk, trace from the oracle) and a
-parsub calling ``ctx.doall`` (the live generator walk).  The values of
+parsub calling ``ctx.doall`` (the op stream on the simulator, values
+moved at the grid rendezvous).  The values of
 each must equal :func:`repro.baselines.doall_reference` run from the
 globals captured before the run (itself checked against the stencil
 written in plain numpy); the two forms must agree exactly on the full
@@ -80,7 +81,7 @@ def test_compiled_equals_interpreted(case):
             # the direct phase walk + the trace oracle
             trace = prog.run(iters=iters, overlap=overlap)
         else:
-            # the live generator walk, op by op on the simulator
+            # the op stream on the simulator, values at the rendezvous
             def parsub(ctx):
                 for _ in range(iters):
                     yield from ctx.doall(loop, overlap=overlap)

@@ -22,7 +22,7 @@ from repro.kernels.substructured import (
     substructured_tri_solve,
 )
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
-from repro.machine import Machine
+from repro.machine import Compute, Machine
 from repro.session import Session
 from repro.tensor.adi import adi_solve
 from repro.tensor.adi_varcoef import adi_varcoef_solve
@@ -291,3 +291,53 @@ def test_golden_parsub_redistributes_mid_run():
 
     trace = Session(Machine(n_procs=2), g).run(program)
     _assert_pin(trace, 10, 176, 0.000683, {"doall[i]": 6})
+
+
+# ----------------------------------------------------------------------
+# A parsub whose ranks reach a doall at different clocks
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("overlap, finish, messages", [
+    pytest.param(False, {0: 0.000507, 1: 0.000507, 2: 0.000557}, [
+        (0.0, 0.000118, 0.000318), (0.0001, 0.000218, 0.00025),
+        (0.00015, 0.000268, 0.000268), (0.0002, 0.000318, 0.000318),
+        (0.000259, 0.000377, 0.00048), (0.000377, 0.000495, 0.000495),
+        (0.00038, 0.000498, 0.000498), (0.00043, 0.000548, 0.000548),
+    ], id="serialized"),
+    pytest.param(True, {0: 0.000495, 1: 0.000495, 2: 0.000545}, [
+        (0.0, 0.000118, 0.000318), (0.0001, 0.000218, 0.000256),
+        (0.00015, 0.000268, 0.000268), (0.0002, 0.000318, 0.000318),
+        (0.000259, 0.000377, 0.00048), (0.000371, 0.000489, 0.000489),
+        (0.000374, 0.000492, 0.000492), (0.000424, 0.000542, 0.000542),
+    ], id="overlap"),
+])
+def test_golden_parsub_ranks_reach_doall_at_different_clocks(overlap, finish,
+                                                             messages):
+    """Pinned at commit 0655af1, before a parsub's doalls met at a grid
+    rendezvous: the ranks compute for rank-dependent times, then run a
+    ghost-exchanging stencil doall twice.  The rendezvous charges no
+    time -- every rank resumes at its own clock -- so each rank's finish
+    time and every message's ``(t_send, t_arrive, t_recv)`` are those of
+    ranks that never wait for each other at a doall; a rendezvous that
+    released at the latest arrival, like a Barrier, would move both."""
+    g = ProcessorGrid((3,))
+    u = DistArray((12,), g, dist=("block",), name="u")
+    v = DistArray((12,), g, dist=("block",), name="v")
+    u.from_global(np.arange(12.0) ** 2)
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(1, 10)], on=Owner(v, (i,)),
+                 body=[Assign(v[i], 0.5 * (u[i - 1] + u[i + 1]))], grid=g)
+
+    def program(ctx):
+        yield Compute(seconds=1e-4 * (2 - ctx.rank))
+        yield from ctx.doall(loop, overlap=overlap)
+        yield Compute(seconds=5e-5 * ctx.rank)
+        yield from ctx.doall(loop, overlap=overlap)
+
+    trace = Session(Machine(n_procs=3), g).run(program)
+    assert trace.finish_times == pytest.approx(finish, rel=1e-12)
+    timings = sorted((m.t_send, m.t_arrive, m.t_recv) for m in trace.messages)
+    np.testing.assert_allclose(timings, messages, rtol=1e-12)
+    u0 = np.arange(12.0) ** 2
+    assert v.to_global()[1:11].tolist() == (0.5 * (u0[:-2] + u0[2:])).tolist()

@@ -10,8 +10,9 @@ turned several latent simulator behaviors into contracts:
 * ``_snapshot``/``freeze_payload`` accept read-only views whose whole
   base chain is frozen, without weakening copy semantics for views of
   live storage;
-* :class:`~repro.util.errors.DeadlockError` reports each stuck rank's
-  undelivered mailbox keys, so cross-backend protocol drift is
+* :class:`~repro.util.errors.DeadlockError` reports what every stuck
+  rank waits on -- a receive, a barrier or a doall's grid rendezvous --
+  and its undelivered mailbox keys, so cross-backend protocol drift is
   diagnosable from the exception alone.
 
 Bit-identity of the backend itself (results, traces, accounting) is
@@ -36,7 +37,7 @@ from repro import (
 from repro.compiler.commsched import freeze_payload
 from repro.lang import Assign, Doall, Owner, loopvars
 from repro.lang.context import next_run_id
-from repro.machine.ops import Recv, Send, frozen_by_value
+from repro.machine.ops import Barrier, Recv, Send, frozen_by_value
 from repro.machine.simulator import _snapshot
 from repro.machine.trace import Trace
 from repro.util.errors import DeadlockError, ValidationError
@@ -341,9 +342,9 @@ def test_mpbackend_names_no_plan_record():
 
 
 def test_generator_walk_is_single_run_and_drivers_are_gone():
-    """Tier-1 guard: the live generator knows nothing of the batch
-    prefix (the direct phase walk owns it), and the sweep drivers the
-    shared frozen-loop driver replaced stay deleted."""
+    """Tier-1 guard: the generator knows nothing of the batch prefix
+    and moves no data (the direct phase walk owns both), and the sweep
+    drivers the shared frozen-loop driver replaced stay deleted."""
     import inspect
 
     from repro.compiler import schedule
@@ -352,6 +353,11 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     assert "lead" not in source and ".flat" not in source
     assert not hasattr(schedule, "replay_batch_analysis")
     assert not hasattr(schedule, "replay_sweeps")
+    # the generator moves no data: every doall's values come from the
+    # direct phase walk
+    for name in ("block_of", ".evals", "freeze_payload"):
+        assert name not in source, name
+    assert not hasattr(schedule, "replay_analysis")
 
 
 # ----------------------------------------------------------------------
@@ -553,3 +559,51 @@ def test_deadlock_error_empty_mailbox_reported():
     err = exc_info.value
     assert err.pending == {0: [], 1: []}
     assert "undelivered mailbox: empty" in str(err)
+
+
+def test_deadlock_error_names_barrier_and_receive_waits():
+    """A hang with one rank in a barrier and one on a receive names
+    both, each with what it waits on."""
+    def in_barrier():
+        yield Barrier(group=(0, 1), tag="sync")
+
+    def receiver():
+        yield Recv(src=0, tag="never")
+
+    with pytest.raises(DeadlockError) as exc_info:
+        Machine(n_procs=2).run({0: in_barrier(), 1: receiver()})
+    err = exc_info.value
+    assert err.blocked == {0: ("barrier", "sync", (0, 1)), 1: (0, "never")}
+    message = str(err)
+    assert "proc 0: waiting in barrier(tag='sync', group=(0, 1))" in message
+    assert "proc 1: waiting on recv(src=0, tag='never')" in message
+
+
+def test_parsub_needing_a_message_sent_after_the_peers_doall_deadlocks():
+    """The rendezvous rule: every rank of a loop's grid reaches the
+    doall before any rank leaves it.  Rank 1 waits, before its doall,
+    for a message rank 0 sends only after its own doall -- rank 0 is
+    parked at the doall's rendezvous, and the error names it there."""
+    g = ProcessorGrid((2,))
+    u = DistArray((8,), g, dist=("block",), name="u")
+    v = DistArray((8,), g, dist=("block",), name="v")
+    (i,) = loopvars("i")
+    loop = Doall(vars=(i,), ranges=[(0, 7)], on=Owner(u, (i,)),
+                 body=[Assign(u[i], 2.0 * v[i])], grid=g)
+
+    def program(ctx):
+        if ctx.rank == 1:
+            yield Recv(0, "late")
+        yield from ctx.doall(loop)
+        if ctx.rank == 0:
+            yield Send(1, None, "late")
+
+    with pytest.raises(DeadlockError) as exc_info:
+        Session(Machine(n_procs=2), g).run(program)
+    err = exc_info.value
+    assert err.blocked == {
+        0: ("rendezvous", ("kali", (0, 1), 0), (0, 1)),
+        1: (0, "late"),
+    }
+    assert "proc 0: waiting in rendezvous(tag=('kali', (0, 1), 0), " \
+        "group=(0, 1))" in str(err)

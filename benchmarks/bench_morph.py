@@ -100,10 +100,10 @@ def run(smoke=False):
     identical_traces = _trace_sig(t_final) == _trace_sig(t_ref)
 
     # second shrink/re-grow cycle: must replay repartitions from cache
-    before = dict(sess.cache.by_direction["repartition"])
+    before = dict(sess.plans.kind_stats()["repartition"])
     shrink2_s, _ = _timed(lambda: sess.morph(g2))
     grow2_s, _ = _timed(lambda: sess.morph(g4))
-    after = sess.cache.by_direction["repartition"]
+    after = sess.plans.kind_stats()["repartition"]
     cycle_replayed = (after["misses"] == before["misses"]
                       and after["hits"] > before["hits"])
 

@@ -1,18 +1,20 @@
 """REPART -- owner-to-owner repartition schedules vs. gather-to-all.
 
 The seed's ``DistArray.redistribute`` assembled the full global array
-on every relayout (``to_global``/``from_global``).  The TransferSchedule
-subsystem replaces that with an owner-to-owner repartition: each rank
-sends only the intersections of its old block with the new owners'
-blocks, and the schedule -- keyed on the (from-layout, to-layout) pair,
-not the comm epoch -- is cached, so the repeated layout flips of e.g.
-an ADI-style row/column sweep replay without re-deriving any move.
+on every relayout (``to_global``/``from_global``).  A repartition plan
+replaces that with an owner-to-owner move: each rank sends only the
+intersections of its old block with the new owners' blocks, and the
+plan -- keyed on the (from-layout, to-layout) pair, not the comm epoch
+-- is cached in the Session's plan cache, so the repeated layout flips
+of e.g. an ADI-style row/column sweep replay without re-deriving any
+move.
 
 This benchmark flips a block layout to cyclic and back ``flips`` times
 under both strategies and reports message counts, byte volumes, and
 simulated makespan.  Acceptance: the schedule path moves strictly fewer
 bytes, finishes in less simulated time, and replays from cache on every
-flip after the first pair.
+flip after the first pair (the first rank to reach each of those two
+flips builds the plan; every other probe hits).
 """
 
 import os
@@ -30,7 +32,7 @@ from repro.session import Session
 from repro.lang.dist import Distribution
 from repro.machine import Machine
 from repro.machine.costmodel import CostModel
-from repro.machine.ops import Barrier
+from repro.machine.ops import Barrier, Rendezvous
 
 
 def _layout_cycle(flips):
@@ -49,7 +51,7 @@ def _run_scheduled(p, n, flips):
             yield from ctx.redistribute(A, dist)
 
     trace = session.run(prog)
-    return A, trace, session.cache
+    return A, trace, session.plans
 
 
 def _run_gather_to_all(p, n, flips):
@@ -60,6 +62,8 @@ def _run_gather_to_all(p, n, flips):
     grid = ProcessorGrid((p,))
     A = DistArray((n,), grid, dist=("block",), name="A")
     A.from_global(np.sin(np.arange(n) * 0.05))
+
+    news = {}
 
     def prog(ctx):
         me = ctx.rank
@@ -77,18 +81,19 @@ def _run_gather_to_all(p, n, flips):
                 full = None
             full = yield from ctx.bcast(grid, full, root=root)
             mine = target.owned_lists(grid.coords_of(me))
-            A._stage_repartition(
-                me, np.ascontiguousarray(full[np.ix_(*mine)]), ("g2a", step)
-            )
+            news[me] = np.ascontiguousarray(full[np.ix_(*mine)])
             yield Barrier(group=tuple(grid.linear), tag=("g2a", step))
-            A._commit_repartition(target, ("g2a", step))
+            yield Rendezvous(
+                grid.key(), ("g2a-install", step),
+                action=lambda: A._install(grid, target, dict(news)),
+            )
 
     trace = Session(machine, grid).run(prog)
     return A, trace
 
 
 def run(p=8, n=512, flips=6):
-    a_sched, t_sched, cache = _run_scheduled(p, n, flips)
+    a_sched, t_sched, plans = _run_scheduled(p, n, flips)
     a_g2a, t_g2a = _run_gather_to_all(p, n, flips)
 
     identical = bool(np.array_equal(a_sched.to_global(), a_g2a.to_global()))
@@ -105,7 +110,7 @@ def run(p=8, n=512, flips=6):
         "time_sched": t_sched.makespan(),
         "time_g2a": t_g2a.makespan(),
         "hit_rate": t_sched.schedule_hit_rate("repartition"),
-        "cache": cache.stats(),
+        "cache": plans.kind_stats()["repartition"],
     }
 
 
@@ -116,8 +121,10 @@ def check_and_report(r):
         f"{r['bytes_g2a']}"
     )
     assert r["time_sched"] < r["time_g2a"]
-    # two distinct transitions build; every later flip replays from cache
-    expected_hit = (r["flips"] - 2) / r["flips"]
+    # two distinct transitions build once each; every other probe -- the
+    # other ranks of those two flips, every rank of the later ones -- hits
+    probes = r["flips"] * r["p"]
+    expected_hit = (probes - 2) / probes
     assert abs(r["hit_rate"] - expected_hit) < 1e-9
     report(
         "REPART",

@@ -30,15 +30,16 @@ The bidirectional TransferSchedule subsystem lives in
 compiled share of a collective transfer -- a **gather** (the inspector ->
 schedule -> executor pipeline for irregular references: a one-time
 inspection builds the schedule, the vectorized executor replays it with
-a single round of coalesced per-owner messages), a **scatter** (the
-frozen remote-write plans of doall loops), or a **repartition** (the
+a single round of coalesced per-owner messages) or a **scatter** (the
+frozen remote-write plans of doall loops).  Beside it, a
+:class:`~repro.compiler.commsched.RepartitionPlan` is the grid-wide
 owner-to-owner relayout behind ``DistArray.redistribute`` /
-``ctx.redistribute``).  All three replay through one executor
-(:func:`~repro.compiler.commsched.execute_transfer`) and share the
-``commsched/*`` trace-mark vocabulary.  Caching is keyed by layout
+``ctx.redistribute``: it moves the values in process, and the parsub
+form yields its exchange as a data-free op stream.  All of them share
+the ``commsched/*`` trace-mark vocabulary.  Caching is keyed by layout
 *value*, never by the monotone ``comm_epoch``: gather schedules key on
 the array's ``layout_key()`` and an index-pattern fingerprint;
-repartition schedules on the (from-layout, to-layout) spec pair; doall
+repartition plans on the (from-layout, to-layout) spec pair; doall
 plans (which carry the scatter schedules) on the loop's structure plus
 the layout keys of its arrays.  So repeated layout flips replay
 forever, in every cache: a layout seen before is a hit.
@@ -51,12 +52,11 @@ from repro.compiler.schedule import (
 from repro.compiler.estimate import estimate_doall, LoopEstimate
 from repro.compiler.inspector import inspector_gather
 from repro.compiler.commsched import (
+    RepartitionPlan,
     ScheduleCache,
     TransferSchedule,
     build_gather_schedule,
-    build_repartition_schedule,
     execute_gather,
-    execute_repartition,
     execute_transfer,
     index_fingerprint,
     repartition_key,
@@ -76,8 +76,8 @@ __all__ = [
     "execute_transfer",
     "build_gather_schedule",
     "execute_gather",
-    "build_repartition_schedule",
-    "execute_repartition",
+    # one grid-wide plan per layout transition
+    "RepartitionPlan",
     "repartition_key",
     "repartition_pieces",
     "index_fingerprint",

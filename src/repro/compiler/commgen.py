@@ -63,7 +63,7 @@ class ReadPlan:
     the own-data overlap as the schedule's local move.  Re-executing the
     loop every sweep replays this schedule through the shared transfer
     executor instead of re-deriving index arrays -- the read side of the
-    wire path is the same code path as the write side and repartition.
+    wire path is the same code path as the write side.
     ``transfer`` is None when the rank neither reads nor owns any part
     of the array.
     """

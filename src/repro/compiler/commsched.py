@@ -1,5 +1,6 @@
 """The bidirectional TransferSchedule subsystem: cached communication
-schedules for gathers, scatters, and repartitions.
+schedules for gathers and scatters, and the repartition plans of
+redistribution.
 
 The inspector/executor protocol of :mod:`repro.compiler.inspector` pays
 for *two* message rounds on every call: one to tell the owners what is
@@ -21,11 +22,8 @@ into one bidirectional abstraction used by every communication layer:
   - ``"scatter"``: sources are positions in the writer's flat value
     vector, destinations are local-block coordinates on the owners
     (the write side of a doall loop, see :mod:`repro.compiler.commgen`);
-  - ``"repartition"``: sources are old-layout local-block boxes,
-    destinations are new-layout local-block boxes (the owner-to-owner
-    relayout behind ``DistArray.redistribute``);
 
-* :func:`execute_transfer` -- the one vectorized executor all three
+* :func:`execute_transfer` -- the one vectorized executor both
   directions replay through: post the precomputed coalesced sends, do
   the local move, scatter incoming messages through the precomputed
   index arrays.  No request round, no index lists on the wire.  (The
@@ -38,17 +36,19 @@ into one bidirectional abstraction used by every communication layer:
   (so the build sweep costs no more than an uncached sweep) while
   recording the schedule, and returns ``(schedule, values)``;
 
-* :func:`build_repartition_schedule` -- the static builder for
-  repartitions.  Owner-to-owner moves are fully derivable from the two
-  layouts (no inspection round at all): each rank sends only the
-  intersections of its old block with the new owners' blocks;
+* :class:`ScheduleCache` -- a keyed store of gather schedules with
+  hit/miss accounting, keyed on the array's layout key (identity +
+  layout by value) + index-pattern fingerprint, so repeated layout
+  flips (ADI's row/column sweeps) replay the same schedules forever;
 
-* :class:`ScheduleCache` -- a keyed store of transfer schedules with
-  per-direction hit/miss accounting.  Gather schedules key on the
-  array's layout key (identity + layout by value) + index-pattern
-  fingerprint; repartition schedules key on the (from-layout,
-  to-layout) spec pair -- so repeated layout flips (ADI's row/column
-  sweeps) replay the same schedules, of both kinds, forever.
+* :class:`RepartitionPlan` -- one layout transition of one array for
+  the whole grid.  Owner-to-owner moves are fully derivable from the
+  two layouts (no inspection round at all): each rank sends only the
+  intersections of its old block with the new owners' blocks.  The
+  plan moves the values in process; :func:`repartition`, behind
+  ``ctx.redistribute``, caches it in the Session's plan cache under the
+  (from-layout, to-layout) pair and yields the matching data-free
+  message stream.
 
 Cached transfers are **collective**: every rank of the grid must call
 them, and all ranks must keep or change their patterns together (SPMD
@@ -65,7 +65,6 @@ per-direction reuse reporting.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import threading
 from collections import OrderedDict
 
@@ -76,14 +75,14 @@ from repro.compiler.inspector import (
     normalize_indices,
     partition_requests,
 )
-from repro.lang.array import BaseDistArray
+from repro.lang.array import BaseDistArray, DistArray
 from repro.lang.procs import ProcessorGrid
-from repro.machine.ops import Barrier, Mark, Recv, Send, frozen_by_value
+from repro.machine.ops import Barrier, Mark, Recv, Rendezvous, Send, frozen_by_value
 from repro.util.errors import ValidationError
-from repro.util.indexing import open_mesh
+from repro.util.indexing import mesh_shape, open_mesh
 
 #: Transfer directions understood by the subsystem.
-DIRECTIONS = ("gather", "scatter", "repartition")
+DIRECTIONS = ("gather", "scatter")
 
 
 def _mark(ctx, label: str, payload: tuple):
@@ -134,38 +133,9 @@ def schedule_key(
     )
 
 
-def repartition_key(
-    array: BaseDistArray, new_dist, rank: int,
-    new_grid: ProcessorGrid | None = None,
-) -> tuple:
-    """Cache key of one rank's share of a collective repartition.
-
-    Deliberately keyed on the *(from-layout, to-layout)* pair -- source
-    grid + specs, destination grid + specs, each grid named by shape
-    *and* ranks (a ``(2,2)`` -> ``(4,1)`` move and its return share ranks
-    and specs) -- instead of the comm epoch:
-    a repartition schedule describes a layout transition, so it stays
-    valid every time the array is again in the ``from`` layout -- which
-    is exactly what makes repeated layout flips (block -> cyclic ->
-    block -> ...) and repeated grid morphs (shrink -> grow -> shrink)
-    pure cache hits.  ``new_grid`` defaults to the array's own grid
-    (the classic same-grid relayout).
-    """
-    to_grid = new_grid if new_grid is not None else array.grid
-    return (
-        "repartition",
-        array.uid,
-        (array.grid.shape, array.grid.key()),
-        array.dist.spec_key(),
-        (to_grid.shape, to_grid.key()),
-        new_dist.spec_key(),
-        rank,
-    )
-
-
 class TransferSchedule:
     """One rank's compiled communication schedule for a collective
-    transfer (gather, scatter, or repartition).
+    transfer (gather or scatter).
 
     ``sends`` pairs a destination rank with *source-side* index arrays
     (what to read before sending); ``recvs`` pairs a source rank with
@@ -177,8 +147,8 @@ class TransferSchedule:
     The doall compiler freezes one gather-direction schedule per read
     array (``ReadPlan.transfer``) and one scatter-direction schedule per
     statement with remote writes (``WritePlan.transfer``), so every byte
-    a doall moves -- reads, writes, and redistributions alike -- replays
-    through the same object and executor.
+    a doall moves -- reads and writes alike -- replays through the same
+    object.
 
     **Immutability contract.**  A schedule is mutable only while its
     builder assembles it; once published (stored in a
@@ -207,12 +177,9 @@ class TransferSchedule:
         "uid_chain",
         "rank",
         "grid",
-        "to_grid",
         "n_out",
         "layout",
         "fingerprint",
-        "from_spec",
-        "to_spec",
         "self_src",
         "self_dst",
         "sends",
@@ -221,8 +188,7 @@ class TransferSchedule:
 
     def __init__(self, direction: str, key=None, rank: int = -1, grid=None,
                  n_out: int = 0, layout: tuple | None = None, fingerprint: str = "",
-                 group=None, uid_chain=(), from_spec=None, to_spec=None,
-                 to_grid=None):
+                 group=None, uid_chain=()):
         if direction not in DIRECTIONS:
             raise ValidationError(f"unknown transfer direction {direction!r}")
         self.direction = direction
@@ -238,17 +204,9 @@ class TransferSchedule:
         self.grid = grid
         self.n_out = n_out
         #: layout key of the array the schedule was built against; None
-        #: when the builder pins the layout another way (repartitions,
-        #: via specs) or owns the schedule's lifetime (doall plans).
+        #: when the builder owns the schedule's lifetime (doall plans).
         self.layout = layout
         self.fingerprint = fingerprint
-        #: layout transition (repartition only): Distribution spec keys.
-        self.from_spec = from_spec
-        self.to_spec = to_spec
-        #: destination grid of an inter-grid repartition; None means the
-        #: transfer stays on ``grid`` (gathers, scatters, same-grid
-        #: repartitions).
-        self.to_grid = to_grid
         #: local move: source-side and destination-side index arrays.
         self.self_src = None
         self.self_dst = None
@@ -268,20 +226,6 @@ class TransferSchedule:
                 f"stale {self.direction} schedule: the array was "
                 f"redistributed (schedule layout {self.layout}, array "
                 f"layout {array.layout_key()}); rebuild via the builder "
-                "or a ScheduleCache"
-            )
-        if self.from_spec is not None and getattr(array, "dist", None) is not None \
-                and array.dist.spec_key() != self.from_spec:
-            raise ValidationError(
-                f"stale {self.direction} schedule: the array is no longer "
-                f"in the schedule's source layout {self.from_spec!r}"
-            )
-        if self.direction == "repartition" and self.grid is not None \
-                and array.grid != self.grid:
-            raise ValidationError(
-                f"stale {self.direction} schedule: the array moved to a "
-                f"different grid (schedule source grid {self.grid!r}, "
-                f"array grid {array.grid!r}); rebuild via the builder "
                 "or a ScheduleCache"
             )
 
@@ -498,23 +442,11 @@ def execute_gather(ctx, sched: TransferSchedule, array: BaseDistArray, tag=None)
 
 
 # ----------------------------------------------------------------------
-# Repartition direction: owner-to-owner relayout
+# Repartition: owner-to-owner relayout, one grid-wide plan per transition
 # ----------------------------------------------------------------------
 
 
-def _check_repartitionable(array) -> None:
-    """Repartition needs a whole DistArray: a layout of its own plus the
-    staging/commit hooks.  Sections inherit their base array's layout --
-    redistribute the base and take a fresh slice instead."""
-    if getattr(array, "dist", None) is None or not hasattr(array, "_stage_repartition"):
-        raise ValidationError(
-            f"cannot repartition {array.name!r}: only whole DistArrays "
-            "carry a redistributable layout (redistribute the base array "
-            "and re-slice any sections of it)"
-        )
-
-
-def repartition_pieces(array, new_dist, rank: int | None = None, new_grid=None):
+def repartition_pieces(array, new_dist, new_grid=None):
     """Owner-to-owner moves realizing a relayout of ``array``.
 
     Yields ``(src, dst, src_locs, dst_locs)`` tuples: the values at
@@ -523,11 +455,6 @@ def repartition_pieces(array, new_dist, rank: int | None = None, new_grid=None):
     whole array (every element moves exactly once per destination), so
     no global materialization is ever needed -- each rank sends only the
     intersections of its old block with the new owners' blocks.
-
-    When ``rank`` is given, only the pieces involving that rank (as
-    source or destination) are derived and yielded -- the per-rank
-    schedule build needs O(P) intersections, not the full P^2
-    enumeration the host-side relayout uses.
 
     ``new_grid`` makes the relayout *inter-grid*: sources are the ranks
     of ``array.grid``, destinations the ranks of ``new_grid`` -- the
@@ -546,7 +473,6 @@ def repartition_pieces(array, new_dist, rank: int | None = None, new_grid=None):
     to_grid = new_grid if new_grid is not None else grid
     old = array.dist
     src_ranks = grid.linear
-    dst_ranks = to_grid.linear
 
     owned_cache: dict[tuple, list] = {}
 
@@ -565,126 +491,174 @@ def repartition_pieces(array, new_dist, rank: int | None = None, new_grid=None):
         # destination new to the array is fed by one canonical source
         # (the first old rank), so each element still moves exactly
         # once per destination
-        for dst in dst_ranks:
+        for dst in to_grid.linear:
             src = dst if grid.contains(dst) else src_ranks[0]
-            if rank is not None and rank not in (src, dst):
-                continue
             box = owned(new_dist, to_grid, dst)
             yield src, dst, locs(old, box), locs(new_dist, box)
         return
 
-    if rank is None:
-        pairs = ((src, dst) for dst in dst_ranks for src in src_ranks)
-    else:
-        recv_side = (
-            ((src, rank) for src in src_ranks) if to_grid.contains(rank) else ()
-        )
-        send_side = (
-            ((rank, dst) for dst in dst_ranks if dst != rank or not to_grid.contains(rank))
-            if grid.contains(rank) else ()
-        )
-        pairs = itertools.chain(recv_side, send_side)
-    for src, dst in pairs:
-        inter = intersect_lists(
-            owned(new_dist, to_grid, dst), owned(old, grid, src)
-        )
-        if inter is None:
-            continue
-        yield src, dst, locs(old, inter), locs(new_dist, inter)
+    for dst in to_grid.linear:
+        for src in src_ranks:
+            inter = intersect_lists(
+                owned(new_dist, to_grid, dst), owned(old, grid, src)
+            )
+            if inter is None:
+                continue
+            yield src, dst, locs(old, inter), locs(new_dist, inter)
 
 
-def build_repartition_schedule(
-    array, new_dist, rank: int, group=None, new_grid=None,
-) -> TransferSchedule:
-    """Build one rank's repartition TransferSchedule (static, no messages).
+def _check_repartitionable(array) -> None:
+    """Repartition needs a whole DistArray, the owner of a layout and of
+    blocks.  Sections inherit their base array's layout -- redistribute
+    the base and take a fresh slice instead."""
+    if not isinstance(array, DistArray):
+        raise ValidationError(
+            f"cannot repartition {array.name!r}: only whole DistArrays "
+            "carry a redistributable layout (redistribute the base array "
+            "and re-slice any sections of it)"
+        )
 
-    Unlike gathers, repartitions need no inspection round: both layouts
-    are globally known, so every rank derives its own sends, receives,
-    and local move deterministically.  Build and replay therefore have
-    identical wire behavior -- caching saves the derivation work, not a
-    protocol round.  ``new_grid`` builds the inter-grid form: ``rank``
-    may belong to either grid (or both) and gets only that side's moves.
+
+def repartition_key(array, new_dist, new_grid: ProcessorGrid | None = None) -> tuple:
+    """Cache key of the repartition plan moving ``array`` to ``new_dist``.
+
+    Deliberately keyed on the *(from-layout, to-layout)* pair -- source
+    grid + specs, destination grid + specs, each grid named by shape
+    *and* ranks (a ``(2,2)`` -> ``(4,1)`` move and its return share ranks
+    and specs) -- instead of the comm epoch:
+    a repartition plan describes a layout transition, so it stays
+    valid every time the array is again in the ``from`` layout -- which
+    is exactly what makes repeated layout flips (block -> cyclic ->
+    block -> ...) and repeated grid morphs (shrink -> grow -> shrink)
+    pure cache hits.  ``new_grid`` defaults to the array's own grid
+    (the classic same-grid relayout).  Raises ``ValidationError`` for
+    anything but a whole DistArray -- the one check both redistribution
+    forms go through.
     """
     _check_repartitionable(array)
     to_grid = new_grid if new_grid is not None else array.grid
-    sched = TransferSchedule(
-        "repartition",
-        key=repartition_key(array, new_dist, rank, new_grid=to_grid),
-        rank=rank,
-        grid=array.grid,
-        to_grid=to_grid,
-        from_spec=array.dist.spec_key(),
-        to_spec=new_dist.spec_key(),
-        group=group,
-        uid_chain=uid_chain(array),
-    )
-    pieces = repartition_pieces(array, new_dist, rank=rank, new_grid=to_grid)
-    for src, dst, src_locs, dst_locs in pieces:
-        if src == rank and dst == rank:
-            sched.self_src = src_locs
-            sched.self_dst = dst_locs
-        elif src == rank:
-            sched.sends.append((dst, src_locs))
-        elif dst == rank:
-            sched.recvs.append((src, dst_locs))
-    return sched
-
-
-def _no_write(idx, values):  # pragma: no cover - guarded by piece derivation
-    raise ValidationError(
-        "repartition schedule delivered values to a rank outside the "
-        "destination grid"
+    return (
+        array.uid,
+        (array.grid.shape, array.grid.key()),
+        array.dist.spec_key(),
+        (to_grid.shape, to_grid.key()),
+        new_dist.spec_key(),
     )
 
 
-def execute_repartition(ctx, array, sched: TransferSchedule, new_dist, tag=None,
-                        new_grid=None):
-    """Collective executor of one rank's share of a repartition.
+class RepartitionPlan:
+    """One layout transition of one array, for the whole grid.
 
-    Sends this rank's old-block intersections (snapshotted by the Send
-    op), assembles the rank's new-layout block from the local move and
-    incoming messages, then commits the relayout through the array's
-    staging protocol: the layout swap (which moves the array's layout
-    key, so gather and doall probes follow it to the new layout's
-    entries) happens exactly once, after a commit barrier guarantees
-    every rank has finished reading its old block.
+    Built once from :func:`repartition_pieces` (no inspection round:
+    both layouts are globally known) and immutable from then on.  Holds
+    the ``(src, dst, src_locs, dst_locs)`` pieces, which :meth:`apply`
+    moves in process, and each rank's share of the equivalent message
+    exchange -- ``sends[rank]`` as ``(dst, nbytes)`` pairs,
+    ``recvs[rank]`` as source ranks -- which ``ctx.redistribute`` yields
+    as a data-free op stream.  ``DistArray.redistribute`` builds one and
+    applies it; ``ctx.redistribute`` caches it in the Session's
+    :class:`~repro.compiler.schedule.PlanCache` (kind ``"repartition"``)
+    under :func:`repartition_key`, so every later flip between the same
+    two layouts replays it.
 
-    With ``new_grid`` the repartition is inter-grid: ranks of the old
-    grid read and send, ranks of the new grid allocate and stage
-    new-layout blocks, and the commit barrier spans the *union* of the
-    two rank sets -- every rank of either grid must call this.
+    >>> from repro.lang import DistArray, ProcessorGrid
+    >>> from repro.lang.dist import Distribution
+    >>> g = ProcessorGrid((2,))
+    >>> A = DistArray((4,), g, dist=("block",), name="A")
+    >>> plan = RepartitionPlan(A, Distribution(("cyclic",), A.shape, g.shape))
+    >>> plan.sends[0], plan.recvs[1]      # rank 0 ships element 1 to rank 1
+    (((1, 8),), (0,))
+    >>> plan.label
+    "(('block',),)->(('cyclic',),)"
     """
-    sched.check_replayable(array)
-    me = ctx.rank
+
+    __slots__ = ("src_grid", "src_spec", "dist", "grid", "label", "pieces",
+                 "sends", "recvs")
+
+    def __init__(self, array, new_dist, new_grid: ProcessorGrid | None = None):
+        _check_repartitionable(array)
+        to_grid = new_grid if new_grid is not None else array.grid
+        self.src_grid = array.grid
+        self.src_spec = array.dist.spec_key()
+        self.dist = new_dist
+        self.grid = to_grid
+        self.label = f"{self.src_spec}->{new_dist.spec_key()}"
+        if to_grid != array.grid:
+            self.label += f" @grid{array.grid.shape}->{to_grid.shape}"
+        self.pieces = tuple(repartition_pieces(array, new_dist, new_grid=to_grid))
+        itemsize = array.dtype.itemsize
+        sends: dict[int, list] = {}
+        recvs: dict[int, list] = {}
+        for src, dst, src_locs, _ in self.pieces:
+            if src != dst:
+                nbytes = int(np.prod(mesh_shape(src_locs))) * itemsize
+                sends.setdefault(src, []).append((dst, nbytes))
+                recvs.setdefault(dst, []).append(src)
+        self.sends = {r: tuple(v) for r, v in sends.items()}
+        self.recvs = {r: tuple(v) for r, v in recvs.items()}
+
+    def apply(self, array) -> None:
+        """Assemble the new blocks from the old ones and install them.
+
+        Refuses an array that left the plan's source layout (a plan
+        pinned before a grid move or a relayout describes moves from
+        blocks that are gone).
+        """
+        if array.grid != self.src_grid:
+            raise ValidationError(
+                f"stale repartition plan: the array moved to a different "
+                f"grid (plan source grid {self.src_grid!r}, array grid "
+                f"{array.grid!r}); build a new plan"
+            )
+        if array.dist.spec_key() != self.src_spec:
+            raise ValidationError(
+                f"stale repartition plan: the array is no longer in the "
+                f"plan's source layout {self.src_spec!r}"
+            )
+        blocks = {
+            r: np.zeros(self.dist.local_shape(self.grid.coords_of(r)), dtype=array.dtype)
+            for r in self.grid.linear
+        }
+        for src, dst, src_locs, dst_locs in self.pieces:
+            blocks[dst][dst_locs] = array.local(src)[src_locs]
+        array._install(self.grid, self.dist, blocks)
+
+
+def repartition(ctx, array, dist, new_grid: ProcessorGrid | None = None):
+    """One rank's share of a collective repartition (generator; use
+    ``yield from``).
+
+    Probes the Session's plan cache -- the first rank to arrive builds
+    the :class:`RepartitionPlan`, the rest hit -- and yields the grid
+    :class:`~repro.machine.ops.Rendezvous` whose action applies it once
+    every rank of the union of the old and new grids has arrived.  A
+    data-free stream follows: the ``commsched/hit``/``miss`` mark, one
+    ``Send`` (no payload, the piece's byte count) per outgoing piece, a
+    discarding ``Recv`` per incoming one, and the commit barrier over
+    the union -- so the trace holds the messages, bytes and time of the
+    owner-to-owner exchange.
+    """
+    from repro.lang.dist import Distribution
+
     to_grid = new_grid if new_grid is not None else array.grid
-    union = array.grid.union(to_grid)
-    if tag is None:
-        tag = ctx.next_tag(union)
-    old_block = array.local(me) if array.grid.contains(me) else None
-    if to_grid.contains(me):
-        coords = to_grid.coords_of(me)
-        new_block = np.zeros(new_dist.local_shape(coords), dtype=array.dtype)
-        write = new_block.__setitem__
-    else:
-        new_block = None
-        write = _no_write
-
-    yield from execute_transfer(
-        ctx,
-        sched,
-        read=lambda locs: np.ascontiguousarray(old_block[locs]),
-        write=write,
-        tag=tag,
+    new_dist = Distribution(dist, array.shape, to_grid.shape)
+    plan, reused = ctx.session.plans.get(
+        "repartition", repartition_key(array, new_dist, to_grid),
+        lambda: RepartitionPlan(array, new_dist, to_grid),
     )
-
-    # the staging token identifies this collective call: the run id
-    # guards against tag reuse across launches, the tag against a rank
-    # racing into the next repartition before slower ranks commit this one
-    token = (getattr(ctx, "run_id", None), tag)
-    if new_block is not None:
-        array._stage_repartition(me, new_block, token)
+    union = array.grid.union(to_grid)
+    tag = ctx.next_tag(union)
+    yield Rendezvous(union.key(), tag, action=lambda: plan.apply(array))
+    yield from _mark(
+        ctx, "commsched/hit" if reused else "commsched/miss",
+        ("repartition", array.name, plan.label),
+    )
+    me = ctx.rank
+    for dst, nbytes in plan.sends.get(me, ()):
+        yield Send(dst, None, (tag, "val", me), nbytes)
+    for src in plan.recvs.get(me, ()):
+        yield Recv(src, (tag, "val", src))
     yield Barrier(group=tuple(union.linear), tag=(tag, "commit"))
-    array._commit_repartition(new_dist, token, new_grid=to_grid)
 
 
 # ----------------------------------------------------------------------
@@ -702,9 +676,6 @@ class _CallDecision:
     protocol mismatch).  The first rank to arrive fixes the verdict for
     everyone; schedules evicted while a hit verdict is outstanding are
     retained here until every rank has consumed it.
-
-    Repartitions need no decision: their build and replay paths have
-    identical wire behavior, so mixed hit/miss across ranks is harmless.
     """
 
     __slots__ = ("kind", "group", "retained", "consumed", "expect")
@@ -718,7 +689,7 @@ class _CallDecision:
 
 
 class ScheduleCache:
-    """Keyed store of transfer schedules with per-direction accounting.
+    """Keyed store of gather schedules with per-direction accounting.
 
     One cache is shared by all simulated ranks (the schedules themselves
     are per-rank; the key includes the rank).  Beyond ``max_entries``
@@ -729,11 +700,10 @@ class ScheduleCache:
     to reach the call, and applied to every rank of that call (see
     :class:`_CallDecision`), so cache mutations between two ranks'
     lookups can never split a collective into mixed replay/rebuild.
-    Gather entries key on the array's layout key and repartition
-    entries on the layout-spec pair, so both survive redistribution by
-    design (that is their reuse story): the gather schedules of a
-    layout the array has left wait for its return, or for the LRU
-    bound.  :meth:`invalidate_array` is the manual purge.
+    Entries key on the array's layout key, so they survive
+    redistribution by design (that is their reuse story): the gather
+    schedules of a layout the array has left wait for its return, or
+    for the LRU bound.  :meth:`invalidate_array` is the manual purge.
 
     The cache is also **thread-safe**, so one instance can be shared by
     many Sessions serving concurrent runs (:mod:`repro.serve`).  All
@@ -861,15 +831,10 @@ class ScheduleCache:
     def invalidate_array(self, array: BaseDistArray) -> int:
         """Drop every layout-dependent schedule built for ``array`` --
         including schedules built on sections of it -- and return the
-        count.  Repartition schedules are layout *transitions* keyed on
-        their spec pair, not on the live layout, so they survive: they
-        are exactly what makes the next flip back a cache hit.
+        count.
         """
         with self._lock:
-            doomed = [
-                k for k, s in self._entries.items()
-                if array.uid in s.uid_chain and s.direction != "repartition"
-            ]
+            doomed = [k for k, s in self._entries.items() if array.uid in s.uid_chain]
             for k in doomed:
                 self._discard_from_group(self._entries.pop(k))
             return len(doomed)
@@ -1010,57 +975,3 @@ class ScheduleCache:
         )
         self.store(sched)
         return values
-
-    def repartition(self, ctx, array, dist, new_grid=None):
-        """Collective cached repartition (generator; use ``yield from``).
-
-        Re-lays ``array`` out under ``dist`` with owner-to-owner
-        messages only, building (miss) or replaying (hit) this rank's
-        repartition schedule.  Because build and replay have identical
-        wire behavior, the verdict is per-rank -- no collective decision
-        protocol is needed.
-
-        ``new_grid`` moves the array to a *different* grid (grow or
-        shrink the rank set -- the elastic-morphing primitive); the
-        call is then collective over the union of the two grids, and the
-        schedule caches under the (from-grid+specs, to-grid+specs) pair
-        so morphing back replays.  Without it, every rank of
-        ``array.grid`` must call this.  The layout swap commits once,
-        behind a barrier.
-        """
-        from repro.lang.dist import Distribution
-
-        _check_repartitionable(array)
-        to_grid = new_grid if new_grid is not None else array.grid
-        new_dist = Distribution(dist, array.shape, to_grid.shape)
-        me = ctx.rank
-        union = array.grid.union(to_grid)
-        tag = ctx.next_tag(union)
-        key = repartition_key(array, new_dist, me, new_grid=to_grid)
-        label = f"{array.dist.spec_key()}->{new_dist.spec_key()}"
-        if to_grid != array.grid:
-            label += f" @grid{array.grid.shape}->{to_grid.shape}"
-        with self._lock:
-            sched = self._entries.get(key)
-            if sched is not None:
-                self.hits += 1
-                self._count("repartition", "hits")
-                if sched.group in self._groups:
-                    self._groups.move_to_end(sched.group)
-            else:
-                self.misses += 1
-                self._count("repartition", "misses")
-        if sched is not None:
-            yield from _mark(ctx, "commsched/hit", ("repartition", array.name, label))
-        else:
-            yield from _mark(ctx, "commsched/miss", ("repartition", array.name, label))
-            sched = build_repartition_schedule(
-                array, new_dist, me, new_grid=to_grid,
-                # one group per collective call: the key minus its rank
-                # names the transition, run id + tag the call
-                group=key[1:-1] + (getattr(ctx, "run_id", None), tag),
-            )
-            self.store(sched)
-        yield from execute_repartition(
-            ctx, array, sched, new_dist, tag=tag, new_grid=to_grid
-        )

@@ -117,12 +117,16 @@ class PlanCache:
     :class:`~repro.compiler.commsched.TransferSchedule` objects) and the
     line-solve plans (kind ``"adi-line"``, keyed ``(array.layout_key(),
     line_dim, rank)``; :mod:`repro.tensor.adi`) that ADI,
-    variable-coefficient ADI and MG2's distributed-x zebra lines share.
+    variable-coefficient ADI and MG2's distributed-x zebra lines share,
+    and the grid-wide repartition plans of ``ctx.redistribute`` (kind
+    ``"repartition"``, keyed on the layout transition by
+    :func:`~repro.compiler.commsched.repartition_key` and stored with no
+    uids, so a manual invalidation leaves them for the next flip).
     A Session keeps a second, smaller
     instance for the trace-oracle templates of its frozen loop runs
     (kind ``"oracle"``, :func:`oracle_trace`), whose counters stay out
     of the plan statistics.  Wire schedules that need a collective
-    build protocol live in the companion
+    build protocol (irregular gathers) live in the companion
     :class:`~repro.compiler.commsched.ScheduleCache` instead.
 
     One keying rule for every kind: a key names its arrays by

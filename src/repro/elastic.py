@@ -22,7 +22,7 @@ already existed:
   pools are quiesced so shared-memory blocks return to private storage,
   every live array is repartitioned old-grid -> new-grid through the
   cached inter-grid repartition path (one SPMD launch over the union of
-  the rank sets -- morphing back replays the same schedules), the loops
+  the rank sets -- morphing back replays the same plans), the loops
   are rebuilt on the new grid, and their plans are re-frozen so the
   first post-morph run is already a replay.  Worker pools respawn
   lazily on the new rank set at the next multiprocessing run.
@@ -518,7 +518,7 @@ def morph(session, new_grid: ProcessorGrid, *, machine=None):
     old-grid -> new-grid keeping its per-dimension specs, as one SPMD
     launch over the union of the rank sets through the cached
     inter-grid repartition path (morphing back replays the same
-    schedules); (4) retarget -- loops are rebuilt on ``new_grid`` and
+    plans); (4) retarget -- loops are rebuilt on ``new_grid`` and
     their plans re-frozen, so the first post-morph run is an all-hit
     replay, bit-identical in results and trace to an uninterrupted run
     on ``new_grid``.

@@ -105,6 +105,39 @@ class BaseDistArray:
     def replicated(self) -> bool:
         return all(self.grid_dim_of(k) is None for k in range(self.ndim))
 
+    def redistribute(self, dist, grid: ProcessorGrid | None = None) -> None:
+        """Re-lay the array out with a new distribution, preserving values.
+
+        The paper's arrays are statically distributed, but schedule
+        caching makes layout a cached artifact, so redistribution must be
+        an explicit operation: local blocks are rebuilt for the new
+        distribution, the comm epoch is bumped (the old blocks are gone)
+        and the layout key moves, so the next doall or cached gather
+        probes for the *new* layout's plans -- compiled on first visit,
+        replayed on every return.
+
+        ``grid`` moves the array to a *different* processor grid in the
+        same step (the elastic grow/shrink primitive): the new blocks
+        live on ``grid``'s ranks, assembled from the old grid's blocks.
+
+        Data movement is owner-to-owner: each new block is assembled
+        from the intersections of the old blocks with it, never by
+        materializing the global array -- the
+        :class:`~repro.compiler.commsched.RepartitionPlan` of the
+        transition, built here and applied at once.  Only a whole
+        :class:`DistArray` owns a layout: a section raises
+        ``ValidationError``.  This is the host-side path for use outside
+        SPMD programs; inside a node program use
+        ``ctx.redistribute(array, dist)``, which applies the same plan
+        at a grid rendezvous, caches it for the next flip, and records
+        the exchange as simulated messages.
+        """
+        from repro.compiler.commsched import RepartitionPlan
+
+        new_grid = grid if grid is not None else self.grid
+        new_dist = Distribution(dist, self.shape, new_grid.shape)
+        RepartitionPlan(self, new_dist, new_grid).apply(self)
+
     # -- indexing ------------------------------------------------------
 
     def __getitem__(self, key):
@@ -288,45 +321,6 @@ class DistArray(BaseDistArray):
         self._layout_key = None
         drop_plans_for_array(self)
 
-    def redistribute(self, dist, grid: ProcessorGrid | None = None) -> None:
-        """Re-lay the array out with a new distribution, preserving values.
-
-        The paper's arrays are statically distributed, but schedule
-        caching makes layout a cached artifact, so redistribution must be
-        an explicit operation: local blocks are rebuilt for the new
-        distribution, the comm epoch is bumped (the old blocks are gone)
-        and the layout key moves, so the next doall or cached gather
-        probes for the *new* layout's plans -- compiled on first visit,
-        replayed on every return.
-
-        ``grid`` moves the array to a *different* processor grid in the
-        same step (the elastic grow/shrink primitive): the new blocks
-        live on ``grid``'s ranks, assembled from the old grid's blocks.
-
-        Data movement is owner-to-owner: each new block is assembled
-        from the intersections of the old blocks with it (the same
-        per-dimension box intersections the repartition TransferSchedule
-        compiles), never by materializing the global array.  This is the
-        host-side path for use outside SPMD programs; inside a node
-        program use ``ctx.redistribute(array, dist)``, which moves the
-        same intersections as simulated messages and caches the
-        schedule for replay.
-        """
-        from repro.compiler.commsched import repartition_pieces
-
-        new_grid = grid if grid is not None else self.grid
-        new_dist = Distribution(dist, self.shape, new_grid.shape)
-        new_blocks = {
-            rank: np.zeros(
-                new_dist.local_shape(new_grid.coords_of(rank)), dtype=self.dtype
-            )
-            for rank in new_grid.linear
-        }
-        pieces = repartition_pieces(self, new_dist, new_grid=new_grid)
-        for src, dst, src_locs, dst_locs in pieces:
-            new_blocks[dst][dst_locs] = self._blocks[src][src_locs]
-        self._install(new_grid, new_dist, new_blocks)
-
     def _install(self, grid: ProcessorGrid, dist: Distribution, blocks: dict) -> None:
         """Swap in a new layout: the one place a layout changes."""
         self.grid = grid
@@ -334,42 +328,6 @@ class DistArray(BaseDistArray):
         self._blocks = blocks
         self._comm_epoch += 1
         self._layout_key = None
-
-    # -- collective repartition staging protocol ------------------------
-    #
-    # ``execute_repartition`` runs once per rank inside the simulator;
-    # the array object is shared by every simulated rank, so the layout
-    # swap must happen exactly once, after every rank has finished
-    # reading its old block.  Each rank stages its new-layout block here
-    # and the first rank resumed after the commit barrier installs them.
-    # Staging is keyed by a per-collective token (run id + call tag):
-    # ranks of one repartition can race past its commit barrier into the
-    # *next* repartition before slower ranks run their (no-op) commit of
-    # the first, so blocks from consecutive collectives must never land
-    # in the same staging dict.
-
-    def _stage_repartition(self, rank: int, block: np.ndarray, token) -> None:
-        staging = getattr(self, "_staged_blocks", None)
-        if staging is None:
-            staging = self._staged_blocks = {}
-        staging.setdefault(token, {})[rank] = block
-
-    def _commit_repartition(
-        self, new_dist: Distribution, token,
-        new_grid: ProcessorGrid | None = None,
-    ) -> None:
-        staging = getattr(self, "_staged_blocks", None)
-        staged = staging.pop(token, None) if staging is not None else None
-        if staged is None:
-            return  # an earlier-resumed rank already committed this call
-        grid = new_grid if new_grid is not None else self.grid
-        if len(staged) != grid.size:
-            raise ValidationError(
-                f"repartition of {self.name!r} committed with "
-                f"{len(staged)}/{grid.size} ranks staged; every rank "
-                "of the destination grid must run the collective repartition"
-            )
-        self._install(grid, new_dist, staged)
 
     def dim(self, k: int) -> BoundDim:
         return self.dist.dim(k)

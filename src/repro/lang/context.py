@@ -11,8 +11,8 @@ Every context belongs to a :class:`~repro.session.Session`, which owns
 the caches its collective operations consult (compiled doall plans,
 transfer schedules, run identities); :meth:`Session.run` builds one
 per rank.  A context built *without* a session can still allocate tags
-and run the grid collectives, which need no cache; ``doall``, and
-``cached_gather`` / ``redistribute`` without an explicit ``cache=``,
+and run the grid collectives, which need no cache; ``doall``,
+``redistribute`` and ``cached_gather`` without an explicit ``cache=``
 are rejected -- there is no process-global cache to fall back to.
 """
 
@@ -39,8 +39,8 @@ def next_run_id() -> tuple[int, int]:
     """Allocate a launch identity unique *across processes and threads*.
 
     Run ids scope :class:`~repro.compiler.commsched.ScheduleCache`
-    per-run decision logs and repartition staging tokens, so two
-    concurrent launches must never share one.  A bare ``c = c + 1``
+    per-run decision logs and gather build groups, so two concurrent
+    launches must never share one.  A bare ``c = c + 1``
     counter fails that twice over: a worker process forked by the
     multiprocessing backend inherits the parent's counter state and
     would re-issue the same integers, and two serving threads
@@ -60,8 +60,8 @@ class KaliCtx:
     context's collective operations (``doall``, ``cached_gather``,
     ``redistribute``) consult; :meth:`Session.run` wires it
     automatically.  A session-less context serves only what needs no
-    cache: tags, the grid collectives, and ``cached_gather`` /
-    ``redistribute`` given an explicit ``cache=``.
+    cache: tags, the grid collectives, and ``cached_gather`` given an
+    explicit ``cache=``.
     """
 
     def __init__(
@@ -124,18 +124,13 @@ class KaliCtx:
 
     # -- session plumbing --------------------------------------------------
 
-    def _schedule_cache(self, override, op: str):
-        """Transfer-schedule cache for one collective: an explicit
-        ``override`` wins, else the Session's; neither is an error."""
-        if override is not None:
-            return override
+    def _need_session(self, op: str) -> None:
+        """Refuse a cached collective on a session-less context."""
         if self.session is None:
             raise ValidationError(
-                f"KaliCtx.{op} needs a Session or an explicit cache=: "
-                "launch via repro.Session(...).run(...) or "
-                "repro.compile(...).run()"
+                f"KaliCtx.{op} needs a Session: launch via "
+                "repro.Session(...).run(...) or repro.compile(...).run()"
             )
-        return self.session.cache
 
     # -- compiled loops ---------------------------------------------------
 
@@ -163,11 +158,7 @@ class KaliCtx:
         """
         from repro.compiler.schedule import execute_doall
 
-        if self.session is None:
-            raise ValidationError(
-                "KaliCtx.doall needs a Session: launch via "
-                "repro.Session(...).run(...) or repro.compile(...).run()"
-            )
+        self._need_session("doall")
         return execute_doall(self, loop, overlap=overlap)
 
     # -- irregular gathers ------------------------------------------------
@@ -183,30 +174,40 @@ class KaliCtx:
         values.  See :meth:`ScheduleCache.gather
         <repro.compiler.commsched.ScheduleCache.gather>`.
         """
-        return self._schedule_cache(cache, "cached_gather").gather(
-            self, grid, array, indices
-        )
+        if cache is None:
+            self._need_session("cached_gather without cache=")
+            cache = self.session.cache
+        return cache.gather(self, grid, array, indices)
 
     # -- redistribution ----------------------------------------------------
 
-    def redistribute(self, array, dist, cache=None, grid=None):
+    def redistribute(self, array, dist, grid=None):
         """Collective owner-to-owner repartition of ``array`` to ``dist``.
 
         Every rank of ``array.grid`` must call this (SPMD discipline).
         Each rank sends only the intersections of its old block with the
         new owners' blocks -- the full array is never materialized --
-        and the repartition schedule is cached (keyed on the layout
-        pair), so repeated flips between two layouts
-        replay without re-deriving the moves.  ``cache`` defaults to
-        this context's Session cache (a session-less context must pass
-        one).  Yields machine ops (use ``yield from``).
+        and the :class:`~repro.compiler.commsched.RepartitionPlan` is
+        cached in this context's Session plan cache (kind
+        ``"repartition"``, keyed on the layout pair), so repeated flips
+        between two layouts replay without re-deriving the moves.  A
+        session-less context raises ``ValidationError`` here, before any
+        op is yielded.  Yields machine ops (use ``yield from``).
+
+        Like a doall, a redistribution is a grid rendezvous: the values
+        move, and the new layout is installed, once every rank of the
+        call has reached it, so no rank leaves it before all have
+        entered (a rank that skips the call leaves the others in a
+        ``DeadlockError`` naming the rendezvous, with the array
+        untouched).  The messages, bytes and time of the exchange are
+        then charged by a data-free op stream.
 
         ``grid`` additionally moves the array to a *different*
         processor grid (grow or shrink the rank set -- the elastic
         morphing primitive, see :mod:`repro.elastic`); the call is then
         collective over the union of the old and new rank sets, and the
-        cached schedule keys on the (from-grid+specs, to-grid+specs)
-        pair so morphing back is a replay.
+        cached plan keys on the (from-grid+specs, to-grid+specs) pair so
+        morphing back is a replay.
 
         >>> import numpy as np
         >>> from repro import DistArray, ProcessorGrid, Session
@@ -224,9 +225,10 @@ class KaliCtx:
         >>> sorted(trace.schedule_directions())
         ['repartition']
         """
-        return self._schedule_cache(cache, "redistribute").repartition(
-            self, array, dist, new_grid=grid
-        )
+        from repro.compiler.commsched import repartition
+
+        self._need_session("redistribute")
+        return repartition(self, array, dist, new_grid=grid)
 
     # -- collectives over grids -------------------------------------------
 

@@ -196,7 +196,7 @@ class MultiprocessingBackend(Backend):
         """Run arbitrary node programs on the inner reference machine.
 
         Generator node programs close over shared in-process state
-        (arrays, caches, staged repartitions), so the reference
+        (arrays, caches, rendezvous actions), so the reference
         semantics *is* their parallel semantics; only frozen loop
         replays (:meth:`run_loops`) have the data-flow structure that
         lowers onto real processes.

@@ -62,10 +62,10 @@ def _snapshot(data: Any) -> Any:
 
     Arrays frozen by the sender
     (:func:`repro.compiler.commsched.freeze_payload` sets
-    ``writeable=False`` on payloads the transfer executor -- gathers,
-    repartitions -- already built fresh) are by-value already and ship
-    without a copy; a doall's op stream sends no data at all (its values
-    move at the grid rendezvous).  The skip accepts a
+    ``writeable=False`` on payloads the gather executor already built
+    fresh) are by-value already and ship without a copy; the op streams
+    of a doall and of ``ctx.redistribute`` send no data at all (their
+    values move at the grid rendezvous).  The skip accepts a
     frozen owning array *or* a read-only view whose whole base chain is
     frozen down to a read-only owner
     (:func:`repro.machine.ops.frozen_by_value`): a read-only slice of a

@@ -156,7 +156,7 @@ class Trace:
     #: Every event's payload leads with the transfer *direction*:
     #: ``"gather"`` (cached irregular gathers), ``"scatter"`` (doall
     #: remote-write schedules), ``"repartition"`` (redistribution
-    #: schedules), or ``"doall"`` (whole-loop plan compiles/replays).
+    #: plans), or ``"doall"`` (whole-loop plan compiles/replays).
     SCHED_PREFIX = "commsched/"
 
     def schedule_events(self, direction: str | None = None) -> list[MarkRecord]:

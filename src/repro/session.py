@@ -132,9 +132,10 @@ class Session:
         instance is used as-is.  Each run may override it.
 
     A Session owns its :class:`~repro.compiler.commsched.ScheduleCache`
-    (wire transfer schedules: gathers, repartitions), its
+    (the wire schedules of irregular gathers), its
     :class:`~repro.compiler.schedule.PlanCache` (compiled doall analyses
-    with their frozen gather/scatter schedules, line-solve plans), a
+    with their frozen gather/scatter schedules, line-solve plans,
+    repartition plans), a
     run-id counter, and ``history`` -- the traces of every launch.  No
     state leaks between Sessions: caches warmed in one are invisible to
     another.
@@ -174,7 +175,7 @@ class Session:
         #: ``Trace.mark_counts`` (identical hit-rate reporting, no
         #: per-op mark objects).
         self.marks = marks
-        #: transfer-schedule cache (gather/scatter/repartition wire schedules)
+        #: transfer-schedule cache (the wire schedules of irregular gathers)
         self.cache = ScheduleCache(max_entries=max_schedule_entries)
         #: compiled-plan cache (doall analyses, line-solver plans, ...)
         self.plans = PlanCache(max_entries=max_plan_entries)
@@ -307,7 +308,7 @@ class Session:
         stream must not)."""
         # Launch identities are unique across sessions *and* processes
         # (keyed by pid + counter): a run id scopes cache decisions and
-        # staging tokens, and two Sessions sharing one explicit
+        # gather build groups, and two Sessions sharing one explicit
         # ScheduleCache -- or a forked worker inheriting the counter --
         # must never reuse an id.  Ids never enter traces, so this does
         # not affect determinism.
@@ -471,9 +472,9 @@ class Session:
     def hit_rates(self) -> dict[str, float]:
         """Replay rates per schedule direction *and* plan kind.
 
-        Merges the wire-schedule directions (``gather``/``scatter``/
-        ``repartition`` from ``ctx.cached_gather``/``ctx.redistribute``)
-        with the compiled-plan kinds (``doall``, ``adi-line``), so a
+        Merges the wire-schedule directions (``gather`` from
+        ``ctx.cached_gather``) with the compiled-plan kinds (``doall``,
+        ``adi-line``, ``repartition`` from ``ctx.redistribute``), so a
         pure-doall program still reports its compile-once/replay-forever
         ratio here, e.g. ``{"doall": 0.99}``.  The direction and kind
         namespaces are disjoint.

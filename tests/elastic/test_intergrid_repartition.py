@@ -10,9 +10,8 @@ a replay.
 import numpy as np
 import pytest
 
-import repro
 from repro import DistArray, Machine, ProcessorGrid, Session
-from repro.compiler.commsched import repartition_pieces
+from repro.compiler.commsched import RepartitionPlan, repartition_pieces
 from repro.util.errors import ValidationError
 from repro.util.indexing import mesh_shape
 
@@ -95,20 +94,24 @@ def test_pieces_cover_destination_exactly():
 
 
 def test_rank_filtered_pieces_union_matches_full_enumeration():
+    """Each rank's share of a plan -- its sends, its receives -- is the
+    full enumeration filtered to that rank: seen from either end, the
+    shares add up to every off-rank piece, with the piece's byte count."""
     from repro.lang.dist import Distribution
 
     g_src, g_dst = ProcessorGrid((2,)), ProcessorGrid((4,))
     A = make_array((11,), g_src, ("cyclic",))
     new = Distribution(("block",), A.shape, g_dst.shape)
-    full = set()
-    for src, dst, sl, dl in repartition_pieces(A, new, new_grid=g_dst):
-        full.add((src, dst))
-    union = set()
-    for r in sorted(set(g_src.linear) | set(g_dst.linear)):
-        for src, dst, sl, dl in repartition_pieces(A, new, rank=r, new_grid=g_dst):
-            assert r in (src, dst)
-            union.add((src, dst))
-    assert union == full
+    full = {
+        (src, dst): int(np.prod(mesh_shape(sl))) * 8
+        for src, dst, sl, dl in repartition_pieces(A, new, new_grid=g_dst)
+        if src != dst
+    }
+    plan = RepartitionPlan(A, new, g_dst)
+    sent = {(r, dst): nbytes for r, share in plan.sends.items() for dst, nbytes in share}
+    received = {(src, r) for r, share in plan.recvs.items() for src in share}
+    assert sent == full
+    assert received == set(full)
 
 
 # ----------------------------------------------------------------------
@@ -132,28 +135,29 @@ def test_spmd_intergrid_redistribute_and_replay():
     assert set(trace.schedule_directions()) == {"repartition"}
 
     sess.run(shrinkgrow, g2, ("block",), grid=union)
-    # the second 2->4 flip replays the first's schedules
-    before = dict(sess.cache.by_direction["repartition"])
+    # the second 2->4 flip replays the first's plan
+    before = dict(sess.plans.kind_stats()["repartition"])
     sess.run(shrinkgrow, g4, ("cyclic",), grid=union)
-    after = sess.cache.by_direction["repartition"]
+    after = sess.plans.kind_stats()["repartition"]
     assert after["misses"] == before["misses"], "grid flip replay recompiled"
     assert after["hits"] > before["hits"]
     np.testing.assert_array_equal(A.to_global(), want)
 
 
 def test_stale_cross_grid_schedule_refuses_replay():
-    """A frozen repartition schedule pinned before a grid move must
-    refuse to replay against the moved array."""
-    from repro.compiler.commsched import build_repartition_schedule
+    """A repartition plan pinned before a grid move must refuse to
+    apply to the moved array."""
     from repro.lang.dist import Distribution
 
     g2, g4 = ProcessorGrid((2,)), ProcessorGrid((4,))
     A = make_array((8,), g2, ("block",))
     new = Distribution(("cyclic",), A.shape, g2.shape)
-    sched = build_repartition_schedule(A, new, rank=0)
+    plan = RepartitionPlan(A, new)
     A.redistribute(("block",), grid=g4)
+    want = A.to_global()
     with pytest.raises(ValidationError, match="different grid"):
-        sched.check_replayable(A)
+        plan.apply(A)
+    np.testing.assert_array_equal(A.to_global(), want)
 
 
 def test_intergrid_needs_matching_ndim():

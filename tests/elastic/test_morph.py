@@ -141,10 +141,10 @@ def test_morph_replays_repartitions_on_second_cycle():
     prog.run(X=np.zeros((N, N)), F=forcing(), iters=1)
     sess.morph(g2)
     sess.morph(g4)
-    before = dict(sess.cache.by_direction["repartition"])
+    before = dict(sess.plans.kind_stats()["repartition"])
     sess.morph(g2)
     sess.morph(g4)
-    after = sess.cache.by_direction["repartition"]
+    after = sess.plans.kind_stats()["repartition"]
     assert after["misses"] == before["misses"], "morph cycle recompiled"
     assert after["hits"] > before["hits"]
 
@@ -185,11 +185,11 @@ def test_morph_there_and_back_over_the_same_ranks():
     for grid in (g41, g22):
         sess.morph(grid)
         prog.run(iters=1)
-    before = dict(sess.cache.by_direction["repartition"])
+    before = dict(sess.plans.kind_stats()["repartition"])
     for grid in (g41, g22):
         sess.morph(grid)
         prog.run(iters=1)
-    after = sess.cache.by_direction["repartition"]
+    after = sess.plans.kind_stats()["repartition"]
     assert after["misses"] == before["misses"], "second round trip rebuilt"
     assert after["hits"] > before["hits"]
 

@@ -1,10 +1,10 @@
-"""Tests for owner-to-owner redistribution (repartition TransferSchedules).
+"""Tests for owner-to-owner redistribution (repartition plans).
 
 Covers the acceptance contract: round-trip value preservation across
-block/cyclic/block-cyclic layouts, bit-identity of schedule replay vs.
-first build, cache hits on repeated layout flips, and the golden-trace
-assertion that repartition moves strictly fewer bytes than the old
-gather-to-all path.
+block/cyclic/block-cyclic layouts, bit-identity of plan replay vs.
+first build, cache hits on repeated layout flips, an aborted collective
+leaving the array as it was, and the golden-trace assertion that
+repartition moves strictly fewer bytes than the old gather-to-all path.
 """
 
 import numpy as np
@@ -14,7 +14,8 @@ from repro.compiler import ScheduleCache, repartition_pieces
 from repro.lang import BlockCyclic, DistArray, ProcessorGrid
 from repro.lang.dist import Distribution
 from repro.machine import Machine
-from repro.util.errors import ValidationError
+from repro.machine.ops import Barrier, Rendezvous
+from repro.util.errors import DeadlockError, MachineError, ValidationError
 from repro.session import Session
 
 
@@ -83,10 +84,10 @@ def test_pieces_partition_the_array():
 # ----------------------------------------------------------------------
 
 
-def _flip_program(A, dists, cache, out=None):
+def _flip_program(A, dists, out=None):
     def prog(ctx):
         for k, dist in enumerate(dists):
-            yield from ctx.redistribute(A, dist, cache=cache)
+            yield from ctx.redistribute(A, dist)
             if out is not None and ctx.rank == 0:
                 out.append(A.to_global().copy())
 
@@ -99,10 +100,9 @@ def test_collective_redistribute_preserves_values_and_bumps_epoch():
     A = DistArray((n,), g, dist=("block",), name="A")
     ref = np.arange(float(n)) * 2.0
     A.from_global(ref)
-    cache = ScheduleCache()
     epoch0 = A.comm_epoch
 
-    Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",)], cache))
+    Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",)]))
     assert A.dist.spec_key() == (("cyclic",),)
     assert A.comm_epoch == epoch0 + 1  # one bump per collective, not per rank
     np.testing.assert_array_equal(A.to_global(), ref)
@@ -113,15 +113,17 @@ def test_repeated_flips_hit_schedule_cache():
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
-    cache = ScheduleCache()
     flips = [("cyclic",), ("block",)] * 3
+    sess = Session(Machine(n_procs=p), g)
 
-    trace = Session(Machine(n_procs=p), g).run(_flip_program(A, flips, cache))
-    # two distinct transitions build once each; the other four replay
-    assert cache.direction_stats() == {
-        "repartition": {"hits": 4 * p, "misses": 2 * p}
+    trace = sess.run(_flip_program(A, flips))
+    # two distinct transitions build once each (the first rank to reach
+    # a flip builds, the other ranks hit); the other four flips replay
+    assert sess.plans.kind_stats() == {
+        "repartition": {"hits": 6 * p - 2, "misses": 2}
     }
-    assert trace.schedule_counts("repartition") == {"hit": 4 * p, "miss": 2 * p}
+    assert trace.schedule_counts("repartition") == {"hit": 6 * p - 2, "miss": 2}
+    assert sess.cache.direction_stats() == {}
     np.testing.assert_array_equal(A.to_global(), np.arange(float(n)))
 
 
@@ -132,76 +134,105 @@ def test_replay_is_bit_identical_to_first_build():
     g = ProcessorGrid((p,))
     flips = [("cyclic",), ("block",)]
 
-    def run(cache, sweeps):
+    def run(sweeps):
         A = DistArray((n,), g, dist=("block",), name="A")
         A.from_global(np.arange(float(n)) * 0.5)
-        traces = []
-        for _ in range(sweeps):
-            t = Session(Machine(n_procs=p), g).run(_flip_program(A, flips, cache))
-            traces.append(t)
+        sess = Session(Machine(n_procs=p), g)
+        traces = [sess.run(_flip_program(A, flips)) for _ in range(sweeps)]
         return A, traces
 
-    cache = ScheduleCache()
-    A, traces = run(cache, 2)
+    A, traces = run(2)
+    assert traces[1].schedule_counts("repartition") == {"hit": 2 * p}
     build_msgs = sorted((m.src, m.dst, m.nbytes) for m in traces[0].messages)
     replay_msgs = sorted((m.src, m.dst, m.nbytes) for m in traces[1].messages)
     assert build_msgs == replay_msgs  # replay == build on the wire
 
-    fresh, (t_fresh,) = run(ScheduleCache(), 1)
+    fresh, (t_fresh,) = run(1)
     np.testing.assert_array_equal(A.to_global(), fresh.to_global())
 
 
 def test_replay_observes_current_values():
-    """Schedules cache the moves, not the data."""
+    """Plans cache the moves, not the data."""
     n, p = 12, 2
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
-    cache = ScheduleCache()
+    sess = Session(Machine(n_procs=p), g)
     for k in range(3):
         A.from_global(np.arange(float(n)) + 100.0 * k)
-        Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",), ("block",)], cache))
+        sess.run(_flip_program(A, [("cyclic",), ("block",)]))
         np.testing.assert_array_equal(A.to_global(), np.arange(float(n)) + 100.0 * k)
 
 
 def test_consecutive_repartitions_with_message_free_flips():
     """Regression: a rank can race past one repartition's commit barrier
-    into the next repartition before slower ranks run their (no-op)
-    commit of the first.  When the second flip has no receives for that
-    rank (same-layout flip, or relayout from a replicated source), it
-    stages immediately -- staging keyed only by rank used to mix the two
-    collectives' blocks and abort with '1/p ranks staged'."""
+    into the next repartition before slower ranks leave the first.  When
+    the second flip has no receives for that rank (same-layout flip, or
+    relayout from a replicated source), it reaches the next rendezvous
+    at once -- which must wait for the slower ranks, not apply the
+    second relayout over blocks the first is still installing."""
     n, p = 16, 4
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     ref = np.arange(float(n))
     A.from_global(ref)
-    cache = ScheduleCache()
+    sess = Session(Machine(n_procs=p), g)
 
-    # same-layout second flip: every rank's schedule is a pure self-move
-    Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",), ("cyclic",)], cache))
+    # same-layout second flip: every rank's share is a pure self-move
+    sess.run(_flip_program(A, [("cyclic",), ("cyclic",)]))
     np.testing.assert_array_equal(A.to_global(), ref)
 
     # replicated -> distributed: again no receives anywhere
     B = DistArray((n,), g, name="B")
     B.from_global(ref)
-    Session(Machine(n_procs=p), g).run(_flip_program(B, [("*",), ("block",)], cache))
+    sess.run(_flip_program(B, [("*",), ("block",)]))
     np.testing.assert_array_equal(B.to_global(), ref)
     assert B.dist.spec_key() == (("block",),)
 
 
-def test_redistribute_of_section_rejected():
+@pytest.mark.parametrize("form", ["ctx", "host"])
+def test_redistribute_of_section_rejected(form):
     """Sections inherit their base's layout: repartitioning one must be
-    a loud ValidationError, not an AttributeError mid-simulation."""
+    a loud ValidationError, not an AttributeError -- in the parsub form
+    and on the host alike."""
     g = ProcessorGrid((2,))
     u = DistArray((4, 8), g, dist=("*", "block"), name="u")
     sec = u[0, :]
-    cache = ScheduleCache()
 
     def prog(ctx):
-        yield from ctx.redistribute(sec, ("block",), cache=cache)
+        yield from ctx.redistribute(sec, ("block",))
 
     with pytest.raises(ValidationError, match="only whole DistArrays"):
-        Session(Machine(n_procs=2), g).run(prog)
+        if form == "ctx":
+            Session(Machine(n_procs=2), g).run(prog)
+        else:
+            sec.redistribute(("block",))
+    assert u.dist.spec_key() == (("*",), ("block",))
+
+
+def test_aborted_collective_repartition_leaves_the_array_as_it_was():
+    """A rank that skips a grow leaves the others parked at the
+    redistribution's rendezvous: the run fails, and the array keeps its
+    layout, its values and its attribute set -- however often it is
+    tried."""
+    A = DistArray((16,), ProcessorGrid((2,)), dist=("block",), name="A")
+    ref = np.arange(16.0)
+    A.from_global(ref)
+    g4 = ProcessorGrid((4,))
+    sess = Session(Machine(n_procs=4), g4)
+    layout, attrs = A.layout_key(), set(vars(A))
+
+    def grow(ctx):
+        if ctx.rank != 3:
+            yield from ctx.redistribute(A, ("block",), grid=g4)
+
+    for _ in range(3):
+        with pytest.raises(MachineError) as err:
+            sess.run(grow)
+        assert A.layout_key() == layout
+        np.testing.assert_array_equal(A.to_global(), ref)
+        assert set(vars(A)) == attrs
+        assert isinstance(err.value, DeadlockError)
+        assert "rendezvous" in str(err.value)
 
 
 def test_collective_redistribute_invalidates_sections_and_gathers():
@@ -223,7 +254,7 @@ def test_collective_redistribute_invalidates_sections_and_gathers():
         for layout in (("*", "cyclic"), ("*", "block")):
             vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
             got.append((ctx.rank, float(vals[0])))
-            yield from ctx.redistribute(u, layout, cache=cache)
+            yield from ctx.redistribute(u, layout)
         vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
         got.append((ctx.rank, float(vals[0])))
 
@@ -262,12 +293,12 @@ def _gather_to_all_relayout(machine, A, dist):
             full = None
         full = yield from ctx.bcast(g, full, root=g.linear[0])
         mine = new_dist.owned_lists(g.coords_of(me))
-        A._stage_repartition(me, np.ascontiguousarray(full[np.ix_(*mine)]), "g2a")
-        from repro.machine.ops import Barrier
-
+        news[me] = np.ascontiguousarray(full[np.ix_(*mine)])
         yield Barrier(group=tuple(g.linear), tag="g2a-commit")
-        A._commit_repartition(new_dist, "g2a")
+        yield Rendezvous(g.key(), "g2a-install",
+                         action=lambda: A._install(g, new_dist, news))
 
+    news = {}
     return Session(machine, g).run(prog)
 
 
@@ -280,8 +311,7 @@ def test_golden_repartition_beats_gather_to_all():
 
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(ref)
-    cache = ScheduleCache()
-    t_sched = Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",)], cache))
+    t_sched = Session(Machine(n_procs=p), g).run(_flip_program(A, [("cyclic",)]))
     np.testing.assert_array_equal(A.to_global(), ref)
 
     B = DistArray((n,), g, dist=("block",), name="B")

@@ -343,8 +343,9 @@ def test_mpbackend_names_no_plan_record():
 
 def test_generator_walk_is_single_run_and_drivers_are_gone():
     """Tier-1 guard: the generator knows nothing of the batch prefix
-    and moves no data (the direct phase walk owns both), and the sweep
-    drivers the shared frozen-loop driver replaced stay deleted."""
+    and moves no data (the direct phase walk owns both), the sweep
+    drivers the shared frozen-loop driver replaced stay deleted, and so
+    do the value-carrying repartition executor and its staging hooks."""
     import inspect
 
     from repro.compiler import schedule
@@ -358,6 +359,15 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     for name in ("block_of", ".evals", "freeze_payload"):
         assert name not in source, name
     assert not hasattr(schedule, "replay_analysis")
+    # nor does a redistribution's: its plan moves the values at the
+    # rendezvous, and the gather cache knows nothing of repartitions
+    from repro.compiler import commsched
+    from repro.lang import DistArray
+
+    assert not hasattr(commsched, "execute_repartition")
+    assert not hasattr(commsched.ScheduleCache, "repartition")
+    assert not hasattr(DistArray, "_stage_repartition")
+    assert commsched.DIRECTIONS == ("gather", "scatter")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,10 @@ array (remote writes), or be one array written twice -- and runs it on
 the simulator as ``Program.run``, as a parsub calling ``ctx.doall``, and
 as a two-member ``run_batch``.  The parsub's ranks compute for a drawn,
 rank-dependent time before each doall, so they reach its grid
-rendezvous at different clocks.  Every result must equal
+rendezvous at different clocks.  An optional drawn relayout of one
+array follows the first sweep: ``ctx.redistribute`` in the parsub
+(after another lagged compute), ``DistArray.redistribute`` between two
+``Program.run`` calls.  Every result must equal
 :func:`repro.baselines.doall_reference` run from the same starting
 globals, bit for bit.  The reference shares no analysis, schedule or
 workspace with the executors, so agreement here is not agreement of the
@@ -71,7 +74,9 @@ def programs(draw):
     lags = draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
     iters = draw(st.integers(1, 2))
     seed = draw(st.integers(0, 2**16))
-    return grid, shape, dists, loops, lags, iters, seed
+    relayout = draw(st.none() | st.tuples(st.sampled_from(NAMES),
+                                          layouts(ndim, grid_ndim)))
+    return grid, shape, dists, loops, lags, iters, seed, relayout
 
 
 def build(grid_shape, shape, dists, loop_specs):
@@ -115,7 +120,7 @@ def assert_equal(got, want, form):
 @given(programs())
 @settings(max_examples=100, deadline=None)
 def test_every_launch_form_matches_the_sequential_reference(case):
-    grid_shape, shape, dists, loop_specs, lags, iters, seed = case
+    grid_shape, shape, dists, loop_specs, lags, iters, seed, relayout = case
     members = starts(shape, seed, 2)
 
     for form in ("program", "parsub"):
@@ -126,14 +131,23 @@ def test_every_launch_form_matches_the_sequential_reference(case):
         grid = loops[0].grid
         sess = Session(Machine(n_procs=grid.size), grid)
         prog = repro.compile(loops, session=sess)
-        if form == "program":
+        if form == "program" and relayout is None:
             prog.run(iters=iters)
+        elif form == "program":
+            # a relayout moves no values: the sweeps around it are numpy's
+            prog.run(iters=1)
+            arrays[relayout[0]].redistribute(relayout[1])
+            if iters > 1:
+                prog.run(iters=iters - 1)
         else:
             def parsub(ctx):
-                for _ in range(iters):
+                for sweep in range(iters):
                     for loop in loops:
                         yield Compute(seconds=1e-5 * lags[ctx.rank])
                         yield from ctx.doall(loop)
+                    if sweep == 0 and relayout is not None:
+                        yield Compute(seconds=1e-5 * lags[ctx.rank])
+                        yield from ctx.redistribute(arrays[relayout[0]], relayout[1])
 
             sess.run(parsub)
         assert_equal({n: a.to_global() for n, a in arrays.items()}, want, form)

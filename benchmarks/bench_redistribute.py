@@ -85,7 +85,7 @@ def _run_gather_to_all(p, n, flips):
             yield Barrier(group=tuple(grid.linear), tag=("g2a", step))
             yield Rendezvous(
                 grid.key(), ("g2a-install", step),
-                action=lambda: A._install(grid, target, dict(news)),
+                action=lambda _payloads: A._install(grid, target, dict(news)),
             )
 
     trace = Session(machine, grid).run(prog)

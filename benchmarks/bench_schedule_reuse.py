@@ -8,8 +8,9 @@ to run once, after which a cached schedule replays with one round of
 coalesced value messages.
 
 This benchmark runs the same multi-sweep irregular gather twice -- once
-calling the uncached ``inspector_gather`` every sweep, once through the
-schedule cache -- and reports message counts, bytes, and simulated
+calling the uncached ``inspector_gather`` every sweep, once through
+``ctx.cached_gather``, whose grid-wide gather plan the Session's plan
+cache keeps -- and reports message counts, bytes, and simulated
 makespan.  Array values change between sweeps (fenced by barriers), so
 the replay genuinely re-reads current data; the gathered results must be
 bit-identical between the two runs.  Acceptance: the cached run moves at
@@ -72,13 +73,13 @@ def _run(p, n, sweeps, idx, cached):
             yield Barrier(group=group, tag=("post-mutate", sweep))
 
     trace = session.run(prog)
-    return results, trace, session.cache
+    return results, trace, session
 
 
 def run(p=8, n=256, sweeps=6, per_rank=32):
     idx = _index_patterns(p, n, per_rank)
     res_un, t_un, _ = _run(p, n, sweeps, idx, cached=False)
-    res_ca, t_ca, cache = _run(p, n, sweeps, idx, cached=True)
+    res_ca, t_ca, session = _run(p, n, sweeps, idx, cached=True)
 
     identical = all(
         np.array_equal(res_un[r][s], res_ca[r][s])
@@ -100,7 +101,7 @@ def run(p=8, n=256, sweeps=6, per_rank=32):
         "hit_rate": t_ca.schedule_hit_rate(),
         "hit_rate_gather": t_ca.schedule_hit_rate("gather"),
         "directions": t_ca.schedule_directions(),
-        "cache": cache.stats(),
+        "cache": session.stats()["schedules"],
     }
 
 

@@ -76,10 +76,7 @@ from repro.lang import (
 )
 from repro.compiler import (
     PlanCache,
-    ScheduleCache,
-    build_gather_schedule,
     estimate_doall,
-    execute_gather,
     inspector_gather,
 )
 from repro.elastic import Checkpoint, checkpoint, morph, restore
@@ -130,8 +127,7 @@ __all__ = [
     "Doall", "Owner", "OnProc", "Assign", "loopvars",
     "KaliCtx", "KF1Program", "parse_program",
     # compiler
-    "estimate_doall", "inspector_gather",
-    "ScheduleCache", "PlanCache", "build_gather_schedule", "execute_gather",
+    "estimate_doall", "inspector_gather", "PlanCache",
     # errors
     "ReproError", "MachineError", "DeadlockError",
     "DistributionError", "CompileError", "ValidationError",

@@ -24,25 +24,26 @@ transformations the paper attributes to the Kali compiler:
   two-round gather fallback for irregular references (paper's reference
   [17], the Crowley/Saltz inspector/executor scheme).
 
-The bidirectional TransferSchedule subsystem lives in
+The compiled communication artifacts live in
 :mod:`repro.compiler.commsched`: a
 :class:`~repro.compiler.commsched.TransferSchedule` is one rank's
-compiled share of a collective transfer -- a **gather** (the inspector ->
-schedule -> executor pipeline for irregular references: a one-time
-inspection builds the schedule, the vectorized executor replays it with
-a single round of coalesced per-owner messages) or a **scatter** (the
-frozen remote-write plans of doall loops).  Beside it, a
-:class:`~repro.compiler.commsched.RepartitionPlan` is the grid-wide
-owner-to-owner relayout behind ``DistArray.redistribute`` /
-``ctx.redistribute``: it moves the values in process, and the parsub
-form yields its exchange as a data-free op stream.  All of them share
-the ``commsched/*`` trace-mark vocabulary.  Caching is keyed by layout
-*value*, never by the monotone ``comm_epoch``: gather schedules key on
-the array's ``layout_key()`` and an index-pattern fingerprint;
-repartition plans on the (from-layout, to-layout) spec pair; doall
-plans (which carry the scatter schedules) on the loop's structure plus
-the layout keys of its arrays.  So repeated layout flips replay
-forever, in every cache: a layout seen before is a hit.
+frozen share of a doall's transfer -- a **gather** (the ghost exchange
+of a read array) or a **scatter** (the remote writes).  Beside it, two
+grid-wide plans move values in process at a grid rendezvous and yield
+their exchange as a data-free op stream: a
+:class:`~repro.compiler.commsched.RepartitionPlan` is the owner-to-owner
+relayout behind ``DistArray.redistribute`` / ``ctx.redistribute``, and
+a :class:`~repro.compiler.commsched.GatherPlan` is the irregular gather
+behind ``inspector_gather`` / ``ctx.cached_gather`` (the inspector ->
+plan -> executor pipeline: the first call pays for the two-round
+inspection, replays send one round of coalesced per-owner messages).
+All of them share the ``commsched/*`` trace-mark vocabulary.  Caching
+is keyed by layout *value*, never by the monotone ``comm_epoch``:
+gather plans key on the array's ``layout_key()`` and every rank's
+index-pattern fingerprint; repartition plans on the (from-layout,
+to-layout) spec pair; doall plans (which carry the transfer schedules)
+on the loop's structure plus the layout keys of its arrays.  So
+repeated layout flips replay forever: a layout seen before is a hit.
 """
 
 from repro.compiler.schedule import (
@@ -52,16 +53,13 @@ from repro.compiler.schedule import (
 from repro.compiler.estimate import estimate_doall, LoopEstimate
 from repro.compiler.inspector import inspector_gather
 from repro.compiler.commsched import (
+    GatherPlan,
     RepartitionPlan,
-    ScheduleCache,
     TransferSchedule,
-    build_gather_schedule,
-    execute_gather,
-    execute_transfer,
+    gather_key,
     index_fingerprint,
     repartition_key,
     repartition_pieces,
-    schedule_key,
 )
 
 __all__ = [
@@ -70,16 +68,12 @@ __all__ = [
     "estimate_doall",
     "LoopEstimate",
     "inspector_gather",
-    # the bidirectional TransferSchedule subsystem
     "TransferSchedule",
-    "ScheduleCache",
-    "execute_transfer",
-    "build_gather_schedule",
-    "execute_gather",
-    # one grid-wide plan per layout transition
+    # grid-wide plans: one per layout transition, one per gather pattern
     "RepartitionPlan",
     "repartition_key",
     "repartition_pieces",
+    "GatherPlan",
+    "gather_key",
     "index_fingerprint",
-    "schedule_key",
 ]

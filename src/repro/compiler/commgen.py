@@ -20,8 +20,7 @@ coordinates out, workspace scatter positions in), and the write
 analysis compiles each statement's remote-write sets into a
 scatter-direction schedule (value-vector selections out, local-block
 coordinates in).  The executors in :mod:`repro.compiler.schedule`
-replay both on every sweep -- sends, local move, receives, the order
-:func:`~repro.compiler.commsched.execute_transfer` defines -- so
+replay both on every sweep -- sends, local move, receives -- so
 repeated doall executions (the common case) pay for communication-set
 derivation exactly once and every direction data moves shares one
 schedule form and one trace vocabulary.
@@ -85,7 +84,7 @@ class ReadPlan:
         from repro.compiler.commsched import TransferSchedule
 
         array = self.array
-        ts = TransferSchedule("gather", rank=rank, grid=array.grid)
+        ts = TransferSchedule("gather", rank=rank)
         if self.needed is not None:
             def workspace_box(lists):
                 return open_mesh(

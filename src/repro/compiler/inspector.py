@@ -13,15 +13,17 @@ implements that two-round protocol:
 Every rank of the grid must call this collectively.  Returns the
 requested values in request order.
 
-When the index pattern is loop-invariant across sweeps, the inspection
-round can be amortized: :mod:`repro.compiler.commsched` records the
-result of one inspection as a first-class gather-direction
-:class:`~repro.compiler.commsched.TransferSchedule` and replays it
-through :func:`~repro.compiler.commsched.execute_transfer` with a
-single round of coalesced value messages.  The helpers below
-(:func:`partition_requests`, :func:`local_locations`, :func:`read_local`)
-are shared by both paths so the schedule replay is bit-identical to a
-fresh inspection.
+Like every collective of this runtime, the gather is a grid rendezvous:
+once every rank has brought its index rows, one grid-wide
+:class:`~repro.compiler.commsched.GatherPlan` moves the values in
+process, and each rank yields the protocol's messages with no data in
+them (:func:`repro.compiler.commsched.gather`).  When the index pattern
+is loop-invariant across sweeps, the inspection round can be
+amortized: ``ctx.cached_gather`` keeps the plan in the Session's plan
+cache and replays it with a single round of coalesced value messages.
+The helpers below (:func:`normalize_indices`,
+:func:`partition_requests`, :func:`local_locations`) are what the plan
+is built from.
 """
 
 from __future__ import annotations
@@ -34,13 +36,30 @@ from repro.util.errors import ValidationError
 
 
 def normalize_indices(array: BaseDistArray, indices) -> np.ndarray:
-    """Validate and canonicalize a request-index array to (n, ndim) int64."""
+    """Validate and canonicalize a request-index array to (n, ndim) int64.
+
+    Every row must lie inside the array (no negative wrap-around).
+
+    >>> from repro.lang import DistArray, ProcessorGrid
+    >>> A = DistArray((8,), ProcessorGrid((2,)), name="A")
+    >>> normalize_indices(A, [[-1]])
+    Traceback (most recent call last):
+        ...
+    repro.util.errors.ValidationError: index row [-1] is out of bounds for 'A' of shape (8,)
+    """
     if indices is None:
         indices = np.empty((0, array.ndim), dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
     if indices.ndim != 2 or indices.shape[1] != array.ndim:
         raise ValidationError(
             f"indices must have shape (n, {array.ndim}), got {indices.shape}"
+        )
+    bad = ((indices < 0) | (indices >= np.asarray(array.shape))).any(axis=1)
+    if bad.any():
+        row = indices[np.argmax(bad)].tolist()
+        raise ValidationError(
+            f"index row {row} is out of bounds for {array.name!r} of shape "
+            f"{array.shape}"
         )
     return indices
 
@@ -76,11 +95,6 @@ def local_locations(array: BaseDistArray, idx: np.ndarray) -> tuple[np.ndarray, 
     )
 
 
-def read_local(array: BaseDistArray, rank: int, idx: np.ndarray) -> np.ndarray:
-    """Bulk-read global index rows from ``rank``'s local block."""
-    return np.asarray(array.local(rank)[local_locations(array, idx)])
-
-
 def inspector_gather(
     ctx,
     grid: ProcessorGrid,
@@ -100,18 +114,17 @@ def inspector_gather(
         Source distributed array.
     indices:
         Integer array of shape (n, array.ndim) of global indices this
-        rank wants; None or empty for no requests.
+        rank wants, each inside the array's shape; None or empty for no
+        requests.
+    tag:
+        Rendezvous and message tag; defaults to the grid's next tag.
 
     Yields machine ops; evaluates to an ``array.dtype`` array of length n.
 
-    The protocol itself lives in
-    :func:`repro.compiler.commsched.build_gather_schedule` -- one
-    implementation serves both the one-shot gather (the schedule is
-    discarded here) and the cached inspector -> schedule -> executor
-    pipeline, which is what guarantees cached replays are bit-identical
-    to a fresh inspection.
+    The protocol lives in :func:`repro.compiler.commsched.gather`, which
+    ``ctx.cached_gather`` shares: here the grid-wide plan is built every
+    call and not cached, and the full two-round exchange is charged.
     """
-    from repro.compiler.commsched import build_gather_schedule
+    from repro.compiler.commsched import gather
 
-    _sched, out = yield from build_gather_schedule(ctx, grid, array, indices, tag=tag)
-    return out
+    return (yield from gather(ctx, grid, array, indices, cached=False, tag=tag))

@@ -114,20 +114,20 @@ class PlanCache:
 
     Holds every *locally derivable* compiled artifact: doall loop
     analyses (kind ``"doall"`` -- these carry the frozen gather/scatter
-    :class:`~repro.compiler.commsched.TransferSchedule` objects) and the
+    :class:`~repro.compiler.commsched.TransferSchedule` objects), the
     line-solve plans (kind ``"adi-line"``, keyed ``(array.layout_key(),
     line_dim, rank)``; :mod:`repro.tensor.adi`) that ADI,
     variable-coefficient ADI and MG2's distributed-x zebra lines share,
-    and the grid-wide repartition plans of ``ctx.redistribute`` (kind
+    the grid-wide repartition plans of ``ctx.redistribute`` (kind
     ``"repartition"``, keyed on the layout transition by
     :func:`~repro.compiler.commsched.repartition_key` and stored with no
-    uids, so a manual invalidation leaves them for the next flip).
+    uids, so a manual invalidation leaves them for the next flip), and
+    the grid-wide irregular-gather plans of ``ctx.cached_gather`` (kind
+    ``"gather"``, keyed by :func:`~repro.compiler.commsched.gather_key`).
     A Session keeps a second, smaller
     instance for the trace-oracle templates of its frozen loop runs
     (kind ``"oracle"``, :func:`oracle_trace`), whose counters stay out
-    of the plan statistics.  Wire schedules that need a collective
-    build protocol (irregular gathers) live in the companion
-    :class:`~repro.compiler.commsched.ScheduleCache` instead.
+    of the plan statistics.
 
     One keying rule for every kind: a key names its arrays by
     :meth:`~repro.lang.array.BaseDistArray.layout_key` -- uid plus the
@@ -307,7 +307,7 @@ def execute_doall(ctx, loop: Doall, overlap: bool = False):
     analysis, reused = ctx.session.plans.analysis(loop)
     yield from _replay(
         ctx, analysis, overlap, reused,
-        action=lambda: replay_in_process([analysis], loop.grid, 1),
+        action=lambda _payloads: replay_in_process([analysis], loop.grid, 1),
     )
 
 

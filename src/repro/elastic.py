@@ -486,7 +486,6 @@ def restore(session, ckpt: Checkpoint, *, base: Checkpoint | None = None,
                 if not _same_grid(arr.grid, agrid) \
                         or arr.dist.spec_key() != snap["spec_key"]:
                     arr.redistribute(snap["specs"], grid=agrid)
-                    session.cache.invalidate_array(arr)
                     changed = True
                 arr.from_global(snap["data"])
             target = _grid_of(state)

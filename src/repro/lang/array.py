@@ -38,11 +38,11 @@ class BaseDistArray:
     per-dimension bound distributions, and per-rank local views.  Every
     array additionally carries the cache hooks: a process-unique ``uid``;
     a :meth:`layout_key`, the value identity of its current layout that
-    every cached plan and gather schedule is keyed on (so an array that
-    *returns* to a layout finds that layout's plans again); and a
-    monotone ``comm_epoch``, bumped whenever the layout changes, which
-    names the current *blocks* -- what a worker pool adopted, what an
-    in-flight collective runs against -- and appears in no plan key.
+    every cached plan is keyed on (so an array that *returns* to a
+    layout finds that layout's plans again); and a monotone
+    ``comm_epoch``, bumped whenever the layout changes, which names the
+    current *blocks* -- what a worker pool adopted, what a checkpoint
+    recorded -- and appears in no plan key.
     """
 
     name: str
@@ -67,9 +67,9 @@ class BaseDistArray:
         ``(uid, dist spec, grid shape, grid ranks, invalidation count)``
         for a :class:`DistArray` -- the grid shape because the rank tuple
         alone cannot tell a ``(2, 2)`` grid from a ``(4, 1)`` one; a
-        :class:`Section` is its own uid over its base's.  Plans and gather
-        schedules are pure functions of the arrays' layout keys, so they
-        are cached under them: redistributing away and back is a hit.
+        :class:`Section` is its own uid over its base's.  Plans are pure
+        functions of the arrays' layout keys, so they are cached under
+        them: redistributing away and back is a hit.
         """
         raise NotImplementedError
 
@@ -81,11 +81,8 @@ class BaseDistArray:
         key, and the plans of the layout left behind stay valid for a
         return to it.)  Moves ``comm_epoch`` and the layout key, so no
         cache anywhere can hit an old entry again, and purges the
-        array's plans from every live
-        :class:`~repro.compiler.schedule.PlanCache`; a
-        :class:`~repro.compiler.commsched.ScheduleCache` reclaims its
-        unreachable gather schedules by LRU, or at once through
-        ``cache.invalidate_array(arr)``.
+        array's plans -- gather plans included -- from every live
+        :class:`~repro.compiler.schedule.PlanCache`.
         """
         raise NotImplementedError
 
@@ -167,13 +164,15 @@ class BaseDistArray:
         return self.grid.rank_at(tuple(coords))
 
     def owner_ranks_vec(self, idx_arrays: tuple) -> np.ndarray:
-        """Vectorized owner ranks for broadcastable index arrays."""
+        """Vectorized owner ranks for broadcastable index arrays, in
+        their broadcast shape (also when no dimension is distributed)."""
         coords = [np.zeros(1, dtype=np.int64)] * self.grid.ndim
         for k in range(self.ndim):
             g = self.grid_dim_of(k)
             if g is not None:
                 coords[g] = self.dim(k).owner(idx_arrays[k])
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        shape = np.broadcast_shapes(*(np.shape(c) for c in coords),
+                                    *(np.shape(i) for i in idx_arrays))
         out = self.grid.ranks[tuple(np.broadcast_to(c, shape) for c in coords)]
         return out
 

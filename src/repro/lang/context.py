@@ -8,67 +8,40 @@ so that implicitly generated messages match across ranks, mirroring the
 compiler-assigned channel identities of real KF1.
 
 Every context belongs to a :class:`~repro.session.Session`, which owns
-the caches its collective operations consult (compiled doall plans,
-transfer schedules, run identities); :meth:`Session.run` builds one
+the plan cache its collective operations consult (compiled doall
+plans, repartition plans, gather plans); :meth:`Session.run` builds one
 per rank.  A context built *without* a session can still allocate tags
-and run the grid collectives, which need no cache; ``doall``,
-``redistribute`` and ``cached_gather`` without an explicit ``cache=``
-are rejected -- there is no process-global cache to fall back to.
+and run the collectives that need no cache (the grid collectives and
+``inspector_gather``); ``doall``, ``redistribute`` and
+``cached_gather`` are rejected -- there is no process-global cache to
+fall back to.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 from typing import Any, Callable
 
 from repro.lang.procs import ProcessorGrid
 from repro.machine import collectives
 from repro.util.errors import ValidationError
 
-#: Launch-identity counter behind :func:`next_run_id`; all ranks of one
-#: launch share one id, which scopes collective cache decisions to that
-#: run (per-grid tag counters restart every run, so tags alone recur).
-#: ``itertools.count`` hands out each integer exactly once even under
-#: free-threaded concurrent ``next()`` calls, so no lock is needed.
-_RUN_IDS = itertools.count()
-
-
-def next_run_id() -> tuple[int, int]:
-    """Allocate a launch identity unique *across processes and threads*.
-
-    Run ids scope :class:`~repro.compiler.commsched.ScheduleCache`
-    per-run decision logs and gather build groups, so two concurrent
-    launches must never share one.  A bare ``c = c + 1``
-    counter fails that twice over: a worker process forked by the
-    multiprocessing backend inherits the parent's counter state and
-    would re-issue the same integers, and two serving threads
-    (:mod:`repro.serve`) racing the read-increment-write would collide
-    within one process.  Keying the id by ``(pid, counter)`` with an
-    atomic ``itertools.count`` makes collisions impossible no matter
-    which process or thread allocates -- ids are only ever used as
-    opaque hashable tokens, never ordered or arithmetic'd on.
-    """
-    return (os.getpid(), next(_RUN_IDS))
-
 
 class KaliCtx:
     """Per-rank execution context for SPMD parallel subroutines.
 
-    ``session`` is the :class:`~repro.session.Session` whose caches the
-    context's collective operations (``doall``, ``cached_gather``,
+    ``session`` is the :class:`~repro.session.Session` whose plan cache
+    the context's collective operations (``doall``, ``cached_gather``,
     ``redistribute``) consult; :meth:`Session.run` wires it
     automatically.  A session-less context serves only what needs no
-    cache: tags, the grid collectives, and ``cached_gather`` given an
-    explicit ``cache=``.
+    cache: tags, the grid collectives, and ``inspector_gather``.
     """
 
     def __init__(
         self,
         rank: int,
         grid: ProcessorGrid,
-        run_id: int | None = None,
         session=None,
         marks: str | None = None,
     ):
@@ -76,7 +49,6 @@ class KaliCtx:
             raise ValidationError(f"rank {rank} not in grid {grid.shape}")
         self.rank = rank
         self.grid = grid
-        self.run_id = run_id
         self.session = session
         #: "full" records every schedule Mark; "cheap" aggregates them
         #: into :attr:`mark_counts` (no per-op mark objects on the hot
@@ -163,21 +135,26 @@ class KaliCtx:
 
     # -- irregular gathers ------------------------------------------------
 
-    def cached_gather(self, grid: ProcessorGrid, array, indices, cache=None):
-        """Collective irregular gather with schedule caching.
+    def cached_gather(self, grid: ProcessorGrid, array, indices):
+        """Collective irregular gather with plan caching.
 
-        First call with a given index pattern runs the full two-round
-        inspection; repeats replay the cached schedule with one round of
-        coalesced value messages.  ``cache`` defaults to this context's
-        Session cache (a session-less context must pass one).  Yields
-        machine ops (use ``yield from``); evaluates to the gathered
-        values.  See :meth:`ScheduleCache.gather
-        <repro.compiler.commsched.ScheduleCache.gather>`.
+        Like ``inspector_gather``, a grid rendezvous: once every rank of
+        ``grid`` has brought its index rows, one grid-wide
+        :class:`~repro.compiler.commsched.GatherPlan` moves the values.
+        The plan is cached in this context's Session plan cache (kind
+        ``"gather"``, keyed on the array's layout and every rank's index
+        pattern), so the first call with a pattern is charged the full
+        two-round inspection and every repeat one round of coalesced
+        value messages.  One rank changing its pattern alone changes the
+        key: the whole grid rebuilds.  Index rows outside the array and
+        a session-less context raise ``ValidationError`` before any op
+        is yielded.  Yields machine ops (use ``yield from``); evaluates
+        to the gathered values.
         """
-        if cache is None:
-            self._need_session("cached_gather without cache=")
-            cache = self.session.cache
-        return cache.gather(self, grid, array, indices)
+        from repro.compiler.commsched import gather
+
+        self._need_session("cached_gather")
+        return gather(self, grid, array, indices, cached=True)
 
     # -- redistribution ----------------------------------------------------
 

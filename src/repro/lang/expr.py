@@ -450,16 +450,22 @@ def compile_expr(expr: Expr, resolve, alloc=None):
 
     dry_run(expr)
     if is_op(expr):
-        return lower(expr, buffer(expr))
-    read = beside(expr)
-    if alloc is None:
-        return read
-    buf = buffer(expr)
+        fn = lower(expr, buffer(expr))
+    elif alloc is None:
+        fn = beside(expr)
+    else:
+        read, buf = beside(expr), buffer(expr)
 
-    def copy(*args):
-        buf[...] = read(*args)
-        return buf
-    return copy
+        def copy(*args):
+            buf[...] = read(*args)
+            return buf
+        fn = copy
+    # the helpers reach one another through their closure cells, a cycle
+    # only the collector frees, and it holds ``resolve`` and ``alloc`` --
+    # through them a dropped plan's arrays and buffers; clearing the
+    # cells lets all of it die by refcount
+    del dry_run, beside, lower
+    return fn
 
 
 class Assign:

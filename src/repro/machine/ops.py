@@ -65,12 +65,12 @@ def frozen_by_value(data: np.ndarray) -> bool:
     A payload is by-value when no live reference can mutate the memory
     the receiver will read: the array is read-only and so is every
     ndarray beneath it, down to a read-only *owner* of the buffer.  That
-    covers both a frozen owning array and a read-only slice view of one
-    (the frozen value vectors schedule replays hand out).  A read-only
-    view of *writable* storage (``np.broadcast_to`` of a live buffer,
-    say) fails the walk -- the sender can still mutate it through the
-    base -- as does any base that is not an ndarray (memoryview-backed
-    arrays, arbitrary buffer exports), conservatively.
+    covers both a frozen owning array and a read-only slice view of
+    one.  A read-only view of *writable* storage (``np.broadcast_to`` of
+    a live buffer, say) fails the walk -- the sender can still mutate it
+    through the base -- as does any base that is not an ndarray
+    (memoryview-backed arrays, arbitrary buffer exports),
+    conservatively.
     """
     a = data
     while True:
@@ -111,9 +111,9 @@ class Send:
     The payload is snapshotted (numpy arrays copied) at send time, so
     later mutation by the sender cannot be observed by the receiver --
     this is what makes the copy-in semantics of doall loops safe.  A
-    payload already frozen by the sender (``writeable=False``, see
-    :func:`repro.compiler.commsched.freeze_payload`) is by-value
-    already and ships without the copy.
+    payload already frozen by the sender (``writeable=False`` down to
+    its owner, :func:`frozen_by_value`) is by-value already and ships
+    without the copy.
     """
 
     dst: int
@@ -158,18 +158,21 @@ class Barrier:
 @dataclass(frozen=True)
 class Rendezvous:
     """Park until every rank of ``group`` has reached ``tag``; run
-    ``action()`` once; resume each rank at its own clock (no time is
+    ``action`` once; resume each rank at its own clock (no time is
     charged, unlike :class:`Barrier`).
 
-    Internal: a doall's op stream yields one so that the values of the
-    whole loop move in one call once the grid has arrived
-    (:func:`repro.compiler.schedule.execute_doall`); the data-free trace
-    oracle yields it with ``action=None``.
+    ``action`` receives ``{rank: payload}`` (each rank's own
+    ``payload``) and may return ``{rank: value}``: what each rank's
+    ``yield`` evaluates to.  Internal: a doall, a ``ctx.redistribute``
+    and an irregular gather open their op streams with one, so the
+    values of the whole collective move in one call once the grid has
+    arrived; the data-free trace oracle yields it with ``action=None``.
     """
 
     group: tuple[int, ...]
     tag: Hashable
-    action: Callable[[], Any] | None = None
+    action: Callable[[dict], dict | None] | None = None
+    payload: Any = None
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ processor and what it was waiting for -- the failure mode the paper
 calls out as endemic to hand-written message passing code.
 
 A :class:`~repro.machine.ops.Rendezvous` parks each rank of its group
-until the last one arrives, runs its action once, and resumes every
-rank at its own clock.  A rank released at a clock earlier than events
+until the last one arrives, runs its action once over every rank's
+payload, and resumes every rank at its own clock with the value the
+action returned for it.  A rank released at a clock earlier than events
 already processed sends into mailboxes that may hold later arrivals, so
 a wildcard receive whose candidates straddle a rendezvous can match in
 another order than it would without one.
@@ -60,21 +61,16 @@ NodeProgram = Generator[Any, Any, Any]
 def _snapshot(data: Any) -> Any:
     """Copy mutable payloads at send time (message has by-value semantics).
 
-    Arrays frozen by the sender
-    (:func:`repro.compiler.commsched.freeze_payload` sets
-    ``writeable=False`` on payloads the gather executor already built
-    fresh) are by-value already and ship without a copy; the op streams
-    of a doall and of ``ctx.redistribute`` send no data at all (their
-    values move at the grid rendezvous).  The skip accepts a
-    frozen owning array *or* a read-only view whose whole base chain is
-    frozen down to a read-only owner
-    (:func:`repro.machine.ops.frozen_by_value`): a read-only slice of a
-    frozen value vector is just as immutable as the vector itself.  A
-    read-only view of live (writable) storage -- ``np.broadcast_to`` of
-    a mutable buffer, say -- is not by-value, since the sender can
-    still mutate it through the base, so it is copied like any other
-    mutable payload.  Ad-hoc sends of live buffers keep their exact
-    historical semantics.
+    Arrays already by-value -- a frozen owning array *or* a read-only
+    view whose whole base chain is frozen down to a read-only owner
+    (:func:`repro.machine.ops.frozen_by_value`) -- ship without a copy;
+    the op streams of a doall, of ``ctx.redistribute`` and of an
+    irregular gather send no data at all (their values move at the
+    grid rendezvous).  A read-only view of live (writable) storage --
+    ``np.broadcast_to`` of a mutable buffer, say -- is not by-value,
+    since the sender can still mutate it through the base, so it is
+    copied like any other mutable payload.  Ad-hoc sends of live
+    buffers keep their exact historical semantics.
     """
     if isinstance(data, np.ndarray):
         if frozen_by_value(data):
@@ -179,8 +175,9 @@ class Machine(Backend):
         #   kind "arrive": payload = MessageRecord-in-progress tuple
         heap: list[tuple[float, int, str, Any]] = []
         in_flight = 0
-        # (kind, tag, group) -> ranks parked in that barrier/rendezvous
-        parked: dict[tuple[str, Hashable, tuple[int, ...]], list[int]] = {}
+        # (kind, tag, group) -> {rank: rendezvous payload} of the ranks
+        # parked in that barrier/rendezvous, in arrival order
+        parked: dict[tuple[str, Hashable, tuple[int, ...]], dict[int, Any]] = {}
 
         def push(time: float, kind: str, payload: Any) -> None:
             heapq.heappush(heap, (time, next(seq), kind, payload))
@@ -295,20 +292,22 @@ class Machine(Backend):
                             "it does not belong to"
                         )
                     key = (kind, op.tag, group)
-                    waiting = parked.setdefault(key, [])
-                    waiting.append(proc.rank)
+                    waiting = parked.setdefault(key, {})
+                    waiting[proc.rank] = getattr(op, "payload", None)
                     proc.parked = key
                     if len(waiting) == len(group):
                         del parked[key]
+                        values = None
                         if kind == "barrier":
                             release = max(procs[r].clock for r in waiting)
                             for r in waiting:
                                 procs[r].clock = release
                         elif op.action is not None:
-                            op.action()
+                            values = op.action(waiting)
                         for r in waiting:
                             procs[r].parked = None
-                            push(procs[r].clock, "resume", (r, None))
+                            push(procs[r].clock, "resume",
+                                 (r, values[r] if values else None))
                     return
                 if isinstance(op, Mark):
                     trace.marks.append(

@@ -151,7 +151,7 @@ class Trace:
 
     #: Label prefix used by the compiler/runtime for schedule events:
     #: ``commsched/hit`` (a cached schedule was replayed),
-    #: ``commsched/miss`` (an irregular-gather schedule had to be built),
+    #: ``commsched/miss`` (a gather or repartition plan had to be built),
     #: ``commsched/build`` (a doall communication plan was compiled).
     #: Every event's payload leads with the transfer *direction*:
     #: ``"gather"`` (cached irregular gathers), ``"scatter"`` (doall

@@ -8,11 +8,10 @@ them.  This module supplies that serving layer:
 
 * :class:`SessionPool` -- N :class:`~repro.session.Session` workers
   sharing **one** thread-safe
-  :class:`~repro.compiler.commsched.ScheduleCache` and one
-  :class:`~repro.compiler.schedule.PlanCache`, so a schedule compiled
-  by any request replays for every later request on any session.
-  Sessions hand out per-run state (run ids, trace history, mark
-  folding); the shared caches hand out the frozen artifacts.
+  :class:`~repro.compiler.schedule.PlanCache`, so a plan compiled by
+  any request replays for every later request on any session.
+  Sessions hand out per-run state (trace history, mark folding); the
+  shared cache hands out the frozen artifacts.
 * :class:`Server` -- a thread-pool front end: ``submit`` returns a
   Future, ``run`` blocks; each request checks a Session out of the
   pool, executes ``program.run(..., session=that_session)``, and
@@ -22,10 +21,10 @@ them.  This module supplies that serving layer:
 
 **Thread-safety / immutability contract** (see "Serving" in
 ``docs/api.md``): frozen ``TransferSchedule``/``StepPlan`` artifacts
-are immutable once published and may be replayed by any number of
-threads; the caches' LRU/stats paths are locked; per-run decision state
-is keyed by run id.  Pooled sessions default to ``marks="cheap"`` --
-steady-state serving wants aggregate counters, not per-op mark objects.
+and the grid-wide plans are immutable once published and may be
+replayed by any number of threads; the caches' LRU/stats paths are
+locked.  Pooled sessions default to ``marks="cheap"`` -- steady-state
+serving wants aggregate counters, not per-op mark objects.
 
 >>> import numpy as np
 >>> from repro import Machine
@@ -55,7 +54,6 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from repro.compiler.commsched import ScheduleCache
 from repro.compiler.schedule import ORACLE_ENTRIES, PlanCache
 from repro.lang.procs import ProcessorGrid
 from repro.machine.simulator import Machine
@@ -66,7 +64,7 @@ from repro.util.errors import MachineError, ServerOverloadError, ValidationError
 
 
 class SessionPool:
-    """A fixed pool of Sessions sharing one schedule and one plan cache.
+    """A fixed pool of Sessions sharing one plan cache.
 
     Parameters
     ----------
@@ -80,17 +78,17 @@ class SessionPool:
         wants aggregate schedule counters, not per-op mark records).
     factory:
         Optional zero-argument callable building each Session instead
-        (for custom cost models etc.); its cache/plans are still
-        replaced by the shared ones.
-    max_schedule_entries, max_plan_entries:
-        Bounds of the *shared* caches.
+        (for custom cost models etc.); its plans are still replaced by
+        the shared ones.
+    max_plan_entries:
+        Bound of the *shared* plan cache.
 
-    The shared caches are exactly what makes the pool a serving layer
+    The shared cache is exactly what makes the pool a serving layer
     rather than N isolated workloads: a Program compiled through any
-    pooled session freezes its schedules into :attr:`plans` /
-    :attr:`cache`, and every subsequent request -- on whichever session
-    the checkout hands it -- replays them.  Both caches are
-    thread-safe; the frozen artifacts they hold are immutable.
+    pooled session freezes its schedules into :attr:`plans`, and every
+    subsequent request -- on whichever session the checkout hands it --
+    replays them.  The cache is thread-safe; the frozen artifacts it
+    holds are immutable.
 
     ``acquire``/``release`` (or the :meth:`session` context manager)
     check sessions out; ``acquire`` blocks when all are busy, so the
@@ -106,13 +104,10 @@ class SessionPool:
         backend=None,
         marks: str = "cheap",
         factory: Callable[[], Session] | None = None,
-        max_schedule_entries: int = 256,
         max_plan_entries: int = 4096,
     ):
         if size < 1:
             raise ValidationError(f"SessionPool needs size >= 1, got {size}")
-        #: the one ScheduleCache every pooled session consults
-        self.cache = ScheduleCache(max_entries=max_schedule_entries)
         #: the one PlanCache every pooled session consults
         self.plans = PlanCache(max_entries=max_plan_entries)
         #: the one trace-oracle cache (``Session.oracle``) they consult
@@ -124,7 +119,6 @@ class SessionPool:
                 else Session(machine, grid, backend=backend, marks=marks)
             )
             # swap the session's private caches for the pool-shared ones
-            s.cache = self.cache
             s.plans = self.plans
             s.oracle = self.oracle
             self.sessions.append(s)
@@ -188,12 +182,12 @@ class SessionPool:
         return {
             "size": self.size,
             "runs": sum(s.runs for s in self.sessions),
-            **_cache_stats(self.cache, self.plans),
+            **_cache_stats(self.plans),
         }
 
     def hit_rates(self) -> dict[str, float]:
-        """Replay rates per direction/kind over the shared caches."""
-        return _hit_rates(self.cache, self.plans)
+        """Replay rates per plan kind over the shared plan cache."""
+        return _hit_rates(self.plans)
 
 
 #: retain at most this many per-request latencies for the percentiles

@@ -5,11 +5,11 @@ the distribution clauses and then replayed.  This module makes that
 lifecycle explicit:
 
 * a :class:`Session` owns everything that used to be process-global
-  mutable state -- the transfer-:class:`~repro.compiler.commsched.ScheduleCache`,
-  the compiled-plan :class:`~repro.compiler.schedule.PlanCache`, the
-  trace-oracle templates, the run-id counter, and the trace history.
-  Two Sessions never share schedules, so concurrent workloads (or test
-  cases) are isolated by construction;
+  mutable state -- the compiled-plan
+  :class:`~repro.compiler.schedule.PlanCache`, the trace-oracle
+  templates, and the trace history.  Two Sessions never share plans,
+  so concurrent workloads (or test cases) are isolated by
+  construction;
 * :func:`compile` lowers a program -- a :class:`~repro.lang.doall.Doall`
   (or list of them), KF1 source text, a parsed
   :class:`~repro.lang.kf1.KF1Program`, or a parsub generator function --
@@ -23,7 +23,7 @@ lifecycle explicit:
   run of a shape pays for the event simulation;
   ``Program.estimate`` predicts its critical path without executing,
   ``Program.schedules``/``Program.stats`` expose the frozen transfer
-  schedules and per-direction reuse rates, and ``Program.explain``
+  schedules and per-kind reuse rates, and ``Program.explain``
   renders the message pattern the compiler derived.
 
 A Session is the *only* home of that state: there is no implicit
@@ -64,10 +64,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.compiler.commsched import ScheduleCache
 from repro.compiler.estimate import LoopEstimate, estimate_doall
 from repro.compiler.schedule import ORACLE_ENTRIES, PlanCache
-from repro.lang.context import KaliCtx, next_run_id
+from repro.lang.context import KaliCtx
 from repro.lang.doall import Doall
 from repro.lang.kf1 import KF1Program, parse_program
 from repro.lang.procs import ProcessorGrid
@@ -89,23 +88,23 @@ def _check_backend(backend) -> None:
     )
 
 
-def _cache_stats(cache: ScheduleCache, plans: PlanCache) -> dict:
-    """The cache-accounting part of ``stats()``, for one (schedule
-    cache, plan cache) pair -- a Session's own, or a pool's shared one."""
+def _cache_stats(plans: PlanCache) -> dict:
+    """The cache-accounting part of ``stats()`` for one plan cache -- a
+    Session's own, or a pool's shared one.  ``schedules`` is the
+    ``"gather"`` kind's counters (the irregular-gather plans)."""
+    kinds = plans.kind_stats()
     return {
-        "schedules": cache.stats(),
-        "directions": cache.direction_stats(),
-        "plans": plans.kind_stats(),
+        "schedules": dict(kinds.get("gather", {"hits": 0, "misses": 0})),
+        "plans": kinds,
     }
 
 
-def _hit_rates(cache: ScheduleCache, plans: PlanCache) -> dict[str, float]:
-    """hits / (hits + misses) per schedule direction and plan kind."""
+def _hit_rates(plans: PlanCache) -> dict[str, float]:
+    """hits / (hits + misses) per plan kind."""
     out: dict[str, float] = {}
-    for source in (cache.by_direction, plans.by_kind):
-        for name, v in source.items():
-            total = v["hits"] + v["misses"]
-            out[name] = v["hits"] / total if total else 0.0
+    for name, v in plans.kind_stats().items():
+        total = v["hits"] + v["misses"]
+        out[name] = v["hits"] / total if total else 0.0
     return out
 
 
@@ -131,13 +130,11 @@ class Session:
         simulator), and a :class:`~repro.machine.backend.Backend`
         instance is used as-is.  Each run may override it.
 
-    A Session owns its :class:`~repro.compiler.commsched.ScheduleCache`
-    (the wire schedules of irregular gathers), its
-    :class:`~repro.compiler.schedule.PlanCache` (compiled doall analyses
-    with their frozen gather/scatter schedules, line-solve plans,
-    repartition plans), a
-    run-id counter, and ``history`` -- the traces of every launch.  No
-    state leaks between Sessions: caches warmed in one are invisible to
+    A Session owns its :class:`~repro.compiler.schedule.PlanCache`
+    (compiled doall analyses with their frozen gather/scatter
+    schedules, line-solve plans, repartition plans, irregular-gather
+    plans) and ``history`` -- the traces of every launch.  No state
+    leaks between Sessions: caches warmed in one are invisible to
     another.
 
     >>> s = Session()
@@ -153,7 +150,6 @@ class Session:
         *,
         backend: "str | Backend | None" = None,
         marks: str = "full",
-        max_schedule_entries: int = 256,
         max_plan_entries: int = 4096,
         max_history: int = 256,
     ):
@@ -175,8 +171,6 @@ class Session:
         #: ``Trace.mark_counts`` (identical hit-rate reporting, no
         #: per-op mark objects).
         self.marks = marks
-        #: transfer-schedule cache (the wire schedules of irregular gathers)
-        self.cache = ScheduleCache(max_entries=max_schedule_entries)
         #: compiled-plan cache (doall analyses, line-solver plans, ...)
         self.plans = PlanCache(max_entries=max_plan_entries)
         #: traces of recent launches, oldest first; bounded at
@@ -306,17 +300,7 @@ class Session:
         """Run ``routine(ctx)`` per rank of ``grid`` on ``runner``,
         unrecorded (:meth:`run` records; the trace oracle's data-free
         stream must not)."""
-        # Launch identities are unique across sessions *and* processes
-        # (keyed by pid + counter): a run id scopes cache decisions and
-        # gather build groups, and two Sessions sharing one explicit
-        # ScheduleCache -- or a forked worker inheriting the counter --
-        # must never reuse an id.  Ids never enter traces, so this does
-        # not affect determinism.
-        run_id = next_run_id()
-        ctxs = [
-            KaliCtx(rank, grid, run_id=run_id, session=self, marks=marks)
-            for rank in grid.linear
-        ]
+        ctxs = [KaliCtx(rank, grid, session=self, marks=marks) for rank in grid.linear]
         trace = runner.run({ctx.rank: routine(ctx) for ctx in ctxs})
         # aggregate cheap-marks counters from the ranks into the trace
         merged: dict[tuple, int] = trace.mark_counts
@@ -459,32 +443,28 @@ class Session:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        """Aggregate cache accounting: schedule and plan hit/miss counts,
-        per-direction and per-kind breakdowns, the launch count, and --
+        """Aggregate cache accounting: per-kind plan hit/miss counts
+        (``plans``), the irregular-gather kind's alone (``schedules``),
+        the launch count, and --
         when a :class:`~repro.supervise.Supervisor` watches this Session
         -- its :class:`~repro.supervise.RecoveryLog` summary."""
         return {
             "runs": self.runs,
-            **_cache_stats(self.cache, self.plans),
+            **_cache_stats(self.plans),
             "recovery": None if self.recovery is None else self.recovery.summary(),
         }
 
     def hit_rates(self) -> dict[str, float]:
-        """Replay rates per schedule direction *and* plan kind.
-
-        Merges the wire-schedule directions (``gather`` from
-        ``ctx.cached_gather``) with the compiled-plan kinds (``doall``,
-        ``adi-line``, ``repartition`` from ``ctx.redistribute``), so a
-        pure-doall program still reports its compile-once/replay-forever
-        ratio here, e.g. ``{"doall": 0.99}``.  The direction and kind
-        namespaces are disjoint.
+        """Replay rates per plan kind: ``doall``, ``adi-line``,
+        ``repartition`` (``ctx.redistribute``) and ``gather``
+        (``ctx.cached_gather``, one probe per collective call), so a
+        pure-doall program reports its compile-once/replay-forever ratio
+        here, e.g. ``{"doall": 0.99}``.
         """
-        return _hit_rates(self.cache, self.plans)
+        return _hit_rates(self.plans)
 
     def clear(self) -> None:
-        """Drop every cached schedule, plan and oracle template (the
-        traces stay)."""
-        self.cache.clear()
+        """Drop every cached plan and oracle template (the traces stay)."""
         self.plans.clear()
         self.oracle.clear()
 
@@ -492,8 +472,7 @@ class Session:
         return (
             f"Session(machine={self.machine!r}, grid="
             f"{None if self.grid is None else self.grid.shape}, "
-            f"runs={self.runs}, plans={len(self.plans)}, "
-            f"schedules={len(self.cache)})"
+            f"runs={self.runs}, plans={len(self.plans)})"
         )
 
 
@@ -993,12 +972,11 @@ class Program:
         ]
 
     def stats(self) -> dict:
-        """Session-level reuse accounting: per-direction schedule hit
-        rates, per-kind plan hit/miss counts, and the launch count."""
+        """Session-level reuse accounting: per-kind plan hit rates and
+        hit/miss counts, and the launch count."""
         s = self.session.stats()
         return {
             "runs": s["runs"],
-            "directions": s["directions"],
             "hit_rates": self.session.hit_rates(),
             "plans": s["plans"],
         }

@@ -225,7 +225,6 @@ class TuneResult:
                 if _same_grid(arr.grid, new_grid) and same_specs:
                     continue
                 arr.redistribute(specs, grid=new_grid)
-                session.cache.invalidate_array(arr)
             _refreeze(session, program, new_grid)
             with session._lock:
                 if session.grid is not None:

@@ -1,24 +1,20 @@
-"""Tests for cached communication schedules (inspector -> executor).
+"""Tests for cached irregular gathers (inspector -> plan -> executor).
 
-Covers the tentpole contract: schedule build/replay is bit-identical to
-a fresh inspector gather, cache hits/misses behave as keyed, and
-redistribution invalidates stale schedules.
+Covers the contract of the grid-wide :class:`GatherPlan`: a cached
+replay is bit-identical to a fresh inspector gather, the plan cache hits
+and misses as keyed (one probe per collective call), and a
+redistribution moves the key so the old layout's plan never replays
+against the new one.
 """
 
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    ScheduleCache,
-    build_gather_schedule,
-    execute_gather,
-    inspector_gather,
-    schedule_key,
-)
+from repro.compiler import GatherPlan, gather_key, index_fingerprint, inspector_gather
 from repro.lang import BlockCyclic, DistArray, ProcessorGrid
 from repro.machine import Machine
 from repro.session import Session
-from repro.util.errors import ValidationError
+from repro.util.errors import DeadlockError, ValidationError
 
 
 def _random_indices(rng, n, ndim, count):
@@ -38,20 +34,20 @@ def _run_uncached(p, array_factory, index_of):
     return results, trace
 
 
-def _run_cached(p, array_factory, index_of, sweeps=3, cache=None):
+def _run_cached(p, array_factory, index_of, sweeps=3):
     m = Machine(n_procs=p)
     g = ProcessorGrid((p,))
     A = array_factory(g)
-    cache = cache if cache is not None else ScheduleCache()
+    session = Session(m, g)
     results = {r: [] for r in range(p)}
 
     def prog(ctx):
         for _ in range(sweeps):
-            vals = yield from ctx.cached_gather(g, A, index_of(ctx.rank), cache=cache)
+            vals = yield from ctx.cached_gather(g, A, index_of(ctx.rank))
             results[ctx.rank].append(vals)
 
-    trace = Session(m, g).run(prog)
-    return results, trace, cache
+    trace = session.run(prog)
+    return results, trace, session
 
 
 @pytest.mark.parametrize("dist", ["block", "cyclic", BlockCyclic(3)])
@@ -88,7 +84,6 @@ def test_replay_observes_current_values():
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
-    cache = ScheduleCache()
     got = {r: [] for r in range(p)}
     idx = {0: np.array([[15]]), 1: np.array([[0]])}
     group = tuple(g.linear)
@@ -97,7 +92,7 @@ def test_replay_observes_current_values():
         from repro.machine.ops import Barrier
 
         for sweep in range(2):
-            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank])
             got[ctx.rank].append(float(vals[0]))
             yield Barrier(group=group, tag=("mutate", sweep))
             A.local(ctx.rank)[...] += 100.0
@@ -118,10 +113,11 @@ def test_cache_hit_miss_semantics():
         A.from_global(np.arange(float(n)))
         return A
 
-    _, trace, cache = _run_cached(p, make, lambda r: idx[r], sweeps=sweeps)
-    # first sweep misses on every rank, every later sweep hits everywhere
-    assert cache.misses == p
-    assert cache.hits == p * (sweeps - 1)
+    _, trace, session = _run_cached(p, make, lambda r: idx[r], sweeps=sweeps)
+    # one probe per collective call: the first misses, every later hits
+    assert session.stats()["schedules"] == {"hits": sweeps - 1, "misses": 1}
+    assert session.hit_rates()["gather"] == pytest.approx((sweeps - 1) / sweeps)
+    # ... while the marks stay per rank
     counts = trace.schedule_counts()
     assert counts["miss"] == p
     assert counts["hit"] == p * (sweeps - 1)
@@ -135,16 +131,16 @@ def test_changed_pattern_misses():
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
-    cache = ScheduleCache()
+    session = Session(m, g)
 
     def prog(ctx):
-        yield from ctx.cached_gather(g, A, np.array([[1], [2]]), cache=cache)
-        yield from ctx.cached_gather(g, A, np.array([[3], [4]]), cache=cache)
-        yield from ctx.cached_gather(g, A, np.array([[1], [2]]), cache=cache)
+        yield from ctx.cached_gather(g, A, np.array([[1], [2]]))
+        yield from ctx.cached_gather(g, A, np.array([[3], [4]]))
+        yield from ctx.cached_gather(g, A, np.array([[1], [2]]))
 
-    Session(m, g).run(prog)
-    assert cache.misses == 2 * p  # two distinct patterns
-    assert cache.hits == p  # third call replays the first pattern
+    session.run(prog)
+    # two distinct patterns; the third call replays the first
+    assert session.stats()["schedules"] == {"hits": 1, "misses": 2}
 
 
 def test_invalidation_after_redistribution():
@@ -154,16 +150,16 @@ def test_invalidation_after_redistribution():
     A = DistArray((n,), g, dist=("block",), name="A")
     values = np.arange(float(n)) * 3.0
     A.from_global(values)
-    cache = ScheduleCache()
+    session = Session(m, g)
     idx = {0: np.array([[23], [1], [12]]), 1: np.array([[0], [13]])}
     collected = []
 
     def prog(ctx):
-        vals = yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+        vals = yield from ctx.cached_gather(g, A, idx[ctx.rank])
         collected.append((ctx.rank, "pre", vals.copy()))
 
-    Session(m, g).run(prog)
-    assert cache.misses == p and cache.hits == 0
+    session.run(prog)
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 1}
 
     # redistribute: same values, new layout -> old schedules must not hit
     epoch_before = A.comm_epoch
@@ -171,14 +167,13 @@ def test_invalidation_after_redistribution():
     assert A.comm_epoch == epoch_before + 1
     np.testing.assert_array_equal(A.to_global(), values)
 
-    m2 = Machine(n_procs=p)
-
     def prog2(ctx):
-        vals = yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+        vals = yield from ctx.cached_gather(g, A, idx[ctx.rank])
         collected.append((ctx.rank, "post", vals.copy()))
 
-    Session(m2, g).run(prog2)
-    assert cache.misses == 2 * p  # rebuilt against the new layout
+    session.run(prog2, machine=Machine(n_procs=p))
+    # rebuilt against the new layout
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 2}
     pre = {r: v for r, t, v in collected if t == "pre"}
     post = {r: v for r, t, v in collected if t == "post"}
     for r in range(p):
@@ -186,28 +181,16 @@ def test_invalidation_after_redistribution():
 
 
 def test_stale_schedule_replay_raises():
-    """Directly replaying a schedule after redistribution is an error."""
-    n, p = 16, 2
-    m = Machine(n_procs=p)
-    g = ProcessorGrid((p,))
-    A = DistArray((n,), g, dist=("block",), name="A")
-    A.from_global(np.arange(float(n)))
-    scheds = {}
-
-    def build(ctx):
-        sched, _ = yield from build_gather_schedule(
-            ctx, g, A, np.array([[n - 1 - ctx.rank]])
-        )
-        scheds[ctx.rank] = sched
-
-    Session(m, g).run(build)
+    """Applying a gather plan after its array was redistributed is an
+    error, not a read of the wrong elements."""
+    g = ProcessorGrid((2,))
+    A = DistArray((16,), g, dist=("block",), name="A")
+    A.from_global(np.arange(16.0))
+    plan = GatherPlan(A, g, {0: np.array([[15]]), 1: np.array([[14]])})
+    assert float(plan.apply(A)[0][0]) == 15.0
     A.redistribute(("cyclic",))
-
-    def replay(ctx):
-        yield from execute_gather(ctx, scheds[ctx.rank], A)
-
-    with pytest.raises(ValidationError, match="stale gather schedule"):
-        Session(Machine(n_procs=p), g).run(replay)
+    with pytest.raises(ValidationError, match="stale gather plan"):
+        plan.apply(A)
 
 
 def test_empty_request_ranks():
@@ -260,14 +243,18 @@ def test_replay_preserves_dtype():
 
 
 def test_schedule_key_includes_rank_and_epoch():
+    """The gather key lists every rank's pattern in grid order (two
+    ranks swapping patterns is another gather) and follows the layout
+    key, which a manual invalidation moves."""
     g = ProcessorGrid((2,))
     A = DistArray((8,), g, dist=("block",), name="A")
-    idx = np.array([[1]])
-    k0 = schedule_key(g, A, idx, 0)
-    k1 = schedule_key(g, A, idx, 1)
-    assert k0 != k1
+    fa = index_fingerprint(np.array([[1]]))
+    fb = index_fingerprint(np.array([[6]]))
+    k0 = gather_key(A, g, {0: fa, 1: fb})
+    assert k0 == gather_key(A, g, {1: fb, 0: fa})
+    assert k0 != gather_key(A, g, {0: fb, 1: fa})
     A.invalidate_schedules()
-    assert schedule_key(g, A, idx, 0) != k0
+    assert gather_key(A, g, {0: fa, 1: fb}) != k0
 
 
 def test_2d_gather_replay():
@@ -277,13 +264,12 @@ def test_2d_gather_replay():
     A = DistArray((4, 6), g, dist=("*", "block"), name="A")
     ref = np.arange(24.0).reshape(4, 6)
     A.from_global(ref)
-    cache = ScheduleCache()
     results = {r: [] for r in range(p)}
     idx = {0: np.array([[0, 0], [3, 5], [2, 2]]), 1: np.array([[1, 4]])}
 
     def prog(ctx):
         for _ in range(3):
-            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank])
             results[ctx.rank].append(vals)
 
     Session(m, g).run(prog)
@@ -294,111 +280,107 @@ def test_2d_gather_replay():
 
 
 def test_cache_eviction_bound():
-    cache = ScheduleCache(max_entries=2)
+    """Gather plans live in the plan cache, under its LRU bound."""
     n, p = 12, 1
-    m = Machine(n_procs=p)
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
+    session = Session(Machine(n_procs=p), g, max_plan_entries=2)
 
     def prog(ctx):
         for j in range(4):
-            yield from ctx.cached_gather(g, A, np.array([[j]]), cache=cache)
+            yield from ctx.cached_gather(g, A, np.array([[j]]))
 
-    Session(m, g).run(prog)
-    assert len(cache) == 2
-    assert cache.evictions == 2
+    session.run(prog)
+    assert len(session.plans) == 2
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 4}
 
 
 def test_divergent_pattern_with_miss_verdict_rebuilds_consistently():
-    """SPMD discipline: the per-call verdict is collective.  When the
-    first rank to reach the call misses (it changed its pattern), every
-    rank rebuilds -- including ranks whose old schedule is still cached
-    -- so the protocols match and the values are correct."""
+    """The first rank to reach the call changes its pattern, the other
+    keeps its old one: the key moves, so the whole grid rebuilds with
+    the right values."""
     g = ProcessorGrid((2,))
     A = DistArray((8,), g, dist=("block",), name="A")
     A.from_global(np.arange(8.0))
-    cache = ScheduleCache()
+    session = Session(Machine(n_procs=2), g)
     got = {}
 
     def prog(ctx):
-        yield from ctx.cached_gather(g, A, np.array([[7 - 7 * ctx.rank]]), cache=cache)
-        # rank 0 (which reaches the call first) changes its pattern;
-        # rank 1 keeps its old one
+        yield from ctx.cached_gather(g, A, np.array([[7 - 7 * ctx.rank]]))
         idx = np.array([[3]]) if ctx.rank == 0 else np.array([[0]])
-        got[ctx.rank] = yield from ctx.cached_gather(g, A, idx, cache=cache)
+        got[ctx.rank] = yield from ctx.cached_gather(g, A, idx)
 
-    Session(Machine(n_procs=2), g).run(prog)
+    trace = session.run(prog)
     assert float(got[0][0]) == 3.0
     assert float(got[1][0]) == 0.0
-    # second call was a consistent rebuild on both ranks
-    assert cache.misses == 4 and cache.hits == 0
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 2}
+    assert trace.schedule_counts() == {"miss": 4}
 
 
-def test_divergent_pattern_with_hit_verdict_raises():
-    """Opposite orientation: the first rank hits (kept its pattern) but a
-    later rank brings a request set with no schedule in the replayed
-    collective -- a loud, specific error instead of a deadlock."""
+def test_one_rank_changing_its_pattern_alone_rebuilds():
+    """A later rank changes its pattern alone while the first keeps
+    its: no ``divergent index pattern`` error any more -- the key of the
+    whole grid moves, every rank rebuilds, and the values are right."""
     g = ProcessorGrid((2,))
     A = DistArray((8,), g, dist=("block",), name="A")
-    A.from_global(np.arange(8.0))
-    cache = ScheduleCache()
+    A.from_global(np.arange(8.0) * 10.0)
+    session = Session(Machine(n_procs=2), g)
+    got = {}
 
     def prog(ctx):
-        yield from ctx.cached_gather(g, A, np.array([[7 - 7 * ctx.rank]]), cache=cache)
-        # rank 1 changes its pattern; rank 0 (first to the call) does not
+        yield from ctx.cached_gather(g, A, np.array([[7 - 7 * ctx.rank]]))
         idx = np.array([[7]]) if ctx.rank == 0 else np.array([[4]])
-        yield from ctx.cached_gather(g, A, idx, cache=cache)
+        got[ctx.rank] = yield from ctx.cached_gather(g, A, idx)
 
-    with pytest.raises(ValidationError, match="divergent index pattern"):
-        Session(Machine(n_procs=2), g).run(prog)
+    trace = session.run(prog)
+    assert (float(got[0][0]), float(got[1][0])) == (70.0, 40.0)
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 2}
+    assert trace.schedule_counts() == {"miss": 4}
 
 
 def test_eviction_is_group_atomic():
-    """Capacity pressure must never evict only some ranks' schedules of
-    one collective build: that would make the next call a hit on some
-    ranks and a miss on others (a protocol mismatch).  Regression test:
-    p=3 with max_entries=4 alternating two patterns used to crash."""
+    """Capacity pressure evicts a whole grid's plan, never one rank's
+    share: p=3 alternating two patterns through a one-entry cache
+    rebuilds consistently on every call, with the right values."""
     n, p = 24, 3
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
-    cache = ScheduleCache(max_entries=4)  # not a multiple of p
+    session = Session(Machine(n_procs=p), g, max_plan_entries=1)
     pat_a = {r: np.array([[(r * 7) % n]]) for r in range(p)}
     pat_b = {r: np.array([[(r * 5 + 1) % n]]) for r in range(p)}
     got = {r: [] for r in range(p)}
 
     def prog(ctx):
         for pat in (pat_a, pat_b, pat_a, pat_b):
-            vals = yield from ctx.cached_gather(g, A, pat[ctx.rank], cache=cache)
+            vals = yield from ctx.cached_gather(g, A, pat[ctx.rank])
             got[ctx.rank].append(vals.copy())
 
-    Session(Machine(n_procs=p), g).run(prog)  # must not deadlock/crash
+    trace = session.run(prog)
     for r in range(p):
         np.testing.assert_array_equal(got[r][0], got[r][2])
         np.testing.assert_array_equal(got[r][1], got[r][3])
         assert got[r][0][0] == float((r * 7) % n)
         assert got[r][1][0] == float((r * 5 + 1) % n)
-    assert len(cache) <= 4
-    # every eviction removed a whole collective (p entries at a time)
-    assert cache.evictions % p == 0
+    assert len(session.plans) == 1
+    assert trace.schedule_counts() == {"miss": 4 * p}
 
 
 def test_oversized_collective_does_not_self_evict():
-    """A single collective larger than the cache stays intact (the cache
-    runs over capacity rather than splitting the in-flight group)."""
+    """A whole collective is one plan-cache entry, so even a one-entry
+    cache replays it on every rank."""
     n, p = 16, 4
     g = ProcessorGrid((p,))
     A = DistArray((n,), g, dist=("block",), name="A")
     A.from_global(np.arange(float(n)))
-    cache = ScheduleCache(max_entries=2)  # smaller than one collective
     idx = {r: np.array([[(r + 1) * 3 % n]]) for r in range(p)}
 
     def prog(ctx):
         for _ in range(3):
-            yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            yield from ctx.cached_gather(g, A, idx[ctx.rank])
 
-    trace = Session(Machine(n_procs=p), g).run(prog)
+    trace = Session(Machine(n_procs=p), g, max_plan_entries=1).run(prog)
     # one consistent build, then consistent hits everywhere
     assert trace.schedule_counts() == {"miss": p, "hit": 2 * p}
 
@@ -449,100 +431,85 @@ def test_plan_entries_bounded_by_layouts_visited_and_lru():
 
 
 def test_aborted_run_does_not_poison_later_runs():
-    """A verdict left unconsumed by a crashed run must not be matched by
-    the next run's identical tag sequence on the same cache."""
+    """One rank skips a cached gather: the others park at its
+    rendezvous until the run fails naming it, nothing is cached, and a
+    correct parsub on the same Session then gets the right values."""
     g = ProcessorGrid((2,))
     A = DistArray((8,), g, dist=("block",), name="A")
     A.from_global(np.arange(8.0))
-    cache = ScheduleCache()
+    session = Session(Machine(n_procs=2), g)
 
-    def diverging(ctx):
-        yield from ctx.cached_gather(g, A, np.array([[7 - 7 * ctx.rank]]), cache=cache)
-        idx = np.array([[7]]) if ctx.rank == 0 else np.array([[4]])
-        yield from ctx.cached_gather(g, A, idx, cache=cache)
+    def skipping(ctx):
+        if ctx.rank == 0:
+            yield from ctx.cached_gather(g, A, np.array([[7]]))
 
-    with pytest.raises(ValidationError, match="divergent index pattern"):
-        Session(Machine(n_procs=2), g).run(diverging)
+    with pytest.raises(DeadlockError, match="rendezvous"):
+        session.run(skipping)
+    assert len(session.plans) == 0
+    assert session.stats()["schedules"] == {"hits": 0, "misses": 0}
 
-    # same cache, same array, same tag sequence -- a consistent program
-    # must run cleanly and get the correct verdicts
     got = {}
 
     def consistent(ctx):
         got[ctx.rank] = []
         for _ in range(2):
-            v = yield from ctx.cached_gather(
-                g, A, np.array([[6 - 5 * ctx.rank]]), cache=cache
-            )
+            v = yield from ctx.cached_gather(g, A, np.array([[6 - 5 * ctx.rank]]))
             got[ctx.rank].append(float(v[0]))
 
-    Session(Machine(n_procs=2), g).run(consistent)
+    session.run(consistent)
     assert got == {0: [6.0, 6.0], 1: [1.0, 1.0]}
+    assert session.stats()["schedules"] == {"hits": 1, "misses": 1}
 
 
-def test_straggler_store_cannot_recreate_evicted_group():
-    """A rank's late store after its collective's group was evicted must
-    not re-create the group with a subset of ranks (a later identical
-    call would split into hit/miss across ranks)."""
-    n, p = 16, 2
-    g = ProcessorGrid((p,))
-    A = DistArray((n,), g, dist=("block",), name="A")
-    A.from_global(np.arange(float(n)))
-    cache = ScheduleCache(max_entries=2)
-    scheds = {}
+def test_peer_diverging_into_a_doall_deadlocks_naming_both():
+    """A rank that reaches a doall where its peer gathers (same per-grid
+    tag) does not join the gather's rendezvous: nothing moves, and the
+    run fails naming both."""
+    from repro.lang import Assign, Doall, Owner, loopvars
 
-    def build(ctx):
-        sched, _ = yield from build_gather_schedule(
-            ctx, g, A, np.array([[n - 1 - ctx.rank]])
-        )
-        scheds[ctx.rank] = sched
+    g = ProcessorGrid((2,))
+    A = DistArray((8,), g, dist=("block",), name="A")
+    A.from_global(np.arange(8.0))
+    B = DistArray((8,), g, dist=("block",), name="B")
+    (i,) = loopvars("i")
+    loop = Doall((i,), [(0, 7)], Owner(B, (i,)), [Assign(B[i], A[i] + 1.0)], g)
 
-    Session(Machine(n_procs=p), g).run(build)
-    cache.store(scheds[0])
-    cache.store(scheds[1])
-    assert len(cache) == 2
+    def prog(ctx):
+        if ctx.rank == 0:
+            yield from ctx.cached_gather(g, A, np.array([[7]]))
+        else:
+            yield from ctx.doall(loop)
 
-    # a second collective's stores evict the first group entirely...
-    def build2(ctx):
-        sched, _ = yield from build_gather_schedule(
-            ctx, g, A, np.array([[ctx.rank]])
-        )
-        scheds[("b", ctx.rank)] = sched
-
-    Session(Machine(n_procs=p), g).run(build2)
-    cache.store(scheds[("b", 0)])
-    cache.store(scheds[("b", 1)])
-    assert len(cache) == 2  # first group evicted wholesale
-
-    # ...so a straggler re-store of one first-group member is rejected
-    cache.store(scheds[0])
-    assert len(cache) == 2
-    assert scheds[0].key not in cache._entries
+    with pytest.raises(DeadlockError) as err:
+        Session(Machine(n_procs=2), g).run(prog)
+    assert "'gather'" in str(err.value) and str(err.value).count("rendezvous") == 2
+    np.testing.assert_array_equal(B.to_global(), np.zeros(8))
 
 
 def test_invalidate_array_reaches_section_schedules():
-    """Invalidating a base array purges schedules built on its sections."""
+    """Invalidating a base array purges gather plans built on its
+    sections."""
     p = 2
     g = ProcessorGrid((p,))
     u = DistArray((4, 6), g, dist=("*", "block"), name="u")
     u.from_global(np.arange(24.0).reshape(4, 6))
     sec = u[0, :]
-    cache = ScheduleCache()
+    session = Session(Machine(n_procs=p), g)
     idx = {0: np.array([[5]]), 1: np.array([[0]])}
 
     def prog(ctx):
-        yield from ctx.cached_gather(g, sec, idx[ctx.rank], cache=cache)
+        yield from ctx.cached_gather(g, sec, idx[ctx.rank])
 
-    Session(Machine(n_procs=p), g).run(prog)
-    assert len(cache) == p
-    assert cache.invalidate_array(u) == p  # base invalidation reaches them
-    assert len(cache) == 0
+    session.run(prog)
+    assert session.plans.kind_stats() == {"gather": {"hits": 0, "misses": 1}}
+    assert len(session.plans) == 1
+    u.invalidate_schedules()  # base invalidation reaches the section's plan
+    assert len(session.plans) == 0
 
 
 def test_fingerprint_hashed_once_per_gather_call(monkeypatch):
-    """The index fingerprint is the one per-call hash: the probe key, the
-    mark payload, and the built schedule's stored fingerprint all share
-    a single computation (replays used to hash twice or thrice)."""
+    """The index fingerprint is the one per-rank, per-call hash: the
+    plan key and the mark payload share a single computation."""
     from repro.compiler import commsched
 
     calls = {"n": 0}
@@ -558,18 +525,17 @@ def test_fingerprint_hashed_once_per_gather_call(monkeypatch):
     g = ProcessorGrid((p,))
     A = DistArray((10,), g, dist=("block",), name="A")
     A.from_global(np.arange(10.0))
-    cache = ScheduleCache()
     idx = {0: np.array([[1], [7]]), 1: np.array([[3]])}
     sweeps = 4
 
     def prog(ctx):
         for _ in range(sweeps):
-            yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            yield from ctx.cached_gather(g, A, idx[ctx.rank])
 
     trace = Session(Machine(n_procs=p), g).run(prog)
     # one hash per rank per collective call -- build and replay alike
     assert calls["n"] == p * sweeps
-    # the replay marks carry the schedule's stored fingerprint
+    # the replay marks carry the same fingerprint as the build marks
     hits = [m for m in trace.marks if m.label == "commsched/hit"]
     misses = [m for m in trace.marks if m.label == "commsched/miss"]
     assert len(hits) == p * (sweeps - 1) and len(misses) == p

@@ -1,16 +1,16 @@
-"""Property test: cached-schedule replay is bit-identical to the
-uncached inspector gather for arbitrary distributions and request sets,
-including ranks that request nothing.
+"""Property tests: every gathered vector -- uncached inspection, cached
+build, cached replay -- equals plain numpy indexing of the global array,
+for arbitrary distributions, 1-D and 2-D arrays, sections, empty request
+sets, rank-skewed arrival, and a rank that changes its pattern alone.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import ScheduleCache, inspector_gather
+from repro.compiler import inspector_gather
 from repro.lang import BlockCyclic, DistArray, ProcessorGrid
-from repro.machine import Machine
+from repro.machine import Compute, Machine
 from repro.session import Session
 
 
@@ -20,110 +20,135 @@ def _dist_of(kind: str):
     return kind
 
 
+def _rows(draw, shape, max_size=8):
+    """One rank's request rows inside ``shape`` (possibly none)."""
+    rows = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, n - 1) for n in shape)),
+            min_size=0, max_size=max_size,
+        )
+    )
+    return np.asarray(rows, dtype=np.int64).reshape(-1, len(shape))
+
+
 @st.composite
 def gather_cases(draw):
     p = draw(st.integers(min_value=1, max_value=4))
-    n = draw(st.integers(min_value=p, max_value=24))
-    kind = draw(
-        st.sampled_from(["block", "cyclic", "blockcyclic-2", "blockcyclic-3"])
+    kind = _dist_of(
+        draw(st.sampled_from(["block", "cyclic", "blockcyclic-2", "blockcyclic-3"]))
     )
-    # per-rank request lists; empty lists exercise the no-request path
-    index_lists = [
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=n - 1), min_size=0, max_size=8
-            )
+    ndim = draw(st.sampled_from([1, 2]))
+    if ndim == 1:
+        shape, dist = (draw(st.integers(min_value=p, max_value=24)),), (kind,)
+    else:
+        split = draw(st.integers(0, 1))  # which dim the grid distributes
+        shape = tuple(
+            draw(st.integers(min_value=p if k == split else 1, max_value=8))
+            for k in range(2)
         )
-        for _ in range(p)
-    ]
+        dist = tuple(kind if k == split else "*" for k in range(2))
+    # a section fixes dim 0 of a 2-D array: the gather reads a 1-D slice
+    section = ndim == 2 and draw(st.booleans())
+    row = draw(st.integers(0, shape[0] - 1)) if section else None
+    view_shape = shape[1:] if section else shape
+    patterns = [_rows(draw, view_shape) for _ in range(p)]
+    # rank-skewed arrival: a rank-dependent Compute before every call
+    skew = [draw(st.sampled_from([0.0, 1e-5, 3e-4])) for _ in range(p)]
+    # one rank may bring another pattern alone on the middle sweep
+    changer = draw(st.one_of(st.none(), st.integers(0, p - 1)))
+    changed = _rows(draw, view_shape) if changer is not None else None
     seed = draw(st.integers(min_value=0, max_value=2**16))
-    sweeps = draw(st.integers(min_value=2, max_value=3))
-    return p, n, kind, index_lists, seed, sweeps
+    return p, shape, dist, row, patterns, skew, changer, changed, seed
+
+
+def _setup(case):
+    p, shape, dist, row, patterns, skew, changer, changed, seed = case
+    g = ProcessorGrid((p,))
+    A = DistArray(shape, g, dist=dist, name="A")
+    A.from_global(np.random.default_rng(seed).standard_normal(shape))
+    view = A if row is None else A[(row,) + (slice(None),) * (len(shape) - 1)]
+
+    def pattern(rank, sweep):
+        if sweep == 1 and rank == changer:
+            return changed
+        return patterns[rank]
+
+    return g, view, pattern, skew
 
 
 @given(gather_cases())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_cached_replay_bit_identical(case):
-    p, n, kind, index_lists, seed, sweeps = case
-    rng = np.random.default_rng(seed)
-    values = rng.standard_normal(n)
-    idx = {
-        r: np.asarray(lst, dtype=np.int64).reshape(-1, 1)
-        for r, lst in enumerate(index_lists)
-    }
+    p = case[0]
+    sweeps = 3
+    g, view, pattern, skew = _setup(case)
+    want = view.to_global()
 
-    def fresh_array(g):
-        A = DistArray((n,), g, dist=(_dist_of(kind),), name="A")
-        A.from_global(values)
-        return A
+    def reference(rank, sweep):
+        return want[tuple(pattern(rank, sweep).T)]
 
-    # -- uncached reference ------------------------------------------------
-    g = ProcessorGrid((p,))
-    A = fresh_array(g)
-    reference = {}
+    # -- uncached inspection ---------------------------------------------
+    fresh = {}
 
     def prog_uncached(ctx):
-        reference[ctx.rank] = yield from inspector_gather(ctx, g, A, idx[ctx.rank])
+        yield Compute(seconds=skew[ctx.rank])
+        fresh[ctx.rank] = yield from inspector_gather(ctx, g, view, pattern(ctx.rank, 0))
 
     Session(Machine(n_procs=p), g).run(prog_uncached)
+    for r in range(p):
+        assert fresh[r].dtype == want.dtype
+        np.testing.assert_array_equal(fresh[r], reference(r, 0))
 
-    # -- cached: one build sweep + replays ---------------------------------
-    A2 = fresh_array(g)
-    cache = ScheduleCache()
-    replays = {r: [] for r in range(p)}
+    # -- cached: build sweep, replays, a lone pattern change ---------------
+    session = Session(Machine(n_procs=p), g)
+    got = {r: [] for r in range(p)}
 
     def prog_cached(ctx):
-        for _ in range(sweeps):
-            vals = yield from ctx.cached_gather(g, A2, idx[ctx.rank], cache=cache)
-            replays[ctx.rank].append(vals)
+        for sweep in range(sweeps):
+            yield Compute(seconds=skew[ctx.rank] * (sweep + 1))
+            vals = yield from ctx.cached_gather(g, view, pattern(ctx.rank, sweep))
+            got[ctx.rank].append(vals)
 
-    trace = Session(Machine(n_procs=p), g).run(prog_cached)
-
+    trace = session.run(prog_cached)
     for r in range(p):
-        for vals in replays[r]:
-            assert vals.dtype == reference[r].dtype
-            np.testing.assert_array_equal(reference[r], vals)
-    # every rank misses exactly once, then always hits
-    assert cache.misses == p
-    assert cache.hits == p * (sweeps - 1)
-    assert trace.schedule_hit_rate() == pytest.approx((sweeps - 1) / sweeps)
+        for sweep, vals in enumerate(got[r]):
+            assert vals.dtype == want.dtype
+            np.testing.assert_array_equal(vals, reference(r, sweep))
+
+    # one probe per collective call; a call misses exactly when the
+    # grid's tuple of patterns is new
+    seen, expect = set(), {"hits": 0, "misses": 0}
+    for sweep in range(sweeps):
+        key = tuple(
+            (pattern(r, sweep).shape, pattern(r, sweep).tobytes()) for r in range(p)
+        )
+        expect["hits" if key in seen else "misses"] += 1
+        seen.add(key)
+    assert session.stats()["schedules"] == expect
+    assert trace.schedule_counts() == {
+        k: p * n for k, n in (("miss", expect["misses"]), ("hit", expect["hits"])) if n
+    }
 
 
 @given(gather_cases())
 @settings(max_examples=15, deadline=None)
 def test_replay_never_sends_more_messages(case):
-    """Replay sweeps never exceed the message count of a fresh inspection."""
-    p, n, kind, index_lists, seed, sweeps = case
-    idx = {
-        r: np.asarray(lst, dtype=np.int64).reshape(-1, 1)
-        for r, lst in enumerate(index_lists)
-    }
-
-    def fresh_array(g):
-        A = DistArray((n,), g, dist=(_dist_of(kind),), name="A")
-        A.from_global(np.arange(float(n)))
-        return A
-
-    g = ProcessorGrid((p,))
-
-    A = fresh_array(g)
+    """Replay sweeps never exceed half the message count of a fresh
+    inspection (they drop the request round and the empty replies)."""
+    p = case[0]
+    sweeps = 3
+    g, view, pattern, _ = _setup(case)
 
     def prog_uncached(ctx):
-        yield from inspector_gather(ctx, g, A, idx[ctx.rank])
+        yield from inspector_gather(ctx, g, view, pattern(ctx.rank, 0))
 
-    t_un = Session(Machine(n_procs=p), g).run(prog_uncached)
-    per_sweep = t_un.message_count()
-
-    A2 = fresh_array(g)
-    cache = ScheduleCache()
+    per_sweep = Session(Machine(n_procs=p), g).run(prog_uncached).message_count()
 
     def prog_cached(ctx):
         for _ in range(sweeps):
-            yield from ctx.cached_gather(g, A2, idx[ctx.rank], cache=cache)
+            yield from ctx.cached_gather(g, view, pattern(ctx.rank, 0))
 
     t_ca = Session(Machine(n_procs=p), g).run(prog_cached)
+    # the build sweep equals the uncached sweep
     replay_msgs = t_ca.message_count() - per_sweep
-    # build sweep == uncached sweep; each replay costs at most half of one
-    # fresh inspection (it drops the entire request round and empty replies)
-    if sweeps > 1:
-        assert replay_msgs <= (sweeps - 1) * per_sweep // 2
+    assert replay_msgs <= (sweeps - 1) * per_sweep // 2

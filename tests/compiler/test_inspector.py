@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang import DistArray, ProcessorGrid
+from repro.lang import DistArray, KaliCtx, ProcessorGrid
 from repro.compiler import inspector_gather
 from repro.machine import Machine
 from repro.util.errors import ValidationError
@@ -134,8 +134,10 @@ def test_gather_preserves_dtype(dtype):
 
 
 def test_reply_payloads_carry_array_dtype_on_wire():
-    """Every reply payload -- including the empty reply to a rank that
-    requested nothing -- must carry the array dtype, not float64."""
+    """Every reply -- including the empty reply to a rank that requested
+    nothing -- is charged at the array dtype's width, not float64's; the
+    values themselves move at the grid rendezvous, so no reply carries
+    data."""
     from repro.machine.ops import Send
 
     m = Machine(n_procs=2)
@@ -143,29 +145,57 @@ def test_reply_payloads_carry_array_dtype_on_wire():
     A = DistArray((8,), g, dist=("block",), name="A", dtype=np.int16)
     A.from_global(np.arange(8, dtype=np.int16))
     seen = {}
-    reply_payloads = []
+    replies = []
 
     def prog(ctx):
         # only rank 0 requests anything; rank 1 still sends an (empty) reply
         idx = np.array([[7]]) if ctx.rank == 0 else None
         inner = inspector_gather(ctx, g, A, idx)
-        # interpose on the op stream to capture the actual wire payloads
+        # interpose on the op stream to capture the actual wire ops
         value = None
         try:
             while True:
                 op = inner.send(value)
                 if isinstance(op, Send) and op.tag[1] == "rep":
-                    reply_payloads.append(op.data)
+                    replies.append(op)
                 value = yield op
         except StopIteration as stop:
             seen[ctx.rank] = stop.value
 
     trace = Session(m, g).run(prog)
-    assert len(reply_payloads) == 2  # one reply each way, one of them empty
-    for payload in reply_payloads:
-        assert payload.dtype == np.int16
-    sizes = sorted(p.size for p in reply_payloads)
-    assert sizes == [0, 1]
+    assert len(replies) == 2  # one reply each way, one of them empty
+    assert all(op.data is None for op in replies)
     # the one-element int16 reply occupies 2 bytes on the wire, not 8
+    assert sorted(op.size() for op in replies) == [0, 2]
     assert sorted(msg.nbytes for msg in trace.messages if msg.tag[1] == "rep") == [0, 2]
     assert seen[0].dtype == np.int16 and seen[1].dtype == np.int16
+    assert seen[0].tolist() == [7] and seen[1].size == 0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["inspector", "cached"])
+@pytest.mark.parametrize("dist, row", [
+    ("cyclic", [-1]),   # used to wrap around to element 7
+    ("block", [-1]),    # used to fail in numpy on a negative local index
+    ("block", [8]),     # used to fail in numpy past the end
+])
+def test_out_of_range_index_rows_rejected_before_any_op(dist, row, cached):
+    """A request row outside the array raises ValidationError on the
+    calling rank, naming the row and the shape, before any op."""
+    g = ProcessorGrid((2,))
+    A = DistArray((8,), g, dist=(dist,), name="A")
+    A.from_global(np.arange(8.0))
+    ctx = KaliCtx(0, g, session=Session())
+    gen = (ctx.cached_gather(g, A, [row]) if cached
+           else inspector_gather(ctx, g, A, [row]))
+    with pytest.raises(ValidationError, match=rf"index row \[{row[0]}\].*shape \(8,\)"):
+        next(gen)
+
+    def prog(ctx):
+        idx = [row] if ctx.rank == 0 else None
+        if cached:
+            yield from ctx.cached_gather(g, A, idx)
+        else:
+            yield from inspector_gather(ctx, g, A, idx)
+
+    with pytest.raises(ValidationError, match="out of bounds"):
+        Session(Machine(n_procs=2), g).run(prog)

@@ -1,6 +1,6 @@
 """Layout-keyed plans: a flip back to a layout you have seen is a hit.
 
-Every cached plan and gather schedule names its arrays by
+Every cached plan -- gather plans included -- names its arrays by
 ``layout_key()`` -- uid plus the layout *by value* -- so a redistribution
 leaves the old layout's entries valid for a return.  These tests pin the
 two halves of that: the reuse (misses follow the distinct layouts
@@ -279,7 +279,7 @@ def test_flip_churn_parsub_has_no_steady_state_misses():
 
 #: The only functions under ``src/repro`` that may mention ``comm_epoch``:
 #: each one identifies the current *blocks* of an array, none builds a
-#: cache key for a plan or a gather schedule.
+#: cache key for a plan.
 BLOCK_IDENTITY_SITES = {
     # the counter itself: defined, bumped where blocks are swapped or
     # declared stale, shared by sections
@@ -292,9 +292,6 @@ BLOCK_IDENTITY_SITES = {
     "lang/array.py::BaseDistArray._owned_meshes",
     # which blocks a worker pool adopted into shared memory
     "machine/mpbackend.py::_pool_key",
-    # in-flight collectives: one build group / one verdict per call
-    "compiler/commsched.py::build_gather_schedule",
-    "compiler/commsched.py::ScheduleCache.gather",
     # checkpoint snapshots record it to tell a clean array from a moved one
     "elastic.py::_snap_clean",
     "elastic.py::checkpoint",
@@ -302,7 +299,7 @@ BLOCK_IDENTITY_SITES = {
 
 #: ... and never these, allow-listed or not (``_line_plan`` keys the one
 #: line-solve plan every tensor line sweep shares)
-KEY_BUILDERS = {"key", "layout_key", "_line_plan", "schedule_key", "repartition_key"}
+KEY_BUILDERS = {"key", "layout_key", "_line_plan", "gather_key", "repartition_key"}
 
 
 def _epoch_sites(root):

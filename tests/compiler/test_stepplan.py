@@ -24,7 +24,6 @@ from repro import Machine, ProcessorGrid, Session
 from repro.baselines import doall_reference
 from repro.baselines.doall import eval_rhs
 from repro.compiler.commgen import StepPlan, freeze_positions
-from repro.compiler.commsched import freeze_payload
 from repro.compiler.schedule import drop_plans_for_array
 from repro.lang import Assign, DistArray, Doall, Owner, loopvars
 from repro.lang.array import storage_of
@@ -418,22 +417,14 @@ def test_copy_in_semantics_survive_snapshot_elision():
 
 
 def test_snapshot_skips_frozen_copies_mutable():
-    frozen = freeze_payload(np.arange(4.0))
+    frozen = np.arange(4.0)
+    frozen.flags.writeable = False
     assert _snapshot(frozen) is frozen
     live = np.arange(4.0)
     copy = _snapshot(live)
     assert copy is not live
     copy_view = _snapshot(live[1:])
     assert copy_view.base is not live
-
-
-def test_freeze_payload_copies_views():
-    base = np.arange(10.0)
-    view = base[2:6]
-    frozen = freeze_payload(view)
-    assert not frozen.flags.writeable
-    base[:] = -1.0  # later mutation must not reach the frozen payload
-    np.testing.assert_array_equal(frozen, [2.0, 3.0, 4.0, 5.0])
 
 
 def test_snapshot_copies_readonly_views_of_live_memory():
@@ -604,8 +595,9 @@ def test_step_plan_is_memoized_per_rank():
 
 def test_dropped_session_frees_its_plans_without_the_collector():
     """analysis -> step_plans -> StepPlan must not point back strongly:
-    a dropped Session's plans (and the workspaces they own) die by
-    refcount, not whenever the cycle collector next happens to run."""
+    a dropped Session's plans (and the workspaces they own), and the
+    arrays their compiled expressions read, die by refcount, not
+    whenever the cycle collector next happens to run."""
     import gc
     import weakref
 
@@ -618,9 +610,13 @@ def test_dropped_session_frees_its_plans_without_the_collector():
                        prog.session.plans._entries.items() if kind == "doall"]
         ref = weakref.ref(analysis)
         plan_ref = weakref.ref(analysis.step_plan(0).evals[0])
+        # F is read-only: its compiled reads capture the array itself
+        array_refs = [weakref.ref(a) for a in prog.loops[0].arrays()]
         del analysis, prog, X
         assert ref() is None, "LoopAnalysis survived its Session"
         assert plan_ref() is None, "StepPlan closures survived their analysis"
+        assert all(r() is None for r in array_refs), \
+            "compiled expressions kept their arrays alive"
     finally:
         gc.enable()
 

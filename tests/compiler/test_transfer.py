@@ -1,7 +1,7 @@
-"""Tests for the bidirectional TransferSchedule subsystem: the scatter
-(doall remote-write) direction and the shared executor/vocabulary.
+"""Tests for the frozen TransferSchedules of doall loops: the scatter
+(doall remote-write) direction and the shared trace vocabulary.
 
-The gather direction is covered by test_commsched.py; the repartition
+Irregular gathers are covered by test_commsched.py; the repartition
 direction by tests/lang/test_redistribute.py.  Here: frozen scatter
 schedules replay bit-identically to a fresh compile, remote-write
 messages carry values only (no index lists on the wire), and the trace
@@ -11,11 +11,7 @@ reports gather and scatter directions separately.
 import numpy as np
 import pytest
 
-from repro.compiler import (
-    ScheduleCache,
-    TransferSchedule,
-    estimate_doall,
-)
+from repro.compiler import TransferSchedule, estimate_doall
 from repro.compiler.schedule import PlanCache
 from repro.lang import (
     Assign,
@@ -117,13 +113,12 @@ def test_scatter_direction_reported_separately():
     n, p, sweeps = 8, 2, 3
     g = ProcessorGrid((p,))
     A, _B, loop = _reversal_loop(g, n)
-    cache = ScheduleCache()
     idx = {0: np.array([[n - 1]]), 1: np.array([[0]])}
 
     def prog(ctx):
         for _ in range(sweeps):
             yield from ctx.doall(loop)
-            yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            yield from ctx.cached_gather(g, A, idx[ctx.rank])
 
     trace = Session(Machine(n_procs=p), g).run(prog)
     directions = trace.schedule_directions()

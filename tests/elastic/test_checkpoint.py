@@ -142,7 +142,6 @@ def test_restore_undoes_a_redistribution():
     ref = prog.arrays["y"].to_global().copy()
 
     prog.arrays["x"].redistribute(("cyclic",))
-    sess.cache.invalidate_array(prog.arrays["x"])
     sess.restore(ck)
     assert prog.arrays["x"].dist.spec_key() == ck.programs[0]["arrays"][0]["spec_key"] \
         or prog.arrays["x"].dist.spec_key() == ck.programs[0]["arrays"][1]["spec_key"]

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro import ScheduleCache, Session
+from repro import Session, inspector_gather
 from repro.lang import Assign, DistArray, Doall, KaliCtx, Owner, ProcessorGrid, loopvars
 from repro.machine import Compute, Machine
 from repro.util.errors import ValidationError
@@ -127,45 +127,25 @@ def test_sessionless_ctx_rejects_cached_collectives_at_call_time(call):
     np.testing.assert_array_equal(A.to_global(), np.arange(8.0))
 
 
-def test_sessionless_ctx_still_serves_explicit_cache_and_collectives():
+def test_sessionless_ctx_still_serves_inspector_gather_and_collectives():
+    """What needs no cache needs no Session: the uncached irregular
+    gather and the grid collectives."""
     g, A, _ = _sessionless_case()
-    cache = ScheduleCache()
     results = {}
 
     def prog(ctx):
-        got = yield from ctx.cached_gather(
-            g, A, np.array([[7 - ctx.rank]]), cache=cache
-        )
+        got = yield from inspector_gather(ctx, g, A, np.array([[7 - ctx.rank]]))
         total = yield from ctx.allreduce(g, ctx.rank + 1)
         results[ctx.rank] = (float(got[0]), total)
 
-    Machine(n_procs=2).run({r: prog(KaliCtx(r, g)) for r in g.linear})
+    trace = Machine(n_procs=2).run({r: prog(KaliCtx(r, g)) for r in g.linear})
     assert results == {0: (7.0, 3), 1: (6.0, 3)}
-    assert cache.misses == 2 and len(cache) == 2
+    assert trace.schedule_counts() == {}
 
 
 # ----------------------------------------------------------------------
 # Concurrency: the serving layer drives contexts/counters from threads
 # ----------------------------------------------------------------------
-
-
-def test_next_run_id_unique_under_threads():
-    """Run ids scope per-run cache decisions; two concurrent launches
-    (serving threads) must never share one."""
-    import threading
-    from repro.lang.context import next_run_id
-
-    ids: list = []
-
-    def grab():
-        ids.extend(next_run_id() for _ in range(1000))
-
-    threads = [threading.Thread(target=grab) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(ids)) == len(ids) == 8000
 
 
 def test_next_tag_never_duplicates_under_threads():

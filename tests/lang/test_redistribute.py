@@ -10,7 +10,7 @@ repartition moves strictly fewer bytes than the old gather-to-all path.
 import numpy as np
 import pytest
 
-from repro.compiler import ScheduleCache, repartition_pieces
+from repro.compiler import repartition_pieces
 from repro.lang import BlockCyclic, DistArray, ProcessorGrid
 from repro.lang.dist import Distribution
 from repro.machine import Machine
@@ -123,7 +123,7 @@ def test_repeated_flips_hit_schedule_cache():
         "repartition": {"hits": 6 * p - 2, "misses": 2}
     }
     assert trace.schedule_counts("repartition") == {"hit": 6 * p - 2, "miss": 2}
-    assert sess.cache.direction_stats() == {}
+    assert sess.stats()["schedules"] == {"hits": 0, "misses": 0}
     np.testing.assert_array_equal(A.to_global(), np.arange(float(n)))
 
 
@@ -236,7 +236,7 @@ def test_aborted_collective_repartition_leaves_the_array_as_it_was():
 
 
 def test_collective_redistribute_invalidates_sections_and_gathers():
-    """A redistribution retires the old layout's gather schedule for the
+    """A redistribution retires the old layout's gather plan for the
     layout the array is *in* -- the same request misses and rebuilds --
     but keeps it for the layout's return, where it hits again; a section
     sliced before the flip stays stale even then."""
@@ -246,22 +246,22 @@ def test_collective_redistribute_invalidates_sections_and_gathers():
     ref = np.arange(4.0 * n).reshape(4, n)
     u.from_global(ref)
     sec = u[0, :]
-    cache = ScheduleCache()
+    sess = Session(Machine(n_procs=p), g)
     idx = {0: np.array([[0, n - 1]]), 1: np.array([[1, 0]])}
     got = []
 
     def prog(ctx):
         for layout in (("*", "cyclic"), ("*", "block")):
-            vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
+            vals = yield from ctx.cached_gather(g, u, idx[ctx.rank])
             got.append((ctx.rank, float(vals[0])))
             yield from ctx.redistribute(u, layout)
-        vals = yield from ctx.cached_gather(g, u, idx[ctx.rank], cache=cache)
+        vals = yield from ctx.cached_gather(g, u, idx[ctx.rank])
         got.append((ctx.rank, float(vals[0])))
 
-    Session(Machine(n_procs=p), g).run(prog)
-    # block: build; cyclic: build (the block schedule must not serve it);
+    sess.run(prog)
+    # block: build; cyclic: build (the block plan must not serve it);
     # block again: replay
-    assert cache.direction_stats()["gather"] == {"hits": p, "misses": 2 * p}
+    assert sess.stats()["schedules"] == {"hits": 1, "misses": 2}
     assert {v for r, v in got if r == 0} == {ref[0, n - 1]}
     assert {v for r, v in got if r == 1} == {ref[1, 0]}
     with pytest.raises(ValidationError, match="stale section"):
@@ -296,7 +296,7 @@ def _gather_to_all_relayout(machine, A, dist):
         news[me] = np.ascontiguousarray(full[np.ix_(*mine)])
         yield Barrier(group=tuple(g.linear), tag="g2a-commit")
         yield Rendezvous(g.key(), "g2a-install",
-                         action=lambda: A._install(g, new_dist, news))
+                         action=lambda _payloads: A._install(g, new_dist, news))
 
     news = {}
     return Session(machine, g).run(prog)

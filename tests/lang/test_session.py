@@ -86,7 +86,7 @@ def test_two_sessions_never_share_schedules():
     assert t2.schedule_counts()["build"] >= 1
     assert s2.plans.kind_stats()["doall"]["misses"] == 1
     # and the two sessions' caches hold separate entries
-    assert s1.plans is not s2.plans and s1.cache is not s2.cache
+    assert s1.plans is not s2.plans
     assert _trace_fingerprint(t1a) == _trace_fingerprint(t2)
 
 
@@ -104,11 +104,11 @@ def test_two_sessions_cached_gather_isolated():
     s2 = Session(Machine(n_procs=p), g)
     s1.run(prog)
     s1.run(prog)
-    assert s1.cache.by_direction["gather"] == {"hits": p, "misses": p}
-    # the second session sees none of s1's schedules
+    assert s1.stats()["schedules"] == {"hits": 1, "misses": 1}
+    # the second session sees none of s1's plans
     s2.run(prog)
-    assert s2.cache.by_direction["gather"] == {"hits": 0, "misses": p}
-    assert len(s1.cache) == p and len(s2.cache) == p
+    assert s2.stats()["schedules"] == {"hits": 0, "misses": 1}
+    assert len(s1.plans) == 1 and len(s2.plans) == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.compiler import ScheduleCache
 from repro.kernels.substructured import (
     ShuffleMapping,
     clear_routing_cache,
@@ -115,13 +114,12 @@ def test_golden_cached_gather_sweeps():
     g = ProcessorGrid((2,))
     A = DistArray((8,), g, dist=("block",), name="A")
     A.from_global(np.arange(8.0))
-    cache = ScheduleCache()
     idx = {0: np.array([[7]]), 1: np.array([[0]])}
     got = {0: [], 1: []}
 
     def prog(ctx):
         for _ in range(3):
-            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank], cache=cache)
+            vals = yield from ctx.cached_gather(g, A, idx[ctx.rank])
             got[ctx.rank].append(float(vals[0]))
 
     trace = Session(Machine(n_procs=2), g).run(prog)

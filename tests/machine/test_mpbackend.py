@@ -3,13 +3,10 @@
 Building a second backend that must match the simulator bit-for-bit
 turned several latent simulator behaviors into contracts:
 
-* run ids must be unique across *processes* (forked workers inherit the
-  counter);
 * published trace records are immutable -- consume times are stamped by
   rebuilding, never mutating;
-* ``_snapshot``/``freeze_payload`` accept read-only views whose whole
-  base chain is frozen, without weakening copy semantics for views of
-  live storage;
+* ``_snapshot`` accepts read-only views whose whole base chain is
+  frozen, without weakening copy semantics for views of live storage;
 * :class:`~repro.util.errors.DeadlockError` reports what every stuck
   rank waits on -- a receive, a barrier or a doall's grid rendezvous --
   and its undelivered mailbox keys, so cross-backend protocol drift is
@@ -19,9 +16,6 @@ Bit-identity of the backend itself (results, traces, accounting) is
 pinned in ``tests/compiler/test_stepplan.py``, parametrized over
 backends; this file covers the backend's machinery and those contracts.
 """
-
-import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -34,9 +28,7 @@ from repro import (
     ProcessorGrid,
     Session,
 )
-from repro.compiler.commsched import freeze_payload
 from repro.lang import Assign, Doall, Owner, loopvars
-from repro.lang.context import next_run_id
 from repro.machine.ops import Barrier, Recv, Send, frozen_by_value
 from repro.machine.simulator import _snapshot
 from repro.machine.trace import Trace
@@ -345,7 +337,9 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     """Tier-1 guard: the generator knows nothing of the batch prefix
     and moves no data (the direct phase walk owns both), the sweep
     drivers the shared frozen-loop driver replaced stay deleted, and so
-    do the value-carrying repartition executor and its staging hooks."""
+    do the value-carrying repartition executor and its staging hooks,
+    and the value-carrying gather executor with its schedule cache and
+    the run ids that scoped it."""
     import inspect
 
     from repro.compiler import schedule
@@ -365,9 +359,18 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     from repro.lang import DistArray
 
     assert not hasattr(commsched, "execute_repartition")
-    assert not hasattr(commsched.ScheduleCache, "repartition")
     assert not hasattr(DistArray, "_stage_repartition")
     assert commsched.DIRECTIONS == ("gather", "scatter")
+    # an irregular gather's plan moves its values at the rendezvous too
+    for name in ("ScheduleCache", "_CallDecision", "build_gather_schedule",
+                 "execute_gather", "execute_transfer", "freeze_payload",
+                 "schedule_key"):
+        assert not hasattr(commsched, name), name
+    from repro.lang import context
+
+    assert not hasattr(context, "next_run_id")
+    assert "run_id" not in inspect.signature(context.KaliCtx).parameters
+    assert not hasattr(Session(), "cache")
 
 
 # ----------------------------------------------------------------------
@@ -431,37 +434,6 @@ def test_oracle_pins_no_superseded_analysis(backend):
 
 
 # ----------------------------------------------------------------------
-# Run ids: unique across processes (forked workers inherit the counter)
-# ----------------------------------------------------------------------
-
-
-def test_run_ids_keyed_by_pid():
-    rid = next_run_id()
-    assert rid[0] == os.getpid()
-    assert next_run_id() != rid
-
-
-def test_run_ids_unique_across_forked_processes():
-    """A forked child inherits the parent's counter state; ids must
-    still never collide (two backends running concurrently allocate
-    from different processes)."""
-    parent_ids = [next_run_id() for _ in range(4)]
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-
-    def child(q):
-        q.put([next_run_id() for _ in range(4)])
-
-    proc = ctx.Process(target=child, args=(queue,))
-    proc.start()
-    child_ids = queue.get(timeout=30)
-    proc.join(timeout=30)
-    assert set(parent_ids).isdisjoint(child_ids)
-    # and the parent's own stream is unaffected
-    assert next_run_id() not in parent_ids + child_ids
-
-
-# ----------------------------------------------------------------------
 # Trace records: stamped by rebuilding, never by mutation
 # ----------------------------------------------------------------------
 
@@ -497,20 +469,20 @@ def test_stamp_recv_rebuilds_record_never_mutates():
 
 
 # ----------------------------------------------------------------------
-# Snapshot/freeze: frozen base chains pass through, live views copy
+# Snapshot: frozen base chains pass through, live views copy
 # ----------------------------------------------------------------------
 
 
 def test_snapshot_accepts_views_of_frozen_base():
     """A read-only view of a frozen owning array is by-value already:
-    no surviving reference can mutate it, so neither _snapshot nor
-    freeze_payload may copy it."""
-    frozen = freeze_payload(np.arange(10.0))
+    no surviving reference can mutate it, so _snapshot may not copy
+    it."""
+    frozen = np.arange(10.0)
+    frozen.flags.writeable = False
     view = frozen[2:6]
     assert not view.flags.writeable and view.base is frozen
     assert frozen_by_value(view)
     assert _snapshot(view) is view
-    assert freeze_payload(view) is view
     # chains of views resolve through to the owning array
     deeper = view[1:3]
     assert frozen_by_value(deeper)
@@ -527,10 +499,6 @@ def test_snapshot_still_copies_readonly_views_of_live_storage():
     snap = _snapshot(readonly)
     live[:] = 9.0
     np.testing.assert_array_equal(snap, np.zeros(4))
-    frozen = freeze_payload(readonly)
-    np.testing.assert_array_equal(frozen, np.full(4, 9.0))
-    live[:] = -1.0
-    np.testing.assert_array_equal(frozen, np.full(4, 9.0))
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Covers the pool checkout discipline, the shared-cache
 compile-once/serve-everyone contract, the threaded front end, and the
-stress properties the tentpole claims: N threads hammering one shared
-ScheduleCache corrupt nothing, lose no hits, and produce well-formed
-traces; Session.history stays consistent under concurrent appends.
+stress properties the serving layer claims: N threads hammering one
+shared PlanCache with cached gathers corrupt nothing, lose no hits, and
+produce well-formed traces; Session.history stays consistent under
+concurrent appends.
 """
 
 import threading
@@ -13,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import repro
 from repro import Machine, ProcessorGrid, Session
 from repro.lang import DistArray
 from repro.serve import Server, SessionPool
@@ -79,8 +79,8 @@ def test_pool_needs_positive_size():
 
 def test_pool_sessions_share_one_cache_pair():
     pool = SessionPool(3, machine=Machine(n_procs=2))
-    assert all(s.cache is pool.cache for s in pool.sessions)
     assert all(s.plans is pool.plans for s in pool.sessions)
+    assert all(s.oracle is pool.oracle for s in pool.sessions)
 
 
 def test_compile_once_replays_on_every_pooled_session():
@@ -274,13 +274,13 @@ def test_fetch_unknown_array_raises_cleanly():
 
 
 # ----------------------------------------------------------------------
-# Stress: one shared ScheduleCache under many threads
+# Stress: one shared plan cache under many threads
 # ----------------------------------------------------------------------
 
 
 def test_shared_schedule_cache_thread_stress():
     """N threads x M runs of a warmed cached_gather against ONE shared
-    ScheduleCache: exact hit/miss accounting (no lost or spurious
+    plan cache: exact hit/miss accounting (no lost or spurious
     entries), correct gathered values on every run, well-formed traces.
     """
     p, threads, runs = 2, 4, 10
@@ -299,8 +299,8 @@ def test_shared_schedule_cache_thread_stress():
             failures.append(f"rank {ctx.rank}: {got} != {want}")
 
     with pool.session() as s:
-        s.run(prog)  # warm: one schedule per rank
-    assert pool.cache.by_direction["gather"] == {"hits": 0, "misses": p}
+        s.run(prog)  # warm: one grid-wide gather plan
+    assert pool.stats()["schedules"] == {"hits": 0, "misses": 1}
 
     def worker():
         with pool.session() as s:
@@ -311,12 +311,10 @@ def test_shared_schedule_cache_thread_stress():
                   for t in f.result()]
 
     assert not failures
-    # exact accounting: every one of the threads*runs*p probes hit the
-    # warmed schedules; nothing was rebuilt or evicted
-    assert pool.cache.by_direction["gather"] == {
-        "hits": threads * runs * p, "misses": p,
-    }
-    assert len(pool.cache) == p
+    # exact accounting: every one of the threads*runs probes (one per
+    # collective call) hit the warmed plan; nothing was rebuilt or evicted
+    assert pool.stats()["schedules"] == {"hits": threads * runs, "misses": 1}
+    assert len(pool.plans) == 1
     # hit rate under concurrency is the single-thread rate (1.0 warm)
     assert pool.hit_rates()["gather"] == (threads * runs) / (threads * runs + 1)
     # traces are well-formed: the replay round's messages all completed
@@ -346,24 +344,6 @@ def test_session_history_safe_under_concurrent_runs():
     assert s.runs == threads * runs
     assert len(s.history) == 16
     assert all(tr is not None for tr in s.history)
-
-
-def test_run_ids_and_tags_stay_unique_under_threads():
-    """Two concurrent launches sharing one cache must never collide on
-    run ids (they scope per-run cache decisions)."""
-    from repro.lang.context import next_run_id
-
-    ids: list = []
-
-    def grab():
-        ids.extend(next_run_id() for _ in range(500))
-
-    ts = [threading.Thread(target=grab) for _ in range(8)]
-    for t in ts:
-        t.start()
-    for t in ts:
-        t.join()
-    assert len(set(ids)) == len(ids) == 8 * 500
 
 
 def test_programs_run_concurrently_results_uncorrupted():

@@ -22,6 +22,7 @@ DEFAULT_MODULES = [
     "repro.baselines.doall",
     "repro.compiler.commsched",
     "repro.compiler.estimate",
+    "repro.compiler.inspector",
     "repro.compiler.schedule",
     "repro.faults",
     "repro.lang.context",

@@ -375,7 +375,9 @@ def repartition(ctx, array, dist, new_grid: ProcessorGrid | None = None):
     )
     union = array.grid.union(to_grid)
     tag = ctx.next_tag(union)
-    yield Rendezvous(union.key(), tag, action=lambda _payloads: plan.apply(array))
+    yield Rendezvous(
+        union.key(), (tag, "repartition"), action=lambda _payloads: plan.apply(array)
+    )
     yield from _mark(
         ctx, "commsched/hit" if reused else "commsched/miss",
         ("repartition", array.name, plan.label),
@@ -518,10 +520,11 @@ def gather(ctx, grid: ProcessorGrid, array: BaseDistArray, indices, cached: bool
         out = plan.apply(array)
         return {r: (out[r], plan, reused) for r in payloads}
 
-    # the "gather" in the tag keeps a peer that diverged into another
-    # collective at the same tag (a doall) out of this rendezvous
+    # the kind in the tag keeps a peer that diverged into another
+    # collective at the same tag (a doall, or the other gather form) out
+    # of this rendezvous
     values, plan, reused = yield Rendezvous(
-        grid.key(), (tag, "gather"), action, payload=(rows, fingerprint)
+        grid.key(), (tag, "gather", cached), action, payload=(rows, fingerprint)
     )
     if cached:
         yield from _mark(

@@ -335,7 +335,7 @@ def _replay(ctx, analysis: LoopAnalysis, overlap: bool = False,
     me = ctx.rank
     grid = analysis.loop.grid
     tag = ctx.next_tag(grid)
-    yield Rendezvous(grid.key(), tag, action)
+    yield Rendezvous(grid.key(), (tag, "doall"), action)
     # announce the replay (or compile) of the plan and of its gather and
     # scatter schedules, per direction; cheap-marks mode only counts, and
     # the Session folds the counts into ``Trace.mark_counts``

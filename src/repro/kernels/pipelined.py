@@ -92,17 +92,12 @@ def pipelined_node_program(
     blocks: list[tuple],
     mapping: Mapping,
     outs: list[dict[int, np.ndarray]],
-    sys_ids: list | None = None,
 ):
     """Listing 6: stream all systems through each of this rank's roles.
 
-    ``sys_ids`` optionally namespaces message tags per system (defaults
-    to the system index) so concurrent or repeated solves cannot alias.
+    System ``s``'s messages are tagged with its index ``s``.
     """
     nsys = len(blocks)
-    ids = list(sys_ids) if sys_ids is not None else list(range(nsys))
-    if len(ids) != nsys:
-        raise ValidationError("sys_ids must match the number of systems")
     k = mapping.k
 
     if p == 1:
@@ -124,19 +119,15 @@ def pipelined_node_program(
         pair_at[(s, 0, rank)] = my_pair
         parent = mapping.pair_rank(1, rank // 2) if k >= 2 else mapping.pair_rank(k, 0)
         if parent != rank:
-            yield Send(parent, np.concatenate(my_pair), tag=("tri", ids[s], "up", 0, rank))
+            yield Send(parent, np.concatenate(my_pair), tag=("tri", s, "up", 0, rank))
 
     # ---- Phase B: tree reductions, streaming systems ---------------------
     for level in range(1, k):
         for j in _holdings(mapping, rank, level):
             for s in range(nsys):
                 yield Mark("mtri/reduce", payload=(s, level))
-                pa = yield from _obtain_sys_pair(
-                    rank, mapping, level - 1, 2 * j, pair_at, s, ids[s]
-                )
-                pb = yield from _obtain_sys_pair(
-                    rank, mapping, level - 1, 2 * j + 1, pair_at, s, ids[s]
-                )
+                pa = yield from _obtain_sys_pair(rank, mapping, level - 1, 2 * j, pair_at, s)
+                pb = yield from _obtain_sys_pair(rank, mapping, level - 1, 2 * j + 1, pair_at, s)
                 first, last, sred = reduce_four_rows(pa, pb)
                 yield Compute(flops=reduce_flops(4), label="tree_reduce")
                 saved[(s, level, j)] = sred
@@ -150,7 +141,7 @@ def pipelined_node_program(
                     yield Send(
                         dest,
                         np.concatenate((first, last)),
-                        tag=("tri", ids[s], "up", level, j),
+                        tag=("tri", s, "up", level, j),
                     )
 
     # ---- Apex ------------------------------------------------------------
@@ -159,8 +150,8 @@ def pipelined_node_program(
     if rank == apex:
         for s in range(nsys):
             yield Mark("mtri/apex", payload=(s, k))
-            pa = yield from _obtain_sys_pair(rank, mapping, top, 0, pair_at, s, ids[s])
-            pb = yield from _obtain_sys_pair(rank, mapping, top, 1, pair_at, s, ids[s])
+            pa = yield from _obtain_sys_pair(rank, mapping, top, 0, pair_at, s)
+            pb = yield from _obtain_sys_pair(rank, mapping, top, 1, pair_at, s)
             x4 = solve_reduced_pairs([pa, pb])
             yield Compute(flops=THOMAS_FLOPS_PER_ROW * 4, label="apex_thomas")
             for idx, j in enumerate((0, 1)):
@@ -169,7 +160,7 @@ def pipelined_node_program(
                 if holder == rank:
                     pair_at[("x", s, top, j)] = vals
                 else:
-                    yield Send(holder, vals, tag=("tri", ids[s], "dn", top, j))
+                    yield Send(holder, vals, tag=("tri", s, "dn", top, j))
 
     # ---- Substitution: descend, streaming systems -------------------------
     for level in range(k - 1, 0, -1):
@@ -181,7 +172,7 @@ def pipelined_node_program(
                     x_first, x_last = pair_at[key]
                 else:
                     src = apex if level == top else mapping.pair_rank(level + 1, j // 2)
-                    vals = yield Recv(src=src, tag=("tri", ids[s], "dn", level, j))
+                    vals = yield Recv(src=src, tag=("tri", s, "dn", level, j))
                     x_first, x_last = vals
                 x4 = saved[(s, level, j)].interior_solve(float(x_first), float(x_last))
                 yield Compute(flops=SUBST_FLOPS_PER_ROW * 2, label="tree_subst")
@@ -190,7 +181,7 @@ def pipelined_node_program(
                     if holder == rank:
                         pair_at[("x", s, level - 1, cj)] = vals
                     else:
-                        yield Send(holder, vals, tag=("tri", ids[s], "dn", level - 1, cj))
+                        yield Send(holder, vals, tag=("tri", s, "dn", level - 1, cj))
 
     # ---- Final block interiors, all systems --------------------------------
     for s in range(nsys):
@@ -200,17 +191,17 @@ def pipelined_node_program(
             xb = pair_at[key]
         else:
             src = mapping.pair_rank(1, rank // 2) if k >= 2 else apex
-            xb = yield Recv(src=src, tag=("tri", ids[s], "dn", 0, rank))
+            xb = yield Recv(src=src, tag=("tri", s, "dn", 0, rank))
         x_block = reds[s].interior_solve(float(xb[0]), float(xb[1]))
         yield Compute(flops=SUBST_FLOPS_PER_ROW * len(x_block), label="block_subst")
         outs[s][rank] = x_block
 
 
-def _obtain_sys_pair(rank, mapping, level, j, pair_at, s, sid=None):
+def _obtain_sys_pair(rank, mapping, level, j, pair_at, s):
     holder = mapping.pair_rank(level, j)
     if holder == rank:
         return pair_at[(s, level, j)]
-    data = yield Recv(src=holder, tag=("tri", sid if sid is not None else s, "up", level, j))
+    data = yield Recv(src=holder, tag=("tri", s, "up", level, j))
     return (data[:4], data[4:])
 
 

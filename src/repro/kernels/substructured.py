@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.thomas import thomas_solve
+from repro.kernels.thomas import check_pivot, thomas_solve
 from repro.machine.ops import Compute, Mark, Recv, Send
 from repro.machine.simulator import Machine
 from repro.session import launch
@@ -55,6 +55,9 @@ class ReducedBlock:
     the substitution phase: row i of the interior satisfies
 
         e[i] * x_first + a[i] * x[i] + g[i] * x_last = f[i].
+
+    With a trailing lines axis every field gains it: one block per
+    column, the boundary rows shaped (4, L).
     """
 
     first: np.ndarray
@@ -69,9 +72,10 @@ class ReducedBlock:
         return len(self.a)
 
     def interior_solve(self, x_first: float, x_last: float) -> np.ndarray:
-        """All block values given the solved boundary values (Figure 4)."""
+        """All block values given the solved boundary values (Figure 4);
+        with a lines axis, ``x_first``/``x_last`` hold one value per line."""
         m = self.m
-        x = np.empty(m)
+        x = np.empty(self.a.shape)
         x[0] = x_first
         x[-1] = x_last
         if m > 2:
@@ -87,6 +91,8 @@ def local_reduce(
 
     Inputs are this block's slices of the global diagonals; ``b[0]`` and
     ``c[-1]`` are the couplings to the neighboring blocks (kept intact).
+    Inputs shaped (m, L) reduce L blocks at once, one per column, with
+    the same arithmetic per column; a zero pivot names its line.
     """
     b = np.asarray(b, dtype=float).copy()
     a = np.asarray(a, dtype=float).copy()
@@ -95,13 +101,12 @@ def local_reduce(
     m = len(a)
     if m < 2:
         raise ValidationError("local_reduce requires blocks of at least 2 rows")
-    e = np.zeros(m)
-    g = np.zeros(m)
+    e = np.zeros(a.shape)
+    g = np.zeros(a.shape)
     e[1] = b[1]
     # Forward sweep: eliminate the lower diagonal, fill column `first`.
     for i in range(2, m):
-        if a[i - 1] == 0.0:
-            raise ValidationError(f"zero pivot during forward reduction (row {i - 1})")
+        check_pivot(a[i - 1], "zero pivot during forward reduction (row {})", i - 1)
         mfac = b[i] / a[i - 1]
         a[i] -= mfac * c[i - 1]
         e[i] = -mfac * e[i - 1]
@@ -110,8 +115,7 @@ def local_reduce(
     if m >= 2:
         g[m - 2] = c[m - 2]
     for i in range(m - 3, -1, -1):
-        if a[i + 1] == 0.0:
-            raise ValidationError(f"zero pivot during reverse reduction (row {i + 1})")
+        check_pivot(a[i + 1], "zero pivot during reverse reduction (row {})", i + 1)
         mfac = c[i] / a[i + 1]
         g[i] = -mfac * g[i + 1]
         f[i] -= mfac * f[i + 1]
@@ -129,13 +133,13 @@ def reduce_flops(m: int) -> float:
 
 
 def pair_rows_to_tridiagonal(pairs: list[tuple[np.ndarray, np.ndarray]]):
-    """Assemble the reduced 2q-row tridiagonal system from q boundary pairs."""
-    q = len(pairs)
-    n = 2 * q
-    b = np.zeros(n)
-    a = np.zeros(n)
-    c = np.zeros(n)
-    f = np.zeros(n)
+    """Assemble the reduced 2q-row tridiagonal system from q boundary
+    pairs (rows shaped (4,), or (4, L) for L lines at once)."""
+    shape = (2 * len(pairs), *np.shape(pairs[0][0])[1:])
+    b = np.zeros(shape)
+    a = np.zeros(shape)
+    c = np.zeros(shape)
+    f = np.zeros(shape)
     for k, (first, last) in enumerate(pairs):
         b[2 * k], a[2 * k], c[2 * k], f[2 * k] = first
         b[2 * k + 1], a[2 * k + 1], c[2 * k + 1], f[2 * k + 1] = last

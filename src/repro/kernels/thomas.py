@@ -17,12 +17,34 @@ import numpy as np
 from repro.util.errors import ValidationError
 
 
+class ZeroPivot(ValidationError):
+    """A zero pivot at ``where``; ``line`` is its column when the
+    diagonals carry a trailing lines axis (one system per column), else
+    None."""
+
+    def __init__(self, where: str, line: int | None = None):
+        super().__init__(where if line is None else f"{where}, line {line}")
+        self.where, self.line = where, line
+
+
+def check_pivot(pivot, where: str, row: int) -> None:
+    """Raise :class:`ZeroPivot` (``where`` formatted with ``row``) if
+    ``pivot`` -- a scalar, or one pivot per line -- is zero, naming the
+    first zero line."""
+    zero = pivot == 0.0
+    if zero.any():
+        line = int(zero.argmax()) if zero.ndim else None
+        raise ZeroPivot(where.format(row), line)
+
+
 def thomas_solve(
     b: np.ndarray, a: np.ndarray, c: np.ndarray, f: np.ndarray
 ) -> np.ndarray:
     """Solve one tridiagonal system by LU without pivoting.
 
     All inputs are 1-D arrays of equal length n; returns x of length n.
+    Inputs shaped (n, L) solve L independent systems, one per column,
+    with the same arithmetic per column.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -33,20 +55,18 @@ def thomas_solve(
         raise ValidationError("diagonals and rhs must have equal length")
     if n == 0:
         return np.empty(0)
-    cp = np.empty(n)
-    fp = np.empty(n)
+    cp = np.empty(a.shape)
+    fp = np.empty(a.shape)
     denom = a[0]
-    if denom == 0.0:
-        raise ValidationError("zero pivot in Thomas algorithm at row 0")
+    check_pivot(denom, "zero pivot in Thomas algorithm at row {}", 0)
     cp[0] = c[0] / denom
     fp[0] = f[0] / denom
     for i in range(1, n):
         denom = a[i] - b[i] * cp[i - 1]
-        if denom == 0.0:
-            raise ValidationError(f"zero pivot in Thomas algorithm at row {i}")
+        check_pivot(denom, "zero pivot in Thomas algorithm at row {}", i)
         cp[i] = c[i] / denom
         fp[i] = (f[i] - b[i] * fp[i - 1]) / denom
-    x = np.empty(n)
+    x = np.empty(a.shape)
     x[-1] = fp[-1]
     for i in range(n - 2, -1, -1):
         x[i] = fp[i] - cp[i] * x[i + 1]

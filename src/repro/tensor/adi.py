@@ -30,6 +30,17 @@ Two variants, as in the paper:
 Both run through :func:`_solve_lines`, the one distributed line
 solver, which variable-coefficient ADI (:mod:`repro.tensor.adi_varcoef`)
 and MG2's parallel zebra lines (:mod:`repro.tensor.multigrid2d`) share.
+It is a collective of the array's whole grid, built like a
+redistribution or a gather: one cached grid-wide :class:`_LinePlan` per
+array layout and sweep direction, and one kind-tagged rendezvous per
+call, whose action runs the partition method (Wang 1981) for every
+picked line of every solver group as array operations over a trailing
+lines axis.  The arithmetic is the reference kernels' own
+(:mod:`repro.kernels.substructured`), so the values equal what
+``tri_node_program`` and ``pipelined_node_program`` store, by
+``tobytes()``.  Each rank then walks its frozen data-free op stream in
+the variant's order; the two variants share the data plane and differ
+only in their streams.
 """
 
 from __future__ import annotations
@@ -37,13 +48,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiler.commsched import uid_chain
-from repro.kernels.pipelined import pipelined_node_program
-from repro.kernels.substructured import ContiguousMapping, ShuffleMapping, tri_node_program
-from repro.kernels.thomas import thomas_solve_many
+from repro.kernels.substructured import (
+    SUBST_FLOPS_PER_ROW,
+    THOMAS_FLOPS_PER_ROW,
+    ContiguousMapping,
+    ShuffleMapping,
+    TreeRouting,
+    local_reduce,
+    reduce_flops,
+    reduce_four_rows,
+    solve_reduced_pairs,
+)
+from repro.kernels.thomas import ZeroPivot, thomas_solve, thomas_solve_many
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
-from repro.machine.ops import Mark
+from repro.machine.ops import Compute, Mark, Recv, Rendezvous, Send
 from repro.machine.simulator import Machine
-from repro.machine.translate import translate_ranks
 from repro.tensor.poisson import Coeffs2D, check_pow2, laplacian_2d
 from repro.util.errors import ValidationError
 from repro.util.indexing import block_bounds
@@ -145,97 +164,272 @@ def _build_update_loop(u, v, n, tau, grid):
     )
 
 
+def _line_steps(routing, group, pos, m, kind, sid, key):
+    """One system's data-free ops on the rank at position ``pos`` of
+    ``group``, cut into the partition method's steps.
+
+    The steps of the node programs ``tri_node_program`` and
+    ``pipelined_node_program``, with their data and tags stripped: the
+    local reduction and its upward send; per tree pair held, one
+    reduction; the apex; per tree pair held, one substitution; the block
+    substitution.  ``routing`` is None for a one-rank group (one Thomas
+    solve).  ``kind`` prefixes the marks, ``sid`` is their system id and
+    ``key`` the system's message-tag namespace.
+    """
+    if routing is None:
+        return [(Compute(flops=THOMAS_FLOPS_PER_ROW * m, label="thomas"),)]
+
+    def recv(holder, *where):
+        return (Recv(group[holder], ("tri", key, *where)),) if holder != pos else ()
+
+    def send(dest, nbytes, *where):
+        if dest == pos:
+            return ()
+        return (Send(group[dest], None, ("tri", key, *where), nbytes),)
+
+    k, top = routing.k, routing.k - 1
+    steps = [(
+        Mark(f"{kind}/reduce", payload=(sid, 0)),
+        Compute(flops=reduce_flops(m), label="local_reduce"),
+        *send(routing.up_dest(0, pos), _PAIR_BYTES, "up", 0, pos),
+    )]
+    for level in range(1, k):
+        for j in routing.holdings(pos, level):
+            steps.append((
+                Mark(f"{kind}/reduce", payload=(sid, level)),
+                *recv(routing.rank_of(level - 1, 2 * j), "up", level - 1, 2 * j),
+                *recv(routing.rank_of(level - 1, 2 * j + 1), "up", level - 1, 2 * j + 1),
+                Compute(flops=reduce_flops(4), label="tree_reduce"),
+                *send(routing.up_dest(level, j), _PAIR_BYTES, "up", level, j),
+            ))
+    if pos == routing.apex:
+        steps.append((
+            Mark(f"{kind}/apex", payload=(sid, k)),
+            *recv(routing.rank_of(top, 0), "up", top, 0),
+            *recv(routing.rank_of(top, 1), "up", top, 1),
+            Compute(flops=THOMAS_FLOPS_PER_ROW * 4, label="apex_thomas"),
+            *send(routing.rank_of(top, 0), _X_BYTES, "dn", top, 0),
+            *send(routing.rank_of(top, 1), _X_BYTES, "dn", top, 1),
+        ))
+    for level in range(k - 1, 0, -1):
+        for j in routing.holdings(pos, level):
+            steps.append((
+                Mark(f"{kind}/subst", payload=(sid, level)),
+                *recv(routing.up_dest(level, j), "dn", level, j),
+                Compute(flops=SUBST_FLOPS_PER_ROW * 2, label="tree_subst"),
+                *send(routing.rank_of(level - 1, 2 * j), _X_BYTES, "dn", level - 1, 2 * j),
+                *send(routing.rank_of(level - 1, 2 * j + 1), _X_BYTES,
+                      "dn", level - 1, 2 * j + 1),
+            ))
+    steps.append((
+        Mark(f"{kind}/subst", payload=(sid, 0)),
+        *recv(routing.up_dest(0, pos), "dn", 0, pos),
+        Compute(flops=SUBST_FLOPS_PER_ROW * m, label="block_subst"),
+    ))
+    return steps
+
+
+# wire sizes of a boundary pair (two 4-vectors) and of two solved values
+_PAIR_BYTES = 8 * 8
+_X_BYTES = 2 * 8
+
+
+def _partition_solve(blocks):
+    """The partition method (Wang 1981) on stacked lines.
+
+    ``blocks[pos]`` is the (lower, main, upper, rhs) block of group
+    position ``pos``, each shaped ``(m_pos, L)``: column ``l`` of every
+    block is one line's system.  Runs the node programs' arithmetic --
+    the local reductions, each tree level, the apex and the
+    substitutions -- once over all L lines; returns each position's
+    solved block.
+    """
+    p = len(blocks)
+    if p == 1:
+        return [thomas_solve(*blocks[0])]
+    k = p.bit_length() - 1
+    reds = [local_reduce(*blk) for blk in blocks]
+    pairs = {(0, j): (red.first, red.last) for j, red in enumerate(reds)}
+    saved = {}
+    for level in range(1, k):
+        for j in range(p >> level):
+            first, last, saved[level, j] = reduce_four_rows(
+                pairs[level - 1, 2 * j], pairs[level - 1, 2 * j + 1]
+            )
+            pairs[level, j] = (first, last)
+    x4 = solve_reduced_pairs([pairs[k - 1, 0], pairs[k - 1, 1]])
+    x = {(k - 1, 0): x4[0:2], (k - 1, 1): x4[2:4]}
+    for level in range(k - 1, 0, -1):
+        for j in range(p >> level):
+            x4 = saved[level, j].interior_solve(*x[level, j])
+            x[level - 1, 2 * j], x[level - 1, 2 * j + 1] = x4[0:2], x4[2:4]
+    return [red.interior_solve(*x[0, j]) for j, red in enumerate(reds)]
+
+
 class _LinePlan:
-    """One rank's share of a line-solve sweep along ``line_dim`` of ``arr``.
+    """Every line solve along ``line_dim`` of ``arr``, for its whole grid.
 
-    Everything comes from the distribution: the solver group is the
-    slice of ``arr``'s grid along the grid dimension ``line_dim`` is
-    distributed over, this rank solves rows ``lo:hi`` of every line it
-    holds, and ``lines`` are the global indices of those lines in local
-    storage order (column ``s`` of the local block, with ``line_dim``
-    moved first, is line ``lines[s]``).  No axis is special-cased, so the
-    same plan serves a 2-D array and a plane *section* of a 3-D one.  It
-    is loop-invariant, so it is derived once per layout and replayed
-    every sweep, mirroring the compiler's cached communication schedules.
+    Everything comes from the distribution: a solver group is a slice of
+    ``arr``'s grid along the grid dimension ``line_dim`` is distributed
+    over (``groups``, ranks in position order), and ``lines[g]`` are the
+    global indices of the lines group ``g`` holds, in local storage order
+    (column ``s`` of a local block, with ``line_dim`` moved first, is
+    line ``lines[g][s]``).  No axis is special-cased, so the same plan
+    serves a 2-D array and a plane *section* of a 3-D one.
+
+    It also holds each rank's data-free op stream, derived once from the
+    tree routings it builds: ``per_line[rank][s]`` is line ``s``'s whole
+    solve (Listing 7's order, the contiguous mapping), and
+    ``piped[rank][step][s]`` is system ``s``'s share of one step of the
+    pipelined solve (Listing 8's order, the shuffle mapping).
+    Immutable once built; :meth:`solve` moves the values.
     """
 
-    __slots__ = ("group", "my_pos", "lo", "hi", "lines")
+    __slots__ = ("name", "line_dim", "groups", "lines", "per_line", "piped",
+                 "routing_marks")
 
-    def __init__(self, arr, line_dim, rank):
-        coords = arr.grid.coords_of(rank)
+    def __init__(self, arr, line_dim):
+        grid = arr.grid
         g = arr.grid_dim_of(line_dim)
-        key = list(coords)
-        key[g] = slice(None)
-        self.group = arr.grid[tuple(key)]
-        self.my_pos = coords[g]
-        self.lo, self.hi = block_bounds(arr.shape[line_dim], self.group.size, self.my_pos)
-        self.lines = arr.owned_lists(rank)[1 - line_dim]
+        groups = {}
+        for rank in grid.linear:
+            key = list(grid.coords_of(rank))
+            key[g] = slice(None)
+            group = tuple(grid[tuple(key)].linear)
+            groups[group] = arr.owned_lists(rank)[1 - line_dim]
+        self.name, self.line_dim = arr.name, line_dim
+        self.groups, self.lines = tuple(groups), tuple(groups.values())
+        p = grid.shape[g]
+        shuffle = contiguous = self.routing_marks = None
+        if p > 1:
+            shuffle, contiguous = (TreeRouting(m(p)) for m in (ShuffleMapping, ContiguousMapping))
+            self.routing_marks = tuple(
+                Mark(label, payload=("tri-routing", contiguous.name, p))
+                for label in ("commsched/build", "commsched/hit")
+            )
+        self.per_line, self.piped = {}, {}
+        for group, lines in groups.items():
+            for pos, rank in enumerate(group):
+                lo, hi = block_bounds(arr.shape[line_dim], p, pos)
+                self.per_line[rank] = tuple(
+                    sum(_line_steps(contiguous, group, pos, hi - lo, "tri", int(line), s), ())
+                    for s, line in enumerate(lines)
+                )
+                self.piped[rank] = tuple(zip(*(
+                    _line_steps(shuffle, group, pos, hi - lo, "mtri", s, s)
+                    for s in range(len(lines))
+                )))
 
-    def broadcast(self, diags):
-        """A constant-coefficient system as per-line diagonals: rows
-        ``lo:hi`` of each global diagonal, shared by every held line."""
-        shape = (self.hi - self.lo, len(self.lines))
-        return [np.broadcast_to(d[self.lo:self.hi, None], shape) for d in diags]
+    def stream(self, rank, pick, pipelined, reused):
+        """``rank``'s data-free ops for solving its lines ``pick``."""
+        if pipelined:
+            nsys = len(pick)
+            for step in self.piped[rank]:
+                for ops in step[:nsys]:
+                    yield from ops
+            return
+        marks = self.routing_marks
+        for n, s in enumerate(pick):
+            if marks is not None:
+                # the routing is built with the plan, on the call that missed
+                yield marks[reused or n > 0]
+            yield from self.per_line[rank][s]
+
+    def solve(self, payloads):
+        """Solve the picked lines of every group, in process.
+
+        ``payloads[rank]`` is the rank's ``(rhs, out, diags, pick)``:
+        its local rhs and output blocks, its (lower, main, upper)
+        diagonals with ``line_dim`` first, one column per held line, and
+        the local indices of the lines to solve -- the same for every
+        rank of a group.  Stacks the picked lines of every group at each
+        group position and runs :func:`_partition_solve` once.
+        """
+        d = self.line_dim
+        picks = [list(payloads[group[0]][3]) for group in self.groups]
+        for group, pick in zip(self.groups, picks):
+            if any(list(payloads[r][3]) != pick for r in group):
+                raise ValidationError(
+                    f"the ranks {group} of one line group picked different lines"
+                )
+        blocks = []
+        for pos in range(len(self.groups[0])):
+            cols = [
+                (*(dg[:, pick] for dg in payloads[group[pos]][2]),
+                 np.moveaxis(payloads[group[pos]][0], d, 0)[:, pick])
+                for group, pick in zip(self.groups, picks)
+            ]
+            blocks.append([np.concatenate(parts, axis=1) for parts in zip(*cols)])
+        try:
+            xs = _partition_solve(blocks)
+        except ZeroPivot as err:
+            stacked = np.concatenate([lines[pick] for lines, pick in zip(self.lines, picks)])
+            raise ValidationError(
+                f"{err.where} in line {int(stacked[err.line])} along dim {d} "
+                f"of {self.name!r}"
+            ) from None
+        for pos, x in enumerate(xs):
+            at = 0
+            for group, pick in zip(self.groups, picks):
+                out = np.moveaxis(payloads[group[pos]][1], d, 0)
+                out[:, pick] = x[:, at:at + len(pick)]
+                at += len(pick)
 
 
-def _line_plan(ctx, arr, line_dim):
-    """This rank's cached :class:`_LinePlan` (a generator: yields the
-    plan's ``commsched`` mark, returns the plan).
-
-    Line plans ride in the Session-owned
-    :class:`~repro.compiler.schedule.PlanCache` under the ``"adi-line"``
-    kind, so ``Session.stats()`` sees line-solver reuse next to doall
-    plans, keyed by the same rule -- ``(arr.layout_key(), line_dim,
-    rank)``; the layout key already names the grid shape and ranks, so a
-    sweep back in a layout seen before replays -- and cleared by the
-    same ``session.clear()``.  Partial eviction is harmless here (a plan
-    rebuild is purely local and deterministic -- no protocol
-    divergence), so the cache's plain LRU cap suffices.
-    """
-    plan, was_cached = ctx.session.plans.get(
-        "adi-line",
-        (arr.layout_key(), line_dim, ctx.rank),
-        lambda: _LinePlan(arr, line_dim, ctx.rank),
-        uids=uid_chain(arr),
-    )
-    yield Mark(
-        "commsched/hit" if was_cached else "commsched/build",
-        payload=("adi-lines", line_dim),
-    )
-    return plan
+def _line_plan_key(arr, line_dim):
+    """Cache key of the line plan of a sweep along ``line_dim`` of
+    ``arr``: the layout key already names the grid shape and ranks, so a
+    sweep back in a layout seen before replays."""
+    return (arr.layout_key(), line_dim)
 
 
-def _solve_lines(plan, line_dim, rhs, out, diags, pick, sys_ids, pipelined):
-    """Solve the tridiagonal systems along ``line_dim`` of the lines ``pick``.
+def _solve_lines(ctx, arr, line_dim, rhs, out, diags, pick, pipelined):
+    """One rank's share of a collective line solve along ``line_dim`` of
+    ``arr`` (generator; use ``yield from``).
 
     The one distributed line solver (ADI, variable-coefficient ADI,
-    MG2's parallel zebra lines).  ``rhs`` and ``out`` are this rank's
-    local blocks; ``diags`` are the (lower, main, upper) diagonals shaped
-    ``(hi - lo, len(plan.lines))``, one column per held line (a constant
-    coefficient is :meth:`_LinePlan.broadcast`); ``pick`` holds the local
-    indices of the lines to solve and ``sys_ids`` their message-tag
-    namespaces.  ``pipelined`` streams every line through one pipelined
-    multi-system solve (Listing 8); otherwise each line is one call of
-    the parallel solver ``tri`` (Listing 7) over the plan's group.
+    MG2's parallel zebra lines); every rank of ``arr``'s grid calls it.
+    ``rhs`` and ``out`` are this rank's local blocks, ``diags`` the
+    (lower, main, upper) diagonals shaped ``(rows held, lines held)``
+    with ``line_dim`` first (a constant coefficient is
+    :func:`_broadcast`), ``pick`` the local indices of the lines to
+    solve.  Yields the grid :class:`~repro.machine.ops.Rendezvous`
+    whose action probes the Session's plan cache for the
+    :class:`_LinePlan` -- kind ``"adi-line"``, keyed by
+    :func:`_line_plan_key`, one probe per call -- and solves every picked line of
+    the grid.  Then the plan's ``commsched`` mark and this rank's
+    data-free stream: Listing 8's pipelined multi-system order when
+    ``pipelined``, else Listing 7's one parallel ``tri`` call per line.
     """
-    rhs, out = np.moveaxis(rhs, line_dim, 0), np.moveaxis(out, line_dim, 0)
-    pos, p = plan.my_pos, plan.group.size
-    blocks = [(*(d[:, s] for d in diags), rhs[:, s]) for s in pick]
-    outs = [{} for _ in blocks]
-    if pipelined:
-        progs = [pipelined_node_program(
-            pos, p, blocks, ShuffleMapping(p), outs, sys_ids=sys_ids
-        )]
-    else:
-        progs = (
-            tri_node_program(pos, p, blk, ContiguousMapping(p), res, sys_id=sid)
-            for blk, res, sid in zip(blocks, outs, sys_ids)
+    tag = ctx.next_tag(arr.grid)
+
+    def action(payloads):
+        plan, reused = ctx.session.plans.get(
+            "adi-line", _line_plan_key(arr, line_dim),
+            lambda: _LinePlan(arr, line_dim), uids=lambda: uid_chain(arr),
         )
-    group = plan.group.linear
-    for prog in progs:
-        yield from translate_ranks(prog, group)
-    for s, res in zip(pick, outs):
-        out[:, s] = res[pos]
+        plan.solve(payloads)
+        return dict.fromkeys(payloads, (plan, reused))
+
+    # the "lines" in the tag keeps a peer that diverged into another
+    # collective at the same tag out of this rendezvous
+    plan, reused = yield Rendezvous(
+        arr.grid.key(), (tag, "lines"), action, payload=(rhs, out, diags, pick)
+    )
+    yield Mark(
+        "commsched/hit" if reused else "commsched/build",
+        payload=("adi-lines", line_dim),
+    )
+    yield from plan.stream(ctx.rank, pick, pipelined, reused)
+
+
+def _broadcast(diags, arr, line_dim, rank):
+    """A constant-coefficient system as ``rank``'s per-line diagonals:
+    the rows it holds of each global diagonal, shared by every line it
+    holds."""
+    rows, lines = (arr.owned_lists(rank)[k] for k in (line_dim, 1 - line_dim))
+    shape = (len(rows), len(lines))
+    return [np.broadcast_to(d[rows[0]:rows[-1] + 1, None], shape) for d in diags]
 
 
 def _adi_run(machine, grid, session, fields, iters, tau, pipelined,
@@ -247,8 +441,8 @@ def _adi_run(machine, grid, session, fields, iters, tau, pipelined,
     arrays ``r``, ``w``, ``v``, then runs ``iters`` sweeps of
     ``[residual doall, x-lines, y-lines, update doall]``.  The front ends
     differ only in ``build_resid(arrays)``, the residual doall, and
-    ``line_diags(plan, line_dim, rank, arrays)``, the per-line diagonals
-    of one sweep direction.  Returns (u_global, trace).
+    ``line_diags(arr, line_dim, rank, arrays)``, the per-line diagonals
+    of one sweep direction over ``arr``.  Returns (u_global, trace).
     """
     f = fields["F"]
     n = f.shape[0] - 1
@@ -264,15 +458,14 @@ def _adi_run(machine, grid, session, fields, iters, tau, pipelined,
 
     def program(ctx):
         me = ctx.rank
-        for it in range(iters):
+        for _ in range(iters):
             yield from ctx.doall(resid_loop)
             for line_dim, (src, dst) in enumerate(sweeps):
-                plan = yield from _line_plan(ctx, src, line_dim)
-                sys_ids = [((it, "xy"[line_dim]), line_dim, int(g)) for g in plan.lines]
+                rhs = src.local(me)
                 yield from _solve_lines(
-                    plan, line_dim, src.local(me), dst.local(me),
-                    line_diags(plan, line_dim, me, arrays),
-                    range(len(plan.lines)), sys_ids, pipelined,
+                    ctx, src, line_dim, rhs, dst.local(me),
+                    line_diags(src, line_dim, me, arrays),
+                    range(rhs.shape[1 - line_dim]), pipelined,
                 )
             yield from ctx.doall(update_loop)
 
@@ -313,5 +506,5 @@ def adi_solve(
         lambda A: _build_residual_loop(
             A["r"], A["u"], A["F"], n, hx2, hy2, coeffs, grid
         ),
-        lambda plan, line_dim, rank, A: plan.broadcast(systems[line_dim]),
+        lambda arr, line_dim, rank, A: _broadcast(systems[line_dim], arr, line_dim, rank),
     )

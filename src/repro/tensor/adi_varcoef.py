@@ -148,9 +148,9 @@ def adi_varcoef_solve(
         tau = default_tau_varcoef(n, a, b)
     h2 = (1.0 / n) ** 2
 
-    def line_diags(plan, line_dim, rank, A):
+    def line_diags(arr, line_dim, rank, A):
         # _line_diags' arithmetic over the local coefficient blocks, which
-        # cover rows lo..hi of every held line (one column per line)
+        # cover the held rows of every held line (one column per line)
         coef, cc = (
             np.moveaxis(A[name].local(rank), line_dim, 0)
             for name in ("ab"[line_dim], "c")
@@ -160,7 +160,8 @@ def adi_varcoef_solve(
         dia = 1.0 + 2.0 * t - tau * cc / 2.0
         upp = -t
         # identity boundary rows live on the first/last processor blocks
-        for row, held in ((0, plan.lo == 0), (-1, plan.hi == n + 1)):
+        rows = arr.owned_lists(rank)[line_dim]
+        for row, held in ((0, rows[0] == 0), (-1, rows[-1] == n)):
             if held:
                 low[row], dia[row], upp[row] = 0.0, 1.0, 0.0
         return low, dia, upp

@@ -32,7 +32,7 @@ from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.lang.array import BaseDistArray
 from repro.machine.ops import Compute, Mark
 from repro.machine.simulator import Machine
-from repro.tensor.adi import _line_plan, _solve_lines
+from repro.tensor.adi import _broadcast, _solve_lines
 from repro.tensor.poisson import Coeffs2D, check_pow2
 from repro.util.errors import ValidationError
 
@@ -228,17 +228,15 @@ class MG2:
             yield Compute(flops=8.0 * (self.nx + 1) * len(loc), label="zebra_lines")
             return
         # parallel path: distribute each line solve over the x-subgrid
-        plan = yield from _line_plan(ctx, u, 0)
-        loc = pick(plan.lines)
+        rows, lines = u.owned_lists(me)
         rhs = tl.copy()
-        if plan.lo == 0:
+        if rows[0] == 0:
             rhs[0] = 0.0
-        if plan.hi == self.nx + 1:
+        if rows[-1] == self.nx:
             rhs[-1] = 0.0
-        phase = ctx.next_tag(plan.group)
-        sys_ids = [(phase, int(plan.lines[s])) for s in loc]
         yield from _solve_lines(
-            plan, 0, rhs, ul, plan.broadcast(lv["line"]), loc, sys_ids, pipelined=True
+            ctx, u, 0, rhs, ul, _broadcast(lv["line"], u, 0, me), pick(lines),
+            pipelined=True,
         )
 
     def _zero(self, ctx, arr):

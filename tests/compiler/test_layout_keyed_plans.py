@@ -297,9 +297,9 @@ BLOCK_IDENTITY_SITES = {
     "elastic.py::checkpoint",
 }
 
-#: ... and never these, allow-listed or not (``_line_plan`` keys the one
-#: line-solve plan every tensor line sweep shares)
-KEY_BUILDERS = {"key", "layout_key", "_line_plan", "gather_key", "repartition_key"}
+#: ... and never these, allow-listed or not (``_line_plan_key`` keys the
+#: one line-solve plan every tensor line sweep shares)
+KEY_BUILDERS = {"key", "layout_key", "_line_plan_key", "gather_key", "repartition_key"}
 
 
 def _epoch_sites(root):

@@ -298,7 +298,8 @@ def test_history_bounded_but_runs_counted():
 @pytest.mark.parametrize("solver", ["adi_solve", "adi_varcoef_solve"])
 def test_adi_line_plans_visible_in_session_stats(solver):
     """Both ADI front ends' line-solver plans ride in the session's
-    PlanCache: one plan per (axis, rank), replayed every later sweep."""
+    PlanCache: one grid-wide plan per axis, probed once per collective
+    call and replayed every later sweep; the marks stay per rank."""
     from repro.tensor.adi import adi_solve
     from repro.tensor.adi_varcoef import adi_varcoef_solve
 
@@ -308,23 +309,28 @@ def test_adi_line_plans_visible_in_session_stats(solver):
     session = Session()
     machine, grid = Machine(n_procs=p * p), ProcessorGrid((p, p))
     if solver == "adi_solve":
-        adi_solve(machine, grid, f, iters=iters, session=session)
+        _, trace = adi_solve(machine, grid, f, iters=iters, session=session)
     else:
         ones = np.ones_like(f)
-        adi_varcoef_solve(
+        _, trace = adi_varcoef_solve(
             machine, grid, f, ones, 2.0 * ones, -ones, iters=iters,
             session=session,
         )
     kinds = session.plans.kind_stats()
     assert "adi-line" in kinds and "doall" in kinds
-    assert kinds["adi-line"]["misses"] == 2 * p * p
-    assert kinds["adi-line"]["hits"] == 2 * p * p * (iters - 1)
+    assert kinds["adi-line"]["misses"] == 2
+    assert kinds["adi-line"]["hits"] == 2 * (iters - 1)
+    assert trace.schedule_counts("adi-lines") == {
+        "build": 2 * p * p, "hit": 2 * p * p * (iters - 1),
+    }
 
 
 def test_mg3_line_plans_replay_across_cycles():
     """MG3 on a (block, block, block) grid runs its plane solves' zebra
     lines through the shared line solver: every line-plan lookup of the
-    second V-cycle replays a plan the first one built."""
+    second V-cycle replays a plan the first one built.  The cache counts
+    one probe per collective call; each of a plane section's four ranks
+    still marks it."""
     from repro.tensor.multigrid3d import mg3_solve
     from repro.tensor.poisson import manufactured_3d
 
@@ -332,11 +338,15 @@ def test_mg3_line_plans_replay_across_cycles():
     counts = []
     for cycles in (1, 2):
         session = Session()
-        mg3_solve(
+        _, trace = mg3_solve(
             Machine(n_procs=8), ProcessorGrid((2, 2, 2)), f, cycles=cycles,
             dist=("block", "block", "block"), session=session,
         )
         counts.append(session.plans.kind_stats()["adi-line"])
+        probes = counts[-1]
+        assert trace.schedule_counts("adi-lines") == {
+            "build": 4 * probes["misses"], "hit": 4 * probes["hits"],
+        }
     one, two = counts
     assert one["misses"] > 0 and one["hits"] > 0
     assert two["misses"] == one["misses"]

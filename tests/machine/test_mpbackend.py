@@ -339,7 +339,8 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     drivers the shared frozen-loop driver replaced stay deleted, and so
     do the value-carrying repartition executor and its staging hooks,
     and the value-carrying gather executor with its schedule cache and
-    the run ids that scoped it."""
+    the run ids that scoped it, and the rank translation that drove one
+    line-solve generator per line."""
     import inspect
 
     from repro.compiler import schedule
@@ -371,6 +372,15 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     assert not hasattr(context, "next_run_id")
     assert "run_id" not in inspect.signature(context.KaliCtx).parameters
     assert not hasattr(Session(), "cache")
+    # a line solve's plan moves its values at the rendezvous too
+    import importlib.util
+
+    from repro import machine
+    from repro.kernels.pipelined import pipelined_node_program
+
+    assert importlib.util.find_spec("repro.machine.translate") is None
+    assert not hasattr(machine, "translate_ranks")
+    assert "sys_ids" not in inspect.signature(pipelined_node_program).parameters
 
 
 # ----------------------------------------------------------------------
@@ -580,8 +590,8 @@ def test_parsub_needing_a_message_sent_after_the_peers_doall_deadlocks():
         Session(Machine(n_procs=2), g).run(program)
     err = exc_info.value
     assert err.blocked == {
-        0: ("rendezvous", ("kali", (0, 1), 0), (0, 1)),
+        0: ("rendezvous", (("kali", (0, 1), 0), "doall"), (0, 1)),
         1: (0, "late"),
     }
-    assert "proc 0: waiting in rendezvous(tag=('kali', (0, 1), 0), " \
+    assert "proc 0: waiting in rendezvous(tag=(('kali', (0, 1), 0), 'doall'), " \
         "group=(0, 1))" in str(err)

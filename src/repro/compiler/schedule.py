@@ -116,7 +116,7 @@ class PlanCache:
     analyses (kind ``"doall"`` -- these carry the frozen gather/scatter
     :class:`~repro.compiler.commsched.TransferSchedule` objects), the
     line-solve plans (kind ``"adi-line"``, keyed ``(array.layout_key(),
-    line_dim, rank)``; :mod:`repro.tensor.adi`) that ADI,
+    line_dim, pipelined)``; :mod:`repro.tensor.adi`) that ADI,
     variable-coefficient ADI and MG2's distributed-x zebra lines share,
     the grid-wide repartition plans of ``ctx.redistribute`` (kind
     ``"repartition"``, keyed on the layout transition by

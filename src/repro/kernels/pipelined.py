@@ -23,7 +23,7 @@ import numpy as np
 from repro.kernels.substructured import (
     Mapping,
     ShuffleMapping,
-    _holdings,
+    get_routing,
     local_reduce,
     reduce_flops,
     reduce_four_rows,
@@ -70,13 +70,16 @@ def sequential_multi_tri_solve(
     bounds = [block_bounds(n, p, r) for r in range(p)]
     outs: list[dict[int, np.ndarray]] = [{} for _ in range(m)]
     group = tuple(range(p))
+    routes: dict = {}
 
     def make(rank):
         def prog():
             lo, hi = bounds[rank]
             for s in range(m):
                 blk = (B[s, lo:hi], A[s, lo:hi], C[s, lo:hi], F[s, lo:hi])
-                yield from tri_node_program(rank, p, blk, mapping, outs[s], sys_id=s)
+                yield from tri_node_program(
+                    rank, p, blk, mapping, outs[s], sys_id=s, routes=routes
+                )
                 if p > 1:
                     yield Barrier(group=group, tag=("seqtri_done", s))
 
@@ -92,10 +95,14 @@ def pipelined_node_program(
     blocks: list[tuple],
     mapping: Mapping,
     outs: list[dict[int, np.ndarray]],
+    routes: dict | None = None,
 ):
     """Listing 6: stream all systems through each of this rank's roles.
 
-    System ``s``'s messages are tagged with its index ``s``.
+    System ``s``'s messages are tagged with its index ``s``.  ``routes``
+    is the launch's routing memo
+    (:func:`~repro.kernels.substructured.get_routing`); none gives the
+    call a routing of its own.
     """
     nsys = len(blocks)
     k = mapping.k
@@ -105,6 +112,8 @@ def pipelined_node_program(
             yield Compute(flops=THOMAS_FLOPS_PER_ROW * len(a), label="thomas")
             outs[s][rank] = thomas_solve(b, a, c, f)
         return
+
+    routing, _ = get_routing(mapping, {} if routes is None else routes)
 
     # ---- Phase A: local reductions, all systems -------------------------
     reds = []
@@ -123,7 +132,7 @@ def pipelined_node_program(
 
     # ---- Phase B: tree reductions, streaming systems ---------------------
     for level in range(1, k):
-        for j in _holdings(mapping, rank, level):
+        for j in routing.holdings(rank, level):
             for s in range(nsys):
                 yield Mark("mtri/reduce", payload=(s, level))
                 pa = yield from _obtain_sys_pair(rank, mapping, level - 1, 2 * j, pair_at, s)
@@ -164,7 +173,7 @@ def pipelined_node_program(
 
     # ---- Substitution: descend, streaming systems -------------------------
     for level in range(k - 1, 0, -1):
-        for j in _holdings(mapping, rank, level):
+        for j in routing.holdings(rank, level):
             for s in range(nsys):
                 yield Mark("mtri/subst", payload=(s, level))
                 key = ("x", s, level, j)
@@ -222,13 +231,14 @@ def pipelined_multi_tri_solve(
         machine = Machine(n_procs=p)
     bounds = [block_bounds(n, p, r) for r in range(p)]
     outs: list[dict[int, np.ndarray]] = [{} for _ in range(m)]
+    routes: dict = {}
 
     def make(rank):
         lo, hi = bounds[rank]
         blocks = [
             (B[s, lo:hi], A[s, lo:hi], C[s, lo:hi], F[s, lo:hi]) for s in range(m)
         ]
-        return pipelined_node_program(rank, p, blocks, mapping, outs)
+        return pipelined_node_program(rank, p, blocks, mapping, outs, routes=routes)
 
     trace = launch({r: make(r) for r in range(p)}, machine, session)
     return _assemble(outs, bounds, m, n), trace

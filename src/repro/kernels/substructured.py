@@ -291,34 +291,23 @@ class TreeRouting:
         return self._holdings.get(level, {}).get(rank, [])
 
 
-_ROUTING_CACHE: dict[tuple, TreeRouting] = {}
-
-
-def get_routing(mapping: Mapping) -> tuple[TreeRouting, bool]:
-    """Cached routing keyed by ``mapping.routing_key()``; returns
-    (routing, was_cached)."""
+def get_routing(mapping: Mapping, routes: dict) -> tuple[TreeRouting, bool]:
+    """The routing of ``mapping`` from the memo ``routes`` (keyed by
+    ``mapping.routing_key()``), built into it on a miss; returns
+    (routing, was_cached).  A driver owns one memo per launch and hands
+    it to every rank's node program, so every launch records the same
+    build and hit marks."""
     key = mapping.routing_key()
-    routing = _ROUTING_CACHE.get(key)
+    routing = routes.get(key)
     if routing is not None:
         return routing, True
-    routing = TreeRouting(mapping)
-    _ROUTING_CACHE[key] = routing
+    routing = routes[key] = TreeRouting(mapping)
     return routing, False
-
-
-def clear_routing_cache() -> None:
-    """Drop all cached tree routings (mostly for tests)."""
-    _ROUTING_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
 # SPMD node program
 # ----------------------------------------------------------------------
-
-
-def _holdings(mapping: Mapping, rank: int, level: int) -> list[int]:
-    """Pairs this rank holds at ``level`` (served from the routing cache)."""
-    return get_routing(mapping)[0].holdings(rank, level)
 
 
 def tri_node_program(
@@ -328,12 +317,15 @@ def tri_node_program(
     mapping: Mapping,
     out: dict[int, np.ndarray],
     sys_id=0,
+    routes: dict | None = None,
 ):
     """Node program of one processor for one substructured solve.
 
     ``block`` is this rank's (b, a, c, f) row slices; the solved block
     values are stored into ``out[rank]`` on completion.  ``sys_id``
     namespaces message tags so several solves can run concurrently.
+    ``routes`` is the launch's routing memo (:func:`get_routing`); none
+    gives the call a routing of its own.
     """
     b, a, c, f = block
     m = len(a)
@@ -344,7 +336,7 @@ def tri_node_program(
         out[rank] = thomas_solve(b, a, c, f)
         return
 
-    routing, was_cached = get_routing(mapping)
+    routing, was_cached = get_routing(mapping, {} if routes is None else routes)
     yield Mark(
         "commsched/hit" if was_cached else "commsched/build",
         payload=("tri-routing", mapping.name, p),
@@ -472,11 +464,12 @@ def substructured_tri_solve(
         raise ValidationError("machine too small for requested p")
     out: dict[int, np.ndarray] = {}
     bounds = [block_bounds(n, p, r) for r in range(p)]
+    routes: dict = {}
 
     def make(rank):
         lo, hi = bounds[rank]
         blk = (b[lo:hi], a[lo:hi], c[lo:hi], f[lo:hi])
-        return tri_node_program(rank, p, blk, mapping, out)
+        return tri_node_program(rank, p, blk, mapping, out, routes=routes)
 
     trace = launch({r: make(r) for r in range(p)}, machine, session)
     x = np.empty(n)

@@ -43,8 +43,10 @@ def thomas_solve(
     """Solve one tridiagonal system by LU without pivoting.
 
     All inputs are 1-D arrays of equal length n; returns x of length n.
-    Inputs shaped (n, L) solve L independent systems, one per column,
-    with the same arithmetic per column.
+    Inputs with a trailing lines axis, shaped (n, L), solve L
+    independent systems, one per column, with the same arithmetic per
+    column.  1-D diagonals against an (n, L) right-hand side are one
+    matrix shared by every column, factored once.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -53,10 +55,12 @@ def thomas_solve(
     n = a.shape[0]
     if not (b.shape[0] == c.shape[0] == f.shape[0] == n):
         raise ValidationError("diagonals and rhs must have equal length")
+    lines = max(b.shape, a.shape, c.shape, key=len)  # (n,): one shared matrix
+    x = np.empty(max(lines, f.shape, key=len))
     if n == 0:
-        return np.empty(0)
-    cp = np.empty(a.shape)
-    fp = np.empty(a.shape)
+        return x
+    cp = np.empty(lines)
+    fp = np.empty(x.shape)
     denom = a[0]
     check_pivot(denom, "zero pivot in Thomas algorithm at row {}", 0)
     cp[0] = c[0] / denom
@@ -66,48 +70,10 @@ def thomas_solve(
         check_pivot(denom, "zero pivot in Thomas algorithm at row {}", i)
         cp[i] = c[i] / denom
         fp[i] = (f[i] - b[i] * fp[i - 1]) / denom
-    x = np.empty(a.shape)
     x[-1] = fp[-1]
     for i in range(n - 2, -1, -1):
         x[i] = fp[i] - cp[i] * x[i + 1]
     return x
-
-
-def thomas_solve_many(
-    b: np.ndarray, a: np.ndarray, c: np.ndarray, F: np.ndarray
-) -> np.ndarray:
-    """Solve the same tridiagonal matrix against many right-hand sides.
-
-    ``F`` has shape (n, m); returns X of the same shape.  Used by zebra
-    line relaxation where each line shares constant coefficients.
-    """
-    b = np.asarray(b, dtype=float)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    F = np.asarray(F, dtype=float)
-    n = a.shape[0]
-    if F.shape[0] != n:
-        raise ValidationError("rhs rows must match system size")
-    if n == 0:
-        return np.empty_like(F)
-    cp = np.empty(n)
-    Fp = np.empty_like(F)
-    denom = a[0]
-    if denom == 0.0:
-        raise ValidationError("zero pivot at row 0")
-    cp[0] = c[0] / denom
-    Fp[0] = F[0] / denom
-    for i in range(1, n):
-        denom = a[i] - b[i] * cp[i - 1]
-        if denom == 0.0:
-            raise ValidationError(f"zero pivot at row {i}")
-        cp[i] = c[i] / denom
-        Fp[i] = (F[i] - b[i] * Fp[i - 1]) / denom
-    X = np.empty_like(F)
-    X[-1] = Fp[-1]
-    for i in range(n - 2, -1, -1):
-        X[i] = Fp[i] - cp[i] * X[i + 1]
-    return X
 
 
 def thomas_factor_count(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Collective operations composed from point-to-point messages.
+"""Grid collectives: broadcast, reduce, allreduce and gather.
 
 Each collective is a generator helper used inside node programs with
 ``yield from``; the return value (if any) comes back through the
@@ -6,28 +6,30 @@ Each collective is a generator helper used inside node programs with
 
     total = yield from collectives.allreduce(rank, group, x, op=operator.add, tag=t)
 
-All collectives use binomial trees over the *position* of a rank inside
-``group``, so they work on arbitrary processor subsets (processor-array
-slices, in the paper's terms).  Tags must be distinct per collective
-invocation and identical across the group -- the language layer's
-context allocates them.
-
-Tree shapes are not re-derived per call: a :class:`TreeTable` tabulates
-the binomial-tree routing of one (group, root) pair -- every rank's
-receive source and ordered send destinations for broadcasts, child and
-parent links for reductions -- and is cached process-wide, the
-machine-layer analogue of the compiler's cached transfer schedules (and
-of :class:`repro.kernels.substructured.TreeRouting`).  Wire behavior
-(message order and tags) is identical to deriving the tree inline.
+A call is one kind-tagged :class:`~repro.machine.ops.Rendezvous` of
+``group`` -- tag ``(tag, kind)``, kind ``"bcast"``, ``"reduce"``,
+``"allreduce"`` or ``"gather"`` -- so ranks that diverge into different
+collectives never meet.  Once every rank has arrived, its action moves
+the values: it derives the binomial tree over the ranks' *positions* in
+``group`` (so any processor subset works, the paper's processor-array
+slices) and combines the values in the tree's order with the caller's
+``op``.  Every value a tree message stands for is copied like a message
+payload (:func:`repro.machine.simulator._snapshot`), so no two ranks
+share a mutable result.  Each rank then replays its data-free share of
+the tree: ``Send`` ops carrying only the byte count of the value they
+stand for, and discarding ``Recv`` ops, so the trace holds the tree's
+messages, bytes and time.  Tags must be distinct per invocation and
+identical across the group -- the language layer's context allocates
+them.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict
 from typing import Any, Callable, Hashable, Sequence
 
-from repro.machine.ops import Recv, Send
+from repro.machine.ops import Recv, Rendezvous, Send, payload_nbytes
+from repro.machine.simulator import _snapshot
 from repro.util.errors import ValidationError
 
 
@@ -38,132 +40,79 @@ def _position(rank: int, group: Sequence[int]) -> int:
         raise ValidationError(f"rank {rank} not in group {list(group)!r}") from None
 
 
-class TreeTable:
-    """Tabulated binomial-tree routing of one ``(group, root)`` pair.
+def _collective(rank, group, root, tag, action, data):
+    """One rank's share of a collective: the rendezvous, then its stream.
 
-    For every root-relative position the table precomputes the broadcast
-    receive source and ordered send destinations, and the reduction
-    child links and parent link, with machine ranks already resolved --
-    so collective calls do no modular arithmetic or round scanning.
+    ``action`` maps ``{rank: data}`` to ``{rank: (value, ops)}``.  A rank
+    or root outside ``group`` raises ``ValidationError`` before any op.
     """
-
-    __slots__ = (
-        "group",
-        "root",
-        "size",
-        "_pos",
-        "bcast_recv",
-        "bcast_sends",
-        "reduce_children",
-        "reduce_parent",
-    )
-
-    def __init__(self, group: Sequence[int], root: int):
-        group = tuple(group)
-        self.group = group
-        self.root = root
-        size = self.size = len(group)
-        rpos = _position(root, group)
-        self._pos = {r: (p - rpos) % size for p, r in enumerate(group)}
-
-        def rank_at(pos: int) -> int:
-            return group[(pos + rpos) % size]
-
-        steps = []
-        step = 1
-        while step < size:
-            steps.append(step)
-            step <<= 1
-
-        #: position -> source rank of the single broadcast receive
-        #: (None at the root position).
-        self.bcast_recv: list[int | None] = [None] * size
-        #: position -> [(dst rank, dst position), ...] in round order.
-        self.bcast_sends: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        #: position -> [(child rank, step), ...] in round order.
-        self.reduce_children: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        #: position -> (parent rank, parent position, step) or None.
-        self.reduce_parent: list[tuple[int, int, int] | None] = [None] * size
-
-        for me in range(size):
-            if me > 0:
-                up = 1 << (me.bit_length() - 1)  # highest power of two <= me
-                self.bcast_recv[me] = rank_at(me - up)
-            for step in steps:
-                if me < step and me + step < size:
-                    self.bcast_sends[me].append((rank_at(me + step), me + step))
-            low = me & -me if me else 0  # lowest set bit
-            for step in steps:
-                if low and step >= low:
-                    break
-                if me + step < size:
-                    self.reduce_children[me].append((rank_at(me + step), step))
-            if me > 0:
-                self.reduce_parent[me] = (rank_at(me - low), me - low, low)
-
-    def pos_of(self, rank: int) -> int:
-        """Root-relative position of a member rank."""
-        try:
-            return self._pos[rank]
-        except KeyError:
-            raise ValidationError(
-                f"rank {rank} not in group {list(self.group)!r}"
-            ) from None
+    _position(rank, group)
+    _position(root, group)
+    value, ops = yield Rendezvous(tuple(group), tag, action, payload=data)
+    yield from ops
+    return value
 
 
-#: Process-wide tree-routing tables, keyed by (group, root).  LRU-bounded
-#: like every other cache in the repo: rebuilding an evicted table is
-#: always safe (tables are derived deterministically from the key).
-_TREE_TABLES: OrderedDict[tuple, TreeTable] = OrderedDict()
-_TREE_TABLES_MAX = 512
-_TREE_STATS = {"hits": 0, "builds": 0}
+def _rounds(size: int) -> list[int]:
+    """The binomial tree's round steps: the powers of two below ``size``."""
+    return [1 << i for i in range((size - 1).bit_length())]
 
 
-def get_tree_table(group: Sequence[int], root: int) -> tuple[TreeTable, bool]:
-    """Cached table for ``(group, root)``; returns ``(table, was_cached)``."""
-    key = (tuple(group), root)
-    table = _TREE_TABLES.get(key)
-    if table is not None:
-        _TREE_STATS["hits"] += 1
-        _TREE_TABLES.move_to_end(key)
-        return table, True
-    table = TreeTable(group, root)
-    _TREE_TABLES[key] = table
-    while len(_TREE_TABLES) > _TREE_TABLES_MAX:
-        _TREE_TABLES.popitem(last=False)
-    _TREE_STATS["builds"] += 1
-    return table, False
+def _rooted(group: Sequence[int], root: int) -> tuple[int, ...]:
+    """``group``'s ranks in position order relative to ``root``."""
+    group = tuple(group)
+    at = group.index(root)
+    return group[at:] + group[:at]
 
 
-def tree_table_stats() -> dict[str, int]:
-    """Reuse counters of the tree-table cache."""
-    return {"entries": len(_TREE_TABLES), **_TREE_STATS}
+def _bcast_ops(order, nbytes: int, tag) -> dict[int, list]:
+    """Each rank's share of a broadcast from ``order[0]``: position
+    ``me`` receives once from ``me - 2**floor(log2 me)`` and forwards to
+    ``me + step`` for every round ``step > me``."""
+    size = len(order)
+    ops = {}
+    for me, rank in enumerate(order):
+        mine = [Recv(order[me - (1 << (me.bit_length() - 1))], (tag, "bcast", me))] if me else []
+        mine += [
+            Send(order[me + step], None, (tag, "bcast", me + step), nbytes)
+            for step in _rounds(size) if me < step and me + step < size
+        ]
+        ops[rank] = mine
+    return ops
 
 
-def clear_tree_tables() -> None:
-    """Drop all cached tree tables (mostly for tests)."""
-    _TREE_TABLES.clear()
-    _TREE_STATS["hits"] = 0
-    _TREE_STATS["builds"] = 0
+def _reduce(order, payloads, tag, op):
+    """Combine ``payloads`` up the binomial tree rooted at ``order[0]``.
+
+    Position ``me`` folds in its children ``me + step`` (every round
+    below its lowest set bit, in round order) and sends the result to
+    ``me - lowbit(me)``.  Returns the root's value and each rank's ops.
+    """
+    size = len(order)
+    value = [payloads[r] for r in order]
+    ops = {}
+    for me in reversed(range(size)):  # children sit at higher positions
+        low = me & -me
+        children = [s for s in _rounds(size) if (not low or s < low) and me + s < size]
+        for step in children:
+            value[me] = op(value[me], _snapshot(value[me + step]))
+        mine = [Recv(order[me + step], (tag, "reduce", me, step)) for step in children]
+        if me:
+            mine.append(Send(order[me - low], None, (tag, "reduce", me - low, low),
+                             payload_nbytes(value[me])))
+        ops[order[me]] = mine
+    return value[0], ops
 
 
 def bcast(rank: int, group: Sequence[int], data: Any, *, root: int, tag: Hashable):
-    """Broadcast ``data`` from ``root`` to every rank in ``group``.
+    """Broadcast ``data`` from ``root`` to every rank in ``group``."""
 
-    Binomial tree: a rank at root-relative position ``me`` receives once
-    from position ``me - 2**floor(log2 me)`` and forwards to positions
-    ``me + step`` for every round ``step > me``, all served from the
-    cached :class:`TreeTable`.
-    """
-    table, _ = get_tree_table(group, root)
-    me = table.pos_of(rank)
-    value = data if rank == root else None
-    src = table.bcast_recv[me]
-    if src is not None:
-        value = yield Recv(src=src, tag=(tag, "bcast", me))
-    for dst, dst_pos in table.bcast_sends[me]:
-        yield Send(dst, value, tag=(tag, "bcast", dst_pos))
-    return value
+    def action(payloads):
+        value = payloads[root]
+        ops = _bcast_ops(_rooted(group, root), payload_nbytes(value), tag)
+        return {r: (value if r == root else _snapshot(value), ops[r]) for r in ops}
+
+    return _collective(rank, group, root, (tag, "bcast"), action, data)
 
 
 def reduce(
@@ -176,18 +125,12 @@ def reduce(
     op: Callable[[Any, Any], Any] = operator.add,
 ):
     """Reduce values from all ranks onto ``root``; others return None."""
-    table, _ = get_tree_table(group, root)
-    me = table.pos_of(rank)
-    value = data
-    for child, step in table.reduce_children[me]:
-        other = yield Recv(src=child, tag=(tag, "reduce", me, step))
-        value = op(value, other)
-    parent = table.reduce_parent[me]
-    if parent is not None:
-        parent_rank, parent_pos, step = parent
-        yield Send(parent_rank, value, tag=(tag, "reduce", parent_pos, step))
-        return None
-    return value if rank == root else None
+
+    def action(payloads):
+        value, ops = _reduce(_rooted(group, root), payloads, tag, op)
+        return {r: (value if r == root else None, ops[r]) for r in ops}
+
+    return _collective(rank, group, root, (tag, "reduce"), action, data)
 
 
 def allreduce(
@@ -198,66 +141,31 @@ def allreduce(
     tag: Hashable,
     op: Callable[[Any, Any], Any] = operator.add,
 ):
-    """Reduce then broadcast: every rank returns the combined value."""
-    group = list(group)
+    """Reduce onto ``group[0]``, then broadcast: every rank returns the
+    combined value."""
     root = group[0]
-    value = yield from reduce(rank, group, data, root=root, tag=(tag, "ar_r"), op=op)
-    value = yield from bcast(rank, group, value, root=root, tag=(tag, "ar_b"))
-    return value
+
+    def action(payloads):
+        value, ops = _reduce(tuple(group), payloads, (tag, "ar_r"), op)
+        down = _bcast_ops(tuple(group), payload_nbytes(value), (tag, "ar_b"))
+        return {r: (value if r == root else _snapshot(value), ops[r] + down[r]) for r in ops}
+
+    return _collective(rank, group, root, (tag, "allreduce"), action, data)
 
 
 def gather(rank: int, group: Sequence[int], data: Any, *, root: int, tag: Hashable):
     """Gather one value per rank onto ``root`` as a list ordered by group.
 
-    Flat (non-tree) gather: each non-root sends directly to root.  The
-    list positions follow ``group`` order.  Non-roots return None.
+    Flat (non-tree) gather: each non-root sends directly to root, which
+    receives in group order.  Non-roots return None.
     """
-    group = list(group)
-    if rank == root:
-        out = [None] * len(group)
-        out[_position(root, group)] = data
-        for pos, src in enumerate(group):
-            if src == root:
-                continue
-            out[pos] = yield Recv(src=src, tag=(tag, "gather", pos))
-        return out
-    yield Send(root, data, tag=(tag, "gather", _position(rank, group)))
-    return None
 
+    def action(payloads):
+        others = [(pos, r) for pos, r in enumerate(group) if r != root]
+        ops = {r: [Send(root, None, (tag, "gather", pos), payload_nbytes(payloads[r]))]
+               for pos, r in others}
+        ops[root] = [Recv(r, (tag, "gather", pos)) for pos, r in others]
+        items = [payloads[r] if r == root else _snapshot(payloads[r]) for r in group]
+        return {r: (items if r == root else None, ops[r]) for r in group}
 
-def scatter(
-    rank: int,
-    group: Sequence[int],
-    items: Sequence[Any] | None,
-    *,
-    root: int,
-    tag: Hashable,
-):
-    """Scatter ``items`` (given at root, one per group rank) to the group."""
-    group = list(group)
-    if rank == root:
-        if items is None or len(items) != len(group):
-            raise ValidationError("scatter needs len(items) == len(group) at root")
-        mine = items[_position(root, group)]
-        for pos, dst in enumerate(group):
-            if dst == root:
-                continue
-            yield Send(dst, items[pos], tag=(tag, "scatter", pos))
-        return mine
-    value = yield Recv(src=root, tag=(tag, "scatter", _position(rank, group)))
-    return value
-
-
-def allgather(rank: int, group: Sequence[int], data: Any, *, tag: Hashable):
-    """Gather to group[0] then broadcast the full list to everyone."""
-    group = list(group)
-    root = group[0]
-    items = yield from gather(rank, group, data, root=root, tag=(tag, "ag_g"))
-    items = yield from bcast(rank, group, items, root=root, tag=(tag, "ag_b"))
-    return items
-
-
-def barrier_via_messages(rank: int, group: Sequence[int], *, tag: Hashable):
-    """Message-based barrier (allreduce of nothing); for testing Barrier."""
-    yield from allreduce(rank, group, 0, tag=(tag, "bar"), op=lambda a, b: 0)
-    return None
+    return _collective(rank, group, root, (tag, "gather"), action, data)

@@ -163,10 +163,12 @@ class Rendezvous:
 
     ``action`` receives ``{rank: payload}`` (each rank's own
     ``payload``) and may return ``{rank: value}``: what each rank's
-    ``yield`` evaluates to.  Internal: a doall, a ``ctx.redistribute``
-    and an irregular gather open their op streams with one, so the
-    values of the whole collective move in one call once the grid has
-    arrived; the data-free trace oracle yields it with ``action=None``.
+    ``yield`` evaluates to.  Internal: every collective (a doall, a
+    ``ctx.redistribute``, an irregular gather, a line solve, a grid
+    collective, Fourier-Poisson's FFTs) opens its op stream with one,
+    so the values of the whole collective move in one call once the
+    grid has arrived; the data-free trace oracle yields it with
+    ``action=None``.
     """
 
     group: tuple[int, ...]

@@ -64,9 +64,9 @@ def _snapshot(data: Any) -> Any:
     Arrays already by-value -- a frozen owning array *or* a read-only
     view whose whole base chain is frozen down to a read-only owner
     (:func:`repro.machine.ops.frozen_by_value`) -- ship without a copy;
-    the op streams of a doall, of ``ctx.redistribute`` and of an
-    irregular gather send no data at all (their values move at the
-    grid rendezvous).  A read-only view of live (writable) storage --
+    the op streams of the collectives send no data at all (their values
+    move at the grid rendezvous, where the grid collectives copy with
+    this same function).  A read-only view of live (writable) storage --
     ``np.broadcast_to`` of a mutable buffer, say -- is not by-value,
     since the sender can still mutate it through the base, so it is
     copied like any other mutable payload.  Ad-hoc sends of live

@@ -59,7 +59,7 @@ from repro.kernels.substructured import (
     reduce_four_rows,
     solve_reduced_pairs,
 )
-from repro.kernels.thomas import ZeroPivot, thomas_solve, thomas_solve_many
+from repro.kernels.thomas import ZeroPivot, thomas_solve
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.machine.ops import Compute, Mark, Recv, Rendezvous, Send
 from repro.machine.simulator import Machine
@@ -126,8 +126,8 @@ def adi_reference(
         r = f - laplacian_2d(u, coeffs)
         r[0, :] = r[-1, :] = 0.0
         r[:, 0] = r[:, -1] = 0.0
-        w = thomas_solve_many(bx, ax, cx, r)          # lines along x (axis 0)
-        v = thomas_solve_many(by, ay, cy, w.T).T      # lines along y (axis 1)
+        w = thomas_solve(bx, ax, cx, r)          # lines along x (axis 0)
+        v = thomas_solve(by, ay, cy, w.T).T      # lines along y (axis 1)
         u = u - 2.0 * tau * v
     return u
 
@@ -277,18 +277,20 @@ class _LinePlan:
     line ``lines[g][s]``).  No axis is special-cased, so the same plan
     serves a 2-D array and a plane *section* of a 3-D one.
 
-    It also holds each rank's data-free op stream, derived once from the
-    tree routings it builds: ``per_line[rank][s]`` is line ``s``'s whole
-    solve (Listing 7's order, the contiguous mapping), and
+    It also holds each rank's data-free op stream in the solve order(s)
+    ``orders`` names, derived once from the tree routings it builds:
+    ``per_line[rank][s]`` is line ``s``'s whole solve (Listing 7's
+    order, ``pipelined=False``, the contiguous mapping), and
     ``piped[rank][step][s]`` is system ``s``'s share of one step of the
-    pipelined solve (Listing 8's order, the shuffle mapping).
+    pipelined solve (Listing 8's order, ``pipelined=True``, the shuffle
+    mapping).  A cached plan holds the one order its caller uses.
     Immutable once built; :meth:`solve` moves the values.
     """
 
     __slots__ = ("name", "line_dim", "groups", "lines", "per_line", "piped",
                  "routing_marks")
 
-    def __init__(self, arr, line_dim):
+    def __init__(self, arr, line_dim, orders=(False, True)):
         grid = arr.grid
         g = arr.grid_dim_of(line_dim)
         groups = {}
@@ -300,25 +302,30 @@ class _LinePlan:
         self.name, self.line_dim = arr.name, line_dim
         self.groups, self.lines = tuple(groups), tuple(groups.values())
         p = grid.shape[g]
-        shuffle = contiguous = self.routing_marks = None
-        if p > 1:
-            shuffle, contiguous = (TreeRouting(m(p)) for m in (ShuffleMapping, ContiguousMapping))
-            self.routing_marks = tuple(
-                Mark(label, payload=("tri-routing", contiguous.name, p))
-                for label in ("commsched/build", "commsched/hit")
-            )
+        self.routing_marks = None if p == 1 else tuple(
+            Mark(label, payload=("tri-routing", ContiguousMapping.name, p))
+            for label in ("commsched/build", "commsched/hit")
+        )
+        routing = {
+            pipelined: TreeRouting(mapping(p)) if p > 1 else None
+            for pipelined, mapping in ((False, ContiguousMapping), (True, ShuffleMapping))
+            if pipelined in orders
+        }
         self.per_line, self.piped = {}, {}
         for group, lines in groups.items():
             for pos, rank in enumerate(group):
                 lo, hi = block_bounds(arr.shape[line_dim], p, pos)
-                self.per_line[rank] = tuple(
-                    sum(_line_steps(contiguous, group, pos, hi - lo, "tri", int(line), s), ())
-                    for s, line in enumerate(lines)
-                )
-                self.piped[rank] = tuple(zip(*(
-                    _line_steps(shuffle, group, pos, hi - lo, "mtri", s, s)
-                    for s in range(len(lines))
-                )))
+                if False in routing:
+                    self.per_line[rank] = tuple(
+                        sum(_line_steps(routing[False], group, pos, hi - lo, "tri",
+                                        int(line), s), ())
+                        for s, line in enumerate(lines)
+                    )
+                if True in routing:
+                    self.piped[rank] = tuple(zip(*(
+                        _line_steps(routing[True], group, pos, hi - lo, "mtri", s, s)
+                        for s in range(len(lines))
+                    )))
 
     def stream(self, rank, pick, pipelined, reused):
         """``rank``'s data-free ops for solving its lines ``pick``."""
@@ -376,11 +383,12 @@ class _LinePlan:
                 at += len(pick)
 
 
-def _line_plan_key(arr, line_dim):
+def _line_plan_key(arr, line_dim, pipelined):
     """Cache key of the line plan of a sweep along ``line_dim`` of
-    ``arr``: the layout key already names the grid shape and ranks, so a
-    sweep back in a layout seen before replays."""
-    return (arr.layout_key(), line_dim)
+    ``arr`` in the solve order ``pipelined``: the layout key already
+    names the grid shape and ranks, so a sweep back in a layout seen
+    before replays."""
+    return (arr.layout_key(), line_dim, pipelined)
 
 
 def _solve_lines(ctx, arr, line_dim, rhs, out, diags, pick, pipelined):
@@ -405,8 +413,8 @@ def _solve_lines(ctx, arr, line_dim, rhs, out, diags, pick, pipelined):
 
     def action(payloads):
         plan, reused = ctx.session.plans.get(
-            "adi-line", _line_plan_key(arr, line_dim),
-            lambda: _LinePlan(arr, line_dim), uids=lambda: uid_chain(arr),
+            "adi-line", _line_plan_key(arr, line_dim, pipelined),
+            lambda: _LinePlan(arr, line_dim, (pipelined,)), uids=lambda: uid_chain(arr),
         )
         plan.solve(payloads)
         return dict.fromkeys(payloads, (plan, reused))

@@ -10,12 +10,21 @@ solver for
 
 on an nx x (ny+1) grid:
 
-1. FFT every x-row of F (binary-exchange kernel along the distributed
-   x dimension);
+1. FFT every x-column of F (binary-exchange kernel along the
+   distributed x dimension);
 2. for each Fourier mode k solve the tridiagonal system
-   ``(d2/dy2 - lambda_k) u_hat_k = f_hat_k`` along y (pipelined
-   multi-system substructured kernel);
+   ``(d2/dy2 - lambda_k) u_hat_k = f_hat_k`` along y (local Thomas
+   solves, all of a rank's modes at once);
 3. inverse FFT back to physical space.
+
+Each FFT direction is one kind-tagged grid rendezvous (kind ``"fft"``),
+built like the other collectives: its action runs the binary-exchange
+FFT of every column on every rank at once, as array operations over a
+trailing columns axis (:func:`repro.kernels.fft.binary_exchange`, the
+arithmetic of ``fft_node_program``, so the values are the node
+programs' by ``tobytes()``), and each rank then walks its data-free
+stream: one column's exchange, local stages and bit reversal
+(:func:`repro.kernels.fft.fft_ops`) per column, in column order.
 
 The zero mode with all-Dirichlet data is well posed; correctness is
 verified against a dense solve in the tests.
@@ -25,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.fft import fft_node_program
+from repro.kernels.fft import binary_exchange, fft_ops
 from repro.kernels.thomas import thomas_solve
-from repro.machine.ops import Compute, Recv, Send
+from repro.machine.ops import Compute, Rendezvous
 from repro.machine.simulator import Machine
 from repro.session import launch
 from repro.util.errors import ValidationError
@@ -40,11 +49,13 @@ def _eigenvalues_x(nx: int) -> np.ndarray:
     return (2.0 * np.cos(2.0 * np.pi * k / nx) - 2.0) / hx2
 
 
-def _mode_system(lam: float, ny: int):
-    """Diagonals of (d2/dy2 + lam) with Dirichlet identity boundaries."""
+def _mode_systems(lam: np.ndarray, ny: int):
+    """Diagonals of (d2/dy2 + lam_k) with Dirichlet identity boundaries,
+    one system per mode: the main diagonal is ``(ny+1, len(lam))``, the
+    off-diagonals are shared."""
     hy2 = (1.0 / ny) ** 2
     b = np.zeros(ny + 1)
-    a = np.ones(ny + 1)
+    a = np.ones((ny + 1, len(lam)))
     c = np.zeros(ny + 1)
     b[1:-1] = 1.0 / hy2
     c[1:-1] = 1.0 / hy2
@@ -52,21 +63,25 @@ def _mode_system(lam: float, ny: int):
     return b, a, c
 
 
+def _solve_modes(fh: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solve every mode row of ``fh`` along y: one Thomas solve per real
+    and imaginary part, over all modes at once."""
+    systems = _mode_systems(lam, fh.shape[1] - 1)
+    uh = np.empty_like(fh)
+    uh.real = thomas_solve(*systems, fh.real.T).T
+    uh.imag = thomas_solve(*systems, fh.imag.T).T
+    return uh
+
+
 def fourier_poisson_reference(f: np.ndarray) -> np.ndarray:
     """Sequential Fourier-tridiagonal solve (periodic-x, Dirichlet-y)."""
     nx, ny1 = f.shape
-    ny = ny1 - 1
     if nx & (nx - 1):
         raise ValidationError("nx must be a power of two")
     fh = np.fft.fft(f, axis=0)
     fh[:, 0] = 0.0
     fh[:, -1] = 0.0
-    lam = _eigenvalues_x(nx)
-    uh = np.zeros_like(fh)
-    for k in range(nx):
-        b, a, c = _mode_system(lam[k], ny)
-        uh[k, :].real = thomas_solve(b, a, c, fh[k, :].real)
-        uh[k, :].imag = thomas_solve(b, a, c, fh[k, :].imag)
+    uh = _solve_modes(fh, _eigenvalues_x(nx))
     return np.real(np.fft.ifft(uh, axis=0))
 
 
@@ -96,60 +111,37 @@ def fourier_poisson_solve(
     arrangement to ADI's distributed line solves.  Returns (u, trace).
     """
     nx, ny1 = f.shape
-    ny = ny1 - 1
     if nx & (nx - 1):
         raise ValidationError("nx must be a power of two")
     if p & (p - 1) or p > nx:
         raise ValidationError("p must be a power of two <= nx")
     nb = nx // p
     lam = _eigenvalues_x(nx)
-    out_inv: dict[tuple[int, int], np.ndarray] = {}
+    group = tuple(range(p))
+    u = np.empty((nx, ny1))
+
+    def forward(payloads):
+        return dict(enumerate(binary_exchange([payloads[r] for r in group], nx)))
+
+    def inverse(payloads):  # the conj trick: conj(fft(conj(x))) / nx
+        xs = binary_exchange([np.conj(payloads[r]) for r in group], nx)
+        for r, x in enumerate(xs):
+            u[r * nb:(r + 1) * nb] = np.real(np.conj(x)) / nx
 
     def node(rank: int):
         lo, hi = rank * nb, (rank + 1) * nb
-        # forward FFT of my rows, one column at a time (x-direction FFTs)
-        fh_block = np.empty((nb, ny + 1), dtype=complex)
-        for col in range(ny + 1):
-            col_out: dict[int, np.ndarray] = {}
-            yield from _fft_column(rank, p, nx, f[lo:hi, col], col_out, ("fwd", col))
-            fh_block[:, col] = col_out[rank]
-        fh_block[:, 0] = 0.0
-        fh_block[:, -1] = 0.0
-        # mode solves: my nb modes, each a local tridiagonal along y
-        uh_block = np.empty_like(fh_block)
-        for s in range(nb):
-            b, a, c = _mode_system(lam[lo + s], ny)
-            uh_block[s, :].real = thomas_solve(b, a, c, fh_block[s, :].real)
-            uh_block[s, :].imag = thomas_solve(b, a, c, fh_block[s, :].imag)
-        yield Compute(flops=16.0 * (ny + 1) * nb, label="mode_solves")
-        # inverse FFT: conj trick, column by column
-        for col in range(ny + 1):
-            col_out = {}
-            yield from _fft_column(
-                rank, p, nx, np.conj(uh_block[:, col]), col_out, ("inv", col)
-            )
-            out_inv[(rank, col)] = np.real(np.conj(col_out[rank])) / nx
+        # a direction's stream is one column's ops per column; the columns
+        # share their tags, and FIFO matching per (src, tag) pairs them in
+        # column order
+        fwd, inv = (fft_ops(rank, p, nx, direction) * ny1 for direction in ("fwd", "inv"))
+        fh = yield Rendezvous(group, ("fwd", "fft"), forward, payload=f[lo:hi])
+        yield from fwd
+        fh[:, 0] = 0.0
+        fh[:, -1] = 0.0
+        uh = _solve_modes(fh, lam[lo:hi])
+        yield Compute(flops=16.0 * ny1 * nb, label="mode_solves")
+        yield Rendezvous(group, ("inv", "fft"), inverse, payload=uh)
+        yield from inv
 
-    def _fft_column(rank, p, n, data, col_out, ns):
-        # run the fft kernel with tags namespaced per column/direction
-        gen = fft_node_program(rank, p, n, data, col_out)
-        send_value = None
-        while True:
-            try:
-                op = gen.send(send_value)
-            except StopIteration:
-                return
-            send_value = None
-            if isinstance(op, Send):
-                op = Send(op.dst, op.data, tag=(ns, op.tag), nbytes=op.nbytes)
-            elif isinstance(op, Recv):
-                op = Recv(src=op.src, tag=(ns, op.tag))
-            send_value = yield op
-
-    trace = launch({r: node(r) for r in range(p)}, machine, session)
-    u = np.empty((nx, ny + 1))
-    for rank in range(p):
-        lo, hi = rank * nb, (rank + 1) * nb
-        for col in range(ny + 1):
-            u[lo:hi, col] = out_inv[(rank, col)]
+    trace = launch({r: node(r) for r in group}, machine, session)
     return u, trace

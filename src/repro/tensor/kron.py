@@ -67,7 +67,7 @@ def solve_along_axis(
 
     ``solver`` maps a (n, m) right-hand-side stack to a (n, m) solution
     stack, so implementations can vectorize over lines (as
-    :func:`repro.kernels.thomas.thomas_solve_many` does).
+    :func:`repro.kernels.thomas.thomas_solve` does for a shared matrix).
     """
     x = np.asarray(x, dtype=float)
     moved = np.moveaxis(x, axis, 0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.thomas import thomas_solve_many
+from repro.kernels.thomas import thomas_solve
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
 from repro.lang.array import BaseDistArray
 from repro.machine.ops import Compute, Mark
@@ -224,7 +224,7 @@ class MG2:
             rhs = tl[:, loc]  # fancy indexing: a copy
             rhs[0, :] = 0.0
             rhs[-1, :] = 0.0
-            ul[:, loc] = thomas_solve_many(*lv["line"], rhs)
+            ul[:, loc] = thomas_solve(*lv["line"], rhs)
             yield Compute(flops=8.0 * (self.nx + 1) * len(loc), label="zebra_lines")
             return
         # parallel path: distribute each line solve over the x-subgrid
@@ -292,7 +292,7 @@ def _zebra_sweep_ref(u, f, ny, nx, coeffs, parity):
     rhs = np.zeros((nx + 1, len(lines)))
     for col, j in enumerate(lines):
         rhs[1:-1, col] = f[1:-1, j] - (coeffs.b / hy2) * (u[1:-1, j - 1] + u[1:-1, j + 1])
-    sol = thomas_solve_many(bx, ax, cx, rhs)
+    sol = thomas_solve(bx, ax, cx, rhs)
     for col, j in enumerate(lines):
         u[:, j] = sol[:, col]
 

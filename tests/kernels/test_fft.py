@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.fft import parallel_fft
+from repro.kernels.fft import binary_exchange, parallel_fft
 from repro.machine import Hypercube, Machine
 from repro.util.errors import ValidationError
 
@@ -69,3 +69,16 @@ def test_property_fft_linearity_and_match(logn, logp, seed):
     x = rng.standard_normal(n)
     X, _ = parallel_fft(x, p)
     np.testing.assert_allclose(X, np.fft.fft(x), rtol=1e-7, atol=1e-7)
+
+
+@pytest.mark.parametrize("n, p", [(8, 1), (16, 2), (32, 4), (16, 16)])
+def test_binary_exchange_columns_equal_the_node_programs(n, p):
+    """The in-process transform of every rank's ``(nb, C)`` block gives
+    each column the bits ``fft_node_program`` computes for it alone."""
+    rng = np.random.default_rng(n + p)
+    x = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    nb = n // p
+    got = np.concatenate(binary_exchange([x[r * nb:(r + 1) * nb] for r in range(p)], n))
+    for col in range(5):
+        want, _ = parallel_fft(x[:, col], p)
+        assert got[:, col].tobytes() == want.tobytes()

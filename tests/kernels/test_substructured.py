@@ -210,6 +210,27 @@ def test_deterministic_trace():
     assert t1.message_count() == t2.message_count()
 
 
+def test_each_launch_records_the_same_routing_marks():
+    """The routing memo belongs to one launch: a second solve in the
+    same process records the marks a fresh process records (one build by
+    the first rank, a hit on every other), not the first solve's leftovers."""
+    from repro.kernels.pipelined import sequential_multi_tri_solve
+
+    rng = np.random.default_rng(3)
+    b, a, c, f = dominant_system(16, rng)
+    marks = [
+        [(m.proc, m.label, m.payload) for m in substructured_tri_solve(b, a, c, f, 4)[1].marks]
+        for _ in range(2)
+    ]
+    assert marks[0] == marks[1]
+    labels = [label for _, label, _ in marks[0] if label.startswith("commsched/")]
+    assert sorted(labels) == ["commsched/build"] + ["commsched/hit"] * 3
+    stacked = [np.stack([v] * 3) for v in (b, a, c, f)]
+    _, trace = sequential_multi_tri_solve(*stacked, 4)
+    labels = [m.label for m in trace.marks if m.label.startswith("commsched/")]
+    assert sorted(labels) == ["commsched/build"] + ["commsched/hit"] * 11
+
+
 def test_parallel_faster_than_sequential_for_large_n():
     """Simulated speedup: parallel time < sequential Thomas time at large n."""
     rng = np.random.default_rng(15)

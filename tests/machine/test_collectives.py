@@ -1,4 +1,4 @@
-"""Unit tests for tree collectives over arbitrary processor groups."""
+"""Unit tests for the grid collectives over arbitrary processor groups."""
 
 import operator
 
@@ -107,35 +107,43 @@ def test_gather_preserves_group_order(size):
     assert results[0] == [r * 10 for r in group]
 
 
-def test_scatter_round_trip():
-    group = [0, 1, 2, 3]
-    items = ["a", "b", "c", "d"]
+@pytest.mark.parametrize("kind", ["bcast", "allreduce"])
+def test_array_results_are_private_to_each_rank(kind):
+    """Every rank gets its own copy of an array result, as if it had
+    arrived in a by-value message: mutating one leaves the others as
+    they were."""
+    group = [0, 2, 3, 5]
+    results = {}
 
     def body(rank):
-        return coll.scatter(rank, group, items if rank == 0 else None, root=0, tag="s")
+        if kind == "bcast":
+            value = np.arange(4.0) if rank == 2 else None
+            got = yield from coll.bcast(rank, group, value, root=2, tag="b")
+        else:
+            got = yield from coll.allreduce(rank, group, np.full(4, float(rank)), tag="a")
+        results[rank] = got
+        if rank == group[-1]:
+            got[:] = -1.0
+        return got
 
-    results = run_group(4, group, body)
-    assert [results[r] for r in group] == items
+    run_group(6, group, body)
+    want = np.arange(4.0) if kind == "bcast" else np.full(4, 10.0)
+    for rank in group[:-1]:
+        np.testing.assert_array_equal(results[rank], want)
+    assert len({id(v) for v in results.values()}) == len(group)
 
 
-def test_allgather():
+def test_frozen_array_results_are_shared_uncopied():
+    """A frozen payload is by-value already and is not copied."""
     group = [0, 1, 2]
+    payload = np.arange(3.0)
+    payload.flags.writeable = False
 
     def body(rank):
-        return coll.allgather(rank, group, rank**2, tag="ag")
+        return coll.bcast(rank, group, payload if rank == 0 else None, root=0, tag="b")
 
     results = run_group(3, group, body)
-    assert all(v == [0, 1, 4] for v in results.values())
-
-
-def test_barrier_via_messages_completes():
-    group = [0, 1, 2, 3, 4]
-
-    def body(rank):
-        return coll.barrier_via_messages(rank, group, tag="bar")
-
-    results = run_group(5, group, body)
-    assert len(results) == 5
+    assert all(v is payload for v in results.values())
 
 
 def test_bcast_log_depth_timing():

@@ -17,7 +17,6 @@ import pytest
 import repro
 from repro.kernels.substructured import (
     ShuffleMapping,
-    clear_routing_cache,
     substructured_tri_solve,
 )
 from repro.lang import Assign, DistArray, Doall, Owner, ProcessorGrid, loopvars
@@ -40,7 +39,6 @@ def _dominant_system(n, seed):
 
 def test_golden_substructured_tri_solve():
     """n=16, p=4, shuffle mapping: 10 messages, 400 bytes, fixed marks."""
-    clear_routing_cache()
     b, a, c, f = _dominant_system(16, seed=3)
     x, trace = substructured_tri_solve(b, a, c, f, p=4, mapping_cls=ShuffleMapping)
 

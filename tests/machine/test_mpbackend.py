@@ -340,7 +340,8 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     do the value-carrying repartition executor and its staging hooks,
     and the value-carrying gather executor with its schedule cache and
     the run ids that scoped it, and the rank translation that drove one
-    line-solve generator per line."""
+    line-solve generator per line, and the process-global memos and
+    value-carrying drives of the grid collectives and Fourier-Poisson."""
     import inspect
 
     from repro.compiler import schedule
@@ -381,6 +382,21 @@ def test_generator_walk_is_single_run_and_drivers_are_gone():
     assert importlib.util.find_spec("repro.machine.translate") is None
     assert not hasattr(machine, "translate_ranks")
     assert "sys_ids" not in inspect.signature(pipelined_node_program).parameters
+    # the grid collectives and Fourier-Poisson move their values at a
+    # rendezvous too: no tree-table cache, no value-carrying scatter,
+    # allgather or message barrier, no per-column FFT drive, and no
+    # process-global routing memo behind the reference kernels
+    from repro.kernels import substructured, thomas
+    from repro.machine import collectives
+    from repro.tensor import fourier_poisson
+
+    for name in ("get_tree_table", "tree_table_stats", "clear_tree_tables",
+                 "scatter", "allgather", "barrier_via_messages"):
+        assert not hasattr(collectives, name), name
+    for name in ("_ROUTING_CACHE", "clear_routing_cache"):
+        assert not hasattr(substructured, name), name
+    assert "_fft_column" not in inspect.getsource(fourier_poisson)
+    assert not hasattr(thomas, "thomas_solve_many")
 
 
 # ----------------------------------------------------------------------

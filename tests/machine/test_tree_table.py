@@ -1,24 +1,16 @@
-"""Tests for the cached binomial-tree routing tables of collectives."""
+"""Tests for the binomial-tree routing of the grid collectives.
+
+Each call derives the tree of its ``(group, root)`` pair once, in the
+rendezvous action; these tests pin that derivation to the per-rank
+binomial-tree formulas and the data-free streams to the tree.
+"""
 
 import numpy as np
 import pytest
 
-from repro.machine import CostModel, Machine
+from repro.machine import CostModel, Machine, Recv, Send
 from repro.machine import collectives as coll
-from repro.machine.collectives import (
-    TreeTable,
-    clear_tree_tables,
-    get_tree_table,
-    tree_table_stats,
-)
 from repro.util.errors import ValidationError
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tables():
-    clear_tree_tables()
-    yield
-    clear_tree_tables()
 
 
 def run_group(n, group, body):
@@ -42,69 +34,46 @@ def run_group(n, group, body):
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("rpos", [0, 1])
 def test_table_matches_inline_derivation(size, rpos):
-    """The tabulated routing must equal the seed's per-call derivation."""
+    """The derived streams must equal the per-rank tree formulas."""
     if rpos >= size:
         pytest.skip("root position outside group")
     group = list(range(10, 10 + size))
     root = group[rpos]
-    table = TreeTable(group, root)
+    order = coll._rooted(group, root)
+    bcast = coll._bcast_ops(order, 8, "b")
+    _, reduce = coll._reduce(order, {r: 1 for r in group}, "r", lambda a, b: a + b)
 
     def rank_at(pos):
         return group[(pos + rpos) % size]
 
     for me in range(size):
         # bcast: recv from me - 2**floor(log2 me); sends at steps > me
-        if me == 0:
-            assert table.bcast_recv[me] is None
-        else:
+        want = []
+        if me:
             up = 1 << (me.bit_length() - 1)
-            assert table.bcast_recv[me] == rank_at(me - up)
-        step, sends = 1, []
+            want.append(Recv(rank_at(me - up), ("b", "bcast", me)))
+        step = 1
         while step < size:
             if me < step and me + step < size:
-                sends.append((rank_at(me + step), me + step))
+                want.append(Send(rank_at(me + step), None, ("b", "bcast", me + step), 8))
             step <<= 1
-        assert table.bcast_sends[me] == sends
+        assert bcast[rank_at(me)] == want
         # reduce: children below the lowest set bit, parent at it
-        step, children = 1, []
+        step, want = 1, []
         while step < size:
             if me % (2 * step) == step:
-                assert table.reduce_parent[me] == (rank_at(me - step), me - step, step)
+                want.append(
+                    Send(rank_at(me - step), None, ("r", "reduce", me - step, step), 8)
+                )
                 break
             if me + step < size:
-                children.append((rank_at(me + step), step))
+                want.append(Recv(rank_at(me + step), ("r", "reduce", me, step)))
             step <<= 1
-        else:
-            assert table.reduce_parent[me] is None
-        assert table.reduce_children[me] == children
-
-
-def test_tables_are_cached_per_group_and_root():
-    group = [0, 1, 2, 3]
-
-    def body(rank):
-        a = yield from coll.bcast(rank, group, rank == 0 or None, root=0, tag="b1")
-        b = yield from coll.bcast(rank, group, rank == 0 or None, root=0, tag="b2")
-        c = yield from coll.reduce(rank, group, 1, root=0, tag="r1")
-        d = yield from coll.bcast(rank, group, "x" if rank == 2 else None, root=2, tag="b3")
-        return (a, b, c, d)
-
-    run_group(4, group, body)
-    stats = tree_table_stats()
-    # (group, 0) built once and reused across bcast/bcast/reduce; the
-    # root-2 broadcast needs its own table
-    assert stats["entries"] == 2
-    assert stats["builds"] == 2
-    assert stats["hits"] == 4 * 4 - 2  # every later per-rank call hits
-
-    table, cached = get_tree_table(tuple(group), 0)
-    assert cached and table.root == 0
-    clear_tree_tables()
-    assert tree_table_stats() == {"entries": 0, "hits": 0, "builds": 0}
+        assert reduce[rank_at(me)] == want
 
 
 def test_cached_collectives_produce_same_results():
-    """Second invocation (pure table replay) matches the first."""
+    """A second invocation on the same group matches the first."""
     group = [1, 3, 4, 6]
 
     def body(rank):
@@ -118,9 +87,15 @@ def test_cached_collectives_produce_same_results():
 
 
 def test_non_member_rank_rejected():
-    table = TreeTable([0, 2, 4], 0)
+    """A rank or root outside the group is refused at the collective,
+    before it yields anything."""
+    group = [0, 2, 4]
+    for call in (coll.bcast, coll.reduce, coll.gather):
+        for rank, root in ((1, 0), (2, 3)):
+            with pytest.raises(ValidationError, match="not in group"):
+                next(call(rank, group, 1.0, root=root, tag="t"))
     with pytest.raises(ValidationError, match="not in group"):
-        table.pos_of(1)
+        next(coll.allreduce(1, group, 1.0, tag="t"))
 
 
 def test_bcast_array_payload_through_table():

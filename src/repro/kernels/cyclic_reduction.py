@@ -102,32 +102,29 @@ def cr_node_program(rank, p, n, rows, out, levels_meta):
             return i // (base + 1)
         return extra + (i - split) // base if base else 0
 
-    for level, (active, even, odd) in enumerate(levels_meta):
-        # rows I hold that are odd (stay active): need row above and below
-        mine_odd = [int(i) for i in odd if int(i) in my_rows]
-        needed: dict[int, list[int]] = {}
+    def exchange(active, solving):
+        """The neighbour rows of the rows ``solving`` at one level:
+        ``needed[q]`` are those this rank receives from rank q, and
+        ``serve[q]`` those it sends to q, in row order."""
         pos_of = {int(v): k for k, v in enumerate(active)}
-        for i in mine_odd:
+        needed: dict[int, list[int]] = {}
+        serve: dict[int, list[int]] = {}
+        for i in (int(v) for v in solving):
+            q = owner(i)
             pos = pos_of[i]
             for np_pos in (pos - 1, pos + 1):
                 if 0 <= np_pos < len(active):
                     gi = int(active[np_pos])
-                    if gi not in my_rows:
+                    if q == rank and gi not in my_rows:
                         needed.setdefault(owner(gi), []).append(gi)
-        # everyone also serves requests: deterministic — compute who needs my rows
-        serve: dict[int, list[int]] = {}
-        for q in range(p):
-            if q == rank:
-                continue
-            for i in (int(v) for v in odd):
-                if owner(i) != q:
-                    continue
-                pos = pos_of[i]
-                for np_pos in (pos - 1, pos + 1):
-                    if 0 <= np_pos < len(active):
-                        gi = int(active[np_pos])
-                        if gi in my_rows and owner(gi) == rank:
-                            serve.setdefault(q, []).append(gi)
+                    elif q != rank and owner(gi) == rank:
+                        serve.setdefault(q, []).append(gi)
+        return pos_of, needed, serve
+
+    for level, (active, even, odd) in enumerate(levels_meta):
+        # rows I hold that are odd (stay active): need row above and below
+        mine_odd = [int(i) for i in odd if int(i) in my_rows]
+        pos_of, needed, serve = exchange(active, odd)
         for q in sorted(serve):
             payload = {gi: my_rows[gi].copy() for gi in serve[q]}
             yield Send(q, payload, tag=("cr", level, rank))
@@ -170,30 +167,9 @@ def cr_node_program(rank, p, n, rows, out, levels_meta):
 
     for level in range(len(levels_meta) - 1, -1, -1):
         active, even, odd = levels_meta[level]
-        pos_of = {int(v): k for k, v in enumerate(active)}
         # even rows are solved at this level using neighbors' x values
         mine_even = [int(i) for i in even if int(i) in my_rows]
-        needed_x: dict[int, list[int]] = {}
-        for i in mine_even:
-            pos = pos_of[i]
-            for np_pos in (pos - 1, pos + 1):
-                if 0 <= np_pos < len(active):
-                    gi = int(active[np_pos])
-                    if gi not in my_rows:
-                        needed_x.setdefault(owner(gi), []).append(gi)
-        serve_x: dict[int, list[int]] = {}
-        for q in range(p):
-            if q == rank:
-                continue
-            for i in (int(v) for v in even):
-                if owner(i) != q:
-                    continue
-                pos = pos_of[i]
-                for np_pos in (pos - 1, pos + 1):
-                    if 0 <= np_pos < len(active):
-                        gi = int(active[np_pos])
-                        if owner(gi) == rank:
-                            serve_x.setdefault(q, []).append(gi)
+        pos_of, needed_x, serve_x = exchange(active, even)
         for q in sorted(serve_x):
             payload = {gi: x_known[gi] for gi in serve_x[q]}
             yield Send(q, payload, tag=("crx", level, rank))

@@ -18,6 +18,11 @@ A variant of Sameh's "spike" algorithm, structured exactly as Figures
   each saved four-row system yields its two interior values, and finally
   each processor recovers its block interior.
 
+One rank's share of these phases for one system is written once, as
+the steps :func:`partition_steps` returns: :func:`tri_node_program`
+runs them in order, and Listing 6's pipelined program
+(:mod:`repro.kernels.pipelined`) interleaves them across systems.
+
 Two mappings of the data-flow graph onto processors are provided
 (Figure 5): :class:`ContiguousMapping` (pair j of level l on processor
 j * 2**l) and :class:`ShuffleMapping` (level l served by the processor
@@ -310,6 +315,101 @@ def get_routing(mapping: Mapping, routes: dict) -> tuple[TreeRouting, bool]:
 # ----------------------------------------------------------------------
 
 
+def partition_steps(rank, block, routing, out, sys_id=0, kind="tri"):
+    """One system's partition-method steps on ``rank``, one generator each.
+
+    The steps share the system's state and come in the tree walk's
+    order: the local reduction (Figure 1) and its upward send; per tree
+    pair held, in ``(level, j)`` order, one four-row reduction (Figures
+    2-3); the apex solve, on the apex rank only; per pair held, levels
+    descending, one substitution (Figure 4); the block substitution,
+    which stores ``out[rank]``.  ``block`` is this rank's (b, a, c, f)
+    row slices and ``routing`` the tree's :class:`TreeRouting`, the
+    source of every endpoint.  ``sys_id`` namespaces the message tags
+    and marks the steps; ``kind`` prefixes the marks.  Running the steps
+    in order is one ``tri`` call; running step i of every system before
+    step i + 1 of any is Listing 6's pipeline.
+    """
+    b, a, c, f = block
+    m = len(a)
+    k, top = routing.k, routing.k - 1
+    # boundary pairs at (level, j), solved pair values at ("x", level, j)
+    pair_at: dict[tuple, tuple] = {}
+    # the reductions that substitution inverts: the block's at (0, rank)
+    saved: dict[tuple[int, int], ReducedBlock] = {}
+
+    def obtain(level, j):
+        holder = routing.rank_of(level, j)
+        if holder == rank:
+            return pair_at[(level, j)]
+        data = yield Recv(src=holder, tag=("tri", sys_id, "up", level, j))
+        return (data[:4], data[4:])
+
+    def send_up(level, j, pair):
+        pair_at[(level, j)] = pair
+        dest = routing.up_dest(level, j)
+        if dest != rank:
+            yield Send(dest, np.concatenate(pair), tag=("tri", sys_id, "up", level, j))
+
+    def solved(level, j):
+        if ("x", level, j) in pair_at:
+            return pair_at[("x", level, j)]
+        return (yield Recv(src=routing.up_dest(level, j), tag=("tri", sys_id, "dn", level, j)))
+
+    def send_down(level, j, vals):
+        holder = routing.rank_of(level, j)
+        if holder == rank:
+            pair_at[("x", level, j)] = vals
+        else:
+            yield Send(holder, vals, tag=("tri", sys_id, "dn", level, j))
+
+    def local_step():
+        yield Mark(f"{kind}/reduce", payload=(sys_id, 0))
+        red = saved[(0, rank)] = local_reduce(b, a, c, f)
+        yield Compute(flops=reduce_flops(m), label="local_reduce")
+        yield from send_up(0, rank, (red.first, red.last))
+
+    def reduce_step(level, j):
+        yield Mark(f"{kind}/reduce", payload=(sys_id, level))
+        pa = yield from obtain(level - 1, 2 * j)
+        pb = yield from obtain(level - 1, 2 * j + 1)
+        first, last, saved[(level, j)] = reduce_four_rows(pa, pb)
+        yield Compute(flops=reduce_flops(4), label="tree_reduce")
+        yield from send_up(level, j, (first, last))
+
+    def apex_step():
+        yield Mark(f"{kind}/apex", payload=(sys_id, k))
+        pa = yield from obtain(top, 0)
+        pb = yield from obtain(top, 1)
+        x4 = solve_reduced_pairs([pa, pb])
+        yield Compute(flops=THOMAS_FLOPS_PER_ROW * 4, label="apex_thomas")
+        yield from send_down(top, 0, x4[0:2])
+        yield from send_down(top, 1, x4[2:4])
+
+    def subst_step(level, j):
+        yield Mark(f"{kind}/subst", payload=(sys_id, level))
+        x_first, x_last = yield from solved(level, j)
+        x4 = saved[(level, j)].interior_solve(x_first, x_last)
+        yield Compute(flops=SUBST_FLOPS_PER_ROW * 2, label="tree_subst")
+        yield from send_down(level - 1, 2 * j, x4[0:2])
+        yield from send_down(level - 1, 2 * j + 1, x4[2:4])
+
+    def block_step():
+        yield Mark(f"{kind}/subst", payload=(sys_id, 0))
+        xb = yield from solved(0, rank)
+        out[rank] = saved[(0, rank)].interior_solve(float(xb[0]), float(xb[1]))
+        yield Compute(flops=SUBST_FLOPS_PER_ROW * m, label="block_subst")
+
+    return [
+        local_step(),
+        *(reduce_step(level, j) for level in range(1, k) for j in routing.holdings(rank, level)),
+        *([apex_step()] if rank == routing.apex else []),
+        *(subst_step(level, j) for level in range(k - 1, 0, -1)
+          for j in routing.holdings(rank, level)),
+        block_step(),
+    ]
+
+
 def tri_node_program(
     rank: int,
     p: int,
@@ -325,14 +425,12 @@ def tri_node_program(
     values are stored into ``out[rank]`` on completion.  ``sys_id``
     namespaces message tags so several solves can run concurrently.
     ``routes`` is the launch's routing memo (:func:`get_routing`); none
-    gives the call a routing of its own.
+    gives the call a routing of its own.  Runs :func:`partition_steps`
+    in order.
     """
-    b, a, c, f = block
-    m = len(a)
-    k = mapping.k
-
     if p == 1:
-        yield Compute(flops=THOMAS_FLOPS_PER_ROW * m, label="thomas")
+        b, a, c, f = block
+        yield Compute(flops=THOMAS_FLOPS_PER_ROW * len(a), label="thomas")
         out[rank] = thomas_solve(b, a, c, f)
         return
 
@@ -341,95 +439,8 @@ def tri_node_program(
         "commsched/hit" if was_cached else "commsched/build",
         payload=("tri-routing", mapping.name, p),
     )
-
-    # ---- Phase A: local reduction (Figure 1) --------------------------
-    yield Mark("tri/reduce", payload=(sys_id, 0))
-    red = local_reduce(b, a, c, f)
-    yield Compute(flops=reduce_flops(m), label="local_reduce")
-    my_pair = (red.first, red.last)
-
-    # route my level-0 pair toward its level-1 parent
-    parent = routing.up_dest(0, rank)
-    saved: dict[tuple[int, int], ReducedBlock] = {}
-    pair_at: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {(0, rank): my_pair}
-    if parent != rank:
-        yield Send(parent, np.concatenate(my_pair), tag=("tri", sys_id, "up", 0, rank))
-
-    # ---- Phase B: tree reduction (Figures 2-3) -------------------------
-    for level in range(1, k):
-        for j in routing.holdings(rank, level):
-            yield Mark("tri/reduce", payload=(sys_id, level))
-            pa = yield from _obtain_pair(rank, mapping, level - 1, 2 * j, pair_at, sys_id)
-            pb = yield from _obtain_pair(rank, mapping, level - 1, 2 * j + 1, pair_at, sys_id)
-            first, last, sred = reduce_four_rows(pa, pb)
-            yield Compute(flops=reduce_flops(4), label="tree_reduce")
-            saved[(level, j)] = sred
-            pair_at[(level, j)] = (first, last)
-            dest = routing.up_dest(level, j)
-            if dest != rank:
-                yield Send(
-                    dest, np.concatenate((first, last)), tag=("tri", sys_id, "up", level, j)
-                )
-
-    # ---- Apex: solve the final four rows by Thomas ---------------------
-    apex = routing.apex
-    top_level = k - 1
-    if rank == apex:
-        yield Mark("tri/apex", payload=(sys_id, k))
-        pa = yield from _obtain_pair(rank, mapping, top_level, 0, pair_at, sys_id)
-        pb = yield from _obtain_pair(rank, mapping, top_level, 1, pair_at, sys_id)
-        x4 = solve_reduced_pairs([pa, pb])
-        yield Compute(flops=THOMAS_FLOPS_PER_ROW * 4, label="apex_thomas")
-        for idx, j in enumerate((0, 1)):
-            vals = x4[2 * idx : 2 * idx + 2]
-            holder = routing.rank_of(top_level, j)
-            if holder == rank:
-                pair_at[("x", top_level, j)] = vals
-            else:
-                yield Send(holder, vals, tag=("tri", sys_id, "dn", top_level, j))
-
-    # ---- Substitution: descend the tree (Figure 4) ----------------------
-    for level in range(k - 1, 0, -1):
-        for j in routing.holdings(rank, level):
-            yield Mark("tri/subst", payload=(sys_id, level))
-            key = ("x", level, j)
-            if key in pair_at:
-                x_first, x_last = pair_at[key]
-            else:
-                vals = yield Recv(
-                    src=routing.up_dest(level, j),
-                    tag=("tri", sys_id, "dn", level, j),
-                )
-                x_first, x_last = vals
-            sred = saved[(level, j)]
-            x4 = sred.interior_solve(x_first, x_last)
-            yield Compute(flops=SUBST_FLOPS_PER_ROW * 2, label="tree_subst")
-            for cj, vals in ((2 * j, x4[0:2]), (2 * j + 1, x4[2:4])):
-                holder = routing.rank_of(level - 1, cj)
-                if holder == rank:
-                    pair_at[("x", level - 1, cj)] = vals
-                else:
-                    yield Send(holder, vals, tag=("tri", sys_id, "dn", level - 1, cj))
-
-    # ---- Phase C: recover my block interior -----------------------------
-    yield Mark("tri/subst", payload=(sys_id, 0))
-    key = ("x", 0, rank)
-    if key in pair_at:
-        xb = pair_at[key]
-    else:
-        xb = yield Recv(src=routing.up_dest(0, rank), tag=("tri", sys_id, "dn", 0, rank))
-    x_block = red.interior_solve(float(xb[0]), float(xb[1]))
-    yield Compute(flops=SUBST_FLOPS_PER_ROW * m, label="block_subst")
-    out[rank] = x_block
-
-
-def _obtain_pair(rank, mapping, level, j, pair_at, sys_id):
-    """Local lookup or receive of pair j at ``level`` (generator helper)."""
-    holder = mapping.pair_rank(level, j)
-    if holder == rank:
-        return pair_at[(level, j)]
-    data = yield Recv(src=holder, tag=("tri", sys_id, "up", level, j))
-    return (data[:4], data[4:])
+    for step in partition_steps(rank, block, routing, out, sys_id):
+        yield from step
 
 
 # ----------------------------------------------------------------------

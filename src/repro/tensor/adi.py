@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compiler.commsched import uid_chain
+from repro.compiler.commsched import _mark, uid_chain
 from repro.kernels.substructured import (
     SUBST_FLOPS_PER_ROW,
     THOMAS_FLOPS_PER_ROW,
@@ -168,11 +168,16 @@ def _line_steps(routing, group, pos, m, kind, sid, key):
     """One system's data-free ops on the rank at position ``pos`` of
     ``group``, cut into the partition method's steps.
 
-    The steps of the node programs ``tri_node_program`` and
-    ``pipelined_node_program``, with their data and tags stripped: the
+    Mirrors the steps of
+    :func:`~repro.kernels.substructured.partition_steps`, which
+    ``tri_node_program`` runs in order and ``pipelined_node_program``
+    interleaves across systems, with their data and tags stripped: the
     local reduction and its upward send; per tree pair held, one
     reduction; the apex; per tree pair held, one substitution; the block
-    substitution.  ``routing`` is None for a one-rank group (one Thomas
+    substitution.  It is written separately on purpose: the line-plane
+    tests compare these streams with what the node programs yield, and
+    a stream derived from ``partition_steps`` would compare the schedule
+    with itself.  ``routing`` is None for a one-rank group (one Thomas
     solve).  ``kind`` prefixes the marks, ``sid`` is their system id and
     ``key`` the system's message-tag namespace.
     """
@@ -277,20 +282,19 @@ class _LinePlan:
     line ``lines[g][s]``).  No axis is special-cased, so the same plan
     serves a 2-D array and a plane *section* of a 3-D one.
 
-    It also holds each rank's data-free op stream in the solve order(s)
-    ``orders`` names, derived once from the tree routings it builds:
-    ``per_line[rank][s]`` is line ``s``'s whole solve (Listing 7's
-    order, ``pipelined=False``, the contiguous mapping), and
-    ``piped[rank][step][s]`` is system ``s``'s share of one step of the
-    pipelined solve (Listing 8's order, ``pipelined=True``, the shuffle
-    mapping).  A cached plan holds the one order its caller uses.
-    Immutable once built; :meth:`solve` moves the values.
+    It also holds each rank's data-free op stream in the solve order
+    ``pipelined`` names, derived once from the tree routing it builds:
+    without it ``streams[rank][s]`` is line ``s``'s whole solve (Listing
+    7's order, the contiguous mapping); with it ``streams[rank][step][s]``
+    is system ``s``'s share of one step of the pipelined solve (Listing
+    8's order, the shuffle mapping).  Immutable once built;
+    :meth:`solve` moves the values.
     """
 
-    __slots__ = ("name", "line_dim", "groups", "lines", "per_line", "piped",
-                 "routing_marks")
+    __slots__ = ("name", "line_dim", "groups", "lines", "pipelined", "streams",
+                 "routing_payload")
 
-    def __init__(self, arr, line_dim, orders=(False, True)):
+    def __init__(self, arr, line_dim, pipelined):
         grid = arr.grid
         g = arr.grid_dim_of(line_dim)
         groups = {}
@@ -301,46 +305,47 @@ class _LinePlan:
             groups[group] = arr.owned_lists(rank)[1 - line_dim]
         self.name, self.line_dim = arr.name, line_dim
         self.groups, self.lines = tuple(groups), tuple(groups.values())
+        self.pipelined = pipelined
         p = grid.shape[g]
-        self.routing_marks = None if p == 1 else tuple(
-            Mark(label, payload=("tri-routing", ContiguousMapping.name, p))
-            for label in ("commsched/build", "commsched/hit")
+        mapping = ShuffleMapping if pipelined else ContiguousMapping
+        routing = TreeRouting(mapping(p)) if p > 1 else None
+        self.routing_payload = None if routing is None or pipelined else (
+            ("tri-routing", mapping.name, p)
         )
-        routing = {
-            pipelined: TreeRouting(mapping(p)) if p > 1 else None
-            for pipelined, mapping in ((False, ContiguousMapping), (True, ShuffleMapping))
-            if pipelined in orders
-        }
-        self.per_line, self.piped = {}, {}
+        self.streams = {}
         for group, lines in groups.items():
             for pos, rank in enumerate(group):
                 lo, hi = block_bounds(arr.shape[line_dim], p, pos)
-                if False in routing:
-                    self.per_line[rank] = tuple(
-                        sum(_line_steps(routing[False], group, pos, hi - lo, "tri",
-                                        int(line), s), ())
-                        for s, line in enumerate(lines)
-                    )
-                if True in routing:
-                    self.piped[rank] = tuple(zip(*(
-                        _line_steps(routing[True], group, pos, hi - lo, "mtri", s, s)
+                if pipelined:
+                    self.streams[rank] = tuple(zip(*(
+                        _line_steps(routing, group, pos, hi - lo, "mtri", s, s)
                         for s in range(len(lines))
                     )))
+                else:
+                    self.streams[rank] = tuple(
+                        sum(_line_steps(routing, group, pos, hi - lo, "tri", int(line), s), ())
+                        for s, line in enumerate(lines)
+                    )
 
-    def stream(self, rank, pick, pipelined, reused):
-        """``rank``'s data-free ops for solving its lines ``pick``."""
-        if pipelined:
-            nsys = len(pick)
-            for step in self.piped[rank]:
-                for ops in step[:nsys]:
+    def stream(self, rank, pick, reused, ctx=None):
+        """``rank``'s data-free ops for solving its lines ``pick``.
+
+        The per-line order's routing marks go through ``ctx``, the
+        calling rank's context, so a ``marks="cheap"`` run counts them
+        instead; without one they are yielded.
+        """
+        table = self.streams[rank]
+        if self.pipelined:
+            for step in table:
+                for ops in step[:len(pick)]:
                     yield from ops
             return
-        marks = self.routing_marks
         for n, s in enumerate(pick):
-            if marks is not None:
+            if self.routing_payload is not None:
                 # the routing is built with the plan, on the call that missed
-                yield marks[reused or n > 0]
-            yield from self.per_line[rank][s]
+                label = "commsched/hit" if reused or n > 0 else "commsched/build"
+                yield from _mark(ctx, label, self.routing_payload)
+            yield from table[s]
 
     def solve(self, payloads):
         """Solve the picked lines of every group, in process.
@@ -414,7 +419,7 @@ def _solve_lines(ctx, arr, line_dim, rhs, out, diags, pick, pipelined):
     def action(payloads):
         plan, reused = ctx.session.plans.get(
             "adi-line", _line_plan_key(arr, line_dim, pipelined),
-            lambda: _LinePlan(arr, line_dim, (pipelined,)), uids=lambda: uid_chain(arr),
+            lambda: _LinePlan(arr, line_dim, pipelined), uids=lambda: uid_chain(arr),
         )
         plan.solve(payloads)
         return dict.fromkeys(payloads, (plan, reused))
@@ -424,11 +429,10 @@ def _solve_lines(ctx, arr, line_dim, rhs, out, diags, pick, pipelined):
     plan, reused = yield Rendezvous(
         arr.grid.key(), (tag, "lines"), action, payload=(rhs, out, diags, pick)
     )
-    yield Mark(
-        "commsched/hit" if reused else "commsched/build",
-        payload=("adi-lines", line_dim),
+    yield from _mark(
+        ctx, "commsched/hit" if reused else "commsched/build", ("adi-lines", line_dim)
     )
-    yield from plan.stream(ctx.rank, pick, pipelined, reused)
+    yield from plan.stream(ctx.rank, pick, reused, ctx)
 
 
 def _broadcast(diags, arr, line_dim, rank):

@@ -673,6 +673,30 @@ def test_cheap_marks_for_gather_and_repartition():
     assert cheap_t.message_count() == full_t.message_count()
 
 
+@pytest.mark.parametrize("pipelined", [False, True], ids=["per-line", "pipelined"])
+def test_cheap_marks_for_line_solves(pipelined):
+    """A line solve's plan mark and its per-line routing marks are
+    counted, not recorded, in a cheap-marks run, like every other
+    schedule event."""
+    from repro.tensor.adi import adi_solve
+    from repro.tensor.poisson import manufactured_2d
+
+    _, f = manufactured_2d(16)
+    g = ProcessorGrid((2, 2))
+
+    def solve(session):
+        return adi_solve(session.machine, g, f, iters=2, pipelined=pipelined,
+                         session=session)
+
+    full_u, full_t = solve(Session(Machine(n_procs=4), g))
+    cheap_u, cheap_t = solve(Session(Machine(n_procs=4), g, marks="cheap"))
+    assert cheap_u.tobytes() == full_u.tobytes()
+    assert cheap_t.schedule_events() == []
+    assert cheap_t.schedule_counts() == full_t.schedule_counts()
+    assert cheap_t.schedule_directions() == full_t.schedule_directions()
+    assert cheap_t.message_count() == full_t.message_count()
+
+
 def test_marks_validation():
     from repro.util.errors import ValidationError
 

@@ -141,9 +141,9 @@ def test_plane_streams_equal_the_node_programs(p, n, lines, pick, pipelined):
     launch({r: _recording(prog, logs[r]) for r, prog in programs.items()},
            Machine(n_procs=p))
     g = ProcessorGrid((p,))
-    plan = _LinePlan(DistArray((n, lines), g, dist=("block", "*"), name="A"), 0)
+    plan = _LinePlan(DistArray((n, lines), g, dist=("block", "*"), name="A"), 0, pipelined)
     for rank in range(p):
-        stream = list(plan.stream(rank, pick, pipelined, reused=True))
+        stream = list(plan.stream(rank, pick, reused=True))
         assert [_stripped(op) for op in stream] == [_stripped(op) for op in logs[rank]]
         # frozen and data-free: every send carries only its byte count
         assert all(op.data is None for op in stream if isinstance(op, Send))
